@@ -27,7 +27,7 @@ from math import gcd
 
 from .cyclotomic import CyclotomicNumber, cyclo_reduce_rational
 from .exact import Rational, bernoulli_poly_at
-from .units import UnitGroup, divisors, unit_group
+from .units import UnitGroup, divisors, is_prime, unit_group
 
 __all__ = [
     "DirichletCharacter",
@@ -243,7 +243,7 @@ def series_coefficients(
     if bound >= 1:
         coeffs[1] = CyclotomicNumber.one(n)
     for q in range(2, bound + 1):
-        if not _is_prime_small(q) or q in skip:
+        if not is_prime(q) or q in skip:
             continue
         # local factor prod_i (1 - chi_i(q) T)^(-1) as a power series in T = q^{-s}
         max_j = 0
@@ -294,9 +294,3 @@ def _local_inverse_series(
             acc = acc + poly[i] * series[j - i]
         series.append(-acc)
     return series
-
-
-def _is_prime_small(x: int) -> bool:
-    from .units import is_prime
-
-    return is_prime(x)

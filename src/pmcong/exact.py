@@ -21,6 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
+from .units import is_prime
+
 __all__ = [
     "Rational",
     "PValuation",
@@ -31,21 +33,6 @@ __all__ = [
 ]
 
 Rational = Fraction
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 @dataclass(frozen=True)
@@ -126,7 +113,7 @@ def p_valuation(x: Rational | int, p: int) -> PValuation:
 
     Examples: v_3(9/2) = 2, v_3(2/9) = -2, v_5(10) = 1.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"p_valuation requires a prime, got {p}")
     q = Fraction(x)
     if q == 0:

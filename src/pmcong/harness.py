@@ -12,6 +12,7 @@ are deterministic for a fixed configuration and code version, except for the
 from __future__ import annotations
 
 import configparser
+import math
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -26,13 +27,13 @@ from .levels import (
     even_orbit_indicators,
     scenario_level,
 )
-from .numberfield import enumerate_ideals, tot_pos_up_to
+from .numberfield import _MAX_TRACE, enumerate_ideals, tot_pos_up_to
 from .pseudomeasure import (
     lambda_approx,
     verify_delta_congruence,
     verify_transfer_congruence,
 )
-from .qexpansion import verify_qexp_congruence
+from .qexpansion import NuTable, verify_qexp_congruence
 from .sigma import run_sigma_suite
 from .units import is_prime
 from .zeta import (
@@ -63,6 +64,39 @@ class ConfigInvalid(ValueError):
 def _parse_int_list(text: str) -> tuple[int, ...]:
     parts = [p for p in text.replace(",", " ").split() if p]
     return tuple(int(p) for p in parts)
+
+
+def _read_section(sec) -> dict:
+    """Constructor keyword arguments from a `[scenario]` section, unvalidated."""
+    kwargs = {}
+    for key in ("p", "conductor", "a", "qexp_bound", "ideal_bound"):
+        if key in sec:
+            kwargs[key] = sec.getint(key)
+    for key in ("s_primes", "k_values", "frobenius"):
+        if key in sec:
+            kwargs[key] = _parse_int_list(sec[key])
+    if "checks" in sec:
+        kwargs["checks"] = tuple(
+            c.strip() for c in sec["checks"].replace(",", " ").split() if c.strip()
+        )
+    if "scaled" in sec:
+        kwargs["scaled"] = sec.getboolean("scaled")
+    if "eps_basis" in sec:
+        kwargs["eps_basis"] = sec["eps_basis"].strip()
+    if "eps_table" in sec:
+        table = []
+        for chunk in sec["eps_table"].split(";"):
+            entries = {}
+            for item in chunk.split(","):
+                item = item.strip()
+                if not item:
+                    continue
+                cls_txt, _, val_txt = item.partition(":")
+                entries[int(cls_txt)] = Fraction(val_txt)
+            if entries:
+                table.append(entries)
+        kwargs["eps_table"] = table
+    return kwargs
 
 
 class ScenarioConfig:
@@ -152,34 +186,10 @@ class ScenarioConfig:
         unknown = set(sec) - known
         if unknown:
             raise ConfigInvalid(f"unknown configuration keys: {sorted(unknown)}")
-        kwargs = {}
-        for key in ("p", "conductor", "a", "qexp_bound", "ideal_bound"):
-            if key in sec:
-                kwargs[key] = sec.getint(key)
-        for key in ("s_primes", "k_values", "frobenius"):
-            if key in sec:
-                kwargs[key] = _parse_int_list(sec[key])
-        if "checks" in sec:
-            kwargs["checks"] = tuple(
-                c.strip() for c in sec["checks"].replace(",", " ").split() if c.strip()
-            )
-        if "scaled" in sec:
-            kwargs["scaled"] = sec.getboolean("scaled")
-        if "eps_basis" in sec:
-            kwargs["eps_basis"] = sec["eps_basis"].strip()
-        if "eps_table" in sec:
-            table = []
-            for chunk in sec["eps_table"].split(";"):
-                entries = {}
-                for item in chunk.split(","):
-                    item = item.strip()
-                    if not item:
-                        continue
-                    cls_txt, _, val_txt = item.partition(":")
-                    entries[int(cls_txt)] = Fraction(val_txt)
-                if entries:
-                    table.append(entries)
-            kwargs["eps_table"] = table
+        try:
+            kwargs = _read_section(sec)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigInvalid(f"malformed configuration value: {exc}") from None
         missing = {"p", "conductor", "s_primes", "a"} - set(kwargs)
         if missing:
             raise ConfigInvalid(f"configuration is missing {sorted(missing)}")
@@ -192,6 +202,8 @@ class ScenarioConfig:
             raise ConfigInvalid("S must contain p (all primes above p)")
         if any(not is_prime(q) for q in self.s_primes):
             raise ConfigInvalid("S must consist of primes")
+        if not is_prime(self.conductor) or self.conductor % self.p != 1:
+            raise ConfigInvalid("the conductor must be a prime ≡ 1 mod p")
         if self.conductor not in self.s_primes:
             raise ConfigInvalid("S must contain the ramified prime (the conductor)")
         if self.a < 1:
@@ -208,8 +220,19 @@ class ScenarioConfig:
             raise ConfigInvalid("q-expansion checks need an even k ≥ 2")
         if not self.frobenius:
             raise ConfigInvalid("at least one Frobenius pick is required")
+        modulus = self.p**self.a * math.prod(q for q in self.s_primes if q != self.p)
+        non_units = [n for n in self.frobenius if n < 1 or math.gcd(n, modulus) != 1]
+        if non_units:
+            raise ConfigInvalid(
+                f"Frobenius picks must be positive units mod {modulus}: {non_units}"
+            )
         if self.qexp_bound < 1 or self.ideal_bound < 1:
             raise ConfigInvalid("bounds must be ≥ 1")
+        if self.p * self.qexp_bound > _MAX_TRACE:
+            raise ConfigInvalid(
+                f"p · qexp_bound = {self.p * self.qexp_bound} exceeds the largest "
+                f"supported trace {_MAX_TRACE}"
+            )
         unknown = set(self.checks) - set(_KNOWN_CHECKS)
         if unknown:
             raise ConfigInvalid(f"unknown checks: {sorted(unknown)}")
@@ -222,6 +245,18 @@ class ScenarioConfig:
 
     def level(self):
         return scenario_level(self.p, self.conductor, self.s_primes, self.a)
+
+    def check_eps_table(self, level) -> None:
+        """An explicit ε table must give one value per extension-side class."""
+        if self.eps_basis != "table":
+            return
+        classes = set(level.classes(L_SIDE))
+        for i, table in enumerate(self.eps_table):
+            if set(table) != classes:
+                raise ConfigInvalid(
+                    f"eps_table function {i} must cover exactly the "
+                    f"{len(classes)} extension-side classes mod {level.modulus}"
+                )
 
     def describe(self) -> dict:
         return {
@@ -378,10 +413,11 @@ def _check_qexp(config: ScenarioConfig, level, cache_dir) -> dict:
     runs = []
     verdict = True
     ks = [k for k in config.k_values if k >= 2 and k % 2 == 0]
+    table = NuTable(level, config.p * config.qexp_bound, cache_dir=cache_dir)
     for k in ks:
         for i, eps in enumerate(_qexp_functions(config, level)):
             report = verify_qexp_congruence(
-                level, eps, k, config.qexp_bound, cache_dir=cache_dir
+                level, eps, k, config.qexp_bound, table=table
             )
             verdict = verdict and report["verdict"]
             runs.append(
@@ -407,6 +443,7 @@ def run_scenario(
     if unknown:
         raise ConfigInvalid(f"unknown checks: {sorted(unknown)}")
     level = config.level()
+    config.check_eps_table(level)
     report_checks = {}
     timings = {}
     # dependency order: engine crosschecks before the congruences they feed

@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import gcd
 
 from .exact import Rational, p_valuation
-from .numberfield import AbelianFieldSpec, IdealFactored, artin_symbol, field_spec
+from .numberfield import AbelianFieldSpec, field_spec
 from .units import factorize, is_prime, unit_group
 
 __all__ = [
@@ -295,19 +295,9 @@ class FrobeniusChoice:
         self.n = n
         self.cls = level.class_of(n)
 
-    @staticmethod
-    def from_ideal(level: LevelData, ideal: IdealFactored) -> "FrobeniusChoice":
-        """Extension-side pick: symbol and norm of an ideal coprime to the level."""
-        return FrobeniusChoice(level, ideal.norm())
-
     def transfer(self) -> "FrobeniusChoice":
         """The image pick under ver: class cls^p with norm n^p."""
         return FrobeniusChoice(self.level, self.n**self.level.p)
 
     def __repr__(self) -> str:
         return f"FrobeniusChoice(n={self.n}, cls={self.cls})"
-
-
-def assert_norm_compatibility(level: LevelData, ideal: IdealFactored) -> None:
-    """Guard: the symbol of an ideal is the class of its norm (used in tests)."""
-    assert artin_symbol(ideal, level.modulus) == level.class_of(ideal.norm())

@@ -112,23 +112,24 @@ def _newton_char_poly(power_sums: list[int], degree: int) -> tuple[int, ...]:
     """Monic characteristic polynomial from power sums s_1..s_degree.
 
     Returns ascending coefficients (a_0, …, a_{degree−1}, 1); the elementary
-    symmetric functions are integers for algebraic integers, which is asserted.
+    symmetric functions are integers for algebraic integers, so each division
+    by k in k·e_k = Σ (−1)^(i−1) e_{k−i} s_i is checked to be exact.
     """
-    e = [Fraction(1)]
+    e = [1]
     for k in range(1, degree + 1):
-        acc = Fraction(0)
+        acc = 0
         sign = 1
         for i in range(1, k + 1):
             acc += sign * e[k - i] * power_sums[i - 1]
             sign = -sign
-        e.append(acc / k)
-    coeffs = []
-    for j in range(degree + 1):
-        # coefficient of x^j is (−1)^(degree−j) e_{degree−j}
-        val = e[degree - j] if (degree - j) % 2 == 0 else -e[degree - j]
-        assert val.denominator == 1, "power sums of a non-integral element"
-        coeffs.append(int(val))
-    return tuple(coeffs)
+        if acc % k:
+            raise ArithmeticError("power sums of a non-integral element")
+        e.append(acc // k)
+    # coefficient of x^j is (−1)^(degree−j) e_{degree−j}
+    return tuple(
+        e[degree - j] if (degree - j) % 2 == 0 else -e[degree - j]
+        for j in range(degree + 1)
+    )
 
 
 class AlgebraicInt:
@@ -274,6 +275,7 @@ class AbelianFieldSpec:
             raise ValueError("conductor must be a prime ≡ 1 mod degree")
         self.p = p
         self.conductor = conductor
+        self._splits: dict[int, SplitData] = {}
 
         group = unit_group(conductor)
         assert len(group.generators) == 1
@@ -361,6 +363,13 @@ class AbelianFieldSpec:
         coords = [0] * self.p
         coords[i % self.p] = 1
         return AlgebraicInt(self, tuple(coords))
+
+    def split(self, q: int) -> "SplitData":
+        """split_type(self, q), computed once per prime: it searches all of range(q)."""
+        data = self._splits.get(q)
+        if data is None:
+            data = self._splits[q] = split_type(self, q)
+        return data
 
     def __repr__(self) -> str:
         return f"AbelianFieldSpec(p={self.p}, conductor={self.conductor})"
@@ -605,7 +614,7 @@ def factor_principal(spec: AbelianFieldSpec, nu: AlgebraicInt) -> IdealFactored:
     n = abs(nu.norm())
     factors = []
     for q, vn in sorted(factorize(n).items()):
-        data = split_type(spec, q)
+        data = spec.split(q)
         if data.e == spec.p:  # ramified: the unique prime above f_L
             factors.append((data.slots[0], vn))
             continue
@@ -660,7 +669,7 @@ def enumerate_ideals(
     q = 2
     while q <= bound:
         if is_prime(q) and q not in skip:
-            for slot in split_type(spec, q).slots:
+            for slot in spec.split(q).slots:
                 if slot.norm() <= bound:
                     primes.append(slot)
         q += 1
@@ -710,7 +719,7 @@ def _ideal_from_record(spec: AbelianFieldSpec, record: str) -> IdealFactored:
         for part in body.split(";"):
             q_s, root_s, e_s = part.split(":")
             q = int(q_s)
-            data = split_type(spec, q)
+            data = spec.split(q)
             if root_s == "-":
                 factors.append((data.slots[0], int(e_s)))
             else:

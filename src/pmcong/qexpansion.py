@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .exact import PValuation, p_valuation
 from .levels import L_SIDE, Q_SIDE, LevelData, LocallyConstantFn
@@ -41,6 +42,7 @@ __all__ = [
     "InsufficientBound",
     "InsufficientTraceBound",
     "NotEven",
+    "NuTable",
     "QExpansionL",
     "QExpansionQ",
     "eisenstein_l",
@@ -167,17 +169,157 @@ def eisenstein_q(
     return QExpansionQ(level, k, bound, constant, coeffs)
 
 
+class _MuOrbits(NamedTuple):
+    """Σ-orbit bookkeeping of the (𝔟, ν) pairs with tr ν = p·μ, ε- and k-free."""
+
+    pairs: int
+    moved: tuple[tuple[int, int], ...]  # (norm, class) of one pair per moved orbit
+    fixed: tuple[tuple[int | None, int, int], ...]  # (base divisor d or None, norm, class)
+    fixed_match: bool
+    base_divisors: tuple[int, ...]  # d | μ prime to S and to the modulus
+
+
+class NuTable:
+    """Field-level data behind G_{k,ε_L} up to a trace bound, for every (ε, k).
+
+    Built once per (level, trace bound); every weighting pass then only
+    multiplies precomputed (norm, class) terms by ε(class)·norm^(k−1).  It
+    holds the totally positive ν grouped by trace and, for each ν, two
+    independent term lists: the S-coprime divisors of (ν) generated from its
+    factorization, and the ideals of the separately enumerated pool that
+    divide (ν) (the direct route).  For each μ ≤ trace_bound // p it also
+    holds the Σ-orbit partition of the pairs (𝔟, ν) with tr ν = p·μ.
+    """
+
+    def __init__(self, level: LevelData, trace_bound: int, cache_dir: Path | None = None):
+        field = level.field
+        if field is None:
+            raise ValueError("this level carries no extension field")
+        if trace_bound < 1:
+            raise ValueError("trace bound must be ≥ 1")
+        self.level = level
+        self.trace_bound = trace_bound
+        f = level.modulus
+        p = level.p
+        self.by_trace = tot_pos_up_to(field, trace_bound, cache_dir=cache_dir)
+
+        norms: dict[tuple[int, ...], int] = {}
+        factored: dict[tuple[int, ...], IdealFactored] = {}
+        divisor_ideals: dict[tuple[int, ...], list[IdealFactored]] = {}
+        for nus in self.by_trace.values():
+            for nu in nus:
+                norms[nu.coords] = abs(nu.norm())
+                factored[nu.coords] = factor_principal(field, nu)
+                divisor_ideals[nu.coords] = factored[nu.coords].divisors(level.s_primes)
+        self.divisors = {
+            coords: tuple((b.norm(), artin_symbol(b, f)) for b in ideals)
+            for coords, ideals in divisor_ideals.items()
+        }
+
+        # the direct route reads the enumerated pool, never the divisor lists
+        max_norm = max(norms.values(), default=1)
+        pool: dict[int, list[IdealFactored]] = {}
+        for ideal in enumerate_ideals(field, max_norm, level.s_primes, cache_dir=cache_dir):
+            pool.setdefault(ideal.norm(), []).append(ideal)
+        self.direct = {}
+        for coords, norm in norms.items():
+            exps = dict(factored[coords].factors)
+            self.direct[coords] = tuple(
+                (n, artin_symbol(ideal, f))
+                for n in divisors(norm)
+                for ideal in pool.get(n, ())
+                if all(exps.get(pr, 0) >= e for pr, e in ideal.factors)
+            )
+
+        self.orbits = {
+            mu: _mu_orbits(level, mu, self.by_trace[p * mu], divisor_ideals, factored)
+            for mu in range(1, trace_bound // p + 1)
+        }
+
+    def covers(self, level: LevelData, trace_bound: int) -> bool:
+        """Whether this table holds every ν of trace ≤ trace_bound at `level`."""
+        return self.level == level and trace_bound <= self.trace_bound
+
+
+def _mu_orbits(level: LevelData, mu: int, nus, divisor_ideals, factored) -> _MuOrbits:
+    """Σ-orbits of the pairs (𝔟, ν), 𝔟 ⊇ (ν) coprime to S, over the ν of trace p·μ."""
+    field = level.field
+    f = level.modulus
+    p = level.p
+    pairs = {
+        (ideal.key(), nu.coords): (ideal, nu)
+        for nu in nus
+        for ideal in divisor_ideals[nu.coords]
+    }
+    seen = set()
+    moved = []
+    fixed = []
+    for key, (ideal, nu) in sorted(pairs.items()):
+        if key in seen:
+            continue
+        orbit = [key]
+        cur_ideal, cur_nu = ideal, nu
+        while True:
+            cur_ideal = sigma_ideal(field, cur_ideal)
+            cur_nu = cur_nu.sigma()
+            nxt = (cur_ideal.key(), cur_nu.coords)
+            if nxt == key:
+                break
+            orbit.append(nxt)
+        seen.update(orbit)
+        if len(orbit) == 1:
+            fixed.append((ideal, nu))
+        else:
+            assert len(orbit) == p, "pair orbit of unexpected length"
+            # norm and class are Σ-invariant: one pair stands for its orbit
+            moved.append((ideal.norm(), artin_symbol(ideal, f)))
+
+    # fixed pairs must be exactly the base-extended divisor pairs (d·o_L, μ);
+    # d·o_L = (ν) for ν = d, of trace p·d ≤ p·μ, whose factorization the
+    # caller already holds
+    s_set = set(level.s_primes)
+    expected = {}
+    for d in divisors(mu):
+        if any(d % q == 0 for q in s_set) or math.gcd(d, f) != 1:
+            continue
+        expected[factored[field.from_rational(d).coords].key()] = d
+    got = {ideal.key() for ideal, _ in fixed}
+    fixed_match = got == set(expected) and all(
+        nu == field.from_rational(mu) for _, nu in fixed
+    )
+    return _MuOrbits(
+        pairs=len(pairs),
+        moved=tuple(moved),
+        fixed=tuple(
+            (expected.get(ideal.key()), ideal.norm(), artin_symbol(ideal, f))
+            for ideal, _ in fixed
+        ),
+        fixed_match=fixed_match,
+        base_divisors=tuple(expected.values()),
+    )
+
+
+def _weigh(terms, eps_values, k: int) -> Fraction:
+    """Σ ε(class)·norm^(k−1) over (norm, class) terms."""
+    total = Fraction(0)
+    for norm, cls in terms:
+        total += eps_values[cls] * norm ** (k - 1)
+    return total
+
+
 def eisenstein_l(
     level: LevelData,
     eps_l: LocallyConstantFn,
     k: int,
     trace_bound: int,
     cache_dir: Path | None = None,
+    table: NuTable | None = None,
 ) -> QExpansionL:
     """G_{k,ε_L} on the extension: c(ν) = Σ_{𝔟 ⊇ (ν), 𝔟 coprime to S} ε_L(𝔟)N𝔟^(k−1).
 
     ε_L is evaluated at the class-field symbol of 𝔟, the norm reduced to the
     level's modulus; that symbol always lands in the extension-side subgroup.
+    The divisor terms come from `table`, which is built here when not given.
     """
     if eps_l.level != level or eps_l.side != L_SIDE:
         raise ValueError("eisenstein_l needs an extension-side function on this level")
@@ -187,19 +329,15 @@ def eisenstein_l(
         raise ValueError("weight must be an even integer ≥ 2")
     if trace_bound < 1:
         raise ValueError("trace bound must be ≥ 1")
-    field = level.field
-    if field is None:
-        raise ValueError("this level carries no extension field")
-    f = level.modulus
+    if table is None:
+        table = NuTable(level, trace_bound, cache_dir=cache_dir)
+    elif not table.covers(level, trace_bound):
+        raise ValueError("the ν-table does not cover this level and trace bound")
     constant = scaled_zeta_of(level, L_SIDE, eps_l, k)
     coeffs = {}
-    for nus in tot_pos_up_to(field, trace_bound, cache_dir=cache_dir).values():
-        for nu in nus:
-            total = Fraction(0)
-            for ideal in factor_principal(field, nu).divisors(level.s_primes):
-                cls = artin_symbol(ideal, f)
-                total += eps_l.values[cls] * ideal.norm() ** (k - 1)
-            coeffs[nu.coords] = total
+    for t in range(1, trace_bound + 1):
+        for nu in table.by_trace[t]:
+            coeffs[nu.coords] = _weigh(table.divisors[nu.coords], eps_l.values, k)
     return QExpansionL(level, k, trace_bound, constant, coeffs)
 
 
@@ -250,6 +388,7 @@ def qexp_difference(
     k: int,
     bound: int,
     cache_dir: Path | None = None,
+    table: NuTable | None = None,
 ) -> QExpansionQ:
     """E = thin_p(restrict(G_{k,ε_L})) − G_{pk, ε_L∘ver}, truncated at `bound`.
 
@@ -260,37 +399,10 @@ def qexp_difference(
     p = level.p
     if not eps_l.p_integral:
         raise FlagViolation("the congruence requires a p-integral ε_L")
-    upstairs = eisenstein_l(level, eps_l, k, p * bound, cache_dir=cache_dir)
+    upstairs = eisenstein_l(level, eps_l, k, p * bound, cache_dir=cache_dir, table=table)
     route = hecke_thin(restrict_to_base(upstairs, p * bound), p)
     downstairs = eisenstein_q(level, eps_l.compose_transfer(), p * k, bound)
     return route - downstairs
-
-
-def _pair_table(level, eps_l, k, nus, cache_dir):
-    """All (ideal, ν) contributions behind one thinned coefficient."""
-    field = level.field
-    f = level.modulus
-    pairs = []
-    for nu in nus:
-        for ideal in factor_principal(field, nu).divisors(level.s_primes):
-            term = eps_l.values[artin_symbol(ideal, f)] * ideal.norm() ** (k - 1)
-            pairs.append((ideal, nu, term))
-    return pairs
-
-
-def _direct_pair_sum(level, eps_l, k, nus, ideal_pool, cache_dir):
-    """Independent route: sum over enumerated ideals dividing each (ν)."""
-    field = level.field
-    f = level.modulus
-    total = Fraction(0)
-    for nu in nus:
-        factored = {pr: e for pr, e in factor_principal(field, nu).factors}
-        norm = abs(nu.norm())
-        for n in divisors(norm):
-            for ideal in ideal_pool.get(n, ()):
-                if all(factored.get(pr, 0) >= e for pr, e in ideal.factors):
-                    total += eps_l.values[artin_symbol(ideal, f)] * n ** (k - 1)
-    return total
 
 
 def verify_qexp_congruence(
@@ -299,107 +411,63 @@ def verify_qexp_congruence(
     k: int,
     bound: int,
     cache_dir: Path | None = None,
+    table: NuTable | None = None,
 ) -> dict:
     """Per-coefficient p-valuations of E, with orbit bookkeeping and dual routes.
 
     Beyond the verdict (v_p ≥ 1 for every 1 ≤ μ ≤ bound), this recomputes
-    each thinned coefficient by direct pair enumeration over independently
+    each coefficient of E by direct pair enumeration over independently
     enumerated ideals, decomposes the pairs into Σ-orbits, checks that the
     fixed pairs are exactly the base-extended ones (d·o_L, μ) for d | μ prime
     to S, and confirms the coefficient of E equals (moved orbit sums) +
-    (Fermat defects), both visibly divisible by p.
+    (Fermat defects), both visibly divisible by p.  `table` (built here when
+    not given) must cover the trace bound p·bound.
     """
     p = level.p
-    field = level.field
     if not eps_l.p_integral:
         raise FlagViolation("the congruence requires a p-integral ε_L")
-    eps_q = eps_l.compose_transfer()
-    upstairs = eisenstein_l(level, eps_l, k, p * bound, cache_dir=cache_dir)
-    thinned = hecke_thin(restrict_to_base(upstairs, p * bound), p)
-    downstairs = eisenstein_q(level, eps_q, p * k, bound)
-    difference = thinned - downstairs
-
-    by_trace = tot_pos_up_to(field, p * bound, cache_dir=cache_dir)
-    max_norm = max(
-        (abs(nu.norm()) for nus in by_trace.values() for nu in nus), default=1
-    )
-    ideal_pool: dict[int, list[IdealFactored]] = {}
-    for ideal in enumerate_ideals(field, max_norm, level.s_primes, cache_dir=cache_dir):
-        ideal_pool.setdefault(ideal.norm(), []).append(ideal)
+    if table is None:
+        table = NuTable(level, p * bound, cache_dir=cache_dir)
+    difference = qexp_difference(level, eps_l, k, bound, table=table)
+    eps_values = eps_l.values
+    eps_q_values = eps_l.compose_transfer().values
+    f = level.modulus
 
     valuations: dict[int, PValuation] = {}
     bookkeeping = {}
     routes_agree = True
-    s_set = set(level.s_primes)
     for mu in range(1, bound + 1):
-        nus = by_trace[p * mu]
         coefficient = difference.coefficient(mu)
         valuations[mu] = p_valuation(coefficient, p)
+        orbits = table.orbits[mu]
+        base_terms = {
+            d: eps_q_values[d % f] * d ** (p * k - 1) for d in orbits.base_divisors
+        }
 
-        if thinned.coefficient(mu) != _direct_pair_sum(
-            level, eps_l, k, nus, ideal_pool, cache_dir
-        ):
+        # E(μ) again: pool terms over tr ν = p·μ minus G_{pk}'s base divisor terms
+        direct = Fraction(0)
+        for nu in table.by_trace[p * mu]:
+            direct += _weigh(table.direct[nu.coords], eps_values, k)
+        if coefficient != direct - sum(base_terms.values()):
             routes_agree = False
 
-        pairs = _pair_table(level, eps_l, k, nus, cache_dir)
-        indexed = {
-            (ideal.key(), nu.coords): (ideal, nu, term)
-            for ideal, nu, term in pairs
-        }
-        seen = set()
-        moved_sum = Fraction(0)
-        orbit_count = 0
-        fixed = []
-        for key, (ideal, nu, term) in sorted(indexed.items()):
-            if key in seen:
-                continue
-            orbit = [key]
-            cur_ideal, cur_nu = ideal, nu
-            while True:
-                cur_ideal = sigma_ideal(field, cur_ideal)
-                cur_nu = cur_nu.sigma()
-                nxt = (cur_ideal.key(), cur_nu.coords)
-                if nxt == key:
-                    break
-                orbit.append(nxt)
-            seen.update(orbit)
-            if len(orbit) == 1:
-                fixed.append((ideal, nu, term))
-            else:
-                assert len(orbit) == p, "pair orbit of unexpected length"
-                orbit_count += 1
-                moved_sum += p * term  # all p members share the Σ-invariant term
-
-        # fixed pairs must be exactly the base-extended divisor pairs (d·o_L, μ)
-        expected = {}
-        for d in divisors(mu):
-            if any(d % q == 0 for q in s_set) or math.gcd(d, level.modulus) != 1:
-                continue
-            extended = factor_principal(field, field.from_rational(d))
-            expected[extended.key()] = d
-        got = {ideal.key() for ideal, _, _ in fixed}
-        fixed_match = got == set(expected) and all(
-            nu == field.from_rational(mu) for _, nu, _ in fixed
-        )
-
+        moved_sum = p * _weigh(orbits.moved, eps_values, k)
         fermat = Fraction(0)
-        for ideal, _, term in fixed:
-            d = expected.get(ideal.key())
+        for d, norm, cls in orbits.fixed:
             if d is None:
                 continue
-            defect = term - eps_q.values[d % level.modulus] * d ** (p * k - 1)
+            defect = eps_values[cls] * norm ** (k - 1) - base_terms[d]
             assert p_valuation(defect, p) >= 1, "Fermat defect not divisible by p"
             fermat += defect
 
-        identity_holds = coefficient == moved_sum + fermat
         bookkeeping[mu] = {
-            "pairs": len(indexed),
-            "moved_orbits": orbit_count,
+            "pairs": orbits.pairs,
+            "moved_orbits": len(orbits.moved),
             "moved_sum": moved_sum,
-            "fixed_pairs": len(fixed),
-            "fixed_match_base_divisors": fixed_match,
+            "fixed_pairs": len(orbits.fixed),
+            "fixed_match_base_divisors": orbits.fixed_match,
             "fermat_defect": fermat,
-            "identity_holds": identity_holds,
+            "identity_holds": coefficient == moved_sum + fermat,
         }
 
     verdict = (

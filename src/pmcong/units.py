@@ -160,14 +160,6 @@ class UnitGroup:
         except KeyError:
             raise ValueError(f"{a} is not a unit mod {self.modulus}") from None
 
-    def element_order(self, a: int) -> int:
-        exps = self.dlog(a)
-        order = 1
-        for t, o in zip(exps, self.orders):
-            d = o // gcd(t, o)
-            order = order * d // gcd(order, d)
-        return order
-
 
 @lru_cache(maxsize=None)
 def unit_group(modulus: int) -> UnitGroup:

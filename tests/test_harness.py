@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import pmcong.qexpansion as qexpansion
 from pmcong.cli import main
 from pmcong.exact import PValuation
 from pmcong.harness import (
@@ -17,6 +18,7 @@ from pmcong.harness import (
     jsonable,
     run_scenario,
 )
+from pmcong.numberfield import tot_pos_up_to
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -216,6 +218,70 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ini.write_text(SMALL_INI + "colour = blue\n")
     assert main(["run", "--config", str(ini)]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        ("p = 3", "p = x"),
+        ("conductor = 7\ns_primes = 3, 7", "conductor = 5\ns_primes = 3, 5"),
+        ("frobenius = 2", "frobenius = 3, 5"),
+        ("qexp_bound = 2", "qexp_bound = 800"),
+        ("checks", "eps_basis = table\neps_table = 1:abc\nchecks"),
+        ("checks", "eps_basis = table\neps_table = 1:1, 62:1\nchecks"),
+    ],
+    ids=[
+        "p-not-an-integer",
+        "conductor-not-1-mod-p",
+        "frobenius-not-a-unit",
+        "trace-bound-too-large",
+        "eps-value-not-rational",
+        "eps-table-misses-classes",
+    ],
+)
+def test_cli_bad_input_exits_2(tmp_path, capsys, edit):
+    """Malformed input is a configuration error, never a false verdict."""
+    old, new = edit
+    assert old in SMALL_INI
+    ini = tmp_path / "bad.ini"
+    ini.write_text(SMALL_INI.replace(old, new, 1))
+    assert main(["run", "--config", str(ini)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_qexp_factors_each_nu_once(monkeypatch):
+    config = ScenarioConfig.default()
+    factor_principal = qexpansion.factor_principal
+    calls = []
+
+    def counting(spec, nu):
+        calls.append(nu.coords)
+        return factor_principal(spec, nu)
+
+    monkeypatch.setattr(qexpansion, "factor_principal", counting)
+    report = run_scenario(config, checks=("qexp",))
+    assert report["verdict"]
+    by_trace = tot_pos_up_to(config.level().field, config.p * config.qexp_bound)
+    distinct_nu = sum(len(nus) for nus in by_trace.values())
+    base_divisors = [
+        d for d in range(1, config.qexp_bound + 1) if d % 3 and d % 7
+    ]
+    assert len(calls) <= distinct_nu + len(base_divisors)
+    assert len(set(calls)) == len(calls)
+
+
+def test_report_is_identical_with_cold_and_warm_cache(tmp_path):
+    # the σ-suite is configuration-free and reads no cache, so it is left out
+    config = ScenarioConfig.default()
+    checks = ("crosscheck", "transfer", "delta", "qexp")
+    cache = tmp_path / "cache"
+    reports = []
+    for _ in ("cold", "warm"):
+        report = run_scenario(config, cache_dir=cache, checks=checks)
+        report.pop("timings")
+        reports.append(json.dumps(report, sort_keys=True))
+    assert any(cache.iterdir())
+    assert reports[0] == reports[1]
 
 
 def test_cli_failure_exit_code(monkeypatch, capsys):

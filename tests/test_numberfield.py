@@ -21,6 +21,7 @@ from pmcong.cache import cache_path
 from pmcong.dirichlet import characters_of, conductor_primitive, series_coefficients
 from pmcong.numberfield import (
     NotCoprime,
+    _newton_char_poly,
     artin_symbol,
     enumerate_ideals,
     enumerate_tot_pos_trace,
@@ -259,6 +260,15 @@ def _totally_positive_sturm(nu):
     distinct_positive = _sign_changes(chain, Fraction(0)) - _sign_changes(chain, big)
     distinct_total = _sign_changes(chain, -big) - _sign_changes(chain, big)
     return distinct_positive == distinct_total and distinct_positive > 0
+
+
+def test_char_poly_newton_identities_are_exact():
+    # a rational c has characteristic polynomial (x − c)^3
+    for c in (-4, 1, 5):
+        assert F7.from_rational(c).char_poly() == (-(c**3), 3 * c**2, -3 * c, 1)
+    # power sums 1, 0, 0 would need e_2 = 1/2: not an algebraic integer
+    with pytest.raises(ArithmeticError, match="non-integral"):
+        _newton_char_poly([1, 0, 0], 3)
 
 
 def test_total_positivity_matches_sturm_exhaustively():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import pmcong.qexpansion as qexpansion
 from pmcong.exact import PValuation
 from pmcong.levels import L_SIDE, Q_SIDE, LocallyConstantFn, scenario_level, zeta_level
 from pmcong.pseudomeasure import FlagViolation
@@ -11,6 +12,7 @@ from pmcong.qexpansion import (
     InsufficientBound,
     InsufficientTraceBound,
     NotEven,
+    NuTable,
     eisenstein_l,
     eisenstein_q,
     hecke_thin,
@@ -203,3 +205,31 @@ def test_congruence_holds_for_an_orbit_indicator():
     assert report["routes_agree"]
     for v in report["valuations"].values():
         assert v >= 1
+
+
+def test_shared_table_matches_a_fresh_build_and_guards_its_bound():
+    table = NuTable(LV, 3 * 4)
+    assert verify_qexp_congruence(LV, ONE_L, 4, 4, table=table) == (
+        verify_qexp_congruence(LV, ONE_L, 4, 4)
+    )
+    with pytest.raises(ValueError, match="does not cover"):
+        verify_qexp_congruence(LV, ONE_L, 2, 5, table=table)
+    other = scenario_level(3, 7, (3, 7), 3)
+    with pytest.raises(ValueError, match="does not cover"):
+        eisenstein_l(other, LocallyConstantFn.constant_fn(other, L_SIDE, 1), 2, 6, table=table)
+
+
+def test_direct_route_reads_the_enumerated_pool(monkeypatch):
+    """Dropping one pool ideal must break route agreement: the direct route
+    never falls back on the divisor lists generated from the factorization."""
+    enumerate_ideals = qexpansion.enumerate_ideals
+
+    def pool_without_one(*args, **kwargs):
+        pool = enumerate_ideals(*args, **kwargs)
+        assert pool[1].norm() == 8  # (2) is inert: it divides ν = 2, of trace 6
+        return pool[:1] + pool[2:]
+
+    monkeypatch.setattr(qexpansion, "enumerate_ideals", pool_without_one)
+    report = verify_qexp_congruence(LV, ONE_L, 2, 4)
+    assert not report["routes_agree"]
+    assert not report["verdict"]
