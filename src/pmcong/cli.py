@@ -134,9 +134,7 @@ def _cmd_scenario(args, checks=None) -> int:
 def _cmd_sigma(args) -> int:
     result = run_sigma_suite()
     _emit(result, args.json_out)
-    for name, chk in result["checks"].items():
-        print(f"check {name}: {'PASS' if chk['verdict'] else 'FAIL'}")
-    print(f"overall: {'PASS' if result['verdict'] else 'FAIL'}")
+    _print_summary(result)
     return 0 if result["verdict"] else 1
 
 

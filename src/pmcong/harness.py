@@ -247,7 +247,7 @@ class ScenarioConfig:
         return scenario_level(self.p, self.conductor, self.s_primes, self.a)
 
     def check_eps_table(self, level) -> None:
-        """An explicit ε table must give one value per extension-side class."""
+        """Each explicit ε must cover the extension-side classes and be even and p-integral."""
         if self.eps_basis != "table":
             return
         classes = set(level.classes(L_SIDE))
@@ -257,6 +257,11 @@ class ScenarioConfig:
                     f"eps_table function {i} must cover exactly the "
                     f"{len(classes)} extension-side classes mod {level.modulus}"
                 )
+            eps = LocallyConstantFn.from_table(level, L_SIDE, table)
+            if not eps.even:
+                raise ConfigInvalid(f"eps_table function {i} is not even")
+            if not eps.p_integral:
+                raise ConfigInvalid(f"eps_table function {i} is not {self.p}-integral")
 
     def describe(self) -> dict:
         return {

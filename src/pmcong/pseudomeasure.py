@@ -184,9 +184,10 @@ def verify_transfer_congruence(level: LevelData, g: FrobeniusChoice, k: int = 2)
     certificate = {}
     if verdict:
         certificate = {y: c // p for y, c in difference.items()}
-        assert all(
-            (p * certificate[y]) % target_mod == difference[y] for y in difference
-        ), "certificate failed re-verification"
+        if any(
+            (p * certificate[y]) % target_mod != difference[y] for y in difference
+        ):
+            raise ArithmeticError("certificate failed re-verification")
     return {
         "verdict": verdict,
         "k": k,

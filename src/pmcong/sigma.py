@@ -28,6 +28,10 @@ elements are pairs (h, t).  Setups over subgroups of plain abelian groups
 (where the extension need not split, e.g. C_9 over C_3) are constructed
 directly with `GaloisSetup`.
 
+A kernel is validated from generators chosen greedily from its elements: it
+is a subgroup iff it equals their span, abelian iff they commute pairwise,
+and normal iff the Σ-generator conjugates each of them back into it.
+
 Certificates are deterministic — fixed pivoting in the Smith normal form,
 free parameters zeroed, coefficients reduced to canonical residues — rather
 than globally minimal in any metric; re-verification by expansion is the
@@ -61,7 +65,6 @@ __all__ = [
     "run_sigma_suite",
     "semidirect_setup",
     "smith_normal_form",
-    "trace_membership",
     "verify_conjugation_identity",
 ]
 
@@ -89,7 +92,7 @@ class BadConjugationData(ValueError):
 class FiniteGroup:
     """A finite group given by its carrier, multiplication, and identity."""
 
-    def __init__(self, elements, mul, identity, inverse=None, abelian=None):
+    def __init__(self, elements, mul, identity, inverse=None):
         self.elements = tuple(elements)
         self._element_set = frozenset(self.elements)
         if len(self._element_set) != len(self.elements):
@@ -100,7 +103,6 @@ class FiniteGroup:
         self.identity = identity
         self._inverse_fn = inverse
         self._inverse_map = None
-        self._abelian = abelian
 
     def __len__(self):
         return len(self.elements)
@@ -122,8 +124,6 @@ class FiniteGroup:
         return self._inverse_map[x]
 
     def power(self, x, n: int):
-        if n < 0:
-            return self.power(self.inverse(x), -n)
         out = self.identity
         for _ in range(n):
             out = self.mul(out, x)
@@ -132,17 +132,6 @@ class FiniteGroup:
     def conjugate(self, g, x):
         """g·x·g⁻¹."""
         return self.mul(self.mul(g, x), self.inverse(g))
-
-    @property
-    def is_abelian(self) -> bool:
-        if self._abelian is None:
-            els = self.elements
-            self._abelian = all(
-                self.mul(a, b) == self.mul(b, a)
-                for i, a in enumerate(els)
-                for b in els[i + 1 :]
-            )
-        return self._abelian
 
 
 def abelian_group(orders) -> FiniteGroup:
@@ -158,7 +147,7 @@ def abelian_group(orders) -> FiniteGroup:
     def inv(x):
         return tuple((-a) % d for a, d in zip(x, orders))
 
-    return FiniteGroup(elements, mul, (0,) * len(orders), inverse=inv, abelian=True)
+    return FiniteGroup(elements, mul, (0,) * len(orders), inverse=inv)
 
 
 def _partitions(n: int):
@@ -252,24 +241,35 @@ class GaloisSetup:
         if group.identity not in self.h_set:
             raise ValueError("subgroup is missing the identity")
         mul = group.mul
+        if any(a not in group for a in self.h_elements):
+            raise ValueError("subgroup element outside the group")
+        # in a finite group, {1} closed under right products by generators is their span
+        generators = []
+        span = {group.identity}
         for a in self.h_elements:
-            if a not in group:
-                raise ValueError("subgroup element outside the group")
-            if group.inverse(a) not in self.h_set:
-                raise ValueError("subgroup not closed under inverses")
-        abelian = True
-        for a in self.h_elements:
-            for b in self.h_elements:
-                c = mul(a, b)
-                if c not in self.h_set:
-                    raise ValueError("subgroup not closed under multiplication")
-                abelian = abelian and c == mul(b, a)
-        self.h_is_abelian = abelian
+            if a in span:
+                continue
+            generators.append(a)
+            frontier = list(span)
+            while frontier:
+                x = frontier.pop()
+                for g in generators:
+                    y = mul(x, g)
+                    if y not in self.h_set:
+                        raise ValueError("subgroup not closed under multiplication")
+                    if y not in span:
+                        span.add(y)
+                        frontier.append(y)
+        self.h_is_abelian = all(
+            mul(a, b) == mul(b, a)
+            for i, a in enumerate(generators)
+            for b in generators[i + 1 :]
+        )
 
         if sigma_rep is None:
             sigma_rep = next(x for x in group.elements if x not in self.h_set)
-        elif sigma_rep in self.h_set:
-            raise ValueError("sigma_rep must lie outside the subgroup")
+        elif sigma_rep in self.h_set or sigma_rep not in group:
+            raise ValueError("sigma_rep must be a group element outside the subgroup")
         self.sigma_rep = sigma_rep
 
         # coset representatives sigma_rep^i and the coset-index lookup; building
@@ -282,18 +282,11 @@ class GaloisSetup:
                 if x in index:
                     raise ValueError("coset representatives do not tile the group")
                 index[x] = i
-        if len(index) != len(group.elements):
-            raise ValueError("cosets do not cover the group")
         self.coset_index = index
 
-        if not group.is_abelian:
-            inv_rep = {r: group.inverse(r) for r in self.reps}
-            for g, gi in zip(self.reps, (inv_rep[r] for r in self.reps)):
-                if g == group.identity:
-                    continue
-                for h in self.h_elements:
-                    if mul(mul(g, h), gi) not in self.h_set:
-                        raise ValueError("subgroup is not normal")
+        # the cosets σ^i·H tile G, so σHσ⁻¹ ⊆ H already makes H normal
+        if any(self.sigma_action(g) not in self.h_set for g in generators):
+            raise ValueError("subgroup is not normal")
 
         self._orbits = None
         self.fibers = tuple(tuple(f) for f in fibers)
@@ -620,12 +613,9 @@ class TraceIdeal:
         cert = self.ring.from_coeffs(
             {h: x[self._position[h]] for h in self._basis if x[self._position[h]]}
         )
-        assert self.trace(cert) == elt, "trace certificate failed re-expansion"
+        if self.trace(cert) != elt:
+            raise ArithmeticError("trace certificate failed re-expansion")
         return True, cert
-
-
-def trace_membership(ideal: TraceIdeal, elt: GroupRingElement):
-    return ideal.membership(elt)
 
 
 # ---------------------------------------------------------------------------
@@ -708,9 +698,8 @@ def decompose_difference(setup: GaloisSetup, l_coeffs, q_coeffs) -> dict:
     if verdict:
         cert = ring.from_coeffs(cert_coeffs)
         ideal = TraceIdeal(setup)
-        assert ideal.trace(cert) == ring.from_coeffs(diff), (
-            "orbit decomposition certificate failed re-expansion"
-        )
+        if ideal.trace(cert) != ring.from_coeffs(diff):
+            raise ArithmeticError("orbit decomposition certificate failed re-expansion")
         report["certificate"] = cert
     return report
 

@@ -150,9 +150,6 @@ class UnitGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def is_unit(self, a: int) -> bool:
-        return a % self.modulus in self._dlog
-
     def dlog(self, a: int) -> tuple[int, ...]:
         r = a % self.modulus
         try:

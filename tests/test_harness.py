@@ -38,6 +38,17 @@ SMALL_INI = textwrap.dedent(
 )
 
 
+# the extension-side classes mod 63 of the small scenario
+L_CLASSES_63 = (1, 8, 13, 20, 22, 29, 34, 41, 43, 50, 55, 62)
+
+
+def _eps_table_line(values):
+    """An `eps_table` entry covering every class, zero off `values`."""
+    return "eps_table = " + ", ".join(
+        f"{c}:{values.get(c, 0)}" for c in L_CLASSES_63
+    )
+
+
 def _small_config(**overrides):
     kwargs = dict(
         p=3,
@@ -229,6 +240,14 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
         ("qexp_bound = 2", "qexp_bound = 800"),
         ("checks", "eps_basis = table\neps_table = 1:abc\nchecks"),
         ("checks", "eps_basis = table\neps_table = 1:1, 62:1\nchecks"),
+        (
+            "checks = transfer, delta",
+            "eps_basis = table\n" + _eps_table_line({1: 1}) + "\nchecks = qexp",
+        ),
+        (
+            "checks",
+            "eps_basis = table\n" + _eps_table_line({1: "1/3", 62: "1/3"}) + "\nchecks",
+        ),
     ],
     ids=[
         "p-not-an-integer",
@@ -237,6 +256,8 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
         "trace-bound-too-large",
         "eps-value-not-rational",
         "eps-table-misses-classes",
+        "eps-table-odd",
+        "eps-table-not-p-integral",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, capsys, edit):

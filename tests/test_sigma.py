@@ -1,5 +1,6 @@
 """Group-theoretic engine: transfers, Smith forms, trace ideals, the suite."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -25,9 +26,9 @@ from pmcong.sigma import (
     run_sigma_suite,
     semidirect_setup,
     smith_normal_form,
-    trace_membership,
     verify_conjugation_identity,
 )
+from pmcong.units import factorize
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +159,6 @@ def _units63_group():
         lambda a, b: (a * b) % 63,
         1,
         inverse=lambda a: pow(a, -1, 63),
-        abelian=True,
     )
 
 
@@ -197,6 +197,8 @@ def test_setup_rejects_bad_data():
         GaloisSetup(abelian_group((9,)), ((0,), (4,), (5,)), 3)  # not closed
     with pytest.raises(ValueError):
         GaloisSetup(group, h, 3, sigma_rep=(3,))  # rep inside the subgroup
+    with pytest.raises(ValueError, match="group element"):
+        GaloisSetup(group, h, 3, sigma_rep=(7,))  # rep outside the group
 
 
 def test_setup_rejects_non_normal_subgroup():
@@ -210,6 +212,47 @@ def test_setup_rejects_non_normal_subgroup():
         GaloisSetup(group, h, 3, sigma_rep=(1, 2, 0))
 
 
+def test_kernel_validation_matches_brute_force():
+    """Generator-based subgroup, commutativity and normality checks against the
+    pairwise definitions, on every subset of index-p size containing 1."""
+    groups = [
+        abelian_group((6,)),
+        abelian_group((2, 4)),
+        abelian_group((2, 2, 2)),
+        abelian_group((9,)),
+        _s3_group(),
+        parse_setup(CATALOG["a4"]).group,
+    ]
+    for group in groups:
+        mul, one = group.mul, group.identity
+        others = [x for x in group.elements if x != one]
+        for p in sorted(factorize(len(group))):
+            for rest in itertools.combinations(others, len(group) // p - 1):
+                h = (one,) + rest
+                h_set = set(h)
+                if any(mul(a, b) not in h_set for a in h for b in h):
+                    with pytest.raises(ValueError, match="closed"):
+                        GaloisSetup(group, h, p)
+                    continue
+                abelian = all(mul(a, b) == mul(b, a) for a in h for b in h)
+                normal = all(
+                    group.conjugate(g, x) in h_set for g in group.elements for x in h
+                )
+                for rep in group.elements:
+                    if rep in h_set:
+                        continue
+                    reps = [group.power(rep, i) for i in range(p)]
+                    if len({mul(r, x) for r in reps for x in h}) != len(group):
+                        with pytest.raises(ValueError, match="tile"):
+                            GaloisSetup(group, h, p, sigma_rep=rep)
+                    elif normal:
+                        setup = GaloisSetup(group, h, p, sigma_rep=rep)
+                        assert setup.h_is_abelian == abelian
+                    else:
+                        with pytest.raises(ValueError, match="normal"):
+                            GaloisSetup(group, h, p, sigma_rep=rep)
+
+
 def test_semidirect_validates_action():
     with pytest.raises(ValueError):
         semidirect_setup((7,), 3, action=[[0]])  # not invertible
@@ -220,7 +263,7 @@ def test_semidirect_validates_action():
     setup = semidirect_setup((7,), 3, action=[[2]])
     assert len(setup.group) == 21
     assert len(setup.h_elements) == 7
-    assert not setup.group.is_abelian
+    assert setup.sigma_action(setup.h_elements[1]) != setup.h_elements[1]
     assert setup.h_is_abelian
 
 
@@ -365,7 +408,7 @@ def test_trace_ideal_membership_exhaustive_deeper_modulus():
     for elt in _all_elements(ideal.ring):
         if not ideal.is_fixed(elt):
             continue
-        verdict, cert = trace_membership(ideal, elt)
+        verdict, cert = ideal.membership(elt)
         assert verdict == _closed_form_member(setup, ideal, elt)
         if verdict:
             members += 1
@@ -395,6 +438,18 @@ def test_trace_of_anything_is_a_member():
         verdict, cert = ideal.membership(traced)
         assert verdict
         assert ideal.trace(cert) == traced
+
+
+def test_membership_rejects_a_certificate_that_fails_re_expansion(monkeypatch):
+    setup = semidirect_setup((7,), 3, action=[[2]], modulus_exponent=2)
+    ideal = TraceIdeal(setup)
+    member = ideal.trace(ideal.ring.delta(setup.h_elements[1]))
+    trace = TraceIdeal.trace
+    monkeypatch.setattr(
+        TraceIdeal, "trace", lambda self, elt: trace(self, elt) + self.ring.one()
+    )
+    with pytest.raises(ArithmeticError, match="re-expansion"):
+        ideal.membership(member)
 
 
 def test_trace_ideal_rejects_foreign_ring():
