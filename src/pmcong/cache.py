@@ -3,9 +3,14 @@
 Cache files are an optimization only: every consumer recomputes on any
 mismatch, and recomputation must reproduce the file byte for byte.  Format:
 
-    pmcong-cache/1 <kind> <canonical key>
+    pmcong-cache/2 <kind> <canonical key>
     <record>|<crc32 of record, 8 hex digits>
     ...
+    end <number of records>
+
+The trailer makes a file cut at a record boundary stale, just like a file cut
+inside a record; files with any other header (including pmcong-cache/1,
+which had no trailer) are stale too.
 
 Writes go through a temporary file in the same directory followed by
 os.replace, so concurrent readers never observe a partial file.  The cache
@@ -24,7 +29,8 @@ __all__ = ["ENV_VAR", "cache_directory", "cache_path", "load_records", "store_re
 
 ENV_VAR = "PMCONG_CACHE_DIR"
 
-_HEADER_PREFIX = "pmcong-cache/1"
+_HEADER_PREFIX = "pmcong-cache/2"
+_TRAILER = "end"
 
 
 def cache_directory(override: str | Path | None = None) -> Path | None:
@@ -52,7 +58,7 @@ def _checksum(record: str) -> str:
 
 
 def load_records(directory: Path | None, kind: str, key: dict[str, object]) -> list[str] | None:
-    """Return the cached records, or None when absent/stale/corrupt."""
+    """Return the cached records, or None when absent/stale/corrupt/truncated."""
     if directory is None:
         return None
     path = cache_path(directory, kind, key)
@@ -61,10 +67,13 @@ def load_records(directory: Path | None, kind: str, key: dict[str, object]) -> l
     except (OSError, UnicodeDecodeError):
         return None
     lines = text.splitlines()
-    if not lines or lines[0] != f"{_HEADER_PREFIX} {kind} {_canonical_key(key)}":
+    if len(lines) < 2 or lines[0] != f"{_HEADER_PREFIX} {kind} {_canonical_key(key)}":
+        return None
+    *body, trailer = lines[1:]
+    if trailer != f"{_TRAILER} {len(body)}" or not text.endswith("\n"):
         return None
     records = []
-    for line in lines[1:]:
+    for line in body:
         payload, sep, crc = line.rpartition("|")
         if not sep or _checksum(payload) != crc:
             return None
@@ -82,6 +91,7 @@ def store_records(
     path = cache_path(directory, kind, key)
     body = [f"{_HEADER_PREFIX} {kind} {_canonical_key(key)}"]
     body.extend(f"{r}|{_checksum(r)}" for r in records)
+    body.append(f"{_TRAILER} {len(records)}")
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:

@@ -135,19 +135,38 @@ class FiniteGroup:
 
 
 def abelian_group(orders) -> FiniteGroup:
-    """∏ Z/d_i with componentwise addition; elements are coordinate tuples."""
+    """∏ Z/d_i with componentwise addition; elements are coordinate tuples.
+
+    Each tuple is also packed as a mixed-radix integer with radix 2d_i − 1.
+    The packed sum of two reduced tuples never carries out of a digit, so a
+    product is one integer addition and one lookup in a table of ∏(2d_i − 1)
+    reduced tuples.
+    """
     orders = tuple(int(d) for d in orders)
     if not orders or any(d < 1 for d in orders):
         raise ValueError("orders must be positive integers")
     elements = tuple(itertools.product(*(range(d) for d in orders)))
+    radices = [2 * d - 1 for d in orders]
+
+    def pack(x):
+        c = 0
+        for a, r in zip(x, radices):
+            c = c * r + a
+        return c
+
+    code = {x: pack(x) for x in elements}
+    # every digit vector in increasing packed order, reduced to its carrier tuple
+    canonical = {x: x for x in elements}
+    digits = ([a % d for a in range(r)] for d, r in zip(orders, radices))
+    reduce = [canonical[x] for x in itertools.product(*digits)]
+    negative = {
+        x: canonical[tuple((-a) % d for a, d in zip(x, orders))] for x in elements
+    }
 
     def mul(x, y):
-        return tuple((a + b) % d for a, b, d in zip(x, y, orders))
+        return reduce[code[x] + code[y]]
 
-    def inv(x):
-        return tuple((-a) % d for a, d in zip(x, orders))
-
-    return FiniteGroup(elements, mul, (0,) * len(orders), inverse=inv)
+    return FiniteGroup(elements, mul, elements[0], inverse=negative.__getitem__)
 
 
 def _partitions(n: int):
@@ -272,9 +291,11 @@ class GaloisSetup:
             raise ValueError("sigma_rep must be a group element outside the subgroup")
         self.sigma_rep = sigma_rep
 
-        # coset representatives sigma_rep^i and the coset-index lookup; building
-        # the lookup exhaustively doubles as a check that the cosets tile the group
+        # coset representatives sigma_rep^i, their inverses, and the coset-index
+        # lookup; building the lookup exhaustively doubles as a check that the
+        # cosets tile the group
         self.reps = tuple(group.power(sigma_rep, i) for i in range(p))
+        self.rep_inverses = tuple(group.inverse(r) for r in self.reps)
         index = {}
         for i, r in enumerate(self.reps):
             for h in self.h_elements:
@@ -349,13 +370,6 @@ def _matrix_identity(r):
     return [[int(i == j) for j in range(r)] for i in range(r)]
 
 
-def _matrix_mul(a, b):
-    r = len(a)
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(r)) for j in range(r)] for i in range(r)
-    ]
-
-
 def semidirect_setup(
     orders, p: int, action=None, modulus_exponent: int = 1, fibers=()
 ) -> GaloisSetup:
@@ -375,42 +389,38 @@ def semidirect_setup(
     if len(action) != r or any(len(row) != r for row in action):
         raise ValueError(f"action matrix must be {r}x{r}")
 
-    powers = [_matrix_identity(r)]
-    for _ in range(p):
-        powers.append(_matrix_mul(action, powers[-1]))
-
-    def apply(mat, h):
-        return tuple(
-            sum(mat[i][j] * h[j] for j in range(r)) % orders[i] for i in range(r)
-        )
-
-    base = list(itertools.product(*(range(d) for d in orders)))
-
-    def add(x, y):
-        return tuple((a + b) % d for a, b, d in zip(x, y, orders))
-
-    images = {apply(action, h) for h in base}
-    if len(images) != len(base):
+    kernel = abelian_group(orders)
+    base = kernel.elements
+    add = kernel.mul
+    image = {
+        h: tuple(sum(a * c for a, c in zip(row, h)) % d for row, d in zip(action, orders))
+        for h in base
+    }
+    if len(set(image.values())) != len(base):
         raise ValueError("action matrix is not invertible on H")
     for x in base:
         for y in base:
-            if apply(action, add(x, y)) != add(apply(action, x), apply(action, y)):
+            if image[add(x, y)] != add(image[x], image[y]):
                 raise ValueError("action matrix is not additive on H")
-    if any(apply(powers[p], h) != h for h in base):
+    # acts[s][h] is the s-th power of the action applied to h; iterating the
+    # tabulated map agrees with matrix powers once the action is additive on H
+    acts = [{h: h for h in base}]
+    for _ in range(p - 1):
+        acts.append({h: image[x] for h, x in acts[-1].items()})
+    if any(image[acts[-1][h]] != h for h in base):
         raise ValueError("action matrix does not have order dividing p")
 
     elements = tuple((h, t) for t in range(p) for h in base)
-    identity = ((0,) * r, 0)
+    identity = (kernel.identity, 0)
 
     def mul(x, y):
         (h1, s), (h2, t) = x, y
-        return (add(h1, apply(powers[s], h2)), (s + t) % p)
+        return (add(h1, acts[s][h2]), (s + t) % p)
 
     def inv(x):
         h, s = x
         s2 = (p - s) % p
-        neg = tuple((-c) % d for c, d in zip(apply(powers[s2], h), orders))
-        return (neg, s2)
+        return (kernel.inverse(acts[s2][h]), s2)
 
     group = FiniteGroup(elements, mul, identity, inverse=inv)
     h_elements = tuple((h, 0) for h in base)
@@ -441,19 +451,21 @@ def coset_transfer(setup: GaloisSetup, g, reps=None):
         raise NotAbelianKernel("transfer needs an abelian kernel")
     group = setup.group
     mul = group.mul
+    index = setup.coset_index
     if reps is None:
         reps = setup.reps
+        inverses = setup.rep_inverses
     else:
         reps = tuple(reps)
-        if sorted(setup.coset_index[r] for r in reps) != list(range(setup.p)):
+        if sorted(index[r] for r in reps) != list(range(setup.p)):
             raise ValueError("custom representatives do not form a transversal")
-    by_index = {setup.coset_index[r]: r for r in reps}
+        inverses = [None] * setup.p
+        for r in reps:
+            inverses[index[r]] = group.inverse(r)
     out = group.identity
     for x in reps:
         t = mul(g, x)
-        rep_j = by_index[setup.coset_index[t]]
-        h = mul(group.inverse(rep_j), t)
-        out = mul(out, h)
+        out = mul(out, mul(inverses[index[t]], t))
     return out
 
 
@@ -837,6 +849,7 @@ def _check_abelian_sweep(max_order: int) -> dict:
             group = abelian_group(orders)
             groups += 1
             for p in sorted(factorize(n)):
+                powers = [group.power(g, p) for g in group.elements]
                 for functional in index_p_functionals(orders, p):
                     h_elements = [
                         x
@@ -845,8 +858,8 @@ def _check_abelian_sweep(max_order: int) -> dict:
                     ]
                     setup = GaloisSetup(group, h_elements, p)
                     kernels += 1
-                    for g in group.elements:
-                        if coset_transfer(setup, g) != group.power(g, p):
+                    for g, g_p in zip(group.elements, powers):
+                        if coset_transfer(setup, g) != g_p:
                             failures.append((orders, p, functional, g))
     return {
         "verdict": not failures,

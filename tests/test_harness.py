@@ -270,6 +270,26 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, edit):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("conductor", [13, 19])
+def test_cli_run_passes_beyond_the_desk_field(tmp_path, capsys, conductor):
+    """The field-dependent checks at a=2 over the next admissible conductors."""
+    ini = tmp_path / f"f{conductor}.ini"
+    ini.write_text(
+        (REPO_ROOT / "configs" / "default.ini")
+        .read_text()
+        .replace("conductor = 7", f"conductor = {conductor}")
+        .replace("s_primes = 3, 7", f"s_primes = 3, {conductor}")
+        .replace("qexp, sigma", "qexp")
+    )
+    config = ScenarioConfig.from_ini(ini)
+    assert (config.conductor, config.s_primes, config.a) == (conductor, (3, conductor), 2)
+    assert main(["run", "--config", str(ini)]) == 0
+    printed = capsys.readouterr().out
+    for check in ("crosscheck", "transfer", "delta", "qexp"):
+        assert f"check {check}: PASS" in printed
+    assert "overall: PASS" in printed
+
+
 def test_qexp_factors_each_nu_once(monkeypatch):
     config = ScenarioConfig.default()
     factor_principal = qexpansion.factor_principal

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from pmcong.cache import cache_path
+from pmcong.cache import cache_path, load_records
 from pmcong.dirichlet import characters_of, conductor_primitive, series_coefficients
 from pmcong.numberfield import (
     NotCoprime,
@@ -372,4 +372,29 @@ def test_cache_headers_name_kind_and_key(tmp_path):
     tot_pos_up_to(F7, 4, cache_dir=tmp_path)
     for f in tmp_path.glob("*.txt"):
         head = f.read_text().splitlines()[0]
-        assert head.startswith("pmcong-cache/1 ")
+        assert head.startswith("pmcong-cache/2 ")
+
+
+def test_cache_truncated_at_a_record_boundary_is_recomputed(tmp_path):
+    first = [i.key() for i in enumerate_ideals(F7, 80, (3, 7), cache_dir=tmp_path)]
+    (path,) = tmp_path.glob("*.txt")
+    fresh = path.read_bytes()
+    lines = fresh.decode("utf-8").splitlines(keepends=True)
+    assert len(lines) == 1 + 18 + 1  # header, 18 records, trailer
+    path.write_bytes("".join(lines[:9]).encode("utf-8"))  # header and 8 records
+    key = {"p": 3, "fL": 7, "bound": 80, "S": "3_7"}
+    assert load_records(tmp_path, "ideals", key) is None
+    again = [i.key() for i in enumerate_ideals(F7, 80, (3, 7), cache_dir=tmp_path)]
+    assert again == first
+    assert path.read_bytes() == fresh, "the healed file must match a fresh one"
+
+    # so is a file cut only before its final newline
+    path.write_bytes(fresh[:-1])
+    assert load_records(tmp_path, "ideals", key) is None
+
+    # a pmcong-cache/1 file (no trailer) is stale and rewritten as version 2
+    v1 = [lines[0].replace("pmcong-cache/2 ", "pmcong-cache/1 ")] + lines[1:-1]
+    path.write_bytes("".join(v1).encode("utf-8"))
+    assert load_records(tmp_path, "ideals", key) is None
+    enumerate_ideals(F7, 80, (3, 7), cache_dir=tmp_path)
+    assert path.read_bytes() == fresh

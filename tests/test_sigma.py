@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import pmcong.sigma as sigma
 from pmcong.levels import scenario_level
 from pmcong.sigma import (
     CATALOG,
@@ -148,6 +149,21 @@ def test_index_p_functional_counts_and_kernels():
     assert index_p_functionals((4, 9), 5) == []
 
 
+@pytest.mark.parametrize(
+    "orders", [(1,), (1, 4), (2, 2, 2), (3, 9, 2), (4, 25), (2,) * 6]
+)
+def test_packed_abelian_law_is_componentwise(orders):
+    """The mixed-radix lookup law equals (a ± b) mod d_i on every pair."""
+    group = abelian_group(orders)
+    assert group.elements == tuple(itertools.product(*(range(d) for d in orders)))
+    assert group.identity == (0,) * len(orders)
+    for x in group.elements:
+        assert group.inverse(x) == tuple((-a) % d for a, d in zip(x, orders))
+        for y in group.elements:
+            expected = tuple((a + b) % d for a, b, d in zip(x, y, orders))
+            assert group.mul(x, y) == expected
+
+
 # ---------------------------------------------------------------------------
 # setup construction and validation
 
@@ -267,6 +283,47 @@ def test_semidirect_validates_action():
     assert setup.h_is_abelian
 
 
+def _catalog_fields(text):
+    fields = {}
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            key, _, value = line.partition(":")
+            fields[key.strip()] = value
+    orders = tuple(int(d) for d in fields["orders"].split())
+    action = [[int(c) for c in row.split()] for row in fields["action"].split(";")]
+    return orders, action
+
+
+def test_semidirect_law_matches_matrix_action_on_the_catalog():
+    """The tabulated powers of the action reproduce (h1 + A^s·h2, s + t) and
+    its inverse, with A^s taken as a matrix power, on every pair."""
+    for name, text in CATALOG.items():
+        orders, action = _catalog_fields(text)
+        setup = parse_setup(text)
+        group, p = setup.group, setup.p
+        base = list(itertools.product(*(range(d) for d in orders)))
+
+        def apply(mat, h):
+            return tuple(
+                sum(m * c for m, c in zip(row, h)) % d for row, d in zip(mat, orders)
+            )
+
+        power = [[int(i == j) for j in range(len(orders))] for i in range(len(orders))]
+        acts = []
+        for _ in range(p):
+            acts.append({h: apply(power, h) for h in base})
+            power = _mat_mul(action, power)
+        for (h1, s) in group.elements:
+            neg = acts[(p - s) % p][h1]
+            expected = (tuple((-c) % d for c, d in zip(neg, orders)), (p - s) % p)
+            assert group.inverse((h1, s)) == expected, name
+            for (h2, t) in group.elements:
+                moved = acts[s][h2]
+                h = tuple((a + b) % d for a, b, d in zip(h1, moved, orders))
+                assert group.mul((h1, s), (h2, t)) == (h, (s + t) % p), name
+
+
 def test_sigma_orbits_partition_the_kernel():
     setup = semidirect_setup((7,), 3, action=[[2]])
     orbits = setup.orbits()
@@ -331,6 +388,25 @@ def test_transfer_rejects_broken_transversal():
     rep = setup.reps[0]
     with pytest.raises(ValueError, match="transversal"):
         coset_transfer(setup, setup.group.identity, reps=[rep, rep, rep])
+
+
+def test_transfer_agrees_on_permuted_custom_transversal():
+    """Default transversal (precomputed inverses) against a custom one passed
+    in permuted order (inverses taken per call)."""
+    f21 = parse_setup(CATALOG["f21"])
+    units = _units63_setup()
+    abelian = GaloisSetup(abelian_group((3, 9)), [(0, b) for b in range(9)], 3)
+    s3 = _s3_group()
+    a3 = GaloisSetup(s3, ((0, 1, 2), (1, 2, 0), (2, 0, 1)), 2)
+    for setup in (f21, units, abelian, a3):
+        group, mul = setup.group, setup.group.mul
+        shifted = [mul(r, h) for r, h in zip(setup.reps, setup.h_elements[1:])]
+        for reps in (shifted[::-1], shifted[1:] + shifted[:1]):
+            assert [setup.coset_index[x] for x in reps] != list(range(setup.p))
+            for g in group.elements:
+                assert coset_transfer(setup, g, reps=reps) == coset_transfer(setup, g)
+    # S3 was built without an inverse callable; its transfer to A3 is trivial
+    assert all(coset_transfer(a3, g) == s3.identity for g in s3.elements)
 
 
 def test_transfer_needs_abelian_kernel():
@@ -564,3 +640,18 @@ def test_suite_runs_green():
     assert len(results["checks"]) >= 8
     for name, report in results["checks"].items():
         assert report["verdict"], name
+    sweep = results["checks"]["abelian_transfer_is_pth_power"]
+    assert (sweep["groups"], sweep["kernels"], sweep["failures"]) == (184, 893, [])
+
+
+def test_abelian_sweep_can_fail(monkeypatch):
+    def trivial_transfer(setup, g, reps=None):
+        return setup.group.identity
+
+    monkeypatch.setattr(sigma, "coset_transfer", trivial_transfer)
+    check = run_sigma_suite()["checks"]["abelian_transfer_is_pth_power"]
+    assert not check["verdict"]
+    assert (check["groups"], check["kernels"]) == (184, 893)
+    assert len(check["failures"]) == 5
+    # Z/2×Z/2 squares to zero; Z/4 is the first group where 1 ≠ 1²
+    assert check["failures"][0] == ((4,), 2, (1,), (1,))
