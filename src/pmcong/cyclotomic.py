@@ -120,6 +120,24 @@ class CyclotomicNumber:
         row = rows[exponent % order]
         return CyclotomicNumber(order, tuple(Fraction(c) for c in row))
 
+    @staticmethod
+    def from_exponent_sums(order: int, sums: list[int], den: int = 1) -> "CyclotomicNumber":
+        """(sum_t sums[t] * zeta_n^t) / den for integer sums indexed by t in [0, n).
+
+        Sums of many root-of-unity terms are accumulated as integers per
+        exponent and reduced modulo Phi_n once here, not once per term.
+        """
+        if len(sums) != order:
+            raise ValueError(f"need {order} exponent sums for order {order}")
+        rows = _reduction_rows(order)
+        acc = [0] * len(rows[0])
+        for t, c in enumerate(sums):
+            if c:
+                for i, r in enumerate(rows[t]):
+                    if r:
+                        acc[i] += c * r
+        return CyclotomicNumber(order, tuple(Fraction(c, den) for c in acc))
+
     # -- ring structure ----------------------------------------------------
 
     def _check(self, other: "CyclotomicNumber") -> None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .cyclotomic import CyclotomicNumber, cyclo_reduce_rational
 from .exact import Rational, bernoulli_poly_at
@@ -190,21 +190,31 @@ def _coprime_lift(a: int, d: int, f: int) -> int:
     return b
 
 
+@lru_cache(maxsize=None)
+def _bernoulli_row(k: int, f: int) -> tuple[tuple[int, ...], int]:
+    # f^(k-1) * B_k(a/f) for a = 0..f, as integers over one common denominator
+    values = [Fraction(f) ** (k - 1) * bernoulli_poly_at(k, Fraction(a, f)) for a in range(f + 1)]
+    den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
 def generalized_bernoulli(prim: PrimitiveData, k: int) -> CyclotomicNumber:
-    """B_{k,chi} = f^(k-1) sum_{a=1..f} chi(a) B_k(a/f) for the primitive chi."""
+    """B_{k,chi} = f^(k-1) sum_{a=1..f} chi(a) B_k(a/f) for the primitive chi.
+
+    Each term lands in the integer bucket of its root exponent; the buckets
+    are reduced modulo Phi_n once.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     f = prim.conductor
     n = prim.ambient_order
-    acc = CyclotomicNumber.zero(n)
+    nums, den = _bernoulli_row(k, f)
+    sums = [0] * n
     for a in range(1, f + 1):
         t = prim.exponent_at(a)
-        if t is None:
-            continue
-        b = bernoulli_poly_at(k, Fraction(a, f))
-        if b:
-            acc = acc + CyclotomicNumber.root(n, t).scale(b)
-    return acc.scale(Fraction(f) ** (k - 1))
+        if t is not None:
+            sums[t] += nums[a]
+    return CyclotomicNumber.from_exponent_sums(n, sums, den)
 
 
 def l_value_neg(chi: DirichletCharacter, k: int, s_primes: frozenset[int] | tuple[int, ...] = ()) -> CyclotomicNumber:

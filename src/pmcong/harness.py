@@ -357,7 +357,7 @@ def _check_crosscheck(config: ScenarioConfig, level, cache_dir) -> dict:
     twist = True
     g = FrobeniusChoice(level, config.frobenius[0])
     for x in level.classes(Q_SIDE):
-        eps_by_k = {k: LocallyConstantFn.delta_fn(level, Q_SIDE, x) for k in config.k_values}
+        eps_by_k = dict.fromkeys(config.k_values, LocallyConstantFn.delta_fn(level, Q_SIDE, x))
         if not delta_sum_integrality(level, Q_SIDE, g, eps_by_k) >= 0:
             twist = False
     details["twisted_sum_integral"] = {"verdict": twist}

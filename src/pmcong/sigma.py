@@ -450,6 +450,8 @@ def coset_transfer(setup: GaloisSetup, g, reps=None):
     if not setup.h_is_abelian:
         raise NotAbelianKernel("transfer needs an abelian kernel")
     group = setup.group
+    if g not in group:
+        raise ValueError(f"{g!r} is not an element of the group")
     mul = group.mul
     index = setup.coset_index
     if reps is None:
@@ -457,7 +459,7 @@ def coset_transfer(setup: GaloisSetup, g, reps=None):
         inverses = setup.rep_inverses
     else:
         reps = tuple(reps)
-        if sorted(index[r] for r in reps) != list(range(setup.p)):
+        if sorted(index.get(r, -1) for r in reps) != list(range(setup.p)):
             raise ValueError("custom representatives do not form a transversal")
         inverses = [None] * setup.p
         for r in reps:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .cyclotomic import CyclotomicNumber, cyclo_reduce_rational
 from .dirichlet import DirichletCharacter, characters_of, l_value_neg
@@ -72,21 +73,44 @@ def _removal_primes(level: LevelData) -> tuple[int, ...]:
     return tuple(sorted(set(level.s_primes) | set(factorize(level.modulus))))
 
 
+def _orthogonality_table(
+    order: int,
+    terms: list[tuple[DirichletCharacter, int, CyclotomicNumber]],
+    classes: tuple[int, ...],
+    size: int,
+) -> dict[int, Fraction]:
+    """x ↦ (Σ w·χ(x)⁻¹·V) / size over the terms (χ, w, V), asserted rational.
+
+    The coordinates of every V are scaled once to integers over their common
+    denominator.  Per class, coordinate j of V (weight w) lands in the integer
+    bucket of root exponent j − χ(x), and the buckets are reduced modulo Φ_n
+    once per class.
+    """
+    den = lcm(*(c.denominator for _, _, v in terms for c in v.coords))
+    scaled = [
+        (chi, [(j, w * c.numerator * (den // c.denominator)) for j, c in enumerate(v.coords) if c])
+        for chi, w, v in terms
+    ]
+    table = {}
+    for x in classes:
+        sums = [0] * order
+        for chi, coords in scaled:
+            e = chi.exponent_at(x)
+            for j, c in coords:
+                sums[(j - e) % order] += c
+        value = CyclotomicNumber.from_exponent_sums(order, sums, den * size)
+        table[x] = cyclo_reduce_rational(value)
+    return table
+
+
 @lru_cache(maxsize=None)
 def _q_table_characters(level: LevelData, k: int) -> dict[int, Fraction]:
     """Independent route: character orthogonality on the full class group."""
     f = level.modulus
     s = _removal_primes(level)
     chars = characters_of(f)
-    order = chars[0].ambient_order
-    lvals = [_l_value(f, chi.exponents, k, s) for chi in chars]
-    table = {}
-    for cls in level.classes(Q_SIDE):
-        acc = CyclotomicNumber.zero(order)
-        for chi, lv in zip(chars, lvals):
-            acc = acc + lv.mul_root(-chi.exponent_at(cls))
-        table[cls] = cyclo_reduce_rational(acc) / len(chars)
-    return table
+    terms = [(chi, 1, _l_value(f, chi.exponents, k, s)) for chi in chars]
+    return _orthogonality_table(chars[0].ambient_order, terms, level.classes(Q_SIDE), len(chars))
 
 
 @lru_cache(maxsize=None)
@@ -103,25 +127,20 @@ def _l_table(level: LevelData, k: int) -> dict[int, Fraction]:
     for chi in chars:
         restriction = tuple(chi.exponent_at(y) for y in h)
         fibers.setdefault(restriction, []).append(chi)
-    expected = len(chars) // len(h) if len(h) < len(chars) else 1
-    assert all(len(members) == max(expected, 1) for members in fibers.values())
+    expected = max(len(chars) // len(h), 1)
+    if any(len(members) != expected for members in fibers.values()):
+        raise ArithmeticError(
+            f"characters mod {f} do not fall into fibers of {expected} over the subgroup"
+        )
 
-    fiber_product: dict[tuple[int, ...], CyclotomicNumber] = {}
-    for restriction, members in fibers.items():
+    terms = []
+    for members in fibers.values():
         prod = CyclotomicNumber.one(order)
         for psi in members:
             prod = prod * _l_value(f, psi.exponents, k, s)
-        fiber_product[restriction] = prod
-
-    table = {}
-    for y in h:
-        acc = CyclotomicNumber.zero(order)
-        for restriction, members in fibers.items():
-            # every member shares ψ(y) for y ∈ H; weight once per member
-            root = CyclotomicNumber.root(order, -members[0].exponent_at(y))
-            acc = acc + (fiber_product[restriction] * root).scale(len(members))
-        table[y] = cyclo_reduce_rational(acc) / len(chars)
-    return table
+        # every member shares ψ(y) for y ∈ H; weight once per member
+        terms.append((members[0], len(members), prod))
+    return _orthogonality_table(order, terms, h, len(chars))
 
 
 def partial_zeta(level: LevelData, side: str, cls: int, k: int) -> Fraction:
@@ -143,7 +162,8 @@ def zeta_of(level: LevelData, side: str, eps: LocallyConstantFn, k: int) -> Frac
     if eps.level != level or eps.side != side:
         raise ValueError("function does not live on the requested level/side")
     table = _q_table(level, k) if side == Q_SIDE else _l_table(level, k)
-    return sum((eps.values[x] * table[x] for x in level.classes(side)), Fraction(0))
+    values = eps.values
+    return sum((values[x] * table[x] for x in level.classes(side) if values[x]), Fraction(0))
 
 
 def scaled_zeta_of(level: LevelData, side: str, eps: LocallyConstantFn, k: int) -> Fraction:

@@ -5,6 +5,7 @@ polynomial) is validated against textbook identities rather than against
 itself: products of Φ_d over divisors, known degrees, and Galois sums.
 """
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -113,6 +114,25 @@ def test_mul_root_agrees_with_multiplication():
                 for _ in range(e):
                     shifted = shifted * z
                 assert a.mul_root(e) == shifted
+
+
+def test_exponent_sums_match_termwise_sum():
+    """One reduction of integer buckets equals the sum of reduced roots."""
+    rng = random.Random(54)
+    for n in (1, 2, 3, 6, 7, 9, 12, 18, 54):
+        for den in (1, 12, 35):
+            sums = [rng.randint(-40, 40) for _ in range(n)]
+            naive = CyclotomicNumber.zero(n)
+            for t, c in enumerate(sums):
+                naive = naive + CyclotomicNumber.root(n, t).scale(c)
+            assert CyclotomicNumber.from_exponent_sums(n, sums, den) == naive.scale(
+                Fraction(1, den)
+            ), (n, den)
+        unit = [0] * n
+        unit[n - 1] = 1
+        assert CyclotomicNumber.from_exponent_sums(n, unit) == CyclotomicNumber.root(n, -1)
+    with pytest.raises(ValueError):
+        CyclotomicNumber.from_exponent_sums(6, [1, 2, 3])
 
 
 def test_galois_sum_of_primitive_roots_is_moebius():

@@ -290,6 +290,25 @@ def test_cli_run_passes_beyond_the_desk_field(tmp_path, capsys, conductor):
     assert "overall: PASS" in printed
 
 
+@pytest.mark.slow
+def test_cli_run_passes_at_depth_4(tmp_path, capsys):
+    """a=4 (modulus 567, ring Z/27): the dual zeta routes at ambient order 54."""
+    ini = tmp_path / "a4.ini"
+    ini.write_text(
+        (REPO_ROOT / "configs" / "default.ini")
+        .read_text()
+        .replace("a = 2", "a = 4")
+        .replace("crosscheck, transfer, delta, qexp, sigma", "crosscheck, transfer, delta")
+    )
+    config = ScenarioConfig.from_ini(ini)
+    assert (config.a, config.checks) == (4, ("crosscheck", "transfer", "delta"))
+    assert main(["run", "--config", str(ini)]) == 0
+    printed = capsys.readouterr().out
+    for check in ("crosscheck", "transfer", "delta"):
+        assert f"check {check}: PASS" in printed
+    assert "overall: PASS" in printed
+
+
 def test_qexp_factors_each_nu_once(monkeypatch):
     config = ScenarioConfig.default()
     factor_principal = qexpansion.factor_principal

@@ -390,6 +390,19 @@ def test_transfer_rejects_broken_transversal():
         coset_transfer(setup, setup.group.identity, reps=[rep, rep, rep])
 
 
+def test_transfer_rejects_foreign_elements():
+    """A non-element in custom representatives, or as the argument, is bad
+    input named as such, not a KeyError from a lookup table."""
+    setup = parse_setup(CATALOG["f21"])
+    identity = setup.group.identity
+    foreign = ((9,), 0)
+    assert foreign not in setup.group
+    with pytest.raises(ValueError, match="custom representatives do not form a transversal"):
+        coset_transfer(setup, identity, reps=[foreign, *setup.reps[1:]])
+    with pytest.raises(ValueError, match=r"\(\(9,\), 0\) is not an element of the group"):
+        coset_transfer(setup, foreign)
+
+
 def test_transfer_agrees_on_permuted_custom_transversal():
     """Default transversal (precomputed inverses) against a custom one passed
     in permuted order (inverses taken per call)."""

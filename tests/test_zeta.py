@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from pmcong.cyclotomic import cyclo_reduce_rational
+from pmcong import zeta
+from pmcong.cyclotomic import CyclotomicNumber, NotRational, cyclo_reduce_rational
 from pmcong.dirichlet import characters_of, l_value_neg
 from pmcong.exact import p_valuation
 from pmcong.levels import (
@@ -65,6 +66,52 @@ def test_dual_route_exhaustive_63_and_189():
                 assert partial_zeta(lv, Q_SIDE, x, k) == partial_zeta_q_characters(
                     lv, x, k
                 ), (lv.modulus, x, k)
+
+
+def test_dual_route_exhaustive_567():
+    """Ambient order 54: 324 characters mod 567 = 81·7."""
+    lv = scenario_level(3, 7, (3, 7), 4)
+    assert characters_of(lv.modulus)[0].ambient_order == 54
+    for k in (2, 4):
+        for x in lv.classes(Q_SIDE):
+            assert partial_zeta(lv, Q_SIDE, x, k) == partial_zeta_q_characters(
+                lv, x, k
+            ), (x, k)
+
+
+@pytest.fixture
+def fresh_zeta_caches():
+    caches = (zeta._l_value, zeta._q_table_characters, zeta._l_table)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_character_route_rejects_a_nonrational_sum(monkeypatch, fresh_zeta_caches):
+    """An L-value off by ζ_n leaves an irrational orthogonality sum."""
+    l_value = zeta._l_value
+    target = characters_of(63)[5].exponents
+
+    def perturbed(modulus, exponents, k, s_primes):
+        value = l_value(modulus, exponents, k, s_primes)
+        if exponents == target:
+            value = value + CyclotomicNumber.root(value.order, 1)
+        return value
+
+    monkeypatch.setattr(zeta, "_l_value", perturbed)
+    with pytest.raises(NotRational):
+        partial_zeta_q_characters(LV63, 1, 2)
+
+
+def test_extension_table_checks_fiber_sizes(monkeypatch, fresh_zeta_caches):
+    """A character family with one member missing cannot be split into
+    fibers of equal size over H; the check holds under ``python -O``."""
+    full = zeta.characters_of
+    monkeypatch.setattr(zeta, "characters_of", lambda modulus: full(modulus)[:-1])
+    with pytest.raises(ArithmeticError, match="fibers"):
+        partial_zeta(LV63, L_SIDE, 1, 2)
 
 
 def test_distribution_compatibility_189_to_63():
