@@ -24,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 from .cyclotomic import CyclotomicNumber, cyclo_reduce_rational
 from .exact import Rational, bernoulli_poly_at
@@ -67,16 +68,13 @@ class DirichletCharacter:
             t += e * (n // o) * d
         return t % n
 
+    def weights(self) -> tuple[int, ...]:
+        """w_i = e_i·(n/o_i): chi(a) = zeta_n^t with t = sum_i w_i·dlog_i(a) mod n."""
+        n = self.ambient_order
+        return tuple(e * (n // o) for e, o in zip(self.exponents, self.group.orders))
+
     def value(self, a: int) -> CyclotomicNumber:
         return CyclotomicNumber.root(self.ambient_order, self.exponent_at(a))
-
-    def is_trivial(self) -> bool:
-        return all(e == 0 for e in self.exponents)
-
-    def is_even(self) -> bool:
-        if self.modulus <= 2:
-            return True
-        return self.exponent_at(self.modulus - 1) == 0
 
     def order(self) -> int:
         order = 1
@@ -150,30 +148,28 @@ class PrimitiveData:
             return CyclotomicNumber.zero(self.ambient_order)
         return CyclotomicNumber.root(self.ambient_order, t)
 
-    def is_trivial(self) -> bool:
-        return self.conductor == 1
-
 
 def conductor_primitive(chi: DirichletCharacter) -> PrimitiveData:
     """Smallest d | f through which chi factors, with the factored value table.
 
     chi*(a) for gcd(a, d) = 1 is chi(b) for any lift b = a mod d coprime to f.
+    The exponents come from one discrete log per class of (Z/f)^x.
     """
     f = chi.modulus
+    group = chi.group
+    n = chi.ambient_order
+    weights = chi.weights()
+    exponent = {x: sum(map(mul, weights, group.dlog(x))) % n for x in group.elements}
     for d in divisors(f):
         # trivial on the kernel of (Z/f)^x -> (Z/d)^x ?
-        kernel_ok = all(
-            chi.exponent_at(x) == 0 for x in chi.group.elements if x % d == 1 % d
-        )
-        if not kernel_ok:
+        if any(t for x, t in exponent.items() if x % d == 1 % d):
             continue
         table: dict[int, int] = {}
         for a in range(d):
             if gcd(a, d) != 1 and d > 1:
                 continue
-            b = _coprime_lift(a, d, f)
-            table[a % d] = chi.exponent_at(b)
-        return PrimitiveData(d, chi.ambient_order, table)
+            table[a % d] = exponent[_coprime_lift(a, d, f) % f]
+        return PrimitiveData(d, n, table)
     raise AssertionError("unreachable: chi factors through its own modulus")
 
 

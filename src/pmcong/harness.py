@@ -27,7 +27,7 @@ from .levels import (
     even_orbit_indicators,
     scenario_level,
 )
-from .numberfield import _MAX_TRACE, enumerate_ideals, tot_pos_up_to
+from .numberfield import _MAX_TRACE, enumerate_ideals, field_spec, tot_pos_up_to
 from .pseudomeasure import (
     lambda_approx,
     verify_delta_congruence,
@@ -206,6 +206,10 @@ class ScenarioConfig:
             raise ConfigInvalid("the conductor must be a prime ≡ 1 mod p")
         if self.conductor not in self.s_primes:
             raise ConfigInvalid("S must contain the ramified prime (the conductor)")
+        try:
+            field_spec(self.p, self.conductor)
+        except ArithmeticError as exc:
+            raise ConfigInvalid(f"unsupported field ({self.p}, {self.conductor}): {exc}") from None
         if self.a < 1:
             raise ConfigInvalid("the modulus exponent a must be ≥ 1")
         if self.a < 2 and "transfer" in self.checks:
@@ -311,7 +315,7 @@ def _qexp_functions(config: ScenarioConfig, level) -> list[LocallyConstantFn]:
     nontrivial = [
         eps
         for eps in even_orbit_indicators(level, L_SIDE)
-        if len(set(eps.values.values())) > 1
+        if len(eps.support) < len(level.h_classes)
     ]
     return out + nontrivial[:2]
 

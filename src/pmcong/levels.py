@@ -11,9 +11,10 @@ field L (classes whose reduction mod f_L is a p-th power).  Two tiers exist:
 * zeta levels only require S ⊆ primes(f) (and f_L | f when the extension side
   is used) and exist for oracle computations at bare moduli such as f = f_L.
 
-Functions on a level are stored as complete value tables over the classes of
-one side, with evenness (invariance under the class of −1) and p-integrality
-checked once at construction.
+Functions on a level are stored by their support (class ↦ nonzero value), so
+indicators and shifts cost O(support).  Evenness (invariance under the class
+of −1), p-integrality and the least p-adic valuation are decided over the
+support; as v_p(0) = ∞, the zero function has valuation ∞.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .exact import Rational, p_valuation
+from .exact import PValuation, p_valuation
 from .numberfield import AbelianFieldSpec, field_spec
 from .units import factorize, is_prime, unit_group
 
@@ -66,6 +67,10 @@ class LevelData:
             h = self.group.elements
         self.h_classes = h
         self._h_set = frozenset(h)
+        self._q_set = frozenset(self.group.elements)
+        self.transfer_fibers: dict[int, list[int]] = {}  # y ↦ the x with ver(x) = y
+        for x in self.group.elements:
+            self.transfer_fibers.setdefault(self.transfer_class(x), []).append(x)
 
     # -- class bookkeeping -----------------------------------------------------
     def classes(self, side: str) -> tuple[int, ...]:
@@ -80,13 +85,17 @@ class LevelData:
     def in_h(self, cls: int) -> bool:
         return cls in self._h_set
 
+    def has_class(self, side: str, cls: int) -> bool:
+        return cls in (self._q_set if side == Q_SIDE else self._h_set)
+
     def neg_class(self, cls: int) -> int:
         return (-cls) % self.modulus
 
     def transfer_class(self, cls: int) -> int:
         """ver on classes: the p-th power map into the index-p subgroup."""
         out = pow(cls, self.p, self.modulus)
-        assert self.field is None or self.in_h(out)
+        if self.field is not None and not self.in_h(out):
+            raise ArithmeticError(f"the transfer of {cls} lands outside the subgroup H")
         return out
 
     def norm_exponent_modulus(self) -> int:
@@ -163,124 +172,105 @@ def zeta_level(
 
 
 class LocallyConstantFn:
-    """A function on one side's classes, with evenness/integrality flags."""
+    """A function on one side's classes: `support` maps each class where it is
+    nonzero to its Fraction value.  The constructor trusts the support; user
+    tables enter through `from_table`, which checks they cover the side exactly.
+    """
 
-    __slots__ = ("level", "side", "values", "even", "p_integral")
+    __slots__ = ("level", "side", "support", "even", "p_integral")
 
-    def __init__(self, level: LevelData, side: str, values: dict[int, Fraction]):
+    def __init__(self, level: LevelData, side: str, support: dict[int, Fraction]):
         if side not in (Q_SIDE, L_SIDE):
             raise ValueError("side must be 'Q' or 'L'")
-        domain = level.classes(side)
-        if set(values) != set(domain):
-            raise ValueError("value table must cover the side's classes exactly")
         self.level = level
         self.side = side
-        self.values = {x: Fraction(values[x]) for x in domain}
-        self.even = all(
-            self.values[x] == self.values[level.neg_class(x)] for x in domain
-        )
+        self.support = support
+        self.even = all(support.get(level.neg_class(x)) == v for x, v in support.items())
         p = level.p
-        self.p_integral = p == 0 or all(
-            v.denominator % p != 0 for v in self.values.values()
-        )
+        self.p_integral = p == 0 or all(v.denominator % p != 0 for v in support.values())
 
     # -- constructors -----------------------------------------------------------
     @staticmethod
     def delta_fn(level: LevelData, side: str, cls: int) -> "LocallyConstantFn":
         base = cls % level.modulus
-        if base not in level.classes(side):
+        if not level.has_class(side, base):
             raise ValueError(f"{cls} is not a class of side {side}")
-        return LocallyConstantFn(
-            level, side, {x: Fraction(int(x == base)) for x in level.classes(side)}
-        )
+        return LocallyConstantFn(level, side, {base: Fraction(1)})
 
     @staticmethod
     def constant_fn(level: LevelData, side: str, value) -> "LocallyConstantFn":
-        v = Fraction(value)
-        return LocallyConstantFn(level, side, {x: v for x in level.classes(side)})
+        return LocallyConstantFn.from_table(level, side, dict.fromkeys(level.classes(side), value))
 
     @staticmethod
     def from_table(level: LevelData, side: str, table: dict[int, object]) -> "LocallyConstantFn":
-        return LocallyConstantFn(
-            level, side, {int(k): Fraction(v) for k, v in table.items()}
-        )
+        values = {int(k): Fraction(v) for k, v in table.items()}
+        if set(values) != set(level.classes(side)):
+            raise ValueError("value table must cover the side's classes exactly")
+        return LocallyConstantFn(level, side, {x: v for x, v in values.items() if v})
 
     # -- evaluation and operators -------------------------------------------------
     def __call__(self, cls: int) -> Fraction:
-        return self.values[cls % self.level.modulus]
+        x = cls % self.level.modulus
+        if not self.level.has_class(self.side, x):
+            raise ValueError(f"{cls} is not a class of side {self.side}")
+        return self.support.get(x, Fraction(0))
 
     def shift(self, g_cls: int) -> "LocallyConstantFn":
-        """ε_g with ε_g(x) = ε(g·x)."""
+        """ε_g with ε_g(x) = ε(g·x): the support moves to g⁻¹·supp ε."""
         f = self.level.modulus
-        return LocallyConstantFn(
-            self.level,
-            self.side,
-            {x: self.values[(g_cls * x) % f] for x in self.values},
-        )
+        if not self.level.has_class(self.side, g_cls % f):
+            raise ValueError(f"{g_cls} is not a class of side {self.side}")
+        g_inv = pow(g_cls, -1, f) if f > 1 else 0
+        support = {(g_inv * y) % f: v for y, v in self.support.items()}
+        return LocallyConstantFn(self.level, self.side, support)
 
     def compose_transfer(self) -> "LocallyConstantFn":
         """ε_L∘ver on the full group: x ↦ ε_L(x^p)."""
         if self.side != L_SIDE:
             raise ValueError("only extension-side functions compose with the transfer")
-        level = self.level
-        return LocallyConstantFn(
-            level,
-            Q_SIDE,
-            {x: self.values[level.transfer_class(x)] for x in level.classes(Q_SIDE)},
-        )
+        fibers = self.level.transfer_fibers
+        table = {x: v for y, v in self.support.items() for x in fibers.get(y, ())}
+        return LocallyConstantFn(self.level, Q_SIDE, table)
 
     def scale(self, factor) -> "LocallyConstantFn":
         c = Fraction(factor)
-        return LocallyConstantFn(
-            self.level, self.side, {x: v * c for x, v in self.values.items()}
-        )
+        support = {x: v * c for x, v in self.support.items()} if c else {}
+        return LocallyConstantFn(self.level, self.side, support)
 
     def __add__(self, other: "LocallyConstantFn") -> "LocallyConstantFn":
         if self.level != other.level or self.side != other.side:
             raise ValueError("mismatched function domains")
-        return LocallyConstantFn(
-            self.level,
-            self.side,
-            {x: v + other.values[x] for x, v in self.values.items()},
-        )
+        a, b = self.support, other.support
+        total = {x: a.get(x, 0) + b.get(x, 0) for x in a.keys() | b.keys()}
+        return LocallyConstantFn(self.level, self.side, {x: v for x, v in total.items() if v})
 
     def __sub__(self, other: "LocallyConstantFn") -> "LocallyConstantFn":
         return self + other.scale(-1)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values.values())
+        return not self.support
 
     def min_p_valuation(self):
+        """min_x v_p(ε(x)); PValuation.infinite() for the zero function."""
         p = self.level.p
         if p == 0:
             return None
-        return min(p_valuation(v, p) for v in self.values.values())
+        return min((p_valuation(v, p) for v in self.support.values()), default=PValuation.infinite())
 
     def __repr__(self) -> str:
-        support = sum(1 for v in self.values.values() if v)
         return (
-            f"LocallyConstantFn(side={self.side}, support={support}, "
+            f"LocallyConstantFn(side={self.side}, support={len(self.support)}, "
             f"even={self.even}, p_integral={self.p_integral})"
         )
 
 
 def even_orbit_indicators(level: LevelData, side: str) -> tuple[LocallyConstantFn, ...]:
     """Indicator functions of the {x, −x} orbits, in ascending representative order."""
-    seen = set()
-    out = []
-    for x in level.classes(side):
-        if x in seen:
-            continue
-        orbit = {x, level.neg_class(x)}
-        seen |= orbit
-        out.append(
-            LocallyConstantFn(
-                level,
-                side,
-                {y: Fraction(int(y in orbit)) for y in level.classes(side)},
-            )
-        )
-    return tuple(out)
+    reps = sorted({min(x, level.neg_class(x)) for x in level.classes(side)})
+    return tuple(
+        LocallyConstantFn(level, side, dict.fromkeys({x, level.neg_class(x)}, Fraction(1)))
+        for x in reps
+    )
 
 
 class FrobeniusChoice:

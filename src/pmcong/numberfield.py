@@ -330,8 +330,12 @@ class AbelianFieldSpec:
             power_cols.append(elt.coords)
             elt = elt * self.period(0)
         power_matrix = [[power_cols[j][i] for j in range(p)] for i in range(p)]
+        index = abs(_mat_det(power_matrix))
+        if index != 1:
+            raise ArithmeticError(
+                f"[O_L : Z[η_0]] = {index}; only fields with O_L = Z[η_0] are supported"
+            )
         inv = _mat_inv([[Fraction(v) for v in row] for row in power_matrix])
-        assert all(v.denominator == 1 for row in inv for v in row), "period basis must be unimodular over the power basis"
         self.period_in_power = tuple(tuple(int(v) for v in row) for row in inv)
 
         # σ^{-1}(η_0) = η_{p−1} as an integer polynomial in η_0

@@ -123,10 +123,10 @@ def pairing(eps: LocallyConstantFn, pm: PseudomeasureApprox) -> int:
     modulus = pm.modulus
     p = pm.level.p
     total = 0
-    for x in pm.level.classes(pm.side):
+    for x, v in eps.support.items():
         c = pm.elt.coefficient(x)
         if c:
-            total += reduce_fraction(eps.values[x], modulus, p) * c
+            total += reduce_fraction(v, modulus, p) * c
     return total % modulus
 
 

@@ -164,7 +164,7 @@ def eisenstein_q(
                 continue
             if math.gcd(d, f) != 1:
                 continue
-            total += eps.values[d % f] * d ** (k - 1)
+            total += eps.support.get(d % f, 0) * d ** (k - 1)
         coeffs.append(total)
     return QExpansionQ(level, k, bound, constant, coeffs)
 
@@ -270,7 +270,8 @@ def _mu_orbits(level: LevelData, mu: int, nus, divisor_ideals, factored) -> _MuO
         if len(orbit) == 1:
             fixed.append((ideal, nu))
         else:
-            assert len(orbit) == p, "pair orbit of unexpected length"
+            if len(orbit) != p:
+                raise ArithmeticError("pair orbit of unexpected length")
             # norm and class are Σ-invariant: one pair stands for its orbit
             moved.append((ideal.norm(), artin_symbol(ideal, f)))
 
@@ -299,12 +300,9 @@ def _mu_orbits(level: LevelData, mu: int, nus, divisor_ideals, factored) -> _MuO
     )
 
 
-def _weigh(terms, eps_values, k: int) -> Fraction:
-    """Σ ε(class)·norm^(k−1) over (norm, class) terms."""
-    total = Fraction(0)
-    for norm, cls in terms:
-        total += eps_values[cls] * norm ** (k - 1)
-    return total
+def _weigh(terms, support, k: int) -> Fraction:
+    """Σ ε(class)·norm^(k−1) over the (norm, class) terms whose class is in the support."""
+    return sum((support[cls] * norm ** (k - 1) for norm, cls in terms if cls in support), Fraction(0))
 
 
 def eisenstein_l(
@@ -337,7 +335,7 @@ def eisenstein_l(
     coeffs = {}
     for t in range(1, trace_bound + 1):
         for nu in table.by_trace[t]:
-            coeffs[nu.coords] = _weigh(table.divisors[nu.coords], eps_l.values, k)
+            coeffs[nu.coords] = _weigh(table.divisors[nu.coords], eps_l.support, k)
     return QExpansionL(level, k, trace_bound, constant, coeffs)
 
 
@@ -429,8 +427,8 @@ def verify_qexp_congruence(
     if table is None:
         table = NuTable(level, p * bound, cache_dir=cache_dir)
     difference = qexp_difference(level, eps_l, k, bound, table=table)
-    eps_values = eps_l.values
-    eps_q_values = eps_l.compose_transfer().values
+    eps_support = eps_l.support
+    eps_q_support = eps_l.compose_transfer().support
     f = level.modulus
 
     valuations: dict[int, PValuation] = {}
@@ -441,23 +439,24 @@ def verify_qexp_congruence(
         valuations[mu] = p_valuation(coefficient, p)
         orbits = table.orbits[mu]
         base_terms = {
-            d: eps_q_values[d % f] * d ** (p * k - 1) for d in orbits.base_divisors
+            d: eps_q_support.get(d % f, 0) * d ** (p * k - 1) for d in orbits.base_divisors
         }
 
         # E(μ) again: pool terms over tr ν = p·μ minus G_{pk}'s base divisor terms
         direct = Fraction(0)
         for nu in table.by_trace[p * mu]:
-            direct += _weigh(table.direct[nu.coords], eps_values, k)
+            direct += _weigh(table.direct[nu.coords], eps_support, k)
         if coefficient != direct - sum(base_terms.values()):
             routes_agree = False
 
-        moved_sum = p * _weigh(orbits.moved, eps_values, k)
+        moved_sum = p * _weigh(orbits.moved, eps_support, k)
         fermat = Fraction(0)
         for d, norm, cls in orbits.fixed:
             if d is None:
                 continue
-            defect = eps_values[cls] * norm ** (k - 1) - base_terms[d]
-            assert p_valuation(defect, p) >= 1, "Fermat defect not divisible by p"
+            defect = eps_support.get(cls, 0) * norm ** (k - 1) - base_terms[d]
+            if not p_valuation(defect, p) >= 1:
+                raise ArithmeticError("Fermat defect not divisible by p")
             fermat += defect
 
         bookkeeping[mu] = {

@@ -25,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import mul
 
 from .cyclotomic import CyclotomicNumber, cyclo_reduce_rational
 from .dirichlet import DirichletCharacter, characters_of, l_value_neg
@@ -84,18 +85,20 @@ def _orthogonality_table(
     The coordinates of every V are scaled once to integers over their common
     denominator.  Per class, coordinate j of V (weight w) lands in the integer
     bucket of root exponent j − χ(x), and the buckets are reduced modulo Φ_n
-    once per class.
+    once per class.  χ(x) is read from one discrete log per class.
     """
+    group = terms[0][0].group
     den = lcm(*(c.denominator for _, _, v in terms for c in v.coords))
     scaled = [
-        (chi, [(j, w * c.numerator * (den // c.denominator)) for j, c in enumerate(v.coords) if c])
+        (chi.weights(), [(j, w * c.numerator * (den // c.denominator)) for j, c in enumerate(v.coords) if c])
         for chi, w, v in terms
     ]
     table = {}
     for x in classes:
+        logs = group.dlog(x)
         sums = [0] * order
-        for chi, coords in scaled:
-            e = chi.exponent_at(x)
+        for weights, coords in scaled:
+            e = sum(map(mul, weights, logs))
             for j, c in coords:
                 sums[(j - e) % order] += c
         value = CyclotomicNumber.from_exponent_sums(order, sums, den * size)
@@ -123,9 +126,11 @@ def _l_table(level: LevelData, k: int) -> dict[int, Fraction]:
     order = chars[0].ambient_order
     h = level.h_classes
 
+    h_logs = [chars[0].group.dlog(y) for y in h]
     fibers: dict[tuple[int, ...], list[DirichletCharacter]] = {}
     for chi in chars:
-        restriction = tuple(chi.exponent_at(y) for y in h)
+        weights = chi.weights()
+        restriction = tuple(sum(map(mul, weights, logs)) % order for logs in h_logs)
         fibers.setdefault(restriction, []).append(chi)
     expected = max(len(chars) // len(h), 1)
     if any(len(members) != expected for members in fibers.values()):
@@ -162,8 +167,7 @@ def zeta_of(level: LevelData, side: str, eps: LocallyConstantFn, k: int) -> Frac
     if eps.level != level or eps.side != side:
         raise ValueError("function does not live on the requested level/side")
     table = _q_table(level, k) if side == Q_SIDE else _l_table(level, k)
-    values = eps.values
-    return sum((values[x] * table[x] for x in level.classes(side) if values[x]), Fraction(0))
+    return sum((v * table[x] for x, v in eps.support.items()), Fraction(0))
 
 
 def scaled_zeta_of(level: LevelData, side: str, eps: LocallyConstantFn, k: int) -> Fraction:
@@ -215,10 +219,11 @@ def delta_sum_integrality(
     """Valuation of Σ_k Δ_g(1−k, ε_k) under the twisted-sum hypothesis.
 
     Hypothesis checked per class x: v_p(Σ_k ε_k(x)·ñ(x)^(k−1)) ≥ 0, with ñ(x)
-    the norm residue mod p^a.  Using the finite residue in place of the full
-    norm is sound only when no ε_k has a denominator worse than p^a — the
-    residue then determines the sum's integrality — so v_p(ε_k) ≥ −a is part
-    of the check.  Violations raise instead of returning a misleading verdict.
+    the norm residue mod p^a, on the union of the supports (elsewhere it is 0).
+    Using the finite residue in place of the full norm is sound only when no
+    ε_k has a denominator worse than p^a — the residue then determines the
+    sum's integrality — so v_p(ε_k) ≥ −a is part of the check.  Violations
+    raise instead of returning a misleading verdict.
     """
     p = level.p
     a = level.a
@@ -230,10 +235,10 @@ def delta_sum_integrality(
                 f"ε_{k} has a denominator beyond p^{a}; the finite level cannot "
                 "certify the twisted-sum hypothesis"
             )
-    for x in level.classes(side):
+    for x in sorted(set().union(*(eps.support for eps in eps_by_k.values()))):
         n_tilde = norm_residue(level, x)
         twisted = sum(
-            (eps.values[x] * n_tilde ** (k - 1) for k, eps in eps_by_k.items()),
+            (eps.support.get(x, 0) * n_tilde ** (k - 1) for k, eps in eps_by_k.items()),
             Fraction(0),
         )
         if p_valuation(twisted, p) < 0:

@@ -121,6 +121,7 @@ def test_validation_branches():
         (dict(p=5, s_primes=(3, 7)), "contain p"),
         (dict(s_primes=(3, 7, 15)), "consist of primes"),
         (dict(s_primes=(3, 11), conductor=7), "ramified"),
+        (dict(s_primes=(3, 31), conductor=31), r"\[O_L : Z\[η_0\]\] = 2;"),
         (dict(a=0), "must be ≥ 1"),
         (dict(a=1), "a ≥ 2"),
         (dict(k_values=()), "positive"),
@@ -248,6 +249,7 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
             "checks",
             "eps_basis = table\n" + _eps_table_line({1: "1/3", 62: "1/3"}) + "\nchecks",
         ),
+        ("conductor = 7\ns_primes = 3, 7", "conductor = 31\ns_primes = 3, 31"),
     ],
     ids=[
         "p-not-an-integer",
@@ -258,6 +260,7 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
         "eps-table-misses-classes",
         "eps-table-odd",
         "eps-table-not-p-integral",
+        "power-basis-not-integral",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, capsys, edit):
@@ -290,7 +293,6 @@ def test_cli_run_passes_beyond_the_desk_field(tmp_path, capsys, conductor):
     assert "overall: PASS" in printed
 
 
-@pytest.mark.slow
 def test_cli_run_passes_at_depth_4(tmp_path, capsys):
     """a=4 (modulus 567, ring Z/27): the dual zeta routes at ambient order 54."""
     ini = tmp_path / "a4.ini"

@@ -198,7 +198,7 @@ def test_congruence_holds_for_an_orbit_indicator():
     eps = next(
         fn
         for fn in even_orbit_indicators(LV, L_SIDE)
-        if fn.values[1] == 0  # a nontrivial indicator, not supported at 1
+        if fn(1) == 0  # a nontrivial indicator, not supported at 1
     )
     report = verify_qexp_congruence(LV, eps, 2, 3)
     assert report["verdict"]
@@ -233,3 +233,11 @@ def test_direct_route_reads_the_enumerated_pool(monkeypatch):
     report = verify_qexp_congruence(LV, ONE_L, 2, 4)
     assert not report["routes_agree"]
     assert not report["verdict"]
+
+
+def test_fermat_defect_check_raises_without_assert(monkeypatch):
+    """The per-pair Fermat check is a verdict-path check: it must raise an
+    ArithmeticError (so it also runs under ``python -O``), not an assert."""
+    monkeypatch.setattr(qexpansion, "p_valuation", lambda value, p: PValuation.of(0))
+    with pytest.raises(ArithmeticError, match="Fermat defect"):
+        verify_qexp_congruence(LV, ONE_L, 2, 3)

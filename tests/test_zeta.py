@@ -11,8 +11,9 @@ import pytest
 
 from pmcong import zeta
 from pmcong.cyclotomic import CyclotomicNumber, NotRational, cyclo_reduce_rational
-from pmcong.dirichlet import characters_of, l_value_neg
+from pmcong.dirichlet import characters_of, conductor_primitive, l_value_neg
 from pmcong.exact import p_valuation
+from pmcong.units import divisors, unit_group
 from pmcong.levels import (
     L_SIDE,
     Q_SIDE,
@@ -253,3 +254,44 @@ def test_twisted_pair_can_cancel_to_integral():
     eps_2 = LocallyConstantFn.from_table(LV63, Q_SIDE, eps_2_values)
     v = delta_sum_integrality(LV63, Q_SIDE, g, {2: eps_2, 4: eps_4})
     assert v >= 0
+
+
+def test_twisted_sum_names_the_failing_class_inside_the_support():
+    # at class 10 the k = 2 and k = 4 terms cancel; class 20 lies in the
+    # support of ε_4 only, so the check must walk the union of the supports
+    g = FrobeniusChoice(LV63, 2)
+    third = Fraction(1, 3)
+    n10 = norm_residue(LV63, 10)
+    eps_2 = LocallyConstantFn.delta_fn(LV63, Q_SIDE, 10).scale(-third * n10**2)
+    eps_4 = LocallyConstantFn.from_table(
+        LV63, Q_SIDE, {x: third if x in (10, 20) else 0 for x in LV63.classes(Q_SIDE)}
+    )
+    with pytest.raises(HypothesisViolated, match="class 20 is not"):
+        delta_sum_integrality(LV63, Q_SIDE, g, {2: eps_2, 4: eps_4})
+    # without class 20 the same pair passes
+    eps_4 = LocallyConstantFn.delta_fn(LV63, Q_SIDE, 10).scale(third)
+    assert delta_sum_integrality(LV63, Q_SIDE, g, {2: eps_2, 4: eps_4}) >= 0
+
+
+@pytest.mark.parametrize("modulus", [63, 189, 567])
+def test_per_class_discrete_logs_match_exponent_at(modulus):
+    """The orthogonality table and the primitive cores read χ(x) from one
+    discrete log per class; every value must equal chi.exponent_at."""
+    group = unit_group(modulus)
+    chars = characters_of(modulus)
+    for chi in chars:
+        exps = {x: chi.exponent_at(x) for x in group.elements}
+        conductor = next(
+            d
+            for d in divisors(modulus)
+            if all(t == 0 for x, t in exps.items() if x % d == 1 % d)
+        )
+        prim = conductor_primitive(chi)
+        assert prim.conductor == conductor
+        # χ*(x mod d) = χ(x), and reduction mod d hits every unit class mod d
+        assert all(prim.exponent_at(x) == t for x, t in exps.items())
+    # Σ_χ χ(x)⁻¹·χ(x0) / |G| is the indicator of x0 exactly when every χ(x) is right
+    for x0 in (group.elements[1], group.elements[-1]):
+        terms = [(chi, 1, chi.value(x0)) for chi in chars]
+        table = zeta._orthogonality_table(group.exponent, terms, group.elements, len(chars))
+        assert table == {x: Fraction(int(x == x0)) for x in group.elements}
