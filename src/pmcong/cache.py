@@ -13,9 +13,9 @@ inside a record; files with any other header (including pmcong-cache/1,
 which had no trailer) are stale too.
 
 Writes go through a temporary file in the same directory followed by
-os.replace, so concurrent readers never observe a partial file.  The cache
-directory is taken from the PMCONG_CACHE_DIR environment variable unless an
-explicit directory is passed; with neither present, caching is disabled.
+os.replace, so concurrent readers never observe a partial file.  Callers
+pass the cache directory explicitly (the CLI's --cache-dir); with None,
+caching is disabled.
 """
 
 from __future__ import annotations
@@ -25,22 +25,10 @@ import tempfile
 import zlib
 from pathlib import Path
 
-__all__ = ["ENV_VAR", "cache_directory", "cache_path", "load_records", "store_records"]
-
-ENV_VAR = "PMCONG_CACHE_DIR"
+__all__ = ["cache_path", "load_records", "store_records"]
 
 _HEADER_PREFIX = "pmcong-cache/2"
 _TRAILER = "end"
-
-
-def cache_directory(override: str | Path | None = None) -> Path | None:
-    """Resolve the cache directory: explicit override, else env var, else None."""
-    if override is not None:
-        return Path(override)
-    env = os.environ.get(ENV_VAR)
-    if env:
-        return Path(env)
-    return None
 
 
 def _canonical_key(key: dict[str, object]) -> str:

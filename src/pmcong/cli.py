@@ -30,6 +30,7 @@ from .harness import (
 )
 from .levels import L_SIDE, Q_SIDE, zeta_level
 from .sigma import run_sigma_suite
+from .units import parse_int_list
 from .zeta import partial_zeta
 
 __all__ = ["main"]
@@ -46,7 +47,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--cache-dir",
         type=Path,
         default=None,
-        help="directory for enumeration caches (default: environment or none)",
+        help="directory for enumeration caches (default: none, caching off)",
     )
     parser.add_argument(
         "--json-out",
@@ -87,7 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
     zeta.add_argument("--side", choices=(Q_SIDE, L_SIDE), default=Q_SIDE)
     zeta.add_argument(
         "--s-primes",
-        default="",
+        type=parse_int_list,
+        default=(),
         help="comma-separated primes whose Euler factors are removed",
     )
     zeta.add_argument("--p", type=int, default=None, help="degree of the extension side")
@@ -139,8 +141,7 @@ def _cmd_sigma(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
-    s_primes = tuple(int(q) for q in args.s_primes.replace(",", " ").split() if q)
-    level = zeta_level(args.modulus, s_primes, p=args.p, conductor=args.conductor)
+    level = zeta_level(args.modulus, args.s_primes, p=args.p, conductor=args.conductor)
     if args.side == L_SIDE and level.field is None:
         print("the extension side needs --p and --conductor", file=sys.stderr)
         return 2

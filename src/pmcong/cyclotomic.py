@@ -193,18 +193,6 @@ class CyclotomicNumber:
                         out[j] += ci * row[j]
         return CyclotomicNumber(self.order, tuple(out))
 
-    def __pow__(self, k: int) -> "CyclotomicNumber":
-        if k < 0:
-            raise ValueError("negative powers not supported")
-        result = CyclotomicNumber.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -77,11 +77,7 @@ class DirichletCharacter:
         return CyclotomicNumber.root(self.ambient_order, self.exponent_at(a))
 
     def order(self) -> int:
-        order = 1
-        for e, o in zip(self.exponents, self.group.orders):
-            d = o // gcd(e, o)
-            order = order * d // gcd(order, d)
-        return order
+        return lcm(*(o // gcd(e, o) for e, o in zip(self.exponents, self.group.orders)))
 
     def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
         if self.group is not other.group and self.modulus != other.modulus:
@@ -130,13 +126,12 @@ class PrimitiveData:
     from different characters of one level combine in a single Q(zeta_n).
     """
 
-    __slots__ = ("conductor", "ambient_order", "_table", "parity_even")
+    __slots__ = ("conductor", "ambient_order", "_table")
 
     def __init__(self, conductor: int, ambient_order: int, table: dict[int, int]):
         self.conductor = conductor
         self.ambient_order = ambient_order
         self._table = table
-        self.parity_even = True if conductor <= 2 else table[conductor - 1] == 0
 
     def exponent_at(self, a: int) -> int | None:
         """Exponent of chi*(a), or None when gcd(a, conductor) > 1 (value 0)."""
@@ -170,7 +165,7 @@ def conductor_primitive(chi: DirichletCharacter) -> PrimitiveData:
                 continue
             table[a % d] = exponent[_coprime_lift(a, d, f) % f]
         return PrimitiveData(d, n, table)
-    raise AssertionError("unreachable: chi factors through its own modulus")
+    raise ArithmeticError(f"{chi!r} does not factor through its own modulus")
 
 
 def _coprime_lift(a: int, d: int, f: int) -> int:

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: rationals, Bernoulli polynomials, p-adic valuations.
+"""Exact scalar arithmetic: rationals, Bernoulli and Horner evaluation, p-adic valuations.
 
 Every quantity feeding a congruence verdict in this package is an integer, a
 ``fractions.Fraction``, or assembled from those.  Floating point is confined to
@@ -29,7 +29,10 @@ __all__ = [
     "bernoulli_number",
     "bernoulli_poly",
     "bernoulli_poly_at",
+    "int_valuation",
     "p_valuation",
+    "poly_eval",
+    "poly_eval_mod",
 ]
 
 Rational = Fraction
@@ -98,8 +101,8 @@ class PValuation:
         return f"PValuation({self.value})" if self.finite else "PValuation(+inf)"
 
 
-def _int_valuation(n: int, p: int) -> int:
-    # n != 0
+def int_valuation(n: int, p: int) -> int:
+    """v_p(n) for a nonzero integer n."""
     v = 0
     n = abs(n)
     while n % p == 0:
@@ -118,7 +121,7 @@ def p_valuation(x: Rational | int, p: int) -> PValuation:
     q = Fraction(x)
     if q == 0:
         return PValuation.infinite()
-    return PValuation.of(_int_valuation(q.numerator, p) - _int_valuation(q.denominator, p))
+    return PValuation.of(int_valuation(q.numerator, p) - int_valuation(q.denominator, p))
 
 
 @lru_cache(maxsize=None)
@@ -146,9 +149,20 @@ def bernoulli_poly(k: int) -> tuple[Fraction, ...]:
 
 def bernoulli_poly_at(k: int, x: Rational | int) -> Fraction:
     """B_k evaluated at a rational point, exactly."""
-    coeffs = bernoulli_poly(k)
+    return poly_eval(bernoulli_poly(k), Fraction(x))
+
+
+def poly_eval(coeffs, x: Rational) -> Fraction:
+    """Σ_j c_j x^j for ascending coefficients, by Horner's rule."""
     acc = Fraction(0)
-    xq = Fraction(x)
     for c in reversed(coeffs):
-        acc = acc * xq + c
+        acc = acc * x + c
+    return acc
+
+
+def poly_eval_mod(coeffs, x: int, m: int) -> int:
+    """Σ_j c_j x^j mod m for ascending integer coefficients, by Horner's rule."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % m
     return acc

@@ -35,7 +35,7 @@ from .pseudomeasure import (
 )
 from .qexpansion import NuTable, verify_qexp_congruence
 from .sigma import run_sigma_suite
-from .units import is_prime
+from .units import is_prime, parse_int_list
 from .zeta import (
     delta_sum_integrality,
     delta_table,
@@ -61,11 +61,6 @@ class ConfigInvalid(ValueError):
     """A scenario configuration violates a standing hypothesis."""
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    return tuple(int(p) for p in parts)
-
-
 def _read_section(sec) -> dict:
     """Constructor keyword arguments from a `[scenario]` section, unvalidated."""
     kwargs = {}
@@ -74,11 +69,9 @@ def _read_section(sec) -> dict:
             kwargs[key] = sec.getint(key)
     for key in ("s_primes", "k_values", "frobenius"):
         if key in sec:
-            kwargs[key] = _parse_int_list(sec[key])
+            kwargs[key] = parse_int_list(sec[key])
     if "checks" in sec:
-        kwargs["checks"] = tuple(
-            c.strip() for c in sec["checks"].replace(",", " ").split() if c.strip()
-        )
+        kwargs["checks"] = tuple(sec["checks"].replace(",", " ").split())
     if "scaled" in sec:
         kwargs["scaled"] = sec.getboolean("scaled")
     if "eps_basis" in sec:
@@ -169,21 +162,7 @@ class ScenarioConfig:
         if "scenario" not in parser:
             raise ConfigInvalid("configuration needs a [scenario] section")
         sec = parser["scenario"]
-        known = {
-            "p",
-            "conductor",
-            "s_primes",
-            "a",
-            "k_values",
-            "frobenius",
-            "qexp_bound",
-            "ideal_bound",
-            "checks",
-            "scaled",
-            "eps_basis",
-            "eps_table",
-        }
-        unknown = set(sec) - known
+        unknown = set(sec) - set(cls.__slots__)
         if unknown:
             raise ConfigInvalid(f"unknown configuration keys: {sorted(unknown)}")
         try:
@@ -490,7 +469,6 @@ def cache_warm(config: ScenarioConfig, cache_dir: Path) -> dict:
     files_before = {p.name for p in cache_dir.glob("*")} if cache_dir.exists() else set()
 
     enumerate_ideals(field, config.ideal_bound, (), cache_dir=cache_dir)
-    enumerate_ideals(field, config.ideal_bound, config.s_primes, cache_dir=cache_dir)
     trace_bound = config.p * config.qexp_bound
     by_trace = tot_pos_up_to(field, trace_bound, cache_dir=cache_dir)
     max_norm = max(

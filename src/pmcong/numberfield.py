@@ -27,7 +27,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .cache import load_records, store_records
-from .exact import Rational
+from .exact import int_valuation, poly_eval, poly_eval_mod
 from .units import factorize, is_prime, unit_group
 
 __all__ = [
@@ -66,46 +66,29 @@ class NotCoprime(ValueError):
 # small exact linear algebra (p × p, p ≤ 7 in practice)
 
 
-def _mat_inv(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+def _det_inv(rows) -> tuple[Fraction, list[list[Fraction]] | None]:
+    """Determinant and inverse by one Gauss–Jordan elimination; the inverse is None if singular."""
     n = len(rows)
-    aug = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    aug = [
+        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    det = Fraction(1)
     for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0), None
+        if pivot != col:
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+            det = -det
+        det *= aug[col][col]
+        inv = 1 / aug[col][col]
         aug[col] = [v * inv for v in aug[col]]
         for r in range(n):
             if r != col and aug[r][col] != 0:
                 factor = aug[r][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _mat_det(rows: list[list[int]]) -> Fraction:
-    n = len(rows)
-    m = [[Fraction(v) for v in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
-
-
-def _poly_eval(coeffs: tuple[int, ...], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+    return det, [row[n:] for row in aug]
 
 
 def _newton_char_poly(power_sums: list[int], degree: int) -> tuple[int, ...]:
@@ -278,7 +261,8 @@ class AbelianFieldSpec:
         self._splits: dict[int, SplitData] = {}
 
         group = unit_group(conductor)
-        assert len(group.generators) == 1
+        if len(group.generators) != 1:
+            raise ArithmeticError("(Z/f_L)^× must be cyclic")
         self.generator = group.generators[0]
         # coset i of the index-p subgroup = {x : dlog(x) ≡ i mod p}
         cosets: list[list[int]] = [[] for _ in range(p)]
@@ -306,7 +290,8 @@ class AbelianFieldSpec:
                 for k in range(p):
                     rep = self.cosets[k][0]
                     n_ijk = counts[rep]
-                    assert all(counts[c] == n_ijk for c in self.cosets[k])
+                    if any(counts[c] != n_ijk for c in self.cosets[k]):
+                        raise ArithmeticError("period products must be constant on cosets")
                     vec.append(n_ijk - m_ij)
                 row.append(tuple(vec))
             structure.append(tuple(row))
@@ -316,9 +301,9 @@ class AbelianFieldSpec:
         self.trace_form = tuple(
             tuple(-sum(self.structure[i][j]) for j in range(p)) for i in range(p)
         )
-        det = _mat_det([list(r) for r in self.trace_form])
-        assert abs(det) == conductor ** (p - 1), "trace form determinant must match the discriminant"
-        self.trace_form_inv = _mat_inv([[Fraction(v) for v in row] for row in self.trace_form])
+        det, self.trace_form_inv = _det_inv(self.trace_form)
+        if abs(det) != conductor ** (p - 1):
+            raise ArithmeticError("trace form determinant must match the discriminant")
 
         # minimal polynomial of η_0 (= characteristic polynomial, irreducible)
         self.min_poly = self.period(0).char_poly()
@@ -330,12 +315,11 @@ class AbelianFieldSpec:
             power_cols.append(elt.coords)
             elt = elt * self.period(0)
         power_matrix = [[power_cols[j][i] for j in range(p)] for i in range(p)]
-        index = abs(_mat_det(power_matrix))
-        if index != 1:
+        index, inv = _det_inv(power_matrix)
+        if abs(index) != 1:
             raise ArithmeticError(
-                f"[O_L : Z[η_0]] = {index}; only fields with O_L = Z[η_0] are supported"
+                f"[O_L : Z[η_0]] = {abs(index)}; only fields with O_L = Z[η_0] are supported"
             )
-        inv = _mat_inv([[Fraction(v) for v in row] for row in power_matrix])
         self.period_in_power = tuple(tuple(int(v) for v in row) for row in inv)
 
         # σ^{-1}(η_0) = η_{p−1} as an integer polynomial in η_0
@@ -398,7 +382,7 @@ def _isolate_real_roots(poly: tuple[int, ...], count: int, bound: Fraction) -> t
         while x <= bound:
             points.append(x)
             x += step
-        signs = [(_poly_eval(poly, x) > 0) for x in points]
+        signs = [(poly_eval(poly, x) > 0) for x in points]
         brackets = [
             (points[i], points[i + 1])
             for i in range(len(points) - 1)
@@ -406,14 +390,15 @@ def _isolate_real_roots(poly: tuple[int, ...], count: int, bound: Fraction) -> t
         ]
         if len(brackets) == count:
             break
-        assert len(brackets) < count, "more sign changes than roots"
+        if len(brackets) > count:
+            raise ArithmeticError("more sign changes than roots")
         step /= 2
     refined = []
     for lo, hi in brackets:
-        lo_val_pos = _poly_eval(poly, lo) > 0
+        lo_val_pos = poly_eval(poly, lo) > 0
         while hi - lo > _ROOT_BRACKET_WIDTH:
             mid = (lo + hi) / 2
-            if (_poly_eval(poly, mid) > 0) == lo_val_pos:
+            if (poly_eval(poly, mid) > 0) == lo_val_pos:
                 lo = mid
             else:
                 hi = mid
@@ -483,12 +468,9 @@ def split_type(spec: AbelianFieldSpec, q: int) -> SplitData:
     if q == f_L:
         return SplitData(q, p, 1, 1, (PrimeIdeal(q, p, 1, None),))
     if pow(q, (f_L - 1) // p, f_L) == 1:
-        roots = tuple(
-            r
-            for r in range(q)
-            if sum(c * pow(r, j, q) for j, c in enumerate(spec.min_poly)) % q == 0
-        )
-        assert len(roots) == p, "split prime must yield p distinct roots"
+        roots = tuple(r for r in range(q) if poly_eval_mod(spec.min_poly, r, q) == 0)
+        if len(roots) != p:
+            raise ArithmeticError("split prime must yield p distinct roots")
         return SplitData(q, 1, 1, p, tuple(PrimeIdeal(q, 1, 1, r) for r in roots))
     return SplitData(q, 1, p, 1, (PrimeIdeal(q, 1, p, None),))
 
@@ -565,9 +547,7 @@ def sigma_ideal(spec: AbelianFieldSpec, ideal: IdealFactored) -> IdealFactored:
         if pr.root is None:
             moved.append((pr, e))
         else:
-            r2 = sum(
-                c * pow(pr.root, j, pr.q) for j, c in enumerate(spec.prev_period_power)
-            ) % pr.q
+            r2 = poly_eval_mod(spec.prev_period_power, pr.root, pr.q)
             moved.append((PrimeIdeal(pr.q, pr.e, pr.f, r2), e))
     return IdealFactored(spec, moved)
 
@@ -597,18 +577,9 @@ def _hensel_root(poly: tuple[int, ...], q: int, root: int, target: int) -> int:
     while precision < target:
         precision = min(2 * precision, target)
         mod = q**precision
-        val = sum(c * pow(r, j, mod) for j, c in enumerate(poly)) % mod
-        dv = sum(c * pow(r, j, mod) for j, c in enumerate(deriv)) % mod
-        r = (r - val * pow(dv, -1, mod)) % mod
+        val = poly_eval_mod(poly, r, mod)
+        r = (r - val * pow(poly_eval_mod(deriv, r, mod), -1, mod)) % mod
     return r
-
-
-def _val_q(n: int, q: int) -> int:
-    v = 0
-    while n % q == 0:
-        n //= q
-        v += 1
-    return v
 
 
 def factor_principal(spec: AbelianFieldSpec, nu: AlgebraicInt) -> IdealFactored:
@@ -623,8 +594,9 @@ def factor_principal(spec: AbelianFieldSpec, nu: AlgebraicInt) -> IdealFactored:
             factors.append((data.slots[0], vn))
             continue
         if data.f == spec.p:  # inert: valuation is the minimal coordinate valuation
-            v = min(_val_q(c, q) for c in nu.coords if c != 0)
-            assert spec.p * v == vn, "inert valuation must account for the norm"
+            v = min(int_valuation(c, q) for c in nu.coords if c != 0)
+            if spec.p * v != vn:
+                raise ArithmeticError("inert valuation must account for the norm")
             factors.append((data.slots[0], v))
             continue
         # split: evaluate ν in the power basis at each Hensel-lifted root
@@ -634,14 +606,15 @@ def factor_principal(spec: AbelianFieldSpec, nu: AlgebraicInt) -> IdealFactored:
         for slot in data.slots:
             r = _hensel_root(spec.min_poly, q, slot.root, target)
             mod = q**target
-            val = sum(c * pow(r, j, mod) for j, c in enumerate(power)) % mod
+            val = poly_eval_mod(power, r, mod)
             if val == 0:
-                raise AssertionError("valuation exceeded the norm bound")
-            v = _val_q(val, q)
+                raise ArithmeticError("valuation exceeded the norm bound")
+            v = int_valuation(val, q)
             total += v
             if v:
                 factors.append((slot, v))
-        assert total == vn, "split valuations must sum to the norm valuation"
+        if total != vn:
+            raise ArithmeticError("split valuations must sum to the norm valuation")
     return IdealFactored(spec, factors)
 
 
@@ -667,7 +640,10 @@ def enumerate_ideals(
     }
     cached = load_records(cache_dir, "ideals", key)
     if cached is not None:
-        return tuple(_ideal_from_record(spec, rec) for rec in cached)
+        try:
+            return tuple(_ideal_from_record(spec, rec, bound) for rec in cached)
+        except ValueError:
+            pass  # a bad record makes the file stale: recompute and rewrite it
 
     primes: list[PrimeIdeal] = []
     q = 2
@@ -714,24 +690,27 @@ def _ideal_record(ideal: IdealFactored) -> str:
     return f"{ideal.norm()}|" + (";".join(parts) if parts else "unit")
 
 
-def _ideal_from_record(spec: AbelianFieldSpec, record: str) -> IdealFactored:
+def _ideal_from_record(spec: AbelianFieldSpec, record: str, bound: int) -> IdealFactored:
+    """Inverse of _ideal_record; ValueError unless `record` is exactly that of an ideal of norm ≤ bound."""
     norm_s, _, body = record.partition("|")
-    if body == "unit":
-        ideal = IdealFactored.unit(spec)
-    else:
-        factors = []
-        for part in body.split(";"):
-            q_s, root_s, e_s = part.split(":")
-            q = int(q_s)
-            data = spec.split(q)
-            if root_s == "-":
-                factors.append((data.slots[0], int(e_s)))
-            else:
-                root = int(root_s)
-                slot = next(s for s in data.slots if s.root == root)
-                factors.append((slot, int(e_s)))
-        ideal = IdealFactored(spec, factors)
-    assert ideal.norm() == int(norm_s), "corrupt ideal cache record"
+    norm = int(norm_s)
+    if not 1 <= norm <= bound:
+        raise ValueError("corrupt ideal cache record")
+    factors = []
+    parts = () if body == "unit" else body.split(";")
+    for part in parts:
+        q_s, root_s, e_s = part.split(":")
+        q = int(q_s)
+        if q < 2 or norm % q:  # keeps spec.split(q) within the enumeration's primes
+            raise ValueError("corrupt ideal cache record")
+        root = None if root_s == "-" else int(root_s)
+        slot = next((s for s in spec.split(q).slots if s.root == root), None)
+        if slot is None:
+            raise ValueError("corrupt ideal cache record")
+        factors.append((slot, int(e_s)))
+    ideal = IdealFactored(spec, factors)
+    if _ideal_record(ideal) != record:
+        raise ValueError("corrupt ideal cache record")
     return ideal
 
 

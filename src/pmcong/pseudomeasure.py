@@ -35,7 +35,6 @@ __all__ = [
     "lambda_approx",
     "pairing",
     "project_level",
-    "transfer_level",
     "transfer_ring",
     "verify_delta_congruence",
     "verify_transfer_congruence",
@@ -130,18 +129,13 @@ def pairing(eps: LocallyConstantFn, pm: PseudomeasureApprox) -> int:
     return total % modulus
 
 
-def transfer_level(level: LevelData, cls: int) -> int:
-    """ver on classes of the full group: the p-th power map into H."""
-    return level.transfer_class(cls)
-
-
 def transfer_ring(level: LevelData, elt: GroupRingElement) -> GroupRingElement:
     """Pushforward along ver, landing in (Z/p^(a−1))[H]."""
     p, a = level.p, level.a
     if a < 2:
         raise LevelTooShallow("transfer comparison needs modulus exponent a ≥ 2")
     target = group_ring_for(level, L_SIDE, p ** (a - 1))
-    return elt.map_group(lambda x: transfer_level(level, x), target)
+    return elt.map_group(level.transfer_class, target)
 
 
 def project_level(

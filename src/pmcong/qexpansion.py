@@ -310,7 +310,6 @@ def eisenstein_l(
     eps_l: LocallyConstantFn,
     k: int,
     trace_bound: int,
-    cache_dir: Path | None = None,
     table: NuTable | None = None,
 ) -> QExpansionL:
     """G_{k,ε_L} on the extension: c(ν) = Σ_{𝔟 ⊇ (ν), 𝔟 coprime to S} ε_L(𝔟)N𝔟^(k−1).
@@ -328,7 +327,7 @@ def eisenstein_l(
     if trace_bound < 1:
         raise ValueError("trace bound must be ≥ 1")
     if table is None:
-        table = NuTable(level, trace_bound, cache_dir=cache_dir)
+        table = NuTable(level, trace_bound)
     elif not table.covers(level, trace_bound):
         raise ValueError("the ν-table does not cover this level and trace bound")
     constant = scaled_zeta_of(level, L_SIDE, eps_l, k)
@@ -385,7 +384,6 @@ def qexp_difference(
     eps_l: LocallyConstantFn,
     k: int,
     bound: int,
-    cache_dir: Path | None = None,
     table: NuTable | None = None,
 ) -> QExpansionQ:
     """E = thin_p(restrict(G_{k,ε_L})) − G_{pk, ε_L∘ver}, truncated at `bound`.
@@ -397,7 +395,7 @@ def qexp_difference(
     p = level.p
     if not eps_l.p_integral:
         raise FlagViolation("the congruence requires a p-integral ε_L")
-    upstairs = eisenstein_l(level, eps_l, k, p * bound, cache_dir=cache_dir, table=table)
+    upstairs = eisenstein_l(level, eps_l, k, p * bound, table=table)
     route = hecke_thin(restrict_to_base(upstairs, p * bound), p)
     downstairs = eisenstein_q(level, eps_l.compose_transfer(), p * k, bound)
     return route - downstairs
@@ -408,7 +406,6 @@ def verify_qexp_congruence(
     eps_l: LocallyConstantFn,
     k: int,
     bound: int,
-    cache_dir: Path | None = None,
     table: NuTable | None = None,
 ) -> dict:
     """Per-coefficient p-valuations of E, with orbit bookkeeping and dual routes.
@@ -425,7 +422,7 @@ def verify_qexp_congruence(
     if not eps_l.p_integral:
         raise FlagViolation("the congruence requires a p-integral ε_L")
     if table is None:
-        table = NuTable(level, p * bound, cache_dir=cache_dir)
+        table = NuTable(level, p * bound)
     difference = qexp_difference(level, eps_l, k, bound, table=table)
     eps_support = eps_l.support
     eps_q_support = eps_l.compose_transfer().support

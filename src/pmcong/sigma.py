@@ -45,7 +45,7 @@ import random
 import re
 
 from .groupring import GroupRing, GroupRingElement
-from .units import factorize, is_prime
+from .units import factorize, is_prime, parse_int_list
 
 __all__ = [
     "BadConjugationData",
@@ -763,11 +763,6 @@ def verify_conjugation_identity(setup: GaloisSetup) -> dict:
 _FIBER_TUPLE = re.compile(r"\(([^()]*)\)")
 
 
-def _parse_ints(text: str) -> list[int]:
-    parts = [p for p in re.split(r"[,\s]+", text.strip()) if p]
-    return [int(p) for p in parts]
-
-
 def parse_setup(text: str) -> GaloisSetup:
     """Build a synthetic setup from the documented text format."""
     orders = None
@@ -785,18 +780,18 @@ def parse_setup(text: str) -> GaloisSetup:
         key = key.strip().lower()
         value = value.strip()
         if key == "orders":
-            orders = _parse_ints(value)
+            orders = parse_int_list(value)
         elif key == "p":
             p = int(value)
         elif key == "modulus_exponent":
             modulus_exponent = int(value)
         elif key == "action":
-            action = [_parse_ints(row) for row in value.split(";")]
+            action = [parse_int_list(row) for row in value.split(";")]
         elif key == "fiber":
             cells = _FIBER_TUPLE.findall(value)
             if not cells:
                 raise ValueError(f"line {lineno}: fiber needs parenthesized tuples")
-            fibers.append([tuple(_parse_ints(c)) for c in cells])
+            fibers.append([parse_int_list(c) for c in cells])
         else:
             raise ValueError(f"line {lineno}: unknown directive {key!r}")
     if orders is None or p is None:

@@ -4,20 +4,21 @@ Moduli here are small (a few hundred), so discrete logs are materialized as a
 full table at construction time.  Generators follow the classical pattern: a
 primitive root for each odd prime-power factor, and <-1, 5> for powers of two.
 
-Also hosts the small integer utilities (primality, factorization) the rest of
-the package shares.
+Also hosts the small integer utilities (primality, factorization, and the
+integer-list text syntax) the rest of the package shares.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, reduce
-from math import gcd
+from functools import lru_cache
+from math import lcm
 
 __all__ = [
     "is_prime",
     "factorize",
     "divisors",
+    "parse_int_list",
     "UnitGroup",
     "unit_group",
 ]
@@ -61,6 +62,11 @@ def divisors(n: int) -> list[int]:
     for p, e in fac.items():
         divs = [d * p**i for d in divs for i in range(e + 1)]
     return sorted(divs)
+
+
+def parse_int_list(text: str) -> tuple[int, ...]:
+    """Integers separated by commas, whitespace, or both; empty text gives ()."""
+    return tuple(int(part) for part in text.replace(",", " ").split())
 
 
 def _euler_phi(n: int) -> int:
@@ -118,7 +124,7 @@ class UnitGroup:
                     orders.append(order)
         self.generators = tuple(gens)
         self.orders = tuple(orders)
-        self.exponent = reduce(lambda x, y: x * y // gcd(x, y), self.orders, 1)
+        self.exponent = lcm(*self.orders)
         dlog: dict[int, tuple[int, ...]] = {}
         for exps in itertools.product(*(range(o) for o in self.orders)):
             r = 1 % modulus
@@ -127,7 +133,8 @@ class UnitGroup:
             dlog.setdefault(r, exps)
         self._dlog = dlog
         self.elements = tuple(sorted(dlog))
-        assert len(self.elements) == (_euler_phi(modulus) if modulus > 1 else 1)
+        if len(self.elements) != (_euler_phi(modulus) if modulus > 1 else 1):
+            raise ArithmeticError(f"generators do not span (Z/{modulus})^x")
 
     @staticmethod
     def _component_generators(q: int, e: int) -> list[tuple[int, int]]:
@@ -146,9 +153,6 @@ class UnitGroup:
         # m, n coprime
         inv = pow(m, -1, n)
         return (a + m * ((b - a) * inv % n)) % (m * n)
-
-    def order(self) -> int:
-        return len(self.elements)
 
     def dlog(self, a: int) -> tuple[int, ...]:
         r = a % self.modulus

@@ -90,7 +90,6 @@ def test_primitive_agrees_on_coprime_classes():
             for a in range(1, n):
                 if gcd(a, n) == 1:
                     assert prim.value(a) == chi.value(a)
-            assert prim.parity_even == (chi.exponent_at(n - 1) == 0)
 
 
 def test_generalized_bernoulli_against_direct_sum():

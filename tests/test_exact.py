@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pmcong.exact import (
     PValuation,
@@ -11,6 +11,8 @@ from pmcong.exact import (
     bernoulli_poly,
     bernoulli_poly_at,
     p_valuation,
+    poly_eval,
+    poly_eval_mod,
 )
 
 
@@ -124,3 +126,18 @@ def test_valuation_additive_on_products(x, y, p):
 def test_valuation_ultrametric(x, y, p):
     lower = min(p_valuation(x, p), p_valuation(y, p))
     assert p_valuation(x + y, p) >= lower
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.integers(-10**6, 10**6), max_size=9),
+    st.integers(-10**5, 10**5),
+    st.integers(1, 10**9),
+)
+def test_poly_eval_mod_matches_the_power_sum(coeffs, x, m):
+    assert poly_eval_mod(coeffs, x, m) == sum(c * pow(x, j, m) for j, c in enumerate(coeffs)) % m
+
+
+@given(st.lists(st.integers(-100, 100), max_size=7), st.fractions(max_denominator=50))
+def test_poly_eval_matches_the_power_sum(coeffs, x):
+    assert poly_eval(coeffs, x) == sum(c * x**j for j, c in enumerate(coeffs))

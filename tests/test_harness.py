@@ -1,6 +1,10 @@
 """Scenario configuration, report assembly, caches, and the CLI front end."""
 
+import ast
 import json
+import os
+import subprocess
+import sys
 import textwrap
 from fractions import Fraction
 from pathlib import Path
@@ -346,6 +350,54 @@ def test_report_is_identical_with_cold_and_warm_cache(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_cache_warm_writes_exactly_the_files_a_cold_run_writes(tmp_path):
+    # the σ-suite reads no cache, so it is left out as above
+    config = ScenarioConfig.default()
+    cold = tmp_path / "cold"
+    run_scenario(config, cache_dir=cold, checks=("crosscheck", "transfer", "delta", "qexp"))
+    warmed = cache_warm(config, tmp_path / "warm")
+    assert warmed["files"] == sorted(p.name for p in cold.iterdir())
+
+
+def test_no_assert_statements_in_the_package():
+    # checks must also run under python -O, which strips assert statements
+    package = REPO_ROOT / "src" / "pmcong"
+    found = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_optimized_run_reports_the_same_as_a_plain_run(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text(
+        (REPO_ROOT / "configs" / "default.ini")
+        .read_text()
+        .replace("qexp, sigma", "qexp")
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    reports = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / f"report{''.join(flags)}.json"
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "pmcong.cli", "run", "--config", str(ini), "--json-out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(out.read_text())
+        assert set(report.pop("timings")) == {"crosscheck", "transfer", "delta", "qexp"}
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_cli_failure_exit_code(monkeypatch, capsys):
     import pmcong.cli as cli_module
 
@@ -371,6 +423,22 @@ def test_cli_zeta_base_side(capsys):
     )
     assert rc == 0
     assert "zeta(1-2; 2 mod 63) = -1079/252" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("s_primes", ["3 7", " 3, 7 ", "3,7,"])
+def test_cli_zeta_s_primes_syntax(capsys, s_primes):
+    rc = main(
+        ["zeta", "--modulus", "63", "--k", "2", "--s-primes", s_primes, "--cls", "2"]
+    )
+    assert rc == 0
+    assert "zeta(1-2; 2 mod 63) = -1079/252" in capsys.readouterr().out
+
+
+def test_cli_zeta_bad_s_primes_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["zeta", "--modulus", "63", "--k", "2", "--s-primes", "3,x"])
+    assert exc.value.code == 2
+    assert "--s-primes" in capsys.readouterr().err
 
 
 def test_cli_zeta_extension_side(capsys):

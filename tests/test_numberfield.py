@@ -13,14 +13,16 @@ Independence of the oracles used here:
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from pmcong.cache import cache_path, load_records
+from pmcong.cache import cache_path, load_records, store_records
 from pmcong.dirichlet import characters_of, conductor_primitive, series_coefficients
 from pmcong.numberfield import (
     NotCoprime,
+    _det_inv,
     _newton_char_poly,
     artin_symbol,
     enumerate_ideals,
@@ -398,3 +400,62 @@ def test_cache_truncated_at_a_record_boundary_is_recomputed(tmp_path):
     assert load_records(tmp_path, "ideals", key) is None
     enumerate_ideals(F7, 80, (3, 7), cache_dir=tmp_path)
     assert path.read_bytes() == fresh
+
+
+@pytest.mark.parametrize(
+    "good, bad",
+    [("13|13:7:1", "14|13:7:1"), ("13|13:7:1", "13|13:9:1")],
+    ids=["wrong-norm", "unknown-root"],
+)
+def test_bad_ideal_record_with_valid_crc_heals_the_file(tmp_path, good, bad):
+    first = [i.key() for i in enumerate_ideals(F7, 80, (3, 7), cache_dir=tmp_path)]
+    (path,) = tmp_path.glob("*.txt")
+    fresh = path.read_bytes()
+    key = {"p": 3, "fL": 7, "bound": 80, "S": "3_7"}
+    records = load_records(tmp_path, "ideals", key)
+    assert good in records
+    store_records(tmp_path, "ideals", key, [bad if r == good else r for r in records])
+    assert bad in load_records(tmp_path, "ideals", key)  # checksums still pass
+    again = [i.key() for i in enumerate_ideals(F7, 80, (3, 7), cache_dir=tmp_path)]
+    assert again == first
+    assert path.read_bytes() == fresh, "the bad file must be rewritten"
+
+
+# ------------------------------------------------------------ elimination --
+
+
+def _cofactor_det(rows):
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * c * _cofactor_det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j, c in enumerate(rows[0])
+    )
+
+
+def test_det_inv_on_random_integer_matrices():
+    rng = random.Random(20)
+    singular = 0
+    for n in range(1, 6):
+        identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        for _ in range(60):
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            det, inv = _det_inv(rows)
+            assert det == _cofactor_det(rows)
+            if det == 0:
+                singular += 1
+                assert inv is None
+                continue
+            product = [
+                [sum(rows[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
+            assert product == identity
+    assert singular > 0
+
+
+def test_det_inv_swaps_and_singular_input():
+    assert _det_inv([[0, 1], [1, 0]]) == (-1, [[0, 1], [1, 0]])
+    assert _det_inv([[0, 0], [0, 0]]) == (0, None)
+    assert _det_inv([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == (0, None)
+    assert _det_inv([[2]]) == (2, [[Fraction(1, 2)]])

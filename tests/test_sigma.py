@@ -668,3 +668,17 @@ def test_abelian_sweep_can_fail(monkeypatch):
     assert len(check["failures"]) == 5
     # Z/2×Z/2 squares to zero; Z/4 is the first group where 1 ≠ 1²
     assert check["failures"][0] == ((4,), 2, (1,), (1,))
+
+
+def test_parse_setup_action_and_fiber_lines():
+    text = "orders: 2, 2\np: 3\nmodulus_exponent: 2\naction: 0,1 ; 1 1\nfiber: (1 0) (0,1) ( 1 1 )\n"
+    parsed = parse_setup(text)
+    built = semidirect_setup(
+        (2, 2), 3, action=[[0, 1], [1, 1]], modulus_exponent=2, fibers=[[(1, 0), (0, 1), (1, 1)]]
+    )
+    assert parsed.fibers == built.fibers == ((((1, 0), 0), ((0, 1), 0), ((1, 1), 0)),)
+    assert parsed.group.elements == built.group.elements
+    assert all(parsed.sigma_action(h) == built.sigma_action(h) for h in built.h_elements)
+    heisenberg = parse_setup(CATALOG["heisenberg3"])
+    assert heisenberg.sigma_action(((1, 0), 0)) == ((1, 0), 0)
+    assert heisenberg.sigma_action(((0, 1), 0)) == ((1, 1), 0)

@@ -1,6 +1,8 @@
 from math import gcd
 
-from pmcong.units import divisors, factorize, is_prime, unit_group
+import pytest
+
+from pmcong.units import divisors, factorize, is_prime, parse_int_list, unit_group
 
 
 def sieve(limit):
@@ -60,3 +62,25 @@ def test_unit_group_exponent_annihilates():
         group = unit_group(n)
         for x in group.elements:
             assert pow(x, group.exponent, n) == 1 % n
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("3,7", (3, 7)),
+        ("3 7", (3, 7)),
+        (" 3, 7 ,11\t13\n", (3, 7, 11, 13)),
+        ("3,,7", (3, 7)),
+        ("-2, 5", (-2, 5)),
+        ("", ()),
+        ("  ", ()),
+        (",", ()),
+    ],
+)
+def test_parse_int_list(text, expected):
+    assert parse_int_list(text) == expected
+
+
+def test_parse_int_list_rejects_other_separators():
+    with pytest.raises(ValueError):
+        parse_int_list("3;7")
