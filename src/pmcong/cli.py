@@ -8,7 +8,7 @@ Verbs:
   k-independence, integrality, ideal counts).
 * ``pmcong sigma`` — the symbolic group-theory suite (configuration-free).
 * ``pmcong zeta`` — print exact partial zeta values at a level.
-* ``pmcong cache-warm`` — populate the enumeration caches for a scenario.
+* ``pmcong cache-warm`` — fill the lattice-scan cache for a scenario.
 
 Exit status is 0 exactly when every executed check reports a true verdict;
 configuration errors exit with status 2.
@@ -47,7 +47,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--cache-dir",
         type=Path,
         default=None,
-        help="directory for enumeration caches (default: none, caching off)",
+        help="directory for the checked lattice-scan cache (default: none, caching off)",
     )
     parser.add_argument(
         "--json-out",
@@ -100,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cls", type=int, default=None, help="single class (default: whole table)"
     )
 
-    warm = sub.add_parser("cache-warm", help="populate enumeration caches")
+    warm = sub.add_parser("cache-warm", help="fill the lattice-scan cache")
     warm.add_argument("--config", type=Path, default=None)
     warm.add_argument("--cache-dir", type=Path, required=True)
 
@@ -141,10 +141,16 @@ def _cmd_sigma(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
-    level = zeta_level(args.modulus, args.s_primes, p=args.p, conductor=args.conductor)
+    if args.k < 1:
+        raise ConfigInvalid("--k must be ≥ 1")
+    try:  # zeta_level only checks and builds what the arguments describe
+        level = zeta_level(args.modulus, args.s_primes, p=args.p, conductor=args.conductor)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigInvalid(str(exc)) from None
     if args.side == L_SIDE and level.field is None:
-        print("the extension side needs --p and --conductor", file=sys.stderr)
-        return 2
+        raise ConfigInvalid("the extension side needs --p and --conductor")
+    if args.cls is not None and not level.has_class(args.side, args.cls % args.modulus):
+        raise ConfigInvalid(f"--cls {args.cls} is not a class of side {args.side} mod {args.modulus}")
     classes = (args.cls,) if args.cls is not None else level.classes(args.side)
     for cls in classes:
         value = partial_zeta(level, args.side, cls % args.modulus, args.k)

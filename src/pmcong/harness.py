@@ -299,7 +299,7 @@ def _qexp_functions(config: ScenarioConfig, level) -> list[LocallyConstantFn]:
     return out + nontrivial[:2]
 
 
-def _check_crosscheck(config: ScenarioConfig, level, cache_dir) -> dict:
+def _check_crosscheck(config: ScenarioConfig, level) -> dict:
     details = {}
 
     dual = True
@@ -346,7 +346,7 @@ def _check_crosscheck(config: ScenarioConfig, level, cache_dir) -> dict:
     details["twisted_sum_integral"] = {"verdict": twist}
 
     field = level.field
-    ideals = enumerate_ideals(field, config.ideal_bound, (), cache_dir=cache_dir)
+    ideals = enumerate_ideals(field, config.ideal_bound)
     counts = {}
     for ideal in ideals:
         counts[ideal.norm()] = counts.get(ideal.norm(), 0) + 1
@@ -440,7 +440,7 @@ def run_scenario(
             continue
         start = time.monotonic()
         if name == "crosscheck":
-            result = _check_crosscheck(config, level, cache_dir)
+            result = _check_crosscheck(config, level)
         elif name == "transfer":
             result = _check_transfer(config, level)
         elif name == "delta":
@@ -462,20 +462,11 @@ def run_scenario(
 
 
 def cache_warm(config: ScenarioConfig, cache_dir: Path) -> dict:
-    """Populate the enumeration caches a full scenario run would touch."""
+    """Populate the lattice-scan cache that the q-expansion check of a run reads."""
     cache_dir = Path(cache_dir)
-    level = config.level()
-    field = level.field
     files_before = {p.name for p in cache_dir.glob("*")} if cache_dir.exists() else set()
-
-    enumerate_ideals(field, config.ideal_bound, (), cache_dir=cache_dir)
-    trace_bound = config.p * config.qexp_bound
-    by_trace = tot_pos_up_to(field, trace_bound, cache_dir=cache_dir)
-    max_norm = max(
-        (abs(nu.norm()) for nus in by_trace.values() for nu in nus), default=1
-    )
-    enumerate_ideals(field, max_norm, config.s_primes, cache_dir=cache_dir)
-
+    field = field_spec(config.p, config.conductor)
+    tot_pos_up_to(field, config.p * config.qexp_bound, cache_dir=cache_dir)
     files_after = sorted(p.name for p in cache_dir.glob("*"))
     return {
         "directory": str(cache_dir),

@@ -619,40 +619,21 @@ def factor_principal(spec: AbelianFieldSpec, nu: AlgebraicInt) -> IdealFactored:
 
 
 # ---------------------------------------------------------------------------
-# enumerations (cached on disk when a cache directory is configured)
+# enumerations (the lattice scans are cached on disk when a cache directory is
+# configured; the ideal enumeration costs no more than reading it back would)
 
 
-def enumerate_ideals(
-    spec: AbelianFieldSpec,
-    bound: int,
-    s_primes=(),
-    cache_dir: Path | None = None,
-) -> tuple[IdealFactored, ...]:
+def enumerate_ideals(spec: AbelianFieldSpec, bound: int, s_primes=()) -> tuple[IdealFactored, ...]:
     """All integral ideals of norm ≤ bound, coprime to S, sorted by norm."""
     if bound < 1:
         raise ValueError("bound must be ≥ 1")
-    skip = sorted(set(s_primes))
-    key = {
-        "p": spec.p,
-        "fL": spec.conductor,
-        "bound": bound,
-        "S": "_".join(map(str, skip)) or "none",
-    }
-    cached = load_records(cache_dir, "ideals", key)
-    if cached is not None:
-        try:
-            return tuple(_ideal_from_record(spec, rec, bound) for rec in cached)
-        except ValueError:
-            pass  # a bad record makes the file stale: recompute and rewrite it
-
+    skip = set(s_primes)
     primes: list[PrimeIdeal] = []
-    q = 2
-    while q <= bound:
+    for q in range(2, bound + 1):
         if is_prime(q) and q not in skip:
             for slot in spec.split(q).slots:
                 if slot.norm() <= bound:
                     primes.append(slot)
-        q += 1
     primes.sort(key=PrimeIdeal.sort_key)
 
     results: list[IdealFactored] = []
@@ -679,39 +660,21 @@ def enumerate_ideals(
 
     extend(0, [], 1)
     results.sort(key=lambda b: (b.norm(), b.key()))
-    store_records(cache_dir, "ideals", key, [_ideal_record(b) for b in results])
     return tuple(results)
 
 
-def _ideal_record(ideal: IdealFactored) -> str:
-    parts = [
-        f"{pr.q}:{'-' if pr.root is None else pr.root}:{e}" for pr, e in ideal.factors
-    ]
-    return f"{ideal.norm()}|" + (";".join(parts) if parts else "unit")
-
-
-def _ideal_from_record(spec: AbelianFieldSpec, record: str, bound: int) -> IdealFactored:
-    """Inverse of _ideal_record; ValueError unless `record` is exactly that of an ideal of norm ≤ bound."""
-    norm_s, _, body = record.partition("|")
-    norm = int(norm_s)
-    if not 1 <= norm <= bound:
-        raise ValueError("corrupt ideal cache record")
-    factors = []
-    parts = () if body == "unit" else body.split(";")
-    for part in parts:
-        q_s, root_s, e_s = part.split(":")
-        q = int(q_s)
-        if q < 2 or norm % q:  # keeps spec.split(q) within the enumeration's primes
-            raise ValueError("corrupt ideal cache record")
-        root = None if root_s == "-" else int(root_s)
-        slot = next((s for s in spec.split(q).slots if s.root == root), None)
-        if slot is None:
-            raise ValueError("corrupt ideal cache record")
-        factors.append((slot, int(e_s)))
-    ideal = IdealFactored(spec, factors)
-    if _ideal_record(ideal) != record:
-        raise ValueError("corrupt ideal cache record")
-    return ideal
+def _tot_pos_from_records(
+    spec: AbelianFieldSpec, t: int, records: list[str]
+) -> tuple[AlgebraicInt, ...] | None:
+    """The cached ν of trace t, or None unless every record is one, in ascending order."""
+    try:
+        nus = tuple(spec.element(int(v) for v in record.split(",")) for record in records)
+    except ValueError:  # not an integer, or not p coordinates
+        return None
+    ascending = all(a.coords < b.coords for a, b in zip(nus, nus[1:]))
+    if ascending and all(nu.trace() == t and nu.is_totally_positive() for nu in nus):
+        return nus
+    return None
 
 
 def enumerate_tot_pos_trace(
@@ -725,7 +688,8 @@ def enumerate_tot_pos_trace(
     sharp integer ranges for the coordinates, of which the last is determined
     by the trace.  Candidates are prefiltered in floating point with a margin
     below the 1/t^(p−1) floor on embeddings of totally positive integers, then
-    decided exactly.
+    decided exactly.  A cached scan is decided exactly as well: every record
+    must be a totally positive ν of trace t, in ascending order.
     """
     if t <= 0:
         return ()
@@ -734,9 +698,9 @@ def enumerate_tot_pos_trace(
     key = {"p": spec.p, "fL": spec.conductor, "t": t}
     cached = load_records(cache_dir, "totpos", key)
     if cached is not None:
-        return tuple(
-            spec.element(tuple(int(v) for v in rec.split(","))) for rec in cached
-        )
+        nus = _tot_pos_from_records(spec, t, cached)
+        if nus is not None:
+            return nus  # otherwise the file is stale: rescan and rewrite it
 
     p = spec.p
     r_min = spec.root_brackets[0][0]

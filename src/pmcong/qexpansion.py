@@ -203,12 +203,10 @@ class NuTable:
         p = level.p
         self.by_trace = tot_pos_up_to(field, trace_bound, cache_dir=cache_dir)
 
-        norms: dict[tuple[int, ...], int] = {}
         factored: dict[tuple[int, ...], IdealFactored] = {}
         divisor_ideals: dict[tuple[int, ...], list[IdealFactored]] = {}
         for nus in self.by_trace.values():
             for nu in nus:
-                norms[nu.coords] = abs(nu.norm())
                 factored[nu.coords] = factor_principal(field, nu)
                 divisor_ideals[nu.coords] = factored[nu.coords].divisors(level.s_primes)
         self.divisors = {
@@ -216,17 +214,18 @@ class NuTable:
             for coords, ideals in divisor_ideals.items()
         }
 
-        # the direct route reads the enumerated pool, never the divisor lists
-        max_norm = max(norms.values(), default=1)
+        # the direct route reads the enumerated pool, never the divisor lists;
+        # |N(ν)| is the norm of (ν), whose valuations factor_principal checked
+        max_norm = max((b.norm() for b in factored.values()), default=1)
         pool: dict[int, list[IdealFactored]] = {}
-        for ideal in enumerate_ideals(field, max_norm, level.s_primes, cache_dir=cache_dir):
+        for ideal in enumerate_ideals(field, max_norm, level.s_primes):
             pool.setdefault(ideal.norm(), []).append(ideal)
         self.direct = {}
-        for coords, norm in norms.items():
-            exps = dict(factored[coords].factors)
+        for coords, principal in factored.items():
+            exps = dict(principal.factors)
             self.direct[coords] = tuple(
                 (n, artin_symbol(ideal, f))
-                for n in divisors(norm)
+                for n in divisors(principal.norm())
                 for ideal in pool.get(n, ())
                 if all(exps.get(pr, 0) >= e for pr, e in ideal.factors)
             )

@@ -225,6 +225,8 @@ def delta_sum_integrality(
     sum's integrality — so v_p(ε_k) ≥ −a is part of the check.  Violations
     raise instead of returning a misleading verdict.
     """
+    if not level.scenario:
+        raise ValueError("the twisted-sum check needs a scenario level")
     p = level.p
     a = level.a
     for k, eps in eps_by_k.items():

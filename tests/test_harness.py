@@ -441,6 +441,35 @@ def test_cli_zeta_bad_s_primes_exits_2(capsys):
     assert "--s-primes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--modulus", "0", "--k", "2"], "modulus"),
+        (["--modulus", "63", "--k", "0"], "--k"),
+        (["--modulus", "63", "--k", "2", "--s-primes", "5"], "S-prime"),
+        (["--modulus", "63", "--k", "2", "--cls", "3"], "--cls 3"),
+        (["--modulus", "63", "--k", "2", "--side", "L", "--p", "3", "--conductor", "13"], "conductor"),
+        (["--modulus", "7", "--k", "2", "--side", "L", "--p", "5", "--conductor", "7"], "conductor"),
+        (["--modulus", "31", "--k", "2", "--side", "L", "--p", "3", "--conductor", "31"], "[O_L"),
+    ],
+    ids=[
+        "modulus-0",
+        "k-0",
+        "s-prime-off-modulus",
+        "non-unit-class",
+        "conductor-off-modulus",
+        "bad-field",
+        "unsupported-field",
+    ],
+)
+def test_cli_zeta_bad_arguments_exit_2(capsys, argv, named):
+    assert main(["zeta", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ")
+    assert named in captured.err
+
+
 def test_cli_zeta_extension_side(capsys):
     rc = main(
         [

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from pmcong.cache import cache_path, load_records, store_records
+from pmcong.cache import load_records, store_records
 from pmcong.dirichlet import characters_of, conductor_primitive, series_coefficients
 from pmcong.numberfield import (
     NotCoprime,
@@ -359,17 +359,6 @@ def test_cache_round_trip_and_corruption_recovery(tmp_path):
     assert victim.read_bytes() == blobs[victim], "corrupt file must be rewritten"
 
 
-def test_ideal_cache_round_trip(tmp_path):
-    first = [i.key() for i in enumerate_ideals(F7, 80, (3, 7), cache_dir=tmp_path)]
-    files = sorted(tmp_path.glob("*.txt"))
-    assert files
-    blobs = {f: f.read_bytes() for f in files}
-    second = [i.key() for i in enumerate_ideals(F7, 80, (3, 7), cache_dir=tmp_path)]
-    assert first == second
-    for f in files:
-        assert f.read_bytes() == blobs[f]
-
-
 def test_cache_headers_name_kind_and_key(tmp_path):
     tot_pos_up_to(F7, 4, cache_dir=tmp_path)
     for f in tmp_path.glob("*.txt"):
@@ -377,47 +366,53 @@ def test_cache_headers_name_kind_and_key(tmp_path):
         assert head.startswith("pmcong-cache/2 ")
 
 
+TOTPOS_12 = {"p": 3, "fL": 7, "t": 12}
+
+
 def test_cache_truncated_at_a_record_boundary_is_recomputed(tmp_path):
-    first = [i.key() for i in enumerate_ideals(F7, 80, (3, 7), cache_dir=tmp_path)]
+    first = enumerate_tot_pos_trace(F7, 12, cache_dir=tmp_path)
     (path,) = tmp_path.glob("*.txt")
     fresh = path.read_bytes()
     lines = fresh.decode("utf-8").splitlines(keepends=True)
-    assert len(lines) == 1 + 18 + 1  # header, 18 records, trailer
-    path.write_bytes("".join(lines[:9]).encode("utf-8"))  # header and 8 records
-    key = {"p": 3, "fL": 7, "bound": 80, "S": "3_7"}
-    assert load_records(tmp_path, "ideals", key) is None
-    again = [i.key() for i in enumerate_ideals(F7, 80, (3, 7), cache_dir=tmp_path)]
-    assert again == first
+    assert len(lines) == 1 + 10 + 1  # header, 10 records, trailer
+    path.write_bytes("".join(lines[:6]).encode("utf-8"))  # header and 5 records
+    assert load_records(tmp_path, "totpos", TOTPOS_12) is None
+    assert enumerate_tot_pos_trace(F7, 12, cache_dir=tmp_path) == first
     assert path.read_bytes() == fresh, "the healed file must match a fresh one"
 
     # so is a file cut only before its final newline
     path.write_bytes(fresh[:-1])
-    assert load_records(tmp_path, "ideals", key) is None
+    assert load_records(tmp_path, "totpos", TOTPOS_12) is None
 
     # a pmcong-cache/1 file (no trailer) is stale and rewritten as version 2
     v1 = [lines[0].replace("pmcong-cache/2 ", "pmcong-cache/1 ")] + lines[1:-1]
     path.write_bytes("".join(v1).encode("utf-8"))
-    assert load_records(tmp_path, "ideals", key) is None
-    enumerate_ideals(F7, 80, (3, 7), cache_dir=tmp_path)
+    assert load_records(tmp_path, "totpos", TOTPOS_12) is None
+    enumerate_tot_pos_trace(F7, 12, cache_dir=tmp_path)
     assert path.read_bytes() == fresh
 
 
+# trace 6 holds (-3,-2,-1), (-2,-2,-2), (-2,-1,-3), (-1,-3,-2); each edit
+# breaks exactly one record check and keeps the rest in ascending order
 @pytest.mark.parametrize(
-    "good, bad",
-    [("13|13:7:1", "14|13:7:1"), ("13|13:7:1", "13|13:9:1")],
-    ids=["wrong-norm", "unknown-root"],
+    "tamper",
+    [
+        lambda records: ["-6,0,0"] + records,  # trace 6, one negative embedding
+        lambda records: records + ["1,2"],  # two coordinates in a cubic field
+        lambda records: ["-3,-3,-3"] + records,  # totally positive, but trace 9
+        lambda records: records[1:] + records[:1],  # every ν, out of order
+    ],
+    ids=["not-totally-positive", "coordinate-count", "wrong-trace", "out-of-order"],
 )
-def test_bad_ideal_record_with_valid_crc_heals_the_file(tmp_path, good, bad):
-    first = [i.key() for i in enumerate_ideals(F7, 80, (3, 7), cache_dir=tmp_path)]
+def test_bad_scan_record_with_valid_crc_heals_the_file(tmp_path, tamper):
+    key = {"p": 3, "fL": 7, "t": 6}
+    first = enumerate_tot_pos_trace(F7, 6, cache_dir=tmp_path)
     (path,) = tmp_path.glob("*.txt")
     fresh = path.read_bytes()
-    key = {"p": 3, "fL": 7, "bound": 80, "S": "3_7"}
-    records = load_records(tmp_path, "ideals", key)
-    assert good in records
-    store_records(tmp_path, "ideals", key, [bad if r == good else r for r in records])
-    assert bad in load_records(tmp_path, "ideals", key)  # checksums still pass
-    again = [i.key() for i in enumerate_ideals(F7, 80, (3, 7), cache_dir=tmp_path)]
-    assert again == first
+    bad = tamper(load_records(tmp_path, "totpos", key))
+    store_records(tmp_path, "totpos", key, bad)
+    assert load_records(tmp_path, "totpos", key) == bad  # checksums still pass
+    assert enumerate_tot_pos_trace(F7, 6, cache_dir=tmp_path) == first
     assert path.read_bytes() == fresh, "the bad file must be rewritten"
 
 

@@ -7,6 +7,7 @@ import pytest
 import pmcong.qexpansion as qexpansion
 from pmcong.exact import PValuation
 from pmcong.levels import L_SIDE, Q_SIDE, LocallyConstantFn, scenario_level, zeta_level
+from pmcong.numberfield import AlgebraicInt
 from pmcong.pseudomeasure import FlagViolation
 from pmcong.qexpansion import (
     InsufficientBound,
@@ -217,6 +218,26 @@ def test_shared_table_matches_a_fresh_build_and_guards_its_bound():
     other = scenario_level(3, 7, (3, 7), 3)
     with pytest.raises(ValueError, match="does not cover"):
         eisenstein_l(other, LocallyConstantFn.constant_fn(other, L_SIDE, 1), 2, 6, table=table)
+
+
+def test_table_takes_two_char_polys_per_nu(tmp_path, monkeypatch):
+    """Each ν costs two characteristic polynomials: one decides total
+    positivity (in the scan, or in the check of its cached record) and one
+    is taken by factor_principal, which also gives the table |N(ν)|."""
+    trace_bound = 3 * 6
+    nus = sum(map(len, NuTable(LV, trace_bound).by_trace.values()))
+    char_poly = AlgebraicInt.char_poly
+    calls = []
+
+    def counting(nu):
+        calls.append(nu.coords)
+        return char_poly(nu)
+
+    monkeypatch.setattr(AlgebraicInt, "char_poly", counting)
+    for cache in ("cold", "warm"):
+        calls.clear()
+        NuTable(LV, trace_bound, cache_dir=tmp_path)
+        assert len(calls) == 2 * nus, cache
 
 
 def test_direct_route_reads_the_enumerated_pool(monkeypatch):

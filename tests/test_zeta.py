@@ -242,6 +242,14 @@ def test_twisted_sum_detects_violations():
         delta_sum_integrality(LV63, Q_SIDE, g, {2: too_deep})
 
 
+def test_twisted_sum_rejects_a_level_without_p():
+    level = zeta_level(63, (3, 7))
+    g = FrobeniusChoice(level, 2)
+    eps = LocallyConstantFn.delta_fn(level, Q_SIDE, 1)
+    with pytest.raises(ValueError, match="scenario level"):
+        delta_sum_integrality(level, Q_SIDE, g, {2: eps})
+
+
 def test_twisted_pair_can_cancel_to_integral():
     # eps_2 = -n_tilde(x)^2 * eps_4 pointwise makes the twisted sum vanish while
     # each summand alone fails; the combined Delta-sum must then be integral
