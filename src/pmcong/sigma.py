@@ -1,9 +1,11 @@
 """Coset transfer, Σ-trace ideals, and orbit decompositions on explicit finite groups.
 
 Everything here is desk-scale group theory, validated by brute force: a group
-is a multiplication table, the transfer map is computed literally from coset
-representatives, and trace-ideal membership is integer linear algebra with a
-certificate that is re-expanded before it is believed.  This is the symbolic
+is a multiplication table, tabulated over element positions and validated
+once when the group is built, the transfer map is computed literally from
+coset representatives by lookups in that table, and trace-ideal membership is
+integer linear algebra with a certificate that is re-expanded before it is
+believed.  This is the symbolic
 counterpart of the numeric pipeline — it exercises nontrivial Σ-actions
 (semidirect products, non-split abelian towers) that unit-group levels over Q
 can never produce, where the Σ-action on the subgroup is always trivial.
@@ -24,7 +26,9 @@ line, with ``#`` starting a comment:
                            the fiber length, which is 1 or p; repeatable
 
 The group built from such a text is H ⋊ C_p with the given action; its
-elements are pairs (h, t).  Setups over subgroups of plain abelian groups
+elements are pairs (h, t).  A table holds |G|² entries, so orders above
+`MAX_TABULATED_ORDER` (|G| = ∏d_i · p for a text) are rejected before
+anything is built.  Setups over subgroups of plain abelian groups
 (where the extension need not split, e.g. C_9 over C_3) are constructed
 directly with `GaloisSetup`.
 
@@ -41,6 +45,7 @@ soundness guarantee.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import re
 
@@ -53,6 +58,7 @@ __all__ = [
     "EquivarianceViolated",
     "FiniteGroup",
     "GaloisSetup",
+    "MAX_TABULATED_ORDER",
     "NotAbelianKernel",
     "NotFixed",
     "TraceIdeal",
@@ -88,85 +94,136 @@ class BadConjugationData(ValueError):
 # ---------------------------------------------------------------------------
 # explicit finite groups
 
+#: Largest group order that is tabulated; a Cayley table holds |G|² positions
+#: (about 32 MB of list slots at this order).
+MAX_TABULATED_ORDER = 2048
+
+
+def _check_order(order: int) -> None:
+    if order > MAX_TABULATED_ORDER:
+        raise ValueError(
+            f"group order {order} exceeds the tabulation limit {MAX_TABULATED_ORDER}"
+        )
+
 
 class FiniteGroup:
-    """A finite group given by its carrier, multiplication, and identity."""
+    """A finite group given by its carrier, multiplication, and identity.
 
-    def __init__(self, elements, mul, identity, inverse=None):
-        self.elements = tuple(elements)
-        self._element_set = frozenset(self.elements)
-        if len(self._element_set) != len(self.elements):
-            raise ValueError("duplicate group elements")
-        if identity not in self._element_set:
+    The law is tabulated once at construction: ``table[i][j]`` is the position
+    of ``elements[i]·elements[j]`` in carrier order, and every later product,
+    inverse and power is a lookup in it.  Building the table validates the
+    law: each product lies in the carrier, the identity is two-sided, and
+    every row contains the identity (every element has an inverse).
+    Associativity is assumed, not checked.
+    """
+
+    def __init__(self, elements, mul, identity):
+        elements = tuple(elements)
+        _check_order(len(elements))
+        position = _positions(elements)
+        table = []
+        for x in elements:
+            row = []
+            for y in elements:
+                z = mul(x, y)
+                if z not in position:
+                    raise ValueError(f"{x!r}·{y!r} = {z!r} is not an element")
+                row.append(position[z])
+            table.append(row)
+        self._install(elements, position, table, identity)
+
+    @classmethod
+    def _from_table(cls, elements, table, identity) -> "FiniteGroup":
+        """A group from a ready table over positions in carrier order; the
+        caller has checked the order against the limit before building it."""
+        elements = tuple(elements)
+        group = cls.__new__(cls)
+        group._install(elements, _positions(elements), table, identity)
+        return group
+
+    def _install(self, elements, position, table, identity):
+        if identity not in position:
             raise ValueError("identity is not an element")
-        self.mul = mul
+        e = position[identity]
+        natural = list(range(len(elements)))
+        if table[e] != natural or [row[e] for row in table] != natural:
+            x = next(x for i, x in enumerate(elements) if table[e][i] != i or table[i][e] != i)
+            raise ValueError(f"{identity!r} is not a two-sided identity for {x!r}")
+        try:
+            inverse = [row.index(e) for row in table]
+        except ValueError:
+            x = next(x for x, row in zip(elements, table) if e not in row)
+            raise ValueError(f"{x!r} has no inverse") from None
+        self.elements = elements
+        self.position = position
+        self.table = table
         self.identity = identity
-        self._inverse_fn = inverse
-        self._inverse_map = None
+        self.identity_position = e
+        self.inverse_position = inverse
 
     def __len__(self):
         return len(self.elements)
 
     def __contains__(self, x):
-        return x in self._element_set
+        return x in self.position
+
+    def mul(self, x, y):
+        position = self.position
+        return self.elements[self.table[position[x]][position[y]]]
 
     def inverse(self, x):
-        if self._inverse_fn is not None:
-            return self._inverse_fn(x)
-        if self._inverse_map is None:
-            inv = {}
-            for a in self.elements:
-                for b in self.elements:
-                    if self.mul(a, b) == self.identity:
-                        inv[a] = b
-                        break
-            self._inverse_map = inv
-        return self._inverse_map[x]
+        return self.elements[self.inverse_position[self.position[x]]]
 
     def power(self, x, n: int):
-        out = self.identity
-        for _ in range(n):
-            out = self.mul(out, x)
-        return out
+        """x^n for any integer n, by square-and-multiply on the table; a
+        negative power is the power of the inverse."""
+        i = self.position[x]
+        if n < 0:
+            i, n = self.inverse_position[i], -n
+        table = self.table
+        out = self.identity_position
+        while n:
+            if n & 1:
+                out = table[out][i]
+            i = table[i][i]
+            n >>= 1
+        return self.elements[out]
 
     def conjugate(self, g, x):
         """g·x·g⁻¹."""
         return self.mul(self.mul(g, x), self.inverse(g))
 
 
+def _positions(elements) -> dict:
+    position = {x: i for i, x in enumerate(elements)}
+    if len(position) != len(elements):
+        raise ValueError("duplicate group elements")
+    return position
+
+
 def abelian_group(orders) -> FiniteGroup:
     """∏ Z/d_i with componentwise addition; elements are coordinate tuples.
 
     Each tuple is also packed as a mixed-radix integer with radix 2d_i − 1.
-    The packed sum of two reduced tuples never carries out of a digit, so a
-    product is one integer addition and one lookup in a table of ∏(2d_i − 1)
-    reduced tuples.
+    The packed sum of two reduced tuples never carries out of a digit, so the
+    table entry for a pair is one integer addition and one lookup in a list
+    of ∏(2d_i − 1) reduced positions.
     """
     orders = tuple(int(d) for d in orders)
     if not orders or any(d < 1 for d in orders):
         raise ValueError("orders must be positive integers")
+    _check_order(math.prod(orders))
     elements = tuple(itertools.product(*(range(d) for d in orders)))
     radices = [2 * d - 1 for d in orders]
-
-    def pack(x):
-        c = 0
-        for a, r in zip(x, radices):
-            c = c * r + a
-        return c
-
-    code = {x: pack(x) for x in elements}
-    # every digit vector in increasing packed order, reduced to its carrier tuple
-    canonical = {x: x for x in elements}
-    digits = ([a % d for a in range(r)] for d, r in zip(orders, radices))
-    reduce = [canonical[x] for x in itertools.product(*digits)]
-    negative = {
-        x: canonical[tuple((-a) % d for a, d in zip(x, orders))] for x in elements
-    }
-
-    def mul(x, y):
-        return reduce[code[x] + code[y]]
-
-    return FiniteGroup(elements, mul, elements[0], inverse=negative.__getitem__)
+    # packed codes and reduced positions, both built digit by digit in carrier order
+    codes = [0]
+    for r, d in zip(radices, orders):
+        codes = [c * r + a for c in codes for a in range(d)]
+    reduce = [0]
+    for r, d in zip(radices, orders):
+        reduce = [c * d + a % d for c in reduce for a in range(r)]
+    table = [[reduce[cx + cy] for cy in codes] for cx in codes]
+    return FiniteGroup._from_table(elements, table, elements[0])
 
 
 def _partitions(n: int):
@@ -259,30 +316,47 @@ class GaloisSetup:
             raise ValueError("subgroup does not have index p")
         if group.identity not in self.h_set:
             raise ValueError("subgroup is missing the identity")
-        mul = group.mul
-        if any(a not in group for a in self.h_elements):
+        # all group arithmetic below is on positions in the group's table
+        table = group.table
+        position = group.position
+        h_positions = [position.get(a) for a in self.h_elements]
+        if None in h_positions:
             raise ValueError("subgroup element outside the group")
-        # in a finite group, {1} closed under right products by generators is their span
+        in_h = bytearray(len(group))
+        for a in h_positions:
+            in_h[a] = 1
+        # in a finite group, {1} closed under right products by generators is
+        # their span; each span element meets each generator exactly once
         generators = []
-        span = {group.identity}
-        for a in self.h_elements:
-            if a in span:
+        span = [group.identity_position]
+        in_span = bytearray(len(group))
+        in_span[span[0]] = 1
+
+        def extend(xs, gens):
+            fresh = []
+            for x in xs:
+                row = table[x]
+                for g in gens:
+                    y = row[g]
+                    if not in_h[y]:
+                        raise ValueError("subgroup not closed under multiplication")
+                    if not in_span[y]:
+                        in_span[y] = 1
+                        fresh.append(y)
+            span.extend(fresh)
+            return fresh
+
+        for a in h_positions:
+            if in_span[a]:
                 continue
             generators.append(a)
-            frontier = list(span)
-            while frontier:
-                x = frontier.pop()
-                for g in generators:
-                    y = mul(x, g)
-                    if y not in self.h_set:
-                        raise ValueError("subgroup not closed under multiplication")
-                    if y not in span:
-                        span.add(y)
-                        frontier.append(y)
+            fresh = extend(list(span), (a,))
+            while fresh:
+                fresh = extend(fresh, generators)
         self.h_is_abelian = all(
-            mul(a, b) == mul(b, a)
-            for i, a in enumerate(generators)
-            for b in generators[i + 1 :]
+            table[a][b] == table[b][a]
+            for k, a in enumerate(generators)
+            for b in generators[k + 1 :]
         )
 
         if sigma_rep is None:
@@ -291,22 +365,31 @@ class GaloisSetup:
             raise ValueError("sigma_rep must be a group element outside the subgroup")
         self.sigma_rep = sigma_rep
 
-        # coset representatives sigma_rep^i, their inverses, and the coset-index
-        # lookup; building the lookup exhaustively doubles as a check that the
-        # cosets tile the group
-        self.reps = tuple(group.power(sigma_rep, i) for i in range(p))
-        self.rep_inverses = tuple(group.inverse(r) for r in self.reps)
-        index = {}
-        for i, r in enumerate(self.reps):
-            for h in self.h_elements:
-                x = mul(r, h)
-                if x in index:
+        # coset representatives sigma_rep^i by successive products, their
+        # inverses, and the coset index of every position; filling the index
+        # exhaustively doubles as a check that the cosets tile the group
+        s = position[sigma_rep]
+        reps = [group.identity_position]
+        for _ in range(p - 1):
+            reps.append(table[reps[-1]][s])
+        coset = [-1] * len(group)
+        for i, r in enumerate(reps):
+            row = table[r]
+            for a in h_positions:
+                x = row[a]
+                if coset[x] >= 0:
                     raise ValueError("coset representatives do not tile the group")
-                index[x] = i
-        self.coset_index = index
+                coset[x] = i
+        self.rep_positions = reps
+        self.rep_inverse_positions = [group.inverse_position[r] for r in reps]
+        self.coset_of_position = coset
+        self.reps = tuple(group.elements[r] for r in reps)
+        self.rep_inverses = tuple(group.elements[r] for r in self.rep_inverse_positions)
+        self.coset_index = dict(zip(group.elements, coset))
 
         # the cosets σ^i·H tile G, so σHσ⁻¹ ⊆ H already makes H normal
-        if any(self.sigma_action(g) not in self.h_set for g in generators):
+        s_inv = group.inverse_position[s]
+        if any(not in_h[table[table[s][g]][s_inv]] for g in generators):
             raise ValueError("subgroup is not normal")
 
         self._orbits = None
@@ -383,6 +466,7 @@ def semidirect_setup(
     r = len(orders)
     if not is_prime(p):
         raise ValueError("p must be prime")
+    _check_order(math.prod(orders) * p)
     if action is None:
         action = _matrix_identity(r)
     action = [[int(c) for c in row] for row in action]
@@ -391,39 +475,43 @@ def semidirect_setup(
 
     kernel = abelian_group(orders)
     base = kernel.elements
-    add = kernel.mul
-    image = {
-        h: tuple(sum(a * c for a, c in zip(row, h)) % d for row, d in zip(action, orders))
+    add = kernel.table
+    m = len(base)
+    # image[i] is the position of the action applied to base[i]
+    image = [
+        kernel.position[
+            tuple(sum(a * c for a, c in zip(row, h)) % d for row, d in zip(action, orders))
+        ]
         for h in base
-    }
-    if len(set(image.values())) != len(base):
+    ]
+    if len(set(image)) != m:
         raise ValueError("action matrix is not invertible on H")
-    for x in base:
-        for y in base:
-            if image[add(x, y)] != add(image[x], image[y]):
-                raise ValueError("action matrix is not additive on H")
-    # acts[s][h] is the s-th power of the action applied to h; iterating the
-    # tabulated map agrees with matrix powers once the action is additive on H
-    acts = [{h: h for h in base}]
+    for x in range(m):
+        # image(x + y) against image(x) + image(y), for every y at once
+        if [image[z] for z in add[x]] != [add[image[x]][w] for w in image]:
+            raise ValueError("action matrix is not additive on H")
+    # acts[s][i] is the s-th power of the action applied to base[i]; iterating
+    # the tabulated map agrees with matrix powers once the action is additive
+    acts = [list(range(m))]
     for _ in range(p - 1):
-        acts.append({h: image[x] for h, x in acts[-1].items()})
-    if any(image[acts[-1][h]] != h for h in base):
+        acts.append([image[i] for i in acts[-1]])
+    if [image[i] for i in acts[-1]] != acts[0]:
         raise ValueError("action matrix does not have order dividing p")
 
+    # (h1, s)·(h2, t) = (h1 + acts[s](h2), s + t); (h, t) sits at t·m + pos(h)
     elements = tuple((h, t) for t in range(p) for h in base)
-    identity = (kernel.identity, 0)
-
-    def mul(x, y):
-        (h1, s), (h2, t) = x, y
-        return (add(h1, acts[s][h2]), (s + t) % p)
-
-    def inv(x):
-        h, s = x
-        s2 = (p - s) % p
-        return (kernel.inverse(acts[s2][h]), s2)
-
-    group = FiniteGroup(elements, mul, identity, inverse=inv)
-    h_elements = tuple((h, 0) for h in base)
+    # slices of one position list, so that every table row shares its ints
+    natural = list(range(p * m))
+    cosets = [natural[t * m : (t + 1) * m] for t in range(p)]
+    table = []
+    for s in range(p):
+        blocks = cosets[s:] + cosets[:s]
+        for i in range(m):
+            row = add[i]
+            moved = [row[j] for j in acts[s]]
+            table.append([block[k] for block in blocks for k in moved])
+    group = FiniteGroup._from_table(elements, table, (kernel.identity, 0))
+    h_elements = elements[:m]
     fiber_elements = tuple(tuple((tuple(c), 0) for c in fiber) for fiber in fibers)
     return GaloisSetup(
         group,
@@ -445,30 +533,32 @@ def coset_transfer(setup: GaloisSetup, g, reps=None):
     contributing h_i = x_j⁻¹·g·x_i; ver(g) is the product of the h_i.  H
     abelian makes the product order irrelevant and the result independent of
     the transversal — properties the test suite checks exhaustively rather
-    than trusts.
+    than trusts.  Every product is a lookup in the group's table.
     """
     if not setup.h_is_abelian:
         raise NotAbelianKernel("transfer needs an abelian kernel")
     group = setup.group
-    if g not in group:
+    i = group.position.get(g)
+    if i is None:
         raise ValueError(f"{g!r} is not an element of the group")
-    mul = group.mul
-    index = setup.coset_index
+    table = group.table
+    coset = setup.coset_of_position
     if reps is None:
-        reps = setup.reps
-        inverses = setup.rep_inverses
+        reps = setup.rep_positions
+        inverses = setup.rep_inverse_positions
     else:
-        reps = tuple(reps)
-        if sorted(index.get(r, -1) for r in reps) != list(range(setup.p)):
+        reps = [group.position.get(r) for r in reps]
+        if None in reps or sorted(coset[x] for x in reps) != list(range(setup.p)):
             raise ValueError("custom representatives do not form a transversal")
         inverses = [None] * setup.p
-        for r in reps:
-            inverses[index[r]] = group.inverse(r)
-    out = group.identity
+        for x in reps:
+            inverses[coset[x]] = group.inverse_position[x]
+    row = table[i]
+    out = group.identity_position
     for x in reps:
-        t = mul(g, x)
-        out = mul(out, mul(inverses[index[t]], t))
-    return out
+        t = row[x]
+        out = table[out][table[inverses[coset[t]]][t]]
+    return group.elements[out]
 
 
 # ---------------------------------------------------------------------------
@@ -848,10 +938,12 @@ def _check_abelian_sweep(max_order: int) -> dict:
             for p in sorted(factorize(n)):
                 powers = [group.power(g, p) for g in group.elements]
                 for functional in index_p_functionals(orders, p):
+                    # the functional's values in carrier order, coordinate by coordinate
+                    values = [0]
+                    for c, d in zip(functional, orders):
+                        values = [v + c * a for v in values for a in range(d)]
                     h_elements = [
-                        x
-                        for x in group.elements
-                        if sum(c * xi for c, xi in zip(functional, x)) % p == 0
+                        x for x, v in zip(group.elements, values) if v % p == 0
                     ]
                     setup = GaloisSetup(group, h_elements, p)
                     kernels += 1

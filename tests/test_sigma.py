@@ -1,6 +1,8 @@
 """Group-theoretic engine: transfers, Smith forms, trace ideals, the suite."""
 
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,9 +10,12 @@ from fractions import Fraction
 import pytest
 
 import pmcong.sigma as sigma
+from pmcong.cli import main
+from pmcong.harness import jsonable
 from pmcong.levels import scenario_level
 from pmcong.sigma import (
     CATALOG,
+    MAX_TABULATED_ORDER,
     BadConjugationData,
     EquivarianceViolated,
     FiniteGroup,
@@ -164,18 +169,52 @@ def test_packed_abelian_law_is_componentwise(orders):
             assert group.mul(x, y) == expected
 
 
+@pytest.mark.parametrize(
+    "elements, mul, identity, message",
+    [
+        (range(6), lambda x, y: x + y, 0, r"1·5 = 6 is not an element"),
+        (range(4), max, 0, r"1 has no inverse"),
+        (range(3), lambda x, y: y, 0, r"0 is not a two-sided identity for 1"),
+        (range(2), lambda x, y: (x + y) % 2, 1, r"1 is not a two-sided identity for 0"),
+    ],
+    ids=["product-outside", "no-inverse", "one-sided-identity", "not-an-identity"],
+)
+def test_finite_group_rejects_laws_that_are_not_groups(elements, mul, identity, message):
+    """A law that leaves the carrier, lacks a two-sided identity, or leaves an
+    element without an inverse is refused when the group is built."""
+    with pytest.raises(ValueError, match=message):
+        FiniteGroup(elements, mul, identity)
+
+
+def test_oversized_groups_are_rejected_before_anything_is_built(monkeypatch):
+    def no_products(x, y):
+        raise AssertionError("the law was evaluated")
+
+    def no_kernel(orders):
+        raise AssertionError("the kernel was built")
+
+    limit = f"exceeds the tabulation limit {MAX_TABULATED_ORDER}"
+    big = MAX_TABULATED_ORDER + 1
+    with pytest.raises(ValueError, match=f"group order {big} {limit}"):
+        FiniteGroup(range(big), no_products, 0)
+    with pytest.raises(ValueError, match=f"group order {big} {limit}"):
+        abelian_group((big,))
+    monkeypatch.setattr(sigma, "abelian_group", no_kernel)
+    with pytest.raises(ValueError, match=f"group order 12288 {limit}"):
+        parse_setup("orders: 64 64\np: 3\n")
+    with pytest.raises(ValueError, match=f"group order 2050 {limit}"):
+        semidirect_setup((1025,), 2)
+    # the suite's largest group, order 100, stays far inside the limit
+    assert MAX_TABULATED_ORDER >= 100
+
+
 # ---------------------------------------------------------------------------
 # setup construction and validation
 
 
 def _units63_group():
     els = tuple(x for x in range(63) if math.gcd(x, 63) == 1)
-    return FiniteGroup(
-        els,
-        lambda a, b: (a * b) % 63,
-        1,
-        inverse=lambda a: pow(a, -1, 63),
-    )
+    return FiniteGroup(els, lambda a, b: (a * b) % 63, 1)
 
 
 def _units63_setup():
@@ -191,6 +230,26 @@ def _s3_group():
         return tuple(a[b[i]] for i in range(3))
 
     return FiniteGroup(els, mul, (0, 1, 2))
+
+
+def test_power_matches_repeated_multiplication():
+    """x^n for n in −|G|…2|G| on every catalog group and on S3: repeated
+    products for n ≥ 0, and x^n·x^(−n) = 1 with x^n = x^(n mod |G|) for n < 0."""
+    groups = [parse_setup(text).group for text in CATALOG.values()] + [_s3_group()]
+    for group in groups:
+        order = len(group)
+        for x in group.elements:
+            powers = [group.identity]
+            for _ in range(2 * order):
+                powers.append(group.mul(powers[-1], x))
+            assert powers[order] == group.identity
+            for n in range(-order, 2 * order + 1):
+                got = group.power(x, n)
+                if n >= 0:
+                    assert got == powers[n]
+                else:
+                    assert got == powers[n % order]
+                    assert group.mul(got, powers[-n]) == group.identity
 
 
 def test_setup_rejects_bad_data():
@@ -226,6 +285,16 @@ def test_setup_rejects_non_normal_subgroup():
     # with a 3-cycle they do tile, and the normality check fires instead
     with pytest.raises(ValueError, match="normal"):
         GaloisSetup(group, h, 3, sigma_rep=(1, 2, 0))
+
+
+def test_closure_failure_between_spanned_element_and_later_generator():
+    """In (Z/2)³ the set {000, 100, 010, 001} fails closure first at
+    100·010, a product of an element spanned by the first generator with the
+    second generator; the span walk must still form it."""
+    group = abelian_group((2, 2, 2))
+    h = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    with pytest.raises(ValueError, match="closed"):
+        GaloisSetup(group, h, 2)
 
 
 def test_kernel_validation_matches_brute_force():
@@ -418,7 +487,7 @@ def test_transfer_agrees_on_permuted_custom_transversal():
             assert [setup.coset_index[x] for x in reps] != list(range(setup.p))
             for g in group.elements:
                 assert coset_transfer(setup, g, reps=reps) == coset_transfer(setup, g)
-    # S3 was built without an inverse callable; its transfer to A3 is trivial
+    # the transfer from S3 to A3 is trivial
     assert all(coset_transfer(a3, g) == s3.identity for g in s3.elements)
 
 
@@ -647,14 +716,54 @@ def test_parse_setup_grammar():
         parse_setup("orders: 2 2\np: 3\naction: 0 1 ; 1 1\nfiber: (1)\n")
 
 
-def test_suite_runs_green():
-    results = run_sigma_suite()
+@pytest.fixture(scope="module")
+def suite_report():
+    return run_sigma_suite()
+
+
+def test_suite_runs_green(suite_report):
+    results = suite_report
     assert results["verdict"]
     assert len(results["checks"]) >= 8
     for name, report in results["checks"].items():
         assert report["verdict"], name
     sweep = results["checks"]["abelian_transfer_is_pth_power"]
     assert (sweep["groups"], sweep["kernels"], sweep["failures"]) == (184, 893, [])
+
+
+#: SHA-256 of the suite's canonical JSON; the report must stay byte-identical.
+SUITE_REPORT_SHA256 = "4e1b496c2f0778ab02d2721dcd8a6525aed37d8e93b2ac96565267f2c7d0de6b"
+
+
+def test_suite_report_is_pinned_byte_for_byte(suite_report, tmp_path, capsys):
+    canonical = json.dumps(jsonable(suite_report), sort_keys=True)
+    assert hashlib.sha256(canonical.encode()).hexdigest() == SUITE_REPORT_SHA256
+    out = tmp_path / "sigma.json"
+    assert main(["sigma", "--json-out", str(out)]) == 0
+    assert json.loads(out.read_text()) == jsonable(suite_report)
+    assert "overall: PASS" in capsys.readouterr().out
+
+
+def test_suite_call_counts(monkeypatch):
+    """The suite builds 905 setups and takes 53 809 literal transfers, one per
+    element and transversal; the benchmark's traced counters explain its time
+    by these numbers."""
+    calls = {"transfer": 0, "setup": 0}
+    transfer = sigma.coset_transfer
+    init = GaloisSetup.__init__
+
+    def counted_transfer(*args, **kwargs):
+        calls["transfer"] += 1
+        return transfer(*args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        calls["setup"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sigma, "coset_transfer", counted_transfer)
+    monkeypatch.setattr(GaloisSetup, "__init__", counted_init)
+    assert run_sigma_suite()["verdict"]
+    assert calls == {"transfer": 53_809, "setup": 905}
 
 
 def test_abelian_sweep_can_fail(monkeypatch):
