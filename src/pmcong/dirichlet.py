@@ -147,8 +147,9 @@ class PrimitiveData:
 def conductor_primitive(chi: DirichletCharacter) -> PrimitiveData:
     """Smallest d | f through which chi factors, with the factored value table.
 
-    chi*(a) for gcd(a, d) = 1 is chi(b) for any lift b = a mod d coprime to f.
-    The exponents come from one discrete log per class of (Z/f)^x.
+    Every unit mod f reduces to a unit mod d, and chi is constant on the
+    fibres of that reduction, so chi*(x mod d) = chi(x).  The exponents come
+    from one discrete log per class of (Z/f)^x.
     """
     f = chi.modulus
     group = chi.group
@@ -159,26 +160,8 @@ def conductor_primitive(chi: DirichletCharacter) -> PrimitiveData:
         # trivial on the kernel of (Z/f)^x -> (Z/d)^x ?
         if any(t for x, t in exponent.items() if x % d == 1 % d):
             continue
-        table: dict[int, int] = {}
-        for a in range(d):
-            if gcd(a, d) != 1 and d > 1:
-                continue
-            table[a % d] = exponent[_coprime_lift(a, d, f) % f]
-        return PrimitiveData(d, n, table)
+        return PrimitiveData(d, n, {x % d: t for x, t in exponent.items()})
     raise ArithmeticError(f"{chi!r} does not factor through its own modulus")
-
-
-def _coprime_lift(a: int, d: int, f: int) -> int:
-    # lift a (coprime to d) to b = a mod d with gcd(b, f) = 1
-    if d == f:
-        return a
-    step = d if d > 0 else 1
-    b = a % d
-    if b == 0 and d == 1:
-        b = 1
-    while gcd(b, f) != 1:
-        b += step
-    return b
 
 
 @lru_cache(maxsize=None)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import configparser
 import math
 import time
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .levels import (
     even_orbit_indicators,
     scenario_level,
 )
-from .numberfield import _MAX_TRACE, enumerate_ideals, field_spec, tot_pos_up_to
+from .numberfield import _MAX_TRACE, enumerate_ideals, tot_pos_up_to
 from .pseudomeasure import (
     lambda_approx,
     verify_delta_congruence,
@@ -35,7 +36,7 @@ from .pseudomeasure import (
 )
 from .qexpansion import NuTable, verify_qexp_congruence
 from .sigma import run_sigma_suite
-from .units import is_prime, parse_int_list
+from .units import parse_int_list
 from .zeta import (
     delta_sum_integrality,
     delta_table,
@@ -92,51 +93,35 @@ def _read_section(sec) -> dict:
     return kwargs
 
 
+@dataclass(slots=True, eq=False)
 class ScenarioConfig:
-    """Validated scenario parameters; see `from_ini` for the file format."""
+    """Validated scenario parameters; see `from_ini` for the file format.
 
-    __slots__ = (
-        "p",
-        "conductor",
-        "s_primes",
-        "a",
-        "k_values",
-        "frobenius",
-        "qexp_bound",
-        "ideal_bound",
-        "checks",
-        "scaled",
-        "eps_basis",
-        "eps_table",
-    )
+    The fields are the scenario keys.  Every running hypothesis is checked
+    when a config is built, so any config that exists can be run.
+    """
 
-    def __init__(
-        self,
-        p: int,
-        conductor: int,
-        s_primes,
-        a: int,
-        k_values=(2, 4),
-        frobenius=(2,),
-        qexp_bound: int = 12,
-        ideal_bound: int = 300,
-        checks=_KNOWN_CHECKS,
-        scaled: bool = False,
-        eps_basis: str = "even_orbit_indicators",
-        eps_table=None,
-    ):
-        self.p = int(p)
-        self.conductor = int(conductor)
-        self.s_primes = tuple(sorted(set(int(q) for q in s_primes)))
-        self.a = int(a)
-        self.k_values = tuple(int(k) for k in k_values)
-        self.frobenius = tuple(int(n) for n in frobenius)
-        self.qexp_bound = int(qexp_bound)
-        self.ideal_bound = int(ideal_bound)
-        self.checks = tuple(checks)
-        self.scaled = bool(scaled)
-        self.eps_basis = eps_basis
-        self.eps_table = eps_table
+    p: int
+    conductor: int
+    s_primes: tuple[int, ...]
+    a: int
+    k_values: tuple[int, ...] = (2, 4)
+    frobenius: tuple[int, ...] = (2,)
+    qexp_bound: int = 12
+    ideal_bound: int = 300
+    checks: tuple[str, ...] = _KNOWN_CHECKS
+    scaled: bool = False
+    eps_basis: str = "even_orbit_indicators"
+    eps_table: list[dict[int, Fraction]] | None = None
+
+    def __post_init__(self):
+        self.p, self.conductor, self.a = int(self.p), int(self.conductor), int(self.a)
+        self.s_primes = tuple(sorted({int(q) for q in self.s_primes}))
+        self.k_values = tuple(int(k) for k in self.k_values)
+        self.frobenius = tuple(int(n) for n in self.frobenius)
+        self.qexp_bound, self.ideal_bound = int(self.qexp_bound), int(self.ideal_bound)
+        self.checks = tuple(self.checks)
+        self.scaled = bool(self.scaled)
         self.validate()
 
     @classmethod
@@ -148,12 +133,11 @@ class ScenarioConfig:
     def from_ini(cls, path) -> "ScenarioConfig":
         """Read a `[scenario]` section.
 
-        Recognized keys: p, conductor, s_primes, a, k_values, frobenius,
-        qexp_bound, ideal_bound, checks, scaled, eps_basis, eps_table.
-        Integer lists are comma- or space-separated.  An explicit function
-        table uses `eps_basis = table` with `eps_table` holding one function
-        per ';'-separated group of comma-separated `class:value` entries,
-        values being exact rationals.
+        The recognized keys are the fields of the class; those without a
+        default are required.  Integer lists are comma- or space-separated.
+        An explicit function table uses `eps_basis = table` with `eps_table`
+        holding one function per ';'-separated group of comma-separated
+        `class:value` entries, values being exact rationals.
         """
         parser = configparser.ConfigParser()
         read = parser.read(str(path))
@@ -162,35 +146,24 @@ class ScenarioConfig:
         if "scenario" not in parser:
             raise ConfigInvalid("configuration needs a [scenario] section")
         sec = parser["scenario"]
-        unknown = set(sec) - set(cls.__slots__)
+        unknown = set(sec) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigInvalid(f"unknown configuration keys: {sorted(unknown)}")
         try:
             kwargs = _read_section(sec)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigInvalid(f"malformed configuration value: {exc}") from None
-        missing = {"p", "conductor", "s_primes", "a"} - set(kwargs)
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(kwargs)
         if missing:
             raise ConfigInvalid(f"configuration is missing {sorted(missing)}")
         return cls(**kwargs)
 
     def validate(self) -> None:
-        if self.p < 3 or not is_prime(self.p):
-            raise ConfigInvalid("p must be an odd prime")
-        if self.p not in self.s_primes:
-            raise ConfigInvalid("S must contain p (all primes above p)")
-        if any(not is_prime(q) for q in self.s_primes):
-            raise ConfigInvalid("S must consist of primes")
-        if not is_prime(self.conductor) or self.conductor % self.p != 1:
-            raise ConfigInvalid("the conductor must be a prime ≡ 1 mod p")
-        if self.conductor not in self.s_primes:
-            raise ConfigInvalid("S must contain the ramified prime (the conductor)")
+        # p, S, the conductor, the field and a: the level owns these hypotheses
         try:
-            field_spec(self.p, self.conductor)
-        except ArithmeticError as exc:
-            raise ConfigInvalid(f"unsupported field ({self.p}, {self.conductor}): {exc}") from None
-        if self.a < 1:
-            raise ConfigInvalid("the modulus exponent a must be ≥ 1")
+            level = self.level()
+        except (ValueError, ArithmeticError) as exc:
+            raise ConfigInvalid(str(exc)) from None
         if self.a < 2 and "transfer" in self.checks:
             raise ConfigInvalid(
                 "transfer comparison needs a ≥ 2 (LevelTooShallow at a=1)"
@@ -203,17 +176,18 @@ class ScenarioConfig:
             raise ConfigInvalid("q-expansion checks need an even k ≥ 2")
         if not self.frobenius:
             raise ConfigInvalid("at least one Frobenius pick is required")
-        modulus = self.p**self.a * math.prod(q for q in self.s_primes if q != self.p)
-        non_units = [n for n in self.frobenius if n < 1 or math.gcd(n, modulus) != 1]
+        non_units = [
+            n for n in self.frobenius if n < 1 or math.gcd(n, level.modulus) != 1
+        ]
         if non_units:
             raise ConfigInvalid(
-                f"Frobenius picks must be positive units mod {modulus}: {non_units}"
+                f"Frobenius picks must be positive units mod {level.modulus}: {non_units}"
             )
         if self.qexp_bound < 1 or self.ideal_bound < 1:
             raise ConfigInvalid("bounds must be ≥ 1")
-        if self.p * self.qexp_bound > _MAX_TRACE:
+        if self.qexp_trace_bound > _MAX_TRACE:
             raise ConfigInvalid(
-                f"p · qexp_bound = {self.p * self.qexp_bound} exceeds the largest "
+                f"p · qexp_bound = {self.qexp_trace_bound} exceeds the largest "
                 f"supported trace {_MAX_TRACE}"
             )
         unknown = set(self.checks) - set(_KNOWN_CHECKS)
@@ -223,16 +197,13 @@ class ScenarioConfig:
             raise ConfigInvalid(
                 "eps_basis must be 'even_orbit_indicators' or 'table'"
             )
-        if self.eps_basis == "table" and not self.eps_table:
-            raise ConfigInvalid("eps_basis 'table' needs a nonempty eps_table")
-
-    def level(self):
-        return scenario_level(self.p, self.conductor, self.s_primes, self.a)
-
-    def check_eps_table(self, level) -> None:
-        """Each explicit ε must cover the extension-side classes and be even and p-integral."""
         if self.eps_basis != "table":
+            if self.eps_table is not None:
+                raise ConfigInvalid("eps_table is read only with eps_basis = table")
             return
+        if not self.eps_table:
+            raise ConfigInvalid("eps_basis 'table' needs a nonempty eps_table")
+        # each explicit ε must cover the extension-side classes, be even and p-integral
         classes = set(level.classes(L_SIDE))
         for i, table in enumerate(self.eps_table):
             if set(table) != classes:
@@ -246,20 +217,22 @@ class ScenarioConfig:
             if not eps.p_integral:
                 raise ConfigInvalid(f"eps_table function {i} is not {self.p}-integral")
 
+    def level(self):
+        return scenario_level(self.p, self.conductor, self.s_primes, self.a)
+
+    @property
+    def qexp_trace_bound(self) -> int:
+        """p · qexp_bound: the largest ν-trace the q-expansion check scans."""
+        return self.p * self.qexp_bound
+
     def describe(self) -> dict:
-        return {
-            "p": self.p,
-            "conductor": self.conductor,
-            "s_primes": list(self.s_primes),
-            "a": self.a,
-            "k_values": list(self.k_values),
-            "frobenius": list(self.frobenius),
-            "qexp_bound": self.qexp_bound,
-            "ideal_bound": self.ideal_bound,
-            "checks": list(self.checks),
-            "scaled": self.scaled,
-            "eps_basis": self.eps_basis,
-        }
+        """The report's `config` block: every key but `eps_table`, lists for tuples."""
+        out = {}
+        for f in fields(self):
+            if f.name != "eps_table":
+                value = getattr(self, f.name)
+                out[f.name] = list(value) if isinstance(value, tuple) else value
+        return out
 
 
 def jsonable(value):
@@ -401,7 +374,7 @@ def _check_qexp(config: ScenarioConfig, level, cache_dir) -> dict:
     runs = []
     verdict = True
     ks = [k for k in config.k_values if k >= 2 and k % 2 == 0]
-    table = NuTable(level, config.p * config.qexp_bound, cache_dir=cache_dir)
+    table = NuTable(level, config.qexp_trace_bound, cache_dir=cache_dir)
     for k in ks:
         for i, eps in enumerate(_qexp_functions(config, level)):
             report = verify_qexp_congruence(
@@ -431,7 +404,6 @@ def run_scenario(
     if unknown:
         raise ConfigInvalid(f"unknown checks: {sorted(unknown)}")
     level = config.level()
-    config.check_eps_table(level)
     report_checks = {}
     timings = {}
     # dependency order: engine crosschecks before the congruences they feed
@@ -465,8 +437,7 @@ def cache_warm(config: ScenarioConfig, cache_dir: Path) -> dict:
     """Populate the lattice-scan cache that the q-expansion check of a run reads."""
     cache_dir = Path(cache_dir)
     files_before = {p.name for p in cache_dir.glob("*")} if cache_dir.exists() else set()
-    field = field_spec(config.p, config.conductor)
-    tot_pos_up_to(field, config.p * config.qexp_bound, cache_dir=cache_dir)
+    tot_pos_up_to(config.level().field, config.qexp_trace_bound, cache_dir=cache_dir)
     files_after = sorted(p.name for p in cache_dir.glob("*"))
     return {
         "directory": str(cache_dir),

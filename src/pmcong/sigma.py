@@ -112,9 +112,9 @@ class FiniteGroup:
     The law is tabulated once at construction: ``table[i][j]`` is the position
     of ``elements[i]·elements[j]`` in carrier order, and every later product,
     inverse and power is a lookup in it.  Building the table validates the
-    law: each product lies in the carrier, the identity is two-sided, and
-    every row contains the identity (every element has an inverse).
-    Associativity is assumed, not checked.
+    law: each product lies in the carrier, the identity is two-sided, every
+    row contains the identity (every element has an inverse), and the law is
+    associative (Light's test over a generating set).
     """
 
     def __init__(self, elements, mul, identity):
@@ -131,6 +131,7 @@ class FiniteGroup:
                 row.append(position[z])
             table.append(row)
         self._install(elements, position, table, identity)
+        self._check_associative()
 
     @classmethod
     def _from_table(cls, elements, table, identity) -> "FiniteGroup":
@@ -160,6 +161,44 @@ class FiniteGroup:
         self.identity = identity
         self.identity_position = e
         self.inverse_position = inverse
+
+    def _check_associative(self):
+        """Light's test: (x·g)·y = x·(g·y) for all x, y and each generator g.
+
+        The g that pass are closed under products, so a passing generating
+        set proves the whole law associative.  Generators are picked greedily
+        until their right-product closure of the identity is the carrier.
+        """
+        table = self.table
+        span = [self.identity_position]
+        in_span = bytearray(len(table))
+        in_span[span[0]] = 1
+        generators = []
+        for g in range(len(table)):
+            if in_span[g]:
+                continue
+            g_row = table[g]
+            for x, row in enumerate(table):
+                # the row of x·g against x·(g·y) for every y
+                left = table[row[g]]
+                if left != list(map(row.__getitem__, g_row)):
+                    y = next(y for y, z in enumerate(g_row) if left[y] != row[z])
+                    x, g, y = (self.elements[i] for i in (x, g, y))
+                    raise ValueError(
+                        f"the law is not associative: ({x!r}·{g!r})·{y!r} ≠ {x!r}·({g!r}·{y!r})"
+                    )
+            generators.append(g)
+            fresh, by = list(span), (g,)
+            while fresh:
+                grown = []
+                for x in fresh:
+                    for h in by:
+                        y = table[x][h]
+                        if not in_span[y]:
+                            in_span[y] = 1
+                            grown.append(y)
+                span.extend(grown)
+                fresh, by = grown, generators
 
     def __len__(self):
         return len(self.elements)

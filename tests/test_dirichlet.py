@@ -83,10 +83,14 @@ def test_conductors_mod_12():
 
 
 def test_primitive_agrees_on_coprime_classes():
-    for n in (12, 21, 63):
+    for n in (1, 8, 12, 21, 63, 189, 275):
         for chi in characters_of(n):
             prim = conductor_primitive(chi)
-            assert n % prim.conductor == 0
+            d = prim.conductor
+            assert n % d == 0
+            # the table is keyed by exactly the units mod the conductor
+            units = {a for a in range(d) if gcd(a, d) == 1} if d > 1 else {0}
+            assert set(prim._table) == units
             for a in range(1, n):
                 if gcd(a, n) == 1:
                     assert prim.value(a) == chi.value(a)

@@ -1,6 +1,8 @@
 """Scenario configuration, report assembly, caches, and the CLI front end."""
 
 import ast
+import configparser
+import inspect
 import json
 import os
 import subprocess
@@ -46,10 +48,12 @@ SMALL_INI = textwrap.dedent(
 L_CLASSES_63 = (1, 8, 13, 20, 22, 29, 34, 41, 43, 50, 55, 62)
 
 
-def _eps_table_line(values):
-    """An `eps_table` entry covering every class, zero off `values`."""
-    return "eps_table = " + ", ".join(
-        f"{c}:{values.get(c, 0)}" for c in L_CLASSES_63
+def _eps_table_line(*functions):
+    """An `eps_table` entry, one function per dict, each covering every class
+    and zero off its dict."""
+    return "eps_table = " + " ; ".join(
+        ", ".join(f"{c}:{values.get(c, 0)}" for c in L_CLASSES_63)
+        for values in functions
     )
 
 
@@ -90,14 +94,64 @@ def test_ini_table_parsing(tmp_path):
     path = tmp_path / "table.ini"
     path.write_text(
         SMALL_INI
-        + "eps_basis = table\neps_table = 1:1/2, 8:-3 ; 2:0, 4:7/5\n"
+        + "eps_basis = table\n"
+        + _eps_table_line({1: "1/2", 62: "1/2", 8: -3, 55: -3}, {13: "7/5", 50: "7/5"})
+        + "\n"
     )
     config = ScenarioConfig.from_ini(path)
     assert config.eps_basis == "table"
-    assert config.eps_table == [
-        {1: Fraction(1, 2), 8: Fraction(-3)},
-        {2: Fraction(0), 4: Fraction(7, 5)},
-    ]
+    first, second = config.eps_table
+    assert set(first) == set(second) == set(L_CLASSES_63)
+    assert (first[1], first[62], first[8], first[13]) == (
+        Fraction(1, 2),
+        Fraction(1, 2),
+        Fraction(-3),
+        Fraction(0),
+    )
+    assert (second[13], second[50], second[1]) == (Fraction(7, 5), Fraction(7, 5), 0)
+
+
+def test_partial_table_is_rejected_when_read(tmp_path, capsys):
+    """A table that `run` would refuse is refused by `from_ini` and `cache-warm` too."""
+    path = tmp_path / "partial.ini"
+    path.write_text(SMALL_INI + "eps_basis = table\neps_table = 1:1, 62:1\n")
+    with pytest.raises(ConfigInvalid, match="must cover exactly the 12"):
+        ScenarioConfig.from_ini(path)
+    cache = tmp_path / "cache"
+    assert main(["cache-warm", "--config", str(path), "--cache-dir", str(cache)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not cache.exists()
+
+
+def test_scenario_keys_have_one_home(tmp_path):
+    """The INI keys, the report's config block and the constructor agree."""
+    config = ScenarioConfig.default()
+    described = set(config.describe()) | {"eps_table"}
+    keywords = set(inspect.signature(ScenarioConfig).parameters)
+    assert described == keywords
+    path = tmp_path / "all.ini"
+    path.write_text(
+        SMALL_INI
+        + "scaled = true\neps_basis = table\n"
+        + _eps_table_line({1: 1, 62: 1})
+        + "\n"
+    )
+    parser = configparser.ConfigParser()
+    parser.read(path)
+    assert set(parser["scenario"]) == keywords
+    assert ScenarioConfig.from_ini(path).describe()["scaled"] is True
+    path.write_text(path.read_text() + "extra = 1\n")
+    with pytest.raises(ConfigInvalid, match=r"unknown configuration keys: \['extra'\]"):
+        ScenarioConfig.from_ini(path)
+
+
+def test_readme_scenario_example_reads_as_the_default(tmp_path):
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    config = ScenarioConfig.from_ini(path)
+    assert config.describe() == ScenarioConfig.default().describe()
 
 
 def test_ini_rejections(tmp_path):
@@ -254,6 +308,7 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
             "eps_basis = table\n" + _eps_table_line({1: "1/3", 62: "1/3"}) + "\nchecks",
         ),
         ("conductor = 7\ns_primes = 3, 7", "conductor = 31\ns_primes = 3, 31"),
+        ("checks = transfer, delta", "eps_table = 1:1/9, 62:1/9\nchecks = delta"),
     ],
     ids=[
         "p-not-an-integer",
@@ -265,6 +320,7 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
         "eps-table-odd",
         "eps-table-not-p-integral",
         "power-basis-not-integral",
+        "eps-table-without-table-basis",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, capsys, edit):

@@ -169,6 +169,11 @@ def test_packed_abelian_law_is_componentwise(orders):
             assert group.mul(x, y) == expected
 
 
+# a loop of order 5 (a Latin square with identity 0) that is not a group:
+# (1·1)·2 = 2 but 1·(1·2) = 4
+_LOOP5 = [[int(c) for c in row] for row in "01234 10342 24013 32401 43120".split()]
+
+
 @pytest.mark.parametrize(
     "elements, mul, identity, message",
     [
@@ -176,12 +181,14 @@ def test_packed_abelian_law_is_componentwise(orders):
         (range(4), max, 0, r"1 has no inverse"),
         (range(3), lambda x, y: y, 0, r"0 is not a two-sided identity for 1"),
         (range(2), lambda x, y: (x + y) % 2, 1, r"1 is not a two-sided identity for 0"),
+        (range(5), lambda x, y: _LOOP5[x][y], 0, r"not associative: \(1·1\)·2 ≠ 1·\(1·2\)"),
     ],
-    ids=["product-outside", "no-inverse", "one-sided-identity", "not-an-identity"],
+    ids=["product-outside", "no-inverse", "one-sided-identity", "not-an-identity", "loop"],
 )
 def test_finite_group_rejects_laws_that_are_not_groups(elements, mul, identity, message):
-    """A law that leaves the carrier, lacks a two-sided identity, or leaves an
-    element without an inverse is refused when the group is built."""
+    """A law that leaves the carrier, lacks a two-sided identity, leaves an
+    element without an inverse, or is not associative is refused when the
+    group is built."""
     with pytest.raises(ValueError, match=message):
         FiniteGroup(elements, mul, identity)
 
