@@ -86,7 +86,10 @@ def _read_section(sec) -> dict:
                 if not item:
                     continue
                 cls_txt, _, val_txt = item.partition(":")
-                entries[int(cls_txt)] = Fraction(val_txt)
+                cls = int(cls_txt)
+                if cls in entries:
+                    raise ValueError(f"eps_table names class {cls} twice in one function")
+                entries[cls] = Fraction(val_txt)
             if entries:
                 table.append(entries)
         kwargs["eps_table"] = table
@@ -140,7 +143,10 @@ class ScenarioConfig:
         `class:value` entries, values being exact rationals.
         """
         parser = configparser.ConfigParser()
-        read = parser.read(str(path))
+        try:
+            read = parser.read(str(path))
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigInvalid(f"malformed configuration file: {exc}") from None
         if not read:
             raise ConfigInvalid(f"cannot read configuration file {path}")
         if "scenario" not in parser:
@@ -151,7 +157,7 @@ class ScenarioConfig:
             raise ConfigInvalid(f"unknown configuration keys: {sorted(unknown)}")
         try:
             kwargs = _read_section(sec)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, configparser.Error) as exc:
             raise ConfigInvalid(f"malformed configuration value: {exc}") from None
         missing = {f.name for f in fields(cls) if f.default is MISSING} - set(kwargs)
         if missing:

@@ -489,21 +489,11 @@ class IdealFactored:
         self.spec = spec
         self.factors = tuple(items)
 
-    @staticmethod
-    def unit(spec: AbelianFieldSpec) -> "IdealFactored":
-        return IdealFactored(spec, ())
-
     def norm(self) -> int:
         out = 1
         for pr, e in self.factors:
             out *= pr.norm() ** e
         return out
-
-    def __mul__(self, other: "IdealFactored") -> "IdealFactored":
-        acc: dict[PrimeIdeal, int] = {pr: e for pr, e in self.factors}
-        for pr, e in other.factors:
-            acc[pr] = acc.get(pr, 0) + e
-        return IdealFactored(self.spec, acc.items())
 
     def divisors(self, skip_primes=()) -> list["IdealFactored"]:
         """All ideal divisors, omitting prime factors above `skip_primes`.

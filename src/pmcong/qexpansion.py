@@ -1,21 +1,27 @@
-"""Formal q-expansion calculus: Eisenstein coefficients, thinning, restriction.
+"""Formal q-expansions: Eisenstein coefficients and the q-expansion congruence.
 
 Nothing here is an analytic function — a "q-expansion" is a finite table of
 exact rational coefficients indexed by positive integers (base side) or by
-totally positive algebraic integers of bounded trace (extension side).  The
-three operators — coefficient thinning, restriction along the trace, and
-Eisenstein assembly from ideal data — combine into the difference expansion
+totally positive algebraic integers of bounded trace (extension side).
+`eisenstein_q` and `eisenstein_l` assemble Eisenstein series from divisor
+data.  The congruence concerns the difference
 
     E  =  thin_p(restrict(G_{k,ε_L}))  −  G_{pk, ε_L∘ver},
 
-whose non-constant coefficients are all divisible by p.  The verification
-reports the per-coefficient valuations together with the orbit bookkeeping
-that explains them: Σ acts on the pairs (𝔟, ν) behind each coefficient;
-moved orbits contribute p·(one term), and the fixed pairs are exactly the
-pairs (d·o_L, μ) extended from the base, where the two sides agree up to the
-Fermat defect d^{p(k−1)} − d^{pk−1} ≡ 0 mod p.
-"""
+where restriction sums coefficients along the trace and thinning by p keeps
+every p-th one.  `verify_qexp_congruence` assembles E one coefficient at a
+time,
 
+    E(μ)  =  Σ_{tr ν = p·μ} c_L(ν)  −  c_Q(μ)      (1 ≤ μ ≤ B),
+
+with c_L the coefficients of G_{k,ε_L}, c_Q those of G_{pk,ε_L∘ver}, and
+constant term c_L(0) − c_Q(0).  The claim is that every E(μ) is divisible
+by p.  The verification reports the per-coefficient valuations together
+with the orbit bookkeeping that explains them: Σ acts on the pairs (𝔟, ν)
+behind each coefficient; moved orbits contribute p·(one term), and the fixed
+pairs are exactly the pairs (d·o_L, μ) extended from the base, where the two
+sides agree up to the Fermat defect d^{p(k−1)} − d^{pk−1} ≡ 0 mod p.
+"""
 from __future__ import annotations
 
 import math
@@ -39,17 +45,12 @@ from .units import divisors
 from .zeta import scaled_zeta_of
 
 __all__ = [
-    "InsufficientBound",
-    "InsufficientTraceBound",
     "NotEven",
     "NuTable",
     "QExpansionL",
     "QExpansionQ",
     "eisenstein_l",
     "eisenstein_q",
-    "hecke_thin",
-    "qexp_difference",
-    "restrict_to_base",
     "verify_qexp_congruence",
 ]
 
@@ -58,21 +59,12 @@ class NotEven(ValueError):
     """Eisenstein assembly requires an even function."""
 
 
-class InsufficientTraceBound(ValueError):
-    """The extension-side trace bound does not cover the requested base bound."""
-
-
-class InsufficientBound(ValueError):
-    """Thinning by β would read coefficients beyond the stored bound."""
-
-
 class QExpansionQ:
     """c(0) + Σ_{1 ≤ μ ≤ B} c(μ)q^μ with exact rational coefficients."""
 
-    __slots__ = ("level", "weight", "bound", "constant", "_coeffs")
+    __slots__ = ("weight", "bound", "constant", "_coeffs")
 
-    def __init__(self, level, weight, bound, constant, coeffs):
-        self.level = level
+    def __init__(self, weight, bound, constant, coeffs):
         self.weight = weight
         self.bound = int(bound)
         self.constant = Fraction(constant)
@@ -86,31 +78,6 @@ class QExpansionQ:
             raise IndexError(f"index {mu} outside 1..{self.bound}")
         return self._coeffs[mu - 1]
 
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coeffs
-
-    def __sub__(self, other: "QExpansionQ") -> "QExpansionQ":
-        if self.weight != other.weight:
-            raise ValueError("weights differ")
-        if self.bound != other.bound:
-            raise ValueError("truncation bounds differ")
-        return QExpansionQ(
-            self.level,
-            self.weight,
-            self.bound,
-            self.constant - other.constant,
-            tuple(a - b for a, b in zip(self._coeffs, other._coeffs)),
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, QExpansionQ)
-            and self.weight == other.weight
-            and self.bound == other.bound
-            and self.constant == other.constant
-            and self._coeffs == other._coeffs
-        )
-
     def __repr__(self) -> str:
         return f"QExpansionQ(weight={self.weight}, bound={self.bound}, c0={self.constant})"
 
@@ -118,18 +85,16 @@ class QExpansionQ:
 class QExpansionL:
     """Extension-side expansion: coefficients on totally positive ν, tr(ν) ≤ B′."""
 
-    __slots__ = ("level", "weight", "trace_bound", "constant", "_coeffs")
+    __slots__ = ("weight", "trace_bound", "constant", "_coeffs")
 
-    def __init__(self, level, weight, trace_bound, constant, coeffs):
-        self.level = level
+    def __init__(self, weight, trace_bound, constant, coeffs):
         self.weight = weight
         self.trace_bound = int(trace_bound)
         self.constant = Fraction(constant)
         self._coeffs = {tuple(key): Fraction(val) for key, val in dict(coeffs).items()}
 
-    def coefficient(self, nu) -> Fraction:
-        key = nu.coords if isinstance(nu, AlgebraicInt) else tuple(nu)
-        return self._coeffs[key]
+    def coefficient(self, nu: AlgebraicInt) -> Fraction:
+        return self._coeffs[nu.coords]
 
     def items(self):
         return self._coeffs.items()
@@ -166,7 +131,7 @@ def eisenstein_q(
                 continue
             total += eps.support.get(d % f, 0) * d ** (k - 1)
         coeffs.append(total)
-    return QExpansionQ(level, k, bound, constant, coeffs)
+    return QExpansionQ(k, bound, constant, coeffs)
 
 
 class _MuOrbits(NamedTuple):
@@ -334,70 +299,7 @@ def eisenstein_l(
     for t in range(1, trace_bound + 1):
         for nu in table.by_trace[t]:
             coeffs[nu.coords] = _weigh(table.divisors[nu.coords], eps_l.support, k)
-    return QExpansionL(level, k, trace_bound, constant, coeffs)
-
-
-def restrict_to_base(expansion: QExpansionL, bound: int) -> QExpansionQ:
-    """Collapse along the trace: c_*(μ) = Σ_{tr ν = μ} c(ν); weight multiplies by p."""
-    if bound < 1:
-        raise ValueError("bound must be ≥ 1")
-    if expansion.trace_bound < bound:
-        raise InsufficientTraceBound(
-            f"trace bound {expansion.trace_bound} < requested bound {bound}"
-        )
-    level = expansion.level
-    totals = [Fraction(0)] * bound
-    for coords, value in expansion.items():
-        trace = -sum(coords)
-        if 1 <= trace <= bound:
-            totals[trace - 1] += value
-    return QExpansionQ(
-        level, level.p * expansion.weight, bound, expansion.constant, totals
-    )
-
-
-def hecke_thin(
-    expansion: QExpansionQ, beta: int, bound: int | None = None
-) -> QExpansionQ:
-    """Coefficient thinning: constant preserved, c'(μ) = c(βμ)."""
-    if beta < 1:
-        raise ValueError("β must be ≥ 1")
-    if bound is None:
-        bound = expansion.bound // beta
-    if bound < 1 or beta * bound > expansion.bound:
-        raise InsufficientBound(
-            f"thinning by {beta} up to {bound} needs coefficients past "
-            f"{expansion.bound}"
-        )
-    return QExpansionQ(
-        expansion.level,
-        expansion.weight,
-        bound,
-        expansion.constant,
-        tuple(expansion.coefficient(beta * mu) for mu in range(1, bound + 1)),
-    )
-
-
-def qexp_difference(
-    level: LevelData,
-    eps_l: LocallyConstantFn,
-    k: int,
-    bound: int,
-    table: NuTable | None = None,
-) -> QExpansionQ:
-    """E = thin_p(restrict(G_{k,ε_L})) − G_{pk, ε_L∘ver}, truncated at `bound`.
-
-    The constant term is 2^{−p}ζ_L(1−k, ε_L) − 2^{−1}ζ(1−pk, ε_L∘ver) by
-    construction; every non-constant coefficient is claimed (and verified
-    elsewhere) to be divisible by p.
-    """
-    p = level.p
-    if not eps_l.p_integral:
-        raise FlagViolation("the congruence requires a p-integral ε_L")
-    upstairs = eisenstein_l(level, eps_l, k, p * bound, table=table)
-    route = hecke_thin(restrict_to_base(upstairs, p * bound), p)
-    downstairs = eisenstein_q(level, eps_l.compose_transfer(), p * k, bound)
-    return route - downstairs
+    return QExpansionL(k, trace_bound, constant, coeffs)
 
 
 def verify_qexp_congruence(
@@ -409,29 +311,38 @@ def verify_qexp_congruence(
 ) -> dict:
     """Per-coefficient p-valuations of E, with orbit bookkeeping and dual routes.
 
-    Beyond the verdict (v_p ≥ 1 for every 1 ≤ μ ≤ bound), this recomputes
-    each coefficient of E by direct pair enumeration over independently
-    enumerated ideals, decomposes the pairs into Σ-orbits, checks that the
-    fixed pairs are exactly the base-extended ones (d·o_L, μ) for d | μ prime
-    to S, and confirms the coefficient of E equals (moved orbit sums) +
-    (Fermat defects), both visibly divisible by p.  `table` (built here when
-    not given) must cover the trace bound p·bound.
+    Route one reads G_{k,ε_L} (built by `eisenstein_l` from the table's
+    divisor lists) and G_{pk,ε_L∘ver} (built by `eisenstein_q` from the base
+    divisors), and forms E(μ) = Σ_{tr ν = p·μ} c_L(ν) − c_Q(μ) for each
+    1 ≤ μ ≤ bound.  Route two recomputes each E(μ) by direct pair
+    enumeration over independently enumerated ideals; `routes_agree` says
+    whether the two match.  The pairs are then decomposed into Σ-orbits,
+    the fixed pairs are checked to be exactly the base-extended ones
+    (d·o_L, μ) for d | μ prime to S, and E(μ) is confirmed to equal (moved
+    orbit sums) + (Fermat defects), both visibly divisible by p.  The
+    verdict needs v_p(E(μ)) ≥ 1 for every μ and all of these checks.
+    `table` (built here when not given) must cover the trace bound p·bound.
     """
     p = level.p
     if not eps_l.p_integral:
         raise FlagViolation("the congruence requires a p-integral ε_L")
     if table is None:
         table = NuTable(level, p * bound)
-    difference = qexp_difference(level, eps_l, k, bound, table=table)
+    eps_q = eps_l.compose_transfer()
+    upstairs = eisenstein_l(level, eps_l, k, p * bound, table=table)
+    downstairs = eisenstein_q(level, eps_q, p * k, bound)
     eps_support = eps_l.support
-    eps_q_support = eps_l.compose_transfer().support
+    eps_q_support = eps_q.support
     f = level.modulus
 
     valuations: dict[int, PValuation] = {}
     bookkeeping = {}
     routes_agree = True
     for mu in range(1, bound + 1):
-        coefficient = difference.coefficient(mu)
+        # E(μ): G_{k,ε_L} summed over tr ν = p·μ minus the μ-th coefficient of G_{pk}
+        nus = table.by_trace[p * mu]
+        upstairs_sum = sum((upstairs.coefficient(nu) for nu in nus), Fraction(0))
+        coefficient = upstairs_sum - downstairs.coefficient(mu)
         valuations[mu] = p_valuation(coefficient, p)
         orbits = table.orbits[mu]
         base_terms = {
@@ -440,7 +351,7 @@ def verify_qexp_congruence(
 
         # E(μ) again: pool terms over tr ν = p·μ minus G_{pk}'s base divisor terms
         direct = Fraction(0)
-        for nu in table.by_trace[p * mu]:
+        for nu in nus:
             direct += _weigh(table.direct[nu.coords], eps_support, k)
         if coefficient != direct - sum(base_terms.values()):
             routes_agree = False
@@ -476,7 +387,7 @@ def verify_qexp_congruence(
         "k": k,
         "weight_out": p * k,
         "bound": bound,
-        "constant_term": difference.constant,
+        "constant_term": upstairs.constant - downstairs.constant,
         "valuations": valuations,
         "routes_agree": routes_agree,
         "bookkeeping": bookkeeping,

@@ -423,7 +423,6 @@ class GaloisSetup:
         self.rep_inverse_positions = [group.inverse_position[r] for r in reps]
         self.coset_of_position = coset
         self.reps = tuple(group.elements[r] for r in reps)
-        self.rep_inverses = tuple(group.elements[r] for r in self.rep_inverse_positions)
         self.coset_index = dict(zip(group.elements, coset))
 
         # the cosets σ^i·H tile G, so σHσ⁻¹ ⊆ H already makes H normal

@@ -169,6 +169,10 @@ def test_ini_rejections(tmp_path):
     partial.write_text("[scenario]\np = 3\nconductor = 7\n")
     with pytest.raises(ConfigInvalid, match="missing"):
         ScenarioConfig.from_ini(partial)
+    twice = tmp_path / "twice.ini"
+    twice.write_text(SMALL_INI + "eps_basis = table\neps_table = 1:1/9, 1:1\n")
+    with pytest.raises(ConfigInvalid, match="names class 1 twice"):
+        ScenarioConfig.from_ini(twice)
 
 
 def test_validation_branches():
@@ -309,6 +313,16 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
         ),
         ("conductor = 7\ns_primes = 3, 7", "conductor = 31\ns_primes = 3, 31"),
         ("checks = transfer, delta", "eps_table = 1:1/9, 62:1/9\nchecks = delta"),
+        ("ideal_bound = 40", "ideal_bound = 300%"),
+        ("p = 3", "p = 3\np = 3"),
+        ("[scenario]\n", ""),
+        ("p = 3", "p = 3\udcff"),
+        (
+            "checks = transfer, delta",
+            "eps_basis = table\n"
+            + _eps_table_line({1: 1, 62: 1}).replace("= ", "= 1:1/9, ", 1)
+            + "\nchecks = delta",
+        ),
     ],
     ids=[
         "p-not-an-integer",
@@ -321,6 +335,11 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
         "eps-table-not-p-integral",
         "power-basis-not-integral",
         "eps-table-without-table-basis",
+        "interpolation-syntax",
+        "option-given-twice",
+        "no-section-header",
+        "not-utf-8",
+        "eps-table-class-twice",
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, capsys, edit):
@@ -328,7 +347,8 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, edit):
     old, new = edit
     assert old in SMALL_INI
     ini = tmp_path / "bad.ini"
-    ini.write_text(SMALL_INI.replace(old, new, 1))
+    # a lone surrogate in an edit stands for a byte that is not UTF-8
+    ini.write_bytes(SMALL_INI.replace(old, new, 1).encode("utf-8", "surrogateescape"))
     assert main(["run", "--config", str(ini)]) == 2
     assert "configuration error" in capsys.readouterr().err
 
@@ -346,6 +366,25 @@ def test_cli_run_passes_beyond_the_desk_field(tmp_path, capsys, conductor):
     )
     config = ScenarioConfig.from_ini(ini)
     assert (config.conductor, config.s_primes, config.a) == (conductor, (3, conductor), 2)
+    assert main(["run", "--config", str(ini)]) == 0
+    printed = capsys.readouterr().out
+    for check in ("crosscheck", "transfer", "delta", "qexp"):
+        assert f"check {check}: PASS" in printed
+    assert "overall: PASS" in printed
+
+
+def test_cli_run_passes_with_a_third_prime_in_s(tmp_path, capsys):
+    """S = {2, 3, 7}: Euler factors at a prime that is neither p nor the conductor."""
+    ini = tmp_path / "s237.ini"
+    ini.write_text(
+        (REPO_ROOT / "configs" / "default.ini")
+        .read_text()
+        .replace("s_primes = 3, 7", "s_primes = 2, 3, 7")
+        .replace("frobenius = 2, 5", "frobenius = 5, 11")
+        .replace("qexp, sigma", "qexp")
+    )
+    config = ScenarioConfig.from_ini(ini)
+    assert (config.s_primes, config.frobenius) == ((2, 3, 7), (5, 11))
     assert main(["run", "--config", str(ini)]) == 0
     printed = capsys.readouterr().out
     for check in ("crosscheck", "transfer", "delta", "qexp"):

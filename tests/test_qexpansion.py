@@ -1,4 +1,4 @@
-"""Formal q-expansions: Eisenstein tables, thinning, restriction, the congruence."""
+"""Formal q-expansions: Eisenstein tables and the per-coefficient congruence."""
 
 from fractions import Fraction
 
@@ -10,15 +10,10 @@ from pmcong.levels import L_SIDE, Q_SIDE, LocallyConstantFn, scenario_level, zet
 from pmcong.numberfield import AlgebraicInt
 from pmcong.pseudomeasure import FlagViolation
 from pmcong.qexpansion import (
-    InsufficientBound,
-    InsufficientTraceBound,
     NotEven,
     NuTable,
     eisenstein_l,
     eisenstein_q,
-    hecke_thin,
-    qexp_difference,
-    restrict_to_base,
     verify_qexp_congruence,
 )
 from pmcong.zeta import scaled_zeta_of
@@ -113,59 +108,8 @@ def test_extension_coefficients_are_conjugation_invariant():
     assert count > 10
 
 
-def test_restriction_collapses_along_the_trace():
-    upstairs = eisenstein_l(LV, ONE_L, 2, 9)
-    collapsed = restrict_to_base(upstairs, 9)
-    assert collapsed.weight == 3 * upstairs.weight
-    assert collapsed.constant == upstairs.constant
-    totals = {mu: Fraction(0) for mu in range(1, 10)}
-    for coords, value in upstairs.items():
-        trace = -sum(coords)
-        if trace in totals:
-            totals[trace] += value
-    for mu in range(1, 10):
-        assert collapsed.coefficient(mu) == totals[mu]
-    with pytest.raises(InsufficientTraceBound):
-        restrict_to_base(upstairs, 10)
-
-
-def test_thinning_reads_every_beta_th_coefficient():
-    level = zeta_level(1, ())
-    eps = LocallyConstantFn.constant_fn(level, Q_SIDE, 1)
-    expansion = eisenstein_q(level, eps, 4, 50)
-    thinned = hecke_thin(expansion, 2)
-    assert thinned.bound == 25  # default bound is everything available
-    assert thinned.constant == expansion.constant
-    for mu in range(1, 26):
-        assert thinned.coefficient(mu) == _sigma_power(2 * mu, 3)
-    assert hecke_thin(expansion, 1) == expansion
-    with pytest.raises(InsufficientBound):
-        hecke_thin(expansion, 7, bound=8)
-    with pytest.raises(ValueError):
-        hecke_thin(expansion, 0)
-
-
-def test_difference_expansion_anchor():
-    """Frozen exact table for the constant-one weight-2 difference at depth 4."""
-    diff = qexp_difference(LV, ONE_L, 2, 4)
-    assert diff.weight == 6
-    assert diff.constant == Fraction(169441, 21)
-    assert diff.coefficients() == (
-        Fraction(0),
-        Fraction(-21),
-        Fraction(42),
-        Fraction(-735),
-    )
-    manual = scaled_zeta_of(LV, L_SIDE, ONE_L, 2) - scaled_zeta_of(
-        LV, Q_SIDE, ONE_L.compose_transfer(), 6
-    )
-    assert diff.constant == manual
-
-
 def test_difference_requires_integral_function():
     third = LocallyConstantFn.constant_fn(LV, L_SIDE, Fraction(1, 3))
-    with pytest.raises(FlagViolation):
-        qexp_difference(LV, third, 2, 3)
     with pytest.raises(FlagViolation):
         verify_qexp_congruence(LV, third, 2, 3)
 
@@ -176,6 +120,9 @@ def test_congruence_report_anchor():
     assert report["routes_agree"]
     assert report["weight_out"] == 6
     assert report["constant_term"] == Fraction(169441, 21)
+    assert report["constant_term"] == scaled_zeta_of(LV, L_SIDE, ONE_L, 2) - scaled_zeta_of(
+        LV, Q_SIDE, ONE_L.compose_transfer(), 6
+    )
     assert report["valuations"] == {
         1: PValuation.infinite(),
         2: PValuation.of(1),
@@ -252,6 +199,18 @@ def test_direct_route_reads_the_enumerated_pool(monkeypatch):
 
     monkeypatch.setattr(qexpansion, "enumerate_ideals", pool_without_one)
     report = verify_qexp_congruence(LV, ONE_L, 2, 4)
+    assert not report["routes_agree"]
+    assert not report["verdict"]
+
+
+def test_divisor_route_reads_the_table_divisors():
+    """Dropping one divisor term of ν = 2 from the table must break route
+    agreement: E(μ) is assembled from the divisor lists, the direct route
+    from the pool."""
+    table = NuTable(LV, 3 * 4)
+    two = LV.field.from_rational(2).coords
+    table.divisors[two] = table.divisors[two][:-1]
+    report = verify_qexp_congruence(LV, ONE_L, 2, 4, table=table)
     assert not report["routes_agree"]
     assert not report["verdict"]
 
