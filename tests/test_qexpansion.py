@@ -108,6 +108,37 @@ def test_extension_coefficients_are_conjugation_invariant():
     assert count > 10
 
 
+def test_difference_expansion_anchor():
+    """Frozen exact table for the constant-one weight-2 difference at depth 4,
+    assembled from the two Eisenstein series by summing along the trace."""
+    table = NuTable(LV, 3 * 4)
+    upstairs = eisenstein_l(LV, ONE_L, 2, 3 * 4, table=table)
+    downstairs = eisenstein_q(LV, ONE_L.compose_transfer(), 6, 4)
+    assert downstairs.weight == 6
+    constant = upstairs.constant - downstairs.constant
+    assert constant == Fraction(169441, 21)
+    manual = scaled_zeta_of(LV, L_SIDE, ONE_L, 2) - scaled_zeta_of(
+        LV, Q_SIDE, ONE_L.compose_transfer(), 6
+    )
+    assert constant == manual
+    coefficients = tuple(
+        sum((upstairs.coefficient(nu) for nu in table.by_trace[3 * mu]), Fraction(0))
+        - downstairs.coefficient(mu)
+        for mu in range(1, 5)
+    )
+    assert coefficients == (
+        Fraction(0),
+        Fraction(-21),
+        Fraction(42),
+        Fraction(-735),
+    )
+    report = verify_qexp_congruence(LV, ONE_L, 2, 4, table=table)
+    assert report["constant_term"] == constant
+    for mu, value in enumerate(coefficients, start=1):
+        book = report["bookkeeping"][mu]
+        assert book["moved_sum"] + book["fermat_defect"] == value
+
+
 def test_difference_requires_integral_function():
     third = LocallyConstantFn.constant_fn(LV, L_SIDE, Fraction(1, 3))
     with pytest.raises(FlagViolation):
