@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .cache import load_records, store_records
 from .exact import int_valuation, poly_eval, poly_eval_mod
-from .units import factorize, is_prime, unit_group
+from .units import factorize, is_prime, primes_up_to, unit_group
 
 __all__ = [
     "AbelianFieldSpec",
@@ -619,8 +619,8 @@ def enumerate_ideals(spec: AbelianFieldSpec, bound: int, s_primes=()) -> tuple[I
         raise ValueError("bound must be ≥ 1")
     skip = set(s_primes)
     primes: list[PrimeIdeal] = []
-    for q in range(2, bound + 1):
-        if is_prime(q) and q not in skip:
+    for q in primes_up_to(bound):
+        if q not in skip:
             for slot in spec.split(q).slots:
                 if slot.norm() <= bound:
                     primes.append(slot)
@@ -632,6 +632,8 @@ def enumerate_ideals(spec: AbelianFieldSpec, bound: int, s_primes=()) -> tuple[I
         results.append(IdealFactored(spec, list(current)))
         for i in range(idx, len(primes)):
             pr = primes[i]
+            if norm * pr.q > bound:
+                break  # sorted by q and N𝔭 ≥ q: no later prime fits either
             nn = norm * pr.norm()
             if nn > bound:
                 continue
@@ -747,10 +749,19 @@ def enumerate_tot_pos_trace(
 
 
 def tot_pos_up_to(
-    spec: AbelianFieldSpec, trace_bound: int, cache_dir: Path | None = None
+    spec: AbelianFieldSpec,
+    trace_bound: int,
+    cache_dir: Path | None = None,
+    stride: int = 1,
 ) -> dict[int, tuple[AlgebraicInt, ...]]:
-    """Totally positive integers grouped by trace, for all traces ≤ bound."""
+    """Totally positive integers grouped by trace, for the traces ≤ bound in strideZ.
+
+    The default stride 1 covers every trace; the q-expansion check passes
+    stride p, since E(μ) reads only the ν of trace p·μ.
+    """
+    if stride < 1:
+        raise ValueError("stride must be ≥ 1")
     return {
         t: enumerate_tot_pos_trace(spec, t, cache_dir=cache_dir)
-        for t in range(1, trace_bound + 1)
+        for t in range(stride, trace_bound + 1, stride)
     }

@@ -4,7 +4,9 @@ Nothing here is an analytic function — a "q-expansion" is a finite table of
 exact rational coefficients indexed by positive integers (base side) or by
 totally positive algebraic integers of bounded trace (extension side).
 `eisenstein_q` and `eisenstein_l` assemble Eisenstein series from divisor
-data.  The congruence concerns the difference
+data.  The extension side holds only the ν whose trace lies in pZ up to the
+bound: those are the only ν the congruence below reads.  The congruence
+concerns the difference
 
     E  =  thin_p(restrict(G_{k,ε_L}))  −  G_{pk, ε_L∘ver},
 
@@ -83,7 +85,7 @@ class QExpansionQ:
 
 
 class QExpansionL:
-    """Extension-side expansion: coefficients on totally positive ν, tr(ν) ≤ B′."""
+    """Extension-side expansion: coefficients on totally positive ν, tr(ν) ∈ pZ, ≤ B′."""
 
     __slots__ = ("weight", "trace_bound", "constant", "_coeffs")
 
@@ -149,7 +151,8 @@ class NuTable:
 
     Built once per (level, trace bound); every weighting pass then only
     multiplies precomputed (norm, class) terms by ε(class)·norm^(k−1).  It
-    holds the totally positive ν grouped by trace and, for each ν, two
+    holds the totally positive ν grouped by trace, for the traces p, 2p, …
+    up to the bound (E(μ) reads no other ν), and, for each ν, two
     independent term lists: the S-coprime divisors of (ν) generated from its
     factorization, and the ideals of the separately enumerated pool that
     divide (ν) (the direct route).  For each μ ≤ trace_bound // p it also
@@ -166,7 +169,7 @@ class NuTable:
         self.trace_bound = trace_bound
         f = level.modulus
         p = level.p
-        self.by_trace = tot_pos_up_to(field, trace_bound, cache_dir=cache_dir)
+        self.by_trace = tot_pos_up_to(field, trace_bound, cache_dir=cache_dir, stride=p)
 
         factored: dict[tuple[int, ...], IdealFactored] = {}
         divisor_ideals: dict[tuple[int, ...], list[IdealFactored]] = {}
@@ -201,7 +204,7 @@ class NuTable:
         }
 
     def covers(self, level: LevelData, trace_bound: int) -> bool:
-        """Whether this table holds every ν of trace ≤ trace_bound at `level`."""
+        """Whether this table holds every ν of trace in pZ up to trace_bound at `level`."""
         return self.level == level and trace_bound <= self.trace_bound
 
 
@@ -278,9 +281,11 @@ def eisenstein_l(
 ) -> QExpansionL:
     """G_{k,ε_L} on the extension: c(ν) = Σ_{𝔟 ⊇ (ν), 𝔟 coprime to S} ε_L(𝔟)N𝔟^(k−1).
 
-    ε_L is evaluated at the class-field symbol of 𝔟, the norm reduced to the
-    level's modulus; that symbol always lands in the extension-side subgroup.
-    The divisor terms come from `table`, which is built here when not given.
+    The coefficients are those at the ν of trace p, 2p, … up to trace_bound,
+    the only ones the q-expansion congruence reads.  ε_L is evaluated at the
+    class-field symbol of 𝔟, the norm reduced to the level's modulus; that
+    symbol always lands in the extension-side subgroup.  The divisor terms
+    come from `table`, which is built here when not given.
     """
     if eps_l.level != level or eps_l.side != L_SIDE:
         raise ValueError("eisenstein_l needs an extension-side function on this level")
@@ -296,7 +301,7 @@ def eisenstein_l(
         raise ValueError("the ν-table does not cover this level and trace bound")
     constant = scaled_zeta_of(level, L_SIDE, eps_l, k)
     coeffs = {}
-    for t in range(1, trace_bound + 1):
+    for t in range(level.p, trace_bound + 1, level.p):
         for nu in table.by_trace[t]:
             coeffs[nu.coords] = _weigh(table.divisors[nu.coords], eps_l.support, k)
     return QExpansionL(k, trace_bound, constant, coeffs)

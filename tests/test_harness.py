@@ -392,6 +392,30 @@ def test_cli_run_passes_with_a_third_prime_in_s(tmp_path, capsys):
     assert "overall: PASS" in printed
 
 
+def test_cli_run_passes_for_a_quintic_field(tmp_path, capsys):
+    """p=5, conductor 11: the q-expansion check in degree 5 (traces 5, 10, …, 30)."""
+    ini = tmp_path / "quintic.ini"
+    ini.write_text(
+        (REPO_ROOT / "configs" / "default.ini")
+        .read_text()
+        .replace("p = 3", "p = 5")
+        .replace("conductor = 7", "conductor = 11")
+        .replace("s_primes = 3, 7", "s_primes = 5, 11")
+        .replace("frobenius = 2, 5", "frobenius = 2, 3")
+        .replace("qexp_bound = 12", "qexp_bound = 6")
+        .replace("qexp, sigma", "qexp")
+    )
+    config = ScenarioConfig.from_ini(ini)
+    assert (config.p, config.conductor, config.s_primes) == (5, 11, (5, 11))
+    assert (config.a, config.frobenius, config.qexp_bound) == (2, (2, 3), 6)
+    assert config.checks == ("crosscheck", "transfer", "delta", "qexp")
+    assert main(["run", "--config", str(ini)]) == 0
+    printed = capsys.readouterr().out
+    for check in ("crosscheck", "transfer", "delta", "qexp"):
+        assert f"check {check}: PASS" in printed
+    assert "overall: PASS" in printed
+
+
 def test_cli_run_passes_at_depth_4(tmp_path, capsys):
     """a=4 (modulus 567, ring Z/27): the dual zeta routes at ambient order 54."""
     ini = tmp_path / "a4.ini"
@@ -422,12 +446,10 @@ def test_qexp_factors_each_nu_once(monkeypatch):
     monkeypatch.setattr(qexpansion, "factor_principal", counting)
     report = run_scenario(config, checks=("qexp",))
     assert report["verdict"]
-    by_trace = tot_pos_up_to(config.level().field, config.p * config.qexp_bound)
-    distinct_nu = sum(len(nus) for nus in by_trace.values())
-    base_divisors = [
-        d for d in range(1, config.qexp_bound + 1) if d % 3 and d % 7
-    ]
-    assert len(calls) <= distinct_nu + len(base_divisors)
+    # E(μ) reads only the ν of trace p·μ; the base divisors d·o_L are among them
+    by_trace = tot_pos_up_to(config.level().field, config.qexp_trace_bound)
+    read_nu = sum(len(by_trace[config.p * mu]) for mu in range(1, config.qexp_bound + 1))
+    assert len(calls) == read_nu == 414
     assert len(set(calls)) == len(calls)
 
 
@@ -452,6 +474,12 @@ def test_cache_warm_writes_exactly_the_files_a_cold_run_writes(tmp_path):
     run_scenario(config, cache_dir=cold, checks=("crosscheck", "transfer", "delta", "qexp"))
     warmed = cache_warm(config, tmp_path / "warm")
     assert warmed["files"] == sorted(p.name for p in cold.iterdir())
+
+
+def test_cache_warm_scans_only_the_traces_p_mu(tmp_path):
+    config = ScenarioConfig.default()
+    warmed = cache_warm(config, tmp_path)
+    assert warmed["files"] == sorted(f"totpos-fL7-p3-t{t}.txt" for t in range(3, 37, 3))
 
 
 def test_no_assert_statements_in_the_package():

@@ -181,20 +181,21 @@ def test_sigma_ideal_preserves_invariants():
 
 
 def test_ideal_counts_match_euler_product():
-    for spec in (F7, F13):
+    # 1728 = 12³ with S = {3, 7}: the pool the q-expansion check of the
+    # bundled scenario enumerates (ν = 12, of trace 36)
+    for spec, bound, s_primes in ((F7, 300, ()), (F13, 150, ()), (F7, 1728, (3, 7))):
         f = spec.conductor
         norm_classes = tuple(x for x in sorted(spec.coset_of) if spec.coset_of[x] == 0)
         prims = tuple(
             conductor_primitive(chi)
             for chi in characters_of(f, trivial_on=norm_classes)
         )
-        bound = 300 if spec is F7 else 150
         counts = {}
-        for ideal in enumerate_ideals(spec, bound, ()):
+        for ideal in enumerate_ideals(spec, bound, s_primes):
             counts[ideal.norm()] = counts.get(ideal.norm(), 0) + 1
-        series = series_coefficients(prims, bound)
+        series = series_coefficients(prims, bound, s_primes)
         for n in range(1, bound + 1):
-            assert counts.get(n, 0) == series[n], f"norm {n} of conductor {f}"
+            assert counts.get(n, 0) == series[n], f"norm {n} of conductor {f}, S = {s_primes}"
 
 
 def test_ideal_enumeration_s_pruning():
@@ -323,6 +324,18 @@ def test_no_totally_positive_below_the_degree():
     assert lists == {} or all(not v for v in lists.values())
     exactly_three = tot_pos_up_to(F7, 3).get(3, [])
     assert [nu.coords for nu in exactly_three] == [F7.one().coords]
+
+
+def test_tot_pos_stride_keeps_only_the_multiples(tmp_path):
+    every = tot_pos_up_to(F7, 12)
+    strided = tot_pos_up_to(F7, 12, cache_dir=tmp_path, stride=3)
+    assert list(strided) == [3, 6, 9, 12]
+    assert all(strided[t] == every[t] for t in strided)
+    assert sorted(f.name for f in tmp_path.glob("*.txt")) == sorted(
+        f"totpos-fL7-p3-t{t}.txt" for t in (3, 6, 9, 12)
+    )
+    with pytest.raises(ValueError, match="stride"):
+        tot_pos_up_to(F7, 12, stride=0)
 
 
 def test_enumerate_single_trace_consistent():

@@ -98,14 +98,19 @@ def test_extension_coefficient_at_one_is_epsilon_of_one():
 
 
 def test_extension_coefficients_are_conjugation_invariant():
-    expansion = eisenstein_l(LV, ONE_L, 2, 9)
+    expansion = eisenstein_l(LV, ONE_L, 2, 12)
     field = LV.field
     count = 0
     for coords, value in expansion.items():
-        moved = field.element(coords).sigma()
-        assert expansion.coefficient(moved) == value
+        nu = field.element(coords)
+        assert nu.trace() % 3 == 0  # E(μ) reads only the ν of trace 3μ
+        assert expansion.coefficient(nu.sigma()) == value
         count += 1
     assert count > 10
+
+
+def test_table_holds_exactly_the_traces_p_mu():
+    assert list(NuTable(LV, 36).by_trace) == list(range(3, 37, 3))
 
 
 def test_difference_expansion_anchor():
