@@ -443,9 +443,7 @@ def cache_warm(config: ScenarioConfig, cache_dir: Path) -> dict:
     """Populate the lattice-scan cache that the q-expansion check of a run reads."""
     cache_dir = Path(cache_dir)
     files_before = {p.name for p in cache_dir.glob("*")} if cache_dir.exists() else set()
-    tot_pos_up_to(
-        config.level().field, config.qexp_trace_bound, cache_dir=cache_dir, stride=config.p
-    )
+    tot_pos_up_to(config.level().field, config.qexp_trace_bound, cache_dir=cache_dir)
     files_after = sorted(p.name for p in cache_dir.glob("*"))
     return {
         "directory": str(cache_dir),

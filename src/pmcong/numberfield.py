@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .cache import load_records, store_records
 from .exact import int_valuation, poly_eval, poly_eval_mod
-from .units import factorize, is_prime, primes_up_to, unit_group
+from .units import factorize, is_prime, unit_group
 
 __all__ = [
     "AbelianFieldSpec",
@@ -619,8 +619,8 @@ def enumerate_ideals(spec: AbelianFieldSpec, bound: int, s_primes=()) -> tuple[I
         raise ValueError("bound must be ≥ 1")
     skip = set(s_primes)
     primes: list[PrimeIdeal] = []
-    for q in primes_up_to(bound):
-        if q not in skip:
+    for q in range(2, bound + 1):
+        if is_prime(q) and q not in skip:
             for slot in spec.split(q).slots:
                 if slot.norm() <= bound:
                     primes.append(slot)
@@ -749,19 +749,14 @@ def enumerate_tot_pos_trace(
 
 
 def tot_pos_up_to(
-    spec: AbelianFieldSpec,
-    trace_bound: int,
-    cache_dir: Path | None = None,
-    stride: int = 1,
+    spec: AbelianFieldSpec, trace_bound: int, cache_dir: Path | None = None
 ) -> dict[int, tuple[AlgebraicInt, ...]]:
-    """Totally positive integers grouped by trace, for the traces ≤ bound in strideZ.
+    """Totally positive integers grouped by trace, for the traces p, 2p, … ≤ bound.
 
-    The default stride 1 covers every trace; the q-expansion check passes
-    stride p, since E(μ) reads only the ν of trace p·μ.
+    These are the only traces the q-expansion congruence reads: its
+    coefficient E(μ) sums over the ν of trace p·μ.
     """
-    if stride < 1:
-        raise ValueError("stride must be ≥ 1")
     return {
         t: enumerate_tot_pos_trace(spec, t, cache_dir=cache_dir)
-        for t in range(stride, trace_bound + 1, stride)
+        for t in range(spec.p, trace_bound + 1, spec.p)
     }

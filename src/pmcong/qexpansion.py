@@ -169,7 +169,7 @@ class NuTable:
         self.trace_bound = trace_bound
         f = level.modulus
         p = level.p
-        self.by_trace = tot_pos_up_to(field, trace_bound, cache_dir=cache_dir, stride=p)
+        self.by_trace = tot_pos_up_to(field, trace_bound, cache_dir=cache_dir)
 
         factored: dict[tuple[int, ...], IdealFactored] = {}
         divisor_ideals: dict[tuple[int, ...], list[IdealFactored]] = {}
@@ -301,9 +301,10 @@ def eisenstein_l(
         raise ValueError("the ν-table does not cover this level and trace bound")
     constant = scaled_zeta_of(level, L_SIDE, eps_l, k)
     coeffs = {}
-    for t in range(level.p, trace_bound + 1, level.p):
-        for nu in table.by_trace[t]:
-            coeffs[nu.coords] = _weigh(table.divisors[nu.coords], eps_l.support, k)
+    for t, nus in table.by_trace.items():
+        if t <= trace_bound:
+            for nu in nus:
+                coeffs[nu.coords] = _weigh(table.divisors[nu.coords], eps_l.support, k)
     return QExpansionL(k, trace_bound, constant, coeffs)
 
 

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import isqrt, lcm
+from math import lcm
 
 __all__ = [
     "is_prime",
-    "primes_up_to",
     "factorize",
     "divisors",
     "parse_int_list",
@@ -38,18 +37,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-def primes_up_to(n: int) -> list[int]:
-    """The primes ≤ n in ascending order, from one sieve of Eratosthenes."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for d in range(2, isqrt(n) + 1):
-        if sieve[d]:
-            sieve[d * d :: d] = bytes(len(range(d * d, n + 1, d)))
-    return [q for q in range(2, n + 1) if sieve[q]]
 
 
 def factorize(n: int) -> dict[int, int]:

@@ -24,7 +24,7 @@ from pmcong.harness import (
     jsonable,
     run_scenario,
 )
-from pmcong.numberfield import tot_pos_up_to
+from pmcong.numberfield import enumerate_tot_pos_trace
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -447,8 +447,11 @@ def test_qexp_factors_each_nu_once(monkeypatch):
     report = run_scenario(config, checks=("qexp",))
     assert report["verdict"]
     # E(μ) reads only the ν of trace p·μ; the base divisors d·o_L are among them
-    by_trace = tot_pos_up_to(config.level().field, config.qexp_trace_bound)
-    read_nu = sum(len(by_trace[config.p * mu]) for mu in range(1, config.qexp_bound + 1))
+    field = config.level().field
+    read_nu = sum(
+        len(enumerate_tot_pos_trace(field, config.p * mu))
+        for mu in range(1, config.qexp_bound + 1)
+    )
     assert len(calls) == read_nu == 414
     assert len(set(calls)) == len(calls)
 

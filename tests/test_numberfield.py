@@ -293,9 +293,17 @@ def _sound_box_radius(spec, t):
     return int(radius) + 1
 
 
+def _every_trace(spec, trace_bound, cache_dir=None):
+    """The per-trace scan at every trace 1..bound, not only the multiples of p."""
+    return {
+        t: enumerate_tot_pos_trace(spec, t, cache_dir=cache_dir)
+        for t in range(1, trace_bound + 1)
+    }
+
+
 def test_tot_pos_lists_complete_against_box_scan():
     for spec, trace_bound in ((F7, 6), (F13, 4)):
-        lists = tot_pos_up_to(spec, trace_bound)
+        lists = _every_trace(spec, trace_bound)
         box = _sound_box_radius(spec, trace_bound)
         found = {t: set() for t in range(1, trace_bound + 1)}
         for coords in itertools.product(range(-box, box + 1), repeat=3):
@@ -309,7 +317,7 @@ def test_tot_pos_lists_complete_against_box_scan():
 
 
 def test_tot_pos_lists_are_sigma_stable_and_sorted_by_trace():
-    lists = tot_pos_up_to(F7, 12)
+    lists = _every_trace(F7, 12)
     assert set(lists) <= set(range(1, 13))
     for t, nus in lists.items():
         for nu in nus:
@@ -320,41 +328,31 @@ def test_tot_pos_lists_are_sigma_stable_and_sorted_by_trace():
 
 def test_no_totally_positive_below_the_degree():
     # arithmetic-geometric mean: trace < 3 forces norm < 1, impossible
-    lists = tot_pos_up_to(F7, 2)
-    assert lists == {} or all(not v for v in lists.values())
-    exactly_three = tot_pos_up_to(F7, 3).get(3, [])
+    lists = _every_trace(F7, 2)
+    assert all(not v for v in lists.values())
+    exactly_three = enumerate_tot_pos_trace(F7, 3)
     assert [nu.coords for nu in exactly_three] == [F7.one().coords]
 
 
-def test_tot_pos_stride_keeps_only_the_multiples(tmp_path):
-    every = tot_pos_up_to(F7, 12)
-    strided = tot_pos_up_to(F7, 12, cache_dir=tmp_path, stride=3)
-    assert list(strided) == [3, 6, 9, 12]
-    assert all(strided[t] == every[t] for t in strided)
-    assert sorted(f.name for f in tmp_path.glob("*.txt")) == sorted(
-        f"totpos-fL7-p3-t{t}.txt" for t in (3, 6, 9, 12)
-    )
-    with pytest.raises(ValueError, match="stride"):
-        tot_pos_up_to(F7, 12, stride=0)
-
-
 def test_enumerate_single_trace_consistent():
+    # tot_pos_up_to holds the per-trace scans at the traces p, 2p, … only
     lists = tot_pos_up_to(F13, 8)
-    for t in range(1, 9):
+    assert list(lists) == [3, 6]
+    for t in lists:
         single = enumerate_tot_pos_trace(F13, t)
-        assert {nu.coords for nu in single} == {nu.coords for nu in lists.get(t, ())}
+        assert {nu.coords for nu in single} == {nu.coords for nu in lists[t]}
 
 
 # -------------------------------------------------------------------- cache --
 
 
 def test_cache_round_trip_and_corruption_recovery(tmp_path):
-    first = tot_pos_up_to(F7, 9, cache_dir=tmp_path)
+    first = _every_trace(F7, 9, cache_dir=tmp_path)
     files = sorted(tmp_path.glob("*.txt"))
     assert files, "warm run must write cache files"
     blobs = {f: f.read_bytes() for f in files}
 
-    again = tot_pos_up_to(F7, 9, cache_dir=tmp_path)
+    again = _every_trace(F7, 9, cache_dir=tmp_path)
     assert {t: [n.coords for n in v] for t, v in first.items()} == {
         t: [n.coords for n in v] for t, v in again.items()
     }
@@ -365,7 +363,7 @@ def test_cache_round_trip_and_corruption_recovery(tmp_path):
     corrupted = bytearray(blobs[victim])
     corrupted[len(corrupted) // 2] ^= 0xFF
     victim.write_bytes(bytes(corrupted))
-    healed = tot_pos_up_to(F7, 9, cache_dir=tmp_path)
+    healed = _every_trace(F7, 9, cache_dir=tmp_path)
     assert {t: [n.coords for n in v] for t, v in first.items()} == {
         t: [n.coords for n in v] for t, v in healed.items()
     }
