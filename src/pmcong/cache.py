@@ -18,8 +18,8 @@ which had no trailer) are stale too.
 
 Writes go through a temporary file in the same directory followed by
 os.replace, so concurrent readers never observe a partial file.  Callers
-pass the cache directory explicitly (the CLI's --cache-dir); with None,
-caching is disabled.
+pass the cache directory explicitly (the CLI's --cache-dir), as a ``str`` or
+any ``os.PathLike``; with None, caching is disabled.
 """
 
 from __future__ import annotations
@@ -49,11 +49,13 @@ def _checksum(record: str) -> str:
     return format(zlib.crc32(record.encode("utf-8")) & 0xFFFFFFFF, "08x")
 
 
-def load_records(directory: Path | None, kind: str, key: dict[str, object]) -> list[str] | None:
+def load_records(
+    directory: str | os.PathLike | None, kind: str, key: dict[str, object]
+) -> list[str] | None:
     """Return the cached records, or None when absent/stale/corrupt/truncated."""
     if directory is None:
         return None
-    path = cache_path(directory, kind, key)
+    path = cache_path(Path(directory), kind, key)
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError):
@@ -74,11 +76,12 @@ def load_records(directory: Path | None, kind: str, key: dict[str, object]) -> l
 
 
 def store_records(
-    directory: Path | None, kind: str, key: dict[str, object], records: list[str]
+    directory: str | os.PathLike | None, kind: str, key: dict[str, object], records: list[str]
 ) -> Path | None:
     """Atomically write the records; returns the path (None if caching is off)."""
     if directory is None:
         return None
+    directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = cache_path(directory, kind, key)
     body = [f"{_HEADER_PREFIX} {kind} {_canonical_key(key)}"]

@@ -1,12 +1,18 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n), represented mod Phi_n.
 
 Elements are coordinate vectors over the power basis 1, z, ..., z^(phi(n)-1)
-of Q[x]/(Phi_n(x)), with Fraction coordinates.  Working modulo the cyclotomic
-polynomial (rather than x^n - 1) makes rationality a coordinate check: an
-element is rational iff every coordinate above the constant one vanishes.
+of Q[x]/(Phi_n(x)), stored as integer numerators over one positive common
+denominator in lowest terms.  That form is canonical, so equality is a tuple
+comparison, and addition, multiplication and the reduction modulo Phi_n are
+integer loops; ``coords`` gives the coordinates as Fractions.  Working modulo
+the cyclotomic polynomial (rather than x^n - 1) makes rationality a coordinate
+check: an element is rational iff every coordinate above the constant one
+vanishes.
 
 Phi_n itself is obtained by iterated exact integer polynomial division of
-x^n - 1 by the Phi_d for proper divisors d | n.
+x^n - 1 by the Phi_d for proper divisors d | n; products and exponent sums are
+reduced by long division by the monic Phi_n.  The Galois automorphisms
+sigma_a: zeta_n -> zeta_n^a are available as ``conjugate(a)``.
 
 Only ring operations are provided (the package multiplies by inverse roots of
 unity via exponent negation, so no general field inversion is needed).
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .exact import Rational
 
@@ -60,54 +67,71 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    # Row j = coordinates of x^j mod Phi_n, for j up to n + 2*deg (covers products
-    # of reduced elements and root-of-unity shifts).
+def _phi_tail(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    # (deg, ((j, c_j), ...)) with x^deg = sum_j c_j x^j mod Phi_n, zero c_j left out;
+    # Phi_n of the orders in use is sparse (Phi_54 = x^18 - x^9 + 1)
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
-    rows: list[tuple[int, ...]] = []
-    for j in range(deg):
-        rows.append(tuple(1 if i == j else 0 for i in range(deg)))
-    top = [-c for c in phi[:deg]]  # x^deg = -(phi_0 + phi_1 x + ...)
-    for _ in range(deg, n + 2 * deg + 1):
-        prev = rows[-1]
-        lead = prev[deg - 1]
-        shifted = [0] + list(prev[:-1])
-        if lead:
-            for i in range(deg):
-                shifted[i] += lead * top[i]
-        rows.append(tuple(shifted))
-    return tuple(rows)
+    return deg, tuple((j, -c) for j, c in enumerate(phi[:deg]) if c)
+
+
+def _reduce(order: int, poly: list[int]) -> tuple[int, ...]:
+    # Remainder of an integer polynomial (ascending, at least deg long) mod Phi_n,
+    # by long division from the top; poly is consumed.
+    deg, tail = _phi_tail(order)
+    for i in range(len(poly) - 1, deg - 1, -1):
+        c = poly[i]
+        if c:
+            base = i - deg
+            for j, t in tail:
+                poly[base + j] += c * t
+    return tuple(poly[:deg])
 
 
 class CyclotomicNumber:
-    """An element of Q(zeta_n) with exact Fraction coordinates mod Phi_n."""
+    """An element (sum_j nums[j] z^j) / den of Q(zeta_n), z = zeta_n, j < phi(n).
 
-    __slots__ = ("order", "coords")
+    Coordinates are integers over one positive common denominator, with
+    gcd(den, *nums) == 1, so every element has exactly one representation:
+    equality and hashing compare tuples, and ring operations are integer loops.
+    """
 
-    def __init__(self, order: int, coords: tuple[Fraction, ...]):
-        deg = len(cyclotomic_polynomial(order)) - 1
-        if len(coords) != deg:
-            raise ValueError(f"need {deg} coordinates for order {order}")
+    __slots__ = ("order", "nums", "den")
+
+    def __init__(self, order: int, nums: tuple[int, ...], den: int = 1):
+        if len(nums) != _phi_tail(order)[0]:
+            raise ValueError(f"need {_phi_tail(order)[0]} coordinates for order {order}")
+        if den == 0:
+            raise ZeroDivisionError("cyclotomic number with denominator 0")
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = tuple(c // g for c in nums)
+            den //= g
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *_):
         raise AttributeError("CyclotomicNumber is immutable")
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(order: int) -> "CyclotomicNumber":
-        deg = len(cyclotomic_polynomial(order)) - 1
-        return CyclotomicNumber(order, (Fraction(0),) * deg)
+        return CyclotomicNumber(order, (0,) * _phi_tail(order)[0])
 
     @staticmethod
     def from_rational(order: int, value: Rational | int) -> "CyclotomicNumber":
-        deg = len(cyclotomic_polynomial(order)) - 1
-        coords = [Fraction(0)] * deg
-        coords[0] = Fraction(value)
-        return CyclotomicNumber(order, tuple(coords))
+        q = Fraction(value)
+        nums = (q.numerator,) + (0,) * (_phi_tail(order)[0] - 1)
+        return CyclotomicNumber(order, nums, q.denominator)
 
     @staticmethod
     def one(order: int) -> "CyclotomicNumber":
@@ -116,9 +140,9 @@ class CyclotomicNumber:
     @staticmethod
     def root(order: int, exponent: int) -> "CyclotomicNumber":
         """zeta_n^exponent as an element of Q(zeta_n)."""
-        rows = _reduction_rows(order)
-        row = rows[exponent % order]
-        return CyclotomicNumber(order, tuple(Fraction(c) for c in row))
+        sums = [0] * order
+        sums[exponent % order] = 1
+        return CyclotomicNumber.from_exponent_sums(order, sums)
 
     @staticmethod
     def from_exponent_sums(order: int, sums: list[int], den: int = 1) -> "CyclotomicNumber":
@@ -129,14 +153,7 @@ class CyclotomicNumber:
         """
         if len(sums) != order:
             raise ValueError(f"need {order} exponent sums for order {order}")
-        rows = _reduction_rows(order)
-        acc = [0] * len(rows[0])
-        for t, c in enumerate(sums):
-            if c:
-                for i, r in enumerate(rows[t]):
-                    if r:
-                        acc[i] += c * r
-        return CyclotomicNumber(order, tuple(Fraction(c, den) for c in acc))
+        return CyclotomicNumber(order, _reduce(order, list(sums)), den)
 
     # -- ring structure ----------------------------------------------------
 
@@ -146,79 +163,86 @@ class CyclotomicNumber:
 
     def __add__(self, other: "CyclotomicNumber") -> "CyclotomicNumber":
         self._check(other)
-        return CyclotomicNumber(self.order, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        d1, d2 = self.den, other.den
+        den = lcm(d1, d2)
+        m1, m2 = den // d1, den // d2
+        nums = tuple(a * m1 + b * m2 for a, b in zip(self.nums, other.nums))
+        return CyclotomicNumber(self.order, nums, den)
 
     def __sub__(self, other: "CyclotomicNumber") -> "CyclotomicNumber":
         self._check(other)
-        return CyclotomicNumber(self.order, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        d1, d2 = self.den, other.den
+        den = lcm(d1, d2)
+        m1, m2 = den // d1, den // d2
+        nums = tuple(a * m1 - b * m2 for a, b in zip(self.nums, other.nums))
+        return CyclotomicNumber(self.order, nums, den)
 
     def __neg__(self) -> "CyclotomicNumber":
-        return CyclotomicNumber(self.order, tuple(-a for a in self.coords))
+        return CyclotomicNumber(self.order, tuple(-c for c in self.nums), self.den)
 
     def scale(self, c: Rational | int) -> "CyclotomicNumber":
         q = Fraction(c)
-        return CyclotomicNumber(self.order, tuple(a * q for a in self.coords))
+        m = q.numerator
+        return CyclotomicNumber(self.order, tuple(a * m for a in self.nums), self.den * q.denominator)
 
     def __mul__(self, other: "CyclotomicNumber") -> "CyclotomicNumber":
         self._check(other)
-        a, b = self.coords, other.coords
-        deg = len(a)
-        prod = [Fraction(0)] * (2 * deg - 1)
+        a, b = self.nums, other.nums
+        prod = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        rows = _reduction_rows(self.order)
-        out = [Fraction(0)] * deg
-        for j, cj in enumerate(prod):
-            if cj:
-                row = rows[j]
-                for i in range(deg):
-                    if row[i]:
-                        out[i] += cj * row[i]
-        return CyclotomicNumber(self.order, tuple(out))
+                for j, bj in enumerate(b, i):
+                    prod[j] += ai * bj
+        return CyclotomicNumber(self.order, _reduce(self.order, prod), self.den * other.den)
 
     def mul_root(self, exponent: int) -> "CyclotomicNumber":
         """Multiply by zeta_n^exponent (cheap coordinate shift)."""
-        rows = _reduction_rows(self.order)
-        deg = len(self.coords)
-        e = exponent % self.order
-        out = [Fraction(0)] * deg
-        for i, ci in enumerate(self.coords):
-            if ci:
-                row = rows[i + e]
-                for j in range(deg):
-                    if row[j]:
-                        out[j] += ci * row[j]
-        return CyclotomicNumber(self.order, tuple(out))
+        n = self.order
+        sums = [0] * n
+        for i, c in enumerate(self.nums, exponent):
+            sums[i % n] += c
+        return CyclotomicNumber.from_exponent_sums(n, sums, self.den)
+
+    def conjugate(self, a: int) -> "CyclotomicNumber":
+        """sigma_a(self) for the automorphism zeta_n -> zeta_n^a, gcd(a, n) = 1."""
+        n = self.order
+        if gcd(a, n) != 1:
+            raise ValueError(f"{a} is not a unit mod {n}")
+        a %= n
+        if a == 1 % n:
+            return self
+        sums = [0] * n
+        for j, c in enumerate(self.nums):
+            sums[a * j % n] += c
+        return CyclotomicNumber.from_exponent_sums(n, sums, self.den)
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.nums[1:])
 
     def rational_part(self) -> Fraction:
         """The value as a Fraction; raises NotRational if higher coordinates are nonzero."""
         if not self.is_rational():
             raise NotRational(f"nonrational cyclotomic number of order {self.order}: {self.coords}")
-        return self.coords[0]
+        return Fraction(self.nums[0], self.den)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, CyclotomicNumber)
             and self.order == other.order
-            and self.coords == other.coords
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self) -> int:
-        return hash((self.order, self.coords))
+        return hash((self.order, self.nums, self.den))
 
     def __repr__(self) -> str:
-        return f"CyclotomicNumber(order={self.order}, coords={self.coords})"
+        return f"CyclotomicNumber(order={self.order}, nums={self.nums}, den={self.den})"
 
 
 def cyclo_reduce_rational(z: CyclotomicNumber) -> Fraction:

@@ -27,7 +27,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .cyclotomic import CyclotomicNumber, cyclo_reduce_rational
-from .exact import Rational, bernoulli_poly_at
+from .exact import bernoulli_poly, poly_eval
 from .units import UnitGroup, divisors, is_prime, unit_group
 
 __all__ = [
@@ -166,10 +166,14 @@ def conductor_primitive(chi: DirichletCharacter) -> PrimitiveData:
 
 @lru_cache(maxsize=None)
 def _bernoulli_row(k: int, f: int) -> tuple[tuple[int, ...], int]:
-    # f^(k-1) * B_k(a/f) for a = 0..f, as integers over one common denominator
-    values = [Fraction(f) ** (k - 1) * bernoulli_poly_at(k, Fraction(a, f)) for a in range(f + 1)]
-    den = lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (den // v.denominator) for v in values), den
+    # f^(k-1) * B_k(a/f) for a = 0..f, as integers over one common denominator:
+    # with D the lcm of the denominators of the coefficients b_m of B_k,
+    # F(y) = D * f^k * B_k(y/f) = sum_m D*b_m * f^(k-m) * y^m has integer
+    # coefficients, and f^(k-1) * B_k(a/f) = F(a) / (D * f)
+    coeffs = bernoulli_poly(k)
+    d = lcm(*(c.denominator for c in coeffs))
+    poly = [c.numerator * (d // c.denominator) * f ** (k - m) for m, c in enumerate(coeffs)]
+    return tuple(poly_eval(poly, a) for a in range(f + 1)), d * f
 
 
 def generalized_bernoulli(prim: PrimitiveData, k: int) -> CyclotomicNumber:

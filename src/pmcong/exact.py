@@ -152,9 +152,13 @@ def bernoulli_poly_at(k: int, x: Rational | int) -> Fraction:
     return poly_eval(bernoulli_poly(k), Fraction(x))
 
 
-def poly_eval(coeffs, x: Rational) -> Fraction:
-    """Σ_j c_j x^j for ascending coefficients, by Horner's rule."""
-    acc = Fraction(0)
+def poly_eval(coeffs, x: Rational | int) -> Rational | int:
+    """Σ_j c_j x^j for ascending coefficients, by Horner's rule.
+
+    Integer coefficients at an integer point give an int; any Fraction among
+    them gives a Fraction.
+    """
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .cyclotomic import CyclotomicNumber, cyclo_reduce_rational
@@ -51,9 +51,32 @@ class HypothesisViolated(ValueError):
 
 
 @lru_cache(maxsize=None)
+def _orbit_representative(modulus: int, exponents: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """(ρ, a) with χ = ρ^a, ρ the least exponent tuple in the Galois orbit {χ^b : b ∈ (Z/n)^×}."""
+    group = unit_group(modulus)
+    n = group.exponent
+    rep, b = min(
+        (tuple(b * e % o for e, o in zip(exponents, group.orders)), b)
+        for b in range(1, n + 1)
+        if gcd(b, n) == 1
+    )
+    return rep, pow(b, -1, n)
+
+
+@lru_cache(maxsize=None)
 def _l_value(modulus: int, exponents: tuple[int, ...], k: int, s_primes: tuple[int, ...]):
-    chi = DirichletCharacter(unit_group(modulus), exponents)
-    return l_value_neg(chi, k, s_primes)
+    """L_S(1−k, χ) in Q(ζ_n), n the exponent of (Z/modulus)^×, one l_value_neg per Galois orbit.
+
+    Conjugate characters have conjugate L-values: for χ = ρ^a with a prime to
+    n, L_S(1−k, χ) = σ_a(L_S(1−k, ρ)), σ_a: ζ_n ↦ ζ_n^a, since the Bernoulli
+    sum and every Euler factor are rational combinations of character values
+    and the conductor is the same (Washington, §4.1).  So `l_value_neg` runs
+    on the orbit representative ρ only, and the rest are its conjugates.
+    """
+    rep, a = _orbit_representative(modulus, exponents)
+    if rep != exponents:
+        return _l_value(modulus, rep, k, s_primes).conjugate(a)
+    return l_value_neg(DirichletCharacter(unit_group(modulus), exponents), k, s_primes)
 
 
 @lru_cache(maxsize=None)
@@ -82,15 +105,15 @@ def _orthogonality_table(
 ) -> dict[int, Fraction]:
     """x ↦ (Σ w·χ(x)⁻¹·V) / size over the terms (χ, w, V), asserted rational.
 
-    The coordinates of every V are scaled once to integers over their common
-    denominator.  Per class, coordinate j of V (weight w) lands in the integer
-    bucket of root exponent j − χ(x), and the buckets are reduced modulo Φ_n
-    once per class.  χ(x) is read from one discrete log per class.
+    The integer numerators of every V are brought once to the lcm of the
+    denominators of all V.  Per class, numerator j of V (weight w) lands in
+    the integer bucket of root exponent j − χ(x), and the buckets are reduced
+    modulo Φ_n once per class.  χ(x) is read from one discrete log per class.
     """
     group = terms[0][0].group
-    den = lcm(*(c.denominator for _, _, v in terms for c in v.coords))
+    den = lcm(*(v.den for _, _, v in terms))
     scaled = [
-        (chi.weights(), [(j, w * c.numerator * (den // c.denominator)) for j, c in enumerate(v.coords) if c])
+        (chi.weights(), [(j, w * c * (den // v.den)) for j, c in enumerate(v.nums) if c])
         for chi, w, v in terms
     ]
     table = {}
@@ -140,8 +163,8 @@ def _l_table(level: LevelData, k: int) -> dict[int, Fraction]:
 
     terms = []
     for members in fibers.values():
-        prod = CyclotomicNumber.one(order)
-        for psi in members:
+        prod = _l_value(f, members[0].exponents, k, s)
+        for psi in members[1:]:
             prod = prod * _l_value(f, psi.exponents, k, s)
         # every member shares ψ(y) for y ∈ H; weight once per member
         terms.append((members[0], len(members), prod))

@@ -79,16 +79,35 @@ def test_minimal_polynomial_kills_primitive_root():
         assert total.is_zero()
 
 
+def sample_pool(n):
+    return [
+        CyclotomicNumber.zero(n),
+        CyclotomicNumber.one(n),
+        CyclotomicNumber.root(n, 1),
+        CyclotomicNumber.root(n, 1).scale(Fraction(-2, 3))
+        + CyclotomicNumber.from_rational(n, Fraction(1, 5)),
+        CyclotomicNumber.root(n, max(n - 1, 1)) - CyclotomicNumber.one(n),
+    ]
+
+
+def fraction_product(a, b, n):
+    """Reference product on Fraction coordinates: convolve, then divide by Φ_n."""
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    prod = [Fraction(0)] * (2 * deg - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for i in range(len(prod) - 1, deg - 1, -1):
+        c = prod[i]
+        for j in range(deg + 1):
+            prod[i - deg + j] -= c * phi[j]
+    return tuple(prod[:deg])
+
+
 def test_ring_axioms_on_sample_pool():
     for n in (3, 4, 7, 12):
-        pool = [
-            CyclotomicNumber.zero(n),
-            CyclotomicNumber.one(n),
-            CyclotomicNumber.root(n, 1),
-            CyclotomicNumber.root(n, 1).scale(Fraction(-2, 3))
-            + CyclotomicNumber.from_rational(n, Fraction(1, 5)),
-            CyclotomicNumber.root(n, max(n - 1, 1)) - CyclotomicNumber.one(n),
-        ]
+        pool = sample_pool(n)
         for a in pool:
             for b in pool:
                 assert a * b == b * a
@@ -162,3 +181,76 @@ def test_rational_detection():
 def test_cross_order_operations_rejected():
     with pytest.raises(ValueError):
         CyclotomicNumber.one(3) + CyclotomicNumber.one(4)
+
+
+def units_mod(n):
+    return [a for a in range(1, n + 1) if gcd(a, n) == 1]
+
+
+def test_conjugate_is_a_ring_homomorphism_on_sample_pool():
+    for n in (3, 4, 7, 12):
+        pool = sample_pool(n)
+        for a in units_mod(n):
+            inverse = pow(a, -1, n) if n > 1 else 0
+            assert CyclotomicNumber.root(n, 1).conjugate(a) == CyclotomicNumber.root(n, a)
+            assert CyclotomicNumber.one(n).conjugate(a) == CyclotomicNumber.one(n)
+            for x in pool:
+                assert x.conjugate(1) == x
+                assert x.conjugate(a + n) == x.conjugate(a)
+                assert x.conjugate(a).conjugate(inverse) == x
+                for y in pool:
+                    assert (x + y).conjugate(a) == x.conjugate(a) + y.conjugate(a)
+                    assert (x * y).conjugate(a) == x.conjugate(a) * y.conjugate(a)
+    # complex conjugation on Q(ζ_7) sends ζ to ζ^6; rational values are fixed
+    assert CyclotomicNumber.root(7, 2).conjugate(-1) == CyclotomicNumber.root(7, 5)
+    assert CyclotomicNumber.from_rational(12, Fraction(-3, 8)).conjugate(5) == (
+        CyclotomicNumber.from_rational(12, Fraction(-3, 8))
+    )
+    with pytest.raises(ValueError):
+        CyclotomicNumber.root(12, 1).conjugate(3)
+
+
+def test_equal_values_share_one_canonical_form():
+    for n in (1, 3, 4, 7, 12, 18):
+        for x in sample_pool(n) + [CyclotomicNumber.root(n, 2).scale(Fraction(6, 35))]:
+            variants = [
+                (x.scale(Fraction(1, 3)).scale(3), x),
+                (x.scale(Fraction(-2, 6)), -(x.scale(Fraction(1, 3)))),
+                (x.scale(Fraction(-2, 6)), x.scale(Fraction(-1, 3))),
+                (x + -x, CyclotomicNumber.zero(n)),
+                (x - x, CyclotomicNumber.zero(n)),
+            ]
+            for left, right in variants:
+                assert left == right
+                assert hash(left) == hash(right)
+                assert (left.nums, left.den) == (right.nums, right.den)
+            assert x.den > 0
+            assert gcd(x.den, *x.nums) == 1
+        sums = [3 * t - 7 for t in range(n)]
+        negated = CyclotomicNumber.from_exponent_sums(n, [-c for c in sums], -6)
+        plain = CyclotomicNumber.from_exponent_sums(n, sums, 6)
+        assert negated == plain and hash(negated) == hash(plain)
+        assert plain.den > 0 and gcd(plain.den, *plain.nums) == 1
+    zero = CyclotomicNumber.zero(7)
+    assert (zero.nums, zero.den) == ((0,) * 6, 1)
+    assert CyclotomicNumber.from_exponent_sums(7, [0] * 7, 12) == zero
+    with pytest.raises(ZeroDivisionError):
+        CyclotomicNumber.from_exponent_sums(7, [1] * 7, 0)
+
+
+def test_coords_are_the_fraction_coordinates():
+    x = CyclotomicNumber.root(3, 1).scale(Fraction(-2, 3)) + CyclotomicNumber.from_rational(
+        3, Fraction(1, 5)
+    )
+    assert x.coords == (Fraction(1, 5), Fraction(-2, 3))
+    assert all(type(c) is Fraction for c in x.coords)
+    assert (x.nums, x.den) == ((3, -10), 15)
+    assert CyclotomicNumber.root(7, 6).coords == (-1,) * 6
+    for n in (3, 4, 7, 12, 18):
+        pool = sample_pool(n)
+        for a in pool:
+            assert a.coords == tuple(Fraction(c, a.den) for c in a.nums)
+            for b in pool:
+                assert (a * b).coords == fraction_product(a.coords, b.coords, n)
+                assert (a + b).coords == tuple(p + q for p, q in zip(a.coords, b.coords))
+                assert (a - b).coords == tuple(p - q for p, q in zip(a.coords, b.coords))

@@ -141,3 +141,11 @@ def test_poly_eval_mod_matches_the_power_sum(coeffs, x, m):
 @given(st.lists(st.integers(-100, 100), max_size=7), st.fractions(max_denominator=50))
 def test_poly_eval_matches_the_power_sum(coeffs, x):
     assert poly_eval(coeffs, x) == sum(c * x**j for j, c in enumerate(coeffs))
+
+
+def test_poly_eval_keeps_integers_integral():
+    assert type(poly_eval([3, -2, 5], 7)) is int
+    assert poly_eval([3, -2, 5], 7) == 234
+    assert poly_eval([], 7) == 0
+    assert type(poly_eval([Fraction(1, 2), 1], 3)) is Fraction
+    assert type(poly_eval([1, 1], Fraction(1, 3))) is Fraction

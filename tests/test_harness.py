@@ -434,6 +434,25 @@ def test_cli_run_passes_at_depth_4(tmp_path, capsys):
     assert "overall: PASS" in printed
 
 
+@pytest.mark.slow
+def test_cli_run_passes_at_depth_5(tmp_path, capsys):
+    """a=5 (modulus 1701, ring Z/81): the dual zeta routes at ambient order 162."""
+    ini = tmp_path / "a5.ini"
+    ini.write_text(
+        (REPO_ROOT / "configs" / "default.ini")
+        .read_text()
+        .replace("a = 2", "a = 5")
+        .replace("crosscheck, transfer, delta, qexp, sigma", "crosscheck, transfer, delta")
+    )
+    config = ScenarioConfig.from_ini(ini)
+    assert (config.a, config.checks) == (5, ("crosscheck", "transfer", "delta"))
+    assert main(["run", "--config", str(ini)]) == 0
+    printed = capsys.readouterr().out
+    for check in ("crosscheck", "transfer", "delta"):
+        assert f"check {check}: PASS" in printed
+    assert "overall: PASS" in printed
+
+
 def test_qexp_factors_each_nu_once(monkeypatch):
     config = ScenarioConfig.default()
     factor_principal = qexpansion.factor_principal
@@ -483,6 +502,19 @@ def test_cache_warm_scans_only_the_traces_p_mu(tmp_path):
     config = ScenarioConfig.default()
     warmed = cache_warm(config, tmp_path)
     assert warmed["files"] == sorted(f"totpos-fL7-p3-t{t}.txt" for t in range(3, 37, 3))
+
+
+def test_a_str_cache_directory_works_like_a_path(tmp_path):
+    config = ScenarioConfig.default()
+    cache = str(tmp_path / "cache")
+    assert run_scenario(config, cache_dir=cache, checks=("qexp",))["verdict"]
+    assert sorted(p.name for p in Path(cache).iterdir()) == cache_warm(config, tmp_path / "warm")["files"]
+    field = config.level().field
+    assert (Path(cache) / "totpos-fL7-p3-t6.txt").exists()
+    assert enumerate_tot_pos_trace(field, 6, cache_dir=cache) == enumerate_tot_pos_trace(field, 6)
+    fresh = str(tmp_path / "fresh")
+    assert enumerate_tot_pos_trace(field, 5, cache_dir=fresh) == enumerate_tot_pos_trace(field, 5)
+    assert [p.name for p in Path(fresh).iterdir()] == ["totpos-fL7-p3-t5.txt"]
 
 
 def test_no_assert_statements_in_the_package():

@@ -115,6 +115,20 @@ def test_extension_table_checks_fiber_sizes(monkeypatch, fresh_zeta_caches):
         partial_zeta(LV63, L_SIDE, 1, 2)
 
 
+@pytest.mark.parametrize("modulus, orbits", [(63, 20), (189, 32)])
+def test_orbit_l_values_match_the_direct_route(modulus, orbits):
+    """σ_a of the orbit representative's L-value is the L-value of ρ^a."""
+    group = unit_group(modulus)
+    representatives = set()
+    for chi in characters_of(modulus):
+        rep, a = zeta._orbit_representative(modulus, chi.exponents)
+        assert tuple(a * e % o for e, o in zip(rep, group.orders)) == chi.exponents
+        representatives.add(rep)
+        for k in (1, 2, 4):
+            assert zeta._l_value(modulus, chi.exponents, k, (3, 7)) == l_value_neg(chi, k, (3, 7))
+    assert len(representatives) == orbits
+
+
 def test_distribution_compatibility_189_to_63():
     for k in (1, 2, 4):
         for x in LV63.classes(Q_SIDE):
