@@ -113,6 +113,26 @@ def _load_config(path: Path | None) -> ScenarioConfig:
     return ScenarioConfig.from_ini(path)
 
 
+def _check_output_paths(args) -> None:
+    """Reject --json-out and --cache-dir paths that could only fail after the checks ran.
+
+    A write error at the end of a run would exit 1, the status of a false
+    verdict, so these are configuration errors found before any check runs.
+    """
+    json_out = getattr(args, "json_out", None)
+    if json_out is not None:
+        if json_out.is_dir():
+            raise ConfigInvalid(f"--json-out {json_out} is a directory")
+        if not json_out.parent.is_dir():
+            raise ConfigInvalid(f"--json-out {json_out}: {json_out.parent} is not a directory")
+    cache_dir = getattr(args, "cache_dir", None)
+    if cache_dir is not None:
+        # the cache creates missing directories, so the nearest existing one decides
+        existing = next((path for path in (cache_dir, *cache_dir.parents) if path.exists()), None)
+        if existing is not None and not existing.is_dir():
+            raise ConfigInvalid(f"--cache-dir {cache_dir}: {existing} is not a directory")
+
+
 def _emit(report: dict, json_out: Path | None) -> None:
     if json_out is not None:
         json_out.write_text(json.dumps(jsonable(report), indent=2, sort_keys=True))
@@ -171,6 +191,7 @@ def _cmd_cache_warm(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_output_paths(args)
         if args.verb == "run":
             return _cmd_scenario(args)
         if args.verb == "verify":

@@ -118,7 +118,7 @@ def _newton_char_poly(power_sums: list[int], degree: int) -> tuple[int, ...]:
 class AlgebraicInt:
     """An element of o_L in exact period coordinates."""
 
-    __slots__ = ("spec", "coords")
+    __slots__ = ("spec", "coords", "_char_poly")
 
     def __init__(self, spec: "AbelianFieldSpec", coords: tuple[int, ...]):
         if len(coords) != spec.p:
@@ -187,13 +187,25 @@ class AlgebraicInt:
         return -sum(self.coords)
 
     def char_poly(self) -> tuple[int, ...]:
-        """Ascending coefficients of the degree-p characteristic polynomial."""
+        """Ascending coefficients of the degree-p characteristic polynomial.
+
+        Computed on the first call and kept in a slot, so the total-positivity
+        test of the lattice scan and the norm read by factor_principal share
+        one computation.  The slot stays unset until then: construction costs
+        nothing extra.
+        """
+        try:
+            return self._char_poly
+        except AttributeError:
+            pass
         sums = []
         power = self
         for _ in range(self.spec.p):
             sums.append(power.trace())
             power = power * self
-        return _newton_char_poly(sums, self.spec.p)
+        cp = _newton_char_poly(sums, self.spec.p)
+        object.__setattr__(self, "_char_poly", cp)
+        return cp
 
     def norm(self) -> int:
         cp = self.char_poly()
@@ -353,7 +365,7 @@ class AbelianFieldSpec:
         return AlgebraicInt(self, tuple(coords))
 
     def split(self, q: int) -> "SplitData":
-        """split_type(self, q), computed once per prime: it searches all of range(q)."""
+        """split_type(self, q), computed once per prime."""
         data = self._splits.get(q)
         if data is None:
             data = self._splits[q] = split_type(self, q)
@@ -461,17 +473,31 @@ class SplitData:
 
 
 def split_type(spec: AbelianFieldSpec, q: int) -> SplitData:
-    """Splitting data of the rational prime q in o_L."""
+    """Splitting data of the rational prime q in o_L.
+
+    For a split q the slots are named by the p roots of the minimal
+    polynomial of η_0 mod q, in ascending order.  Only the least root r is
+    searched for; Gal(L/Q) permutes the primes above q transitively, so the
+    others are its orbit under r ↦ η_{p−1}(r) mod q, the map sigma_ideal
+    uses.  Every orbit value is re-evaluated, and p distinct roots of a
+    degree-p polynomial over F_q are all of its roots.
+    """
     if not is_prime(q):
         raise ValueError("q must be prime")
     p, f_L = spec.p, spec.conductor
     if q == f_L:
         return SplitData(q, p, 1, 1, (PrimeIdeal(q, p, 1, None),))
     if pow(q, (f_L - 1) // p, f_L) == 1:
-        roots = tuple(r for r in range(q) if poly_eval_mod(spec.min_poly, r, q) == 0)
-        if len(roots) != p:
+        r = next((r for r in range(q) if poly_eval_mod(spec.min_poly, r, q) == 0), None)
+        if r is None:
             raise ArithmeticError("split prime must yield p distinct roots")
-        return SplitData(q, 1, 1, p, tuple(PrimeIdeal(q, 1, 1, r) for r in roots))
+        orbit = [r]
+        for _ in range(p - 1):
+            orbit.append(poly_eval_mod(spec.prev_period_power, orbit[-1], q))
+        roots = sorted(set(orbit))
+        if len(roots) != p or any(poly_eval_mod(spec.min_poly, x, q) for x in roots):
+            raise ArithmeticError("split prime must yield p distinct roots")
+        return SplitData(q, 1, 1, p, tuple(PrimeIdeal(q, 1, 1, x) for x in roots))
     return SplitData(q, 1, p, 1, (PrimeIdeal(q, 1, p, None),))
 
 

@@ -93,7 +93,10 @@ class QExpansionL:
         self.weight = weight
         self.trace_bound = int(trace_bound)
         self.constant = Fraction(constant)
-        self._coeffs = {tuple(key): Fraction(val) for key, val in dict(coeffs).items()}
+        self._coeffs = {
+            tuple(key): val if isinstance(val, Fraction) else Fraction(val)
+            for key, val in dict(coeffs).items()
+        }
 
     def coefficient(self, nu: AlgebraicInt) -> Fraction:
         return self._coeffs[nu.coords]
@@ -267,9 +270,25 @@ def _mu_orbits(level: LevelData, mu: int, nus, divisor_ideals, factored) -> _MuO
     )
 
 
-def _weigh(terms, support, k: int) -> Fraction:
-    """Σ ε(class)·norm^(k−1) over the (norm, class) terms whose class is in the support."""
-    return sum((support[cls] * norm ** (k - 1) for norm, cls in terms if cls in support), Fraction(0))
+def _numerators(support) -> tuple[dict[int, int], int]:
+    """ε as integer numerators over D, the lcm of its denominators: (class ↦ D·ε(class), D)."""
+    den = math.lcm(*(v.denominator for v in support.values()))
+    return {cls: v.numerator * (den // v.denominator) for cls, v in support.items()}, den
+
+
+def _weigh(terms, numerators, k: int) -> int:
+    """Σ D·ε(class)·norm^(k−1) over the (norm, class) terms whose class is in the support.
+
+    `numerators` is ε over its common denominator D (see `_numerators`), so
+    the sum is an integer; callers build one Fraction over D from it.
+    """
+    return sum(numerators[cls] * norm ** (k - 1) for norm, cls in terms if cls in numerators)
+
+
+def _fraction_sum(values: list[Fraction]) -> Fraction:
+    """Σ values as integers over the lcm of their denominators: one Fraction, not one per term."""
+    den = math.lcm(*(v.denominator for v in values))
+    return Fraction(sum(v.numerator * (den // v.denominator) for v in values), den)
 
 
 def eisenstein_l(
@@ -300,11 +319,12 @@ def eisenstein_l(
     elif not table.covers(level, trace_bound):
         raise ValueError("the ν-table does not cover this level and trace bound")
     constant = scaled_zeta_of(level, L_SIDE, eps_l, k)
+    numerators, den = _numerators(eps_l.support)
     coeffs = {}
     for t, nus in table.by_trace.items():
         if t <= trace_bound:
             for nu in nus:
-                coeffs[nu.coords] = _weigh(table.divisors[nu.coords], eps_l.support, k)
+                coeffs[nu.coords] = Fraction(_weigh(table.divisors[nu.coords], numerators, k), den)
     return QExpansionL(k, trace_bound, constant, coeffs)
 
 
@@ -338,6 +358,7 @@ def verify_qexp_congruence(
     upstairs = eisenstein_l(level, eps_l, k, p * bound, table=table)
     downstairs = eisenstein_q(level, eps_q, p * k, bound)
     eps_support = eps_l.support
+    numerators, den = _numerators(eps_support)
     eps_q_support = eps_q.support
     f = level.modulus
 
@@ -347,7 +368,7 @@ def verify_qexp_congruence(
     for mu in range(1, bound + 1):
         # E(μ): G_{k,ε_L} summed over tr ν = p·μ minus the μ-th coefficient of G_{pk}
         nus = table.by_trace[p * mu]
-        upstairs_sum = sum((upstairs.coefficient(nu) for nu in nus), Fraction(0))
+        upstairs_sum = _fraction_sum([upstairs.coefficient(nu) for nu in nus])
         coefficient = upstairs_sum - downstairs.coefficient(mu)
         valuations[mu] = p_valuation(coefficient, p)
         orbits = table.orbits[mu]
@@ -356,13 +377,11 @@ def verify_qexp_congruence(
         }
 
         # E(μ) again: pool terms over tr ν = p·μ minus G_{pk}'s base divisor terms
-        direct = Fraction(0)
-        for nu in nus:
-            direct += _weigh(table.direct[nu.coords], eps_support, k)
+        direct = Fraction(sum(_weigh(table.direct[nu.coords], numerators, k) for nu in nus), den)
         if coefficient != direct - sum(base_terms.values()):
             routes_agree = False
 
-        moved_sum = p * _weigh(orbits.moved, eps_support, k)
+        moved_sum = Fraction(p * _weigh(orbits.moved, numerators, k), den)
         fermat = Fraction(0)
         for d, norm, cls in orbits.fixed:
             if d is None:

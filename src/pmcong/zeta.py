@@ -140,15 +140,15 @@ def _q_table_characters(level: LevelData, k: int) -> dict[int, Fraction]:
 
 
 @lru_cache(maxsize=None)
-def _l_table(level: LevelData, k: int) -> dict[int, Fraction]:
-    if level.field is None:
-        raise ValueError("extension-side values need a level with field data")
+def _l_fibers(level: LevelData) -> tuple[tuple[DirichletCharacter, ...], ...]:
+    """The characters mod the level's modulus grouped by their restriction to H.
+
+    The grouping does not depend on k, so it is made once per level.
+    """
     f = level.modulus
-    s = _removal_primes(level)
     chars = characters_of(f)
     order = chars[0].ambient_order
     h = level.h_classes
-
     h_logs = [chars[0].group.dlog(y) for y in h]
     fibers: dict[tuple[int, ...], list[DirichletCharacter]] = {}
     for chi in chars:
@@ -160,15 +160,24 @@ def _l_table(level: LevelData, k: int) -> dict[int, Fraction]:
         raise ArithmeticError(
             f"characters mod {f} do not fall into fibers of {expected} over the subgroup"
         )
+    return tuple(tuple(members) for members in fibers.values())
 
+
+@lru_cache(maxsize=None)
+def _l_table(level: LevelData, k: int) -> dict[int, Fraction]:
+    if level.field is None:
+        raise ValueError("extension-side values need a level with field data")
+    f = level.modulus
+    s = _removal_primes(level)
+    chars = characters_of(f)
     terms = []
-    for members in fibers.values():
+    for members in _l_fibers(level):
         prod = _l_value(f, members[0].exponents, k, s)
         for psi in members[1:]:
             prod = prod * _l_value(f, psi.exponents, k, s)
         # every member shares ψ(y) for y ∈ H; weight once per member
         terms.append((members[0], len(members), prod))
-    return _orthogonality_table(order, terms, h, len(chars))
+    return _orthogonality_table(chars[0].ambient_order, terms, level.h_classes, len(chars))
 
 
 def partial_zeta(level: LevelData, side: str, cls: int, k: int) -> Fraction:

@@ -392,8 +392,8 @@ def test_cli_run_passes_with_a_third_prime_in_s(tmp_path, capsys):
     assert "overall: PASS" in printed
 
 
-def test_cli_run_passes_for_a_quintic_field(tmp_path, capsys):
-    """p=5, conductor 11: the q-expansion check in degree 5 (traces 5, 10, …, 30)."""
+def _run_quintic(tmp_path, capsys, qexp_bound):
+    """`pmcong run` at p=5, conductor 11, a=2, picks 2, 3, all checks but σ."""
     ini = tmp_path / "quintic.ini"
     ini.write_text(
         (REPO_ROOT / "configs" / "default.ini")
@@ -402,18 +402,30 @@ def test_cli_run_passes_for_a_quintic_field(tmp_path, capsys):
         .replace("conductor = 7", "conductor = 11")
         .replace("s_primes = 3, 7", "s_primes = 5, 11")
         .replace("frobenius = 2, 5", "frobenius = 2, 3")
-        .replace("qexp_bound = 12", "qexp_bound = 6")
+        .replace("qexp_bound = 12", f"qexp_bound = {qexp_bound}")
         .replace("qexp, sigma", "qexp")
     )
     config = ScenarioConfig.from_ini(ini)
     assert (config.p, config.conductor, config.s_primes) == (5, 11, (5, 11))
-    assert (config.a, config.frobenius, config.qexp_bound) == (2, (2, 3), 6)
+    assert (config.a, config.frobenius, config.qexp_bound) == (2, (2, 3), qexp_bound)
     assert config.checks == ("crosscheck", "transfer", "delta", "qexp")
     assert main(["run", "--config", str(ini)]) == 0
     printed = capsys.readouterr().out
     for check in ("crosscheck", "transfer", "delta", "qexp"):
         assert f"check {check}: PASS" in printed
     assert "overall: PASS" in printed
+
+
+def test_cli_run_passes_for_a_quintic_field(tmp_path, capsys):
+    """p=5, conductor 11: the q-expansion check in degree 5 (traces 5, 10, …, 30)."""
+    _run_quintic(tmp_path, capsys, 6)
+
+
+@pytest.mark.slow
+def test_cli_run_passes_for_a_quintic_field_at_qexp_bound_8(tmp_path, capsys):
+    """At `qexp_bound` 8 the ideal pool reaches norm 8⁵ = 32 768, so every
+    prime up to it is split (~3 s)."""
+    _run_quintic(tmp_path, capsys, 8)
 
 
 def test_cli_run_passes_at_depth_4(tmp_path, capsys):
@@ -573,6 +585,50 @@ def test_cli_failure_exit_code(monkeypatch, capsys):
     printed = capsys.readouterr().out
     assert "check transfer: FAIL" in printed
     assert "overall: FAIL" in printed
+
+
+@pytest.fixture
+def no_checks(monkeypatch):
+    """Make run_scenario and cache_warm fail the test if the CLI reaches them."""
+    import pmcong.cli as cli_module
+
+    def never(*args, **kwargs):
+        raise AssertionError("no check may run on a bad output path")
+
+    monkeypatch.setattr(cli_module, "run_scenario", never)
+    monkeypatch.setattr(cli_module, "cache_warm", never)
+
+
+def _assert_configuration_error(capsys, argv, named):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ")
+    assert named in captured.err
+
+
+def test_cli_json_out_in_a_missing_directory_exits_2(tmp_path, capsys, no_checks):
+    target = tmp_path / "missing" / "r.json"
+    _assert_configuration_error(capsys, ["run", "--json-out", str(target)], "--json-out")
+    assert not target.parent.exists()
+
+
+def test_cli_json_out_naming_a_directory_exits_2(tmp_path, capsys, no_checks):
+    _assert_configuration_error(capsys, ["run", "--json-out", str(tmp_path)], "is a directory")
+
+
+def test_cli_run_cache_dir_naming_a_file_exits_2(tmp_path, capsys, no_checks):
+    regular = tmp_path / "file"
+    regular.write_text("")
+    _assert_configuration_error(capsys, ["run", "--cache-dir", str(regular)], "--cache-dir")
+    _assert_configuration_error(capsys, ["run", "--cache-dir", str(regular / "sub")], "--cache-dir")
+
+
+def test_cli_cache_warm_cache_dir_naming_a_file_exits_2(tmp_path, capsys, no_checks):
+    regular = tmp_path / "file"
+    regular.write_text("")
+    _assert_configuration_error(capsys, ["cache-warm", "--cache-dir", str(regular)], "--cache-dir")
+    assert regular.read_text() == ""
 
 
 def test_cli_zeta_base_side(capsys):

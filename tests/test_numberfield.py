@@ -19,6 +19,7 @@ from fractions import Fraction
 import pytest
 
 from pmcong.cache import load_records, store_records
+from pmcong.exact import poly_eval_mod
 from pmcong.dirichlet import characters_of, conductor_primitive, series_coefficients
 from pmcong.numberfield import (
     NotCoprime,
@@ -122,6 +123,33 @@ def test_split_roots_satisfy_min_poly():
             c0, c1, c2, c3 = spec.min_poly
             for r in roots:
                 assert (c0 + c1 * r + c2 * r * r + c3 * r**3) % q == 0
+
+
+@pytest.mark.parametrize("p, conductor", [(3, 7), (3, 13), (3, 19), (5, 11), (11, 23)])
+def test_split_roots_match_a_full_scan(p, conductor):
+    """The roots taken from one root's Galois orbit are every root in range(q)."""
+    spec = field_spec(p, conductor)
+    split = 0
+    for q in range(2, 2000):
+        if not is_prime(q) or q == conductor:
+            continue
+        data = split_type(spec, q)
+        if pow(q, (conductor - 1) // p, conductor) != 1:
+            assert [P.root for P in data.slots] == [None]
+            continue
+        split += 1
+        scan = [r for r in range(q) if poly_eval_mod(spec.min_poly, r, q) == 0]
+        assert [P.root for P in data.slots] == scan, q
+    assert split > 0
+
+
+@pytest.mark.parametrize("galois_map", [(0, 1, 0), (1, 1, 0)], ids=["identity", "shift"])
+def test_split_type_rejects_a_wrong_galois_map(monkeypatch, galois_map):
+    """An orbit map that does not permute the roots cannot pass for the splitting."""
+    spec = field_spec(3, 7)
+    monkeypatch.setattr(spec, "prev_period_power", galois_map)
+    with pytest.raises(ArithmeticError, match="p distinct roots"):
+        split_type(spec, 13)
 
 
 # ------------------------------------------------------------------- ideals --
@@ -272,6 +300,24 @@ def test_char_poly_newton_identities_are_exact():
     # power sums 1, 0, 0 would need e_2 = 1/2: not an algebraic integer
     with pytest.raises(ArithmeticError, match="non-integral"):
         _newton_char_poly([1, 0, 0], 3)
+
+
+def test_char_poly_is_kept_and_the_element_stays_immutable():
+    for spec in (F7, field_spec(5, 11)):
+        for coords in ((2, -1, 0, 3, 1)[: spec.p], (1,) + (0,) * (spec.p - 1)):
+            nu = spec.element(coords)
+            sums, power = [], nu
+            for _ in range(spec.p):
+                sums.append(power.trace())
+                power = power * nu
+            first = nu.char_poly()
+            assert first == _newton_char_poly(sums, spec.p)
+            assert nu.char_poly() is first
+            assert nu.norm() == -first[0]
+            for name in ("coords", "_char_poly"):
+                with pytest.raises(AttributeError):
+                    setattr(nu, name, None)
+            assert nu.coords == tuple(coords) and nu.char_poly() is first
 
 
 def test_total_positivity_matches_sturm_exhaustively():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import pmcong.numberfield as numberfield
 import pmcong.qexpansion as qexpansion
 from pmcong.exact import PValuation
 from pmcong.levels import L_SIDE, Q_SIDE, LocallyConstantFn, scenario_level, zeta_level
@@ -204,23 +205,62 @@ def test_shared_table_matches_a_fresh_build_and_guards_its_bound():
 
 
 def test_table_takes_two_char_polys_per_nu(tmp_path, monkeypatch):
-    """Each ν costs two characteristic polynomials: one decides total
-    positivity (in the scan, or in the check of its cached record) and one
-    is taken by factor_principal, which also gives the table |N(ν)|."""
+    """Each ν is asked for its characteristic polynomial twice: once to
+    decide total positivity (in the scan, or in the check of its cached
+    record) and once by factor_principal, which also gives the table |N(ν)|.
+    The two requests share one computation, kept on the element."""
     trace_bound = 3 * 6
     nus = sum(map(len, NuTable(LV, trace_bound).by_trace.values()))
     char_poly = AlgebraicInt.char_poly
+    newton = numberfield._newton_char_poly
     calls = []
+    computed = []
 
     def counting(nu):
         calls.append(nu.coords)
         return char_poly(nu)
 
+    def computing(power_sums, degree):
+        computed.append(power_sums)
+        return newton(power_sums, degree)
+
     monkeypatch.setattr(AlgebraicInt, "char_poly", counting)
+    monkeypatch.setattr(numberfield, "_newton_char_poly", computing)
     for cache in ("cold", "warm"):
         calls.clear()
+        computed.clear()
         NuTable(LV, trace_bound, cache_dir=tmp_path)
         assert len(calls) == 2 * nus, cache
+        assert len(computed) == nus, cache
+
+
+def _fraction_weigh(terms, support, k):
+    return sum((support[cls] * norm ** (k - 1) for norm, cls in terms if cls in support), Fraction(0))
+
+
+def test_integer_weighing_matches_a_fraction_reference():
+    """ε_L with values 1/2, 5/4, 2/5 and 0 (3-integral, not integral): the
+    integer weighing over the common denominator 20 gives the Fraction sums."""
+    values = [Fraction(1, 2), Fraction(5, 4), Fraction(2, 5), Fraction(0)]
+    halves = [x for x in LV.classes(L_SIDE) if x < 63 - x]
+    table = {}
+    for i, x in enumerate(halves):
+        table[x] = table[63 - x] = values[i % len(values)]
+    eps = LocallyConstantFn.from_table(LV, L_SIDE, table)
+    assert eps.even and eps.p_integral
+    assert {v.denominator for v in eps.support.values()} == {2, 4, 5}
+    nu_table = NuTable(LV, 3 * 6)
+    for k in (2, 4):
+        expansion = eisenstein_l(LV, eps, k, 3 * 6, table=nu_table)
+        coefficients = dict(expansion.items())
+        assert len(coefficients) == sum(map(len, nu_table.by_trace.values()))
+        assert any(c.denominator > 1 for c in coefficients.values())
+        for coords, value in coefficients.items():
+            assert value == _fraction_weigh(nu_table.divisors[coords], eps.support, k)
+        report = verify_qexp_congruence(LV, eps, k, 6, table=nu_table)
+        assert report["routes_agree"] and report["verdict"]
+        for mu, book in report["bookkeeping"].items():
+            assert book["moved_sum"] == 3 * _fraction_weigh(nu_table.orbits[mu].moved, eps.support, k)
 
 
 def test_direct_route_reads_the_enumerated_pool(monkeypatch):

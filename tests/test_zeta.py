@@ -82,7 +82,7 @@ def test_dual_route_exhaustive_567():
 
 @pytest.fixture
 def fresh_zeta_caches():
-    caches = (zeta._l_value, zeta._q_table_characters, zeta._l_table)
+    caches = (zeta._l_value, zeta._q_table_characters, zeta._l_fibers, zeta._l_table)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -113,6 +113,19 @@ def test_extension_table_checks_fiber_sizes(monkeypatch, fresh_zeta_caches):
     monkeypatch.setattr(zeta, "characters_of", lambda modulus: full(modulus)[:-1])
     with pytest.raises(ArithmeticError, match="fibers"):
         partial_zeta(LV63, L_SIDE, 1, 2)
+
+
+def test_extension_fibers_are_split_once_per_level(fresh_zeta_caches):
+    """The grouping of the characters over H does not depend on k."""
+    for k in (1, 2, 4):
+        partial_zeta(LV63, L_SIDE, 1, k)
+    info = zeta._l_fibers.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    fibers = zeta._l_fibers(LV63)
+    assert sorted(chi.exponents for members in fibers for chi in members) == sorted(
+        chi.exponents for chi in characters_of(63)
+    )
+    assert {len(members) for members in fibers} == {len(characters_of(63)) // len(LV63.h_classes)}
 
 
 @pytest.mark.parametrize("modulus, orbits", [(63, 20), (189, 32)])
