@@ -20,7 +20,7 @@ def main() -> None:
         g = FrobeniusChoice(level, 2)
         lam = lambda_approx(level, Q_SIDE, g, 2)
         print(f"depth a={a}: modulus {level.modulus}, "
-              f"lambda lives in Z/{lam.elt.ring.modulus}[{len(lam.elt.ring.elements)} classes]")
+              f"lambda lives in Z/{lam.modulus}[{len(lam.coeffs)} classes]")
         print(f"  first coefficients: "
               + ", ".join(f"c({x})={lam.coefficient(x)}" for x in (1, 2, 4, 5)))
 

@@ -1,9 +1,11 @@
-"""Group rings (Z/m)[G] over explicit finite groups.
+"""Group rings (Z/m)[G] over explicit finite groups, for the σ-suite.
 
-The carrier is deliberately generic — group elements are whatever hashable
-values the caller supplies, with multiplication given as a callable — so the
-same ring serves both unit-group levels (integers mod f) and synthetic
-semidirect-product groups (coordinate tuples).
+The carrier is generic — group elements are whatever hashable values the
+caller supplies, with multiplication given as a callable.  The σ-suite builds
+(Z/p^m)[H] over the kernel of a synthetic setup (coordinate tuples), where it
+multiplies out the conjugation-element identity and moves elements along the
+Σ-action for trace ideals.  The unit-group levels need no ring: their
+pseudomeasures are residue tables (see `pseudomeasure`).
 """
 
 from __future__ import annotations
@@ -114,20 +116,13 @@ class GroupRingElement:
                 out[z] = out.get(z, 0) + c * d
         return GroupRingElement(self.ring, out)
 
-    def map_group(self, fn, target: GroupRing | None = None) -> "GroupRingElement":
-        """Pushforward along a map of group elements (coefficients accumulate)."""
-        ring = target if target is not None else self.ring
+    def map_group(self, fn) -> "GroupRingElement":
+        """Pushforward along an endomorphism of the group (coefficients accumulate)."""
         out: dict = {}
         for x, c in self.coeffs.items():
             y = fn(x)
             out[y] = out.get(y, 0) + c
-        return GroupRingElement(ring, out)
-
-    def reduce_to(self, ring: GroupRing) -> "GroupRingElement":
-        """The same formal sum in a ring with a divisor modulus."""
-        if self.ring.modulus % ring.modulus:
-            raise ValueError("target modulus must divide the source modulus")
-        return GroupRingElement(ring, dict(self.coeffs))
+        return GroupRingElement(self.ring, out)
 
     def _check(self, other: "GroupRingElement") -> None:
         if not self.ring.same_ring(other.ring):

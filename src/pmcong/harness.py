@@ -14,7 +14,7 @@ from __future__ import annotations
 import configparser
 import math
 import time
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -242,7 +242,11 @@ class ScenarioConfig:
 
 
 def jsonable(value):
-    """Recursively convert exact values into JSON-representable ones."""
+    """Recursively convert exact values into JSON-representable ones.
+
+    Floats (the `timings`) pass through as numbers; any other type outside
+    the handled set is a `TypeError`, not a `repr` in the report.
+    """
     if isinstance(value, Fraction):
         return str(value) if value.denominator != 1 else str(value.numerator)
     if isinstance(value, PValuation):
@@ -251,9 +255,9 @@ def jsonable(value):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
-    if isinstance(value, (bool, int, str)) or value is None:
+    if isinstance(value, (bool, int, float, str)) or value is None:
         return value
-    return repr(value)
+    raise TypeError(f"{type(value).__name__} value {value!r} has no JSON form")
 
 
 def _eps_functions(config: ScenarioConfig, level) -> list[LocallyConstantFn]:
@@ -297,7 +301,7 @@ def _check_crosscheck(config: ScenarioConfig, level) -> dict:
         for side, pick in ((Q_SIDE, g), (L_SIDE, h)):
             base = lambda_approx(level, side, pick, config.k_values[0])
             for k in config.k_values[1:]:
-                if lambda_approx(level, side, pick, k).elt != base.elt:
+                if lambda_approx(level, side, pick, k).coeffs != base.coeffs:
                     k_indep = False
     details["lambda_k_independent"] = {"verdict": k_indep}
 
@@ -404,11 +408,15 @@ def _check_qexp(config: ScenarioConfig, level, cache_dir) -> dict:
 def run_scenario(
     config: ScenarioConfig, cache_dir: Path | None = None, checks=None
 ) -> dict:
-    """Execute the configured checks and assemble the versioned report."""
-    selected = tuple(checks) if checks is not None else config.checks
-    unknown = set(selected) - set(_KNOWN_CHECKS)
-    if unknown:
-        raise ConfigInvalid(f"unknown checks: {sorted(unknown)}")
+    """Execute the configured checks and assemble the versioned report.
+
+    A `checks` selection replaces the configured one and is validated like
+    it, so its hypotheses fail before any check runs; the report's `config`
+    block still describes `config` itself.
+    """
+    selected = config.checks
+    if checks is not None:
+        selected = replace(config, checks=tuple(checks)).checks
     level = config.level()
     report_checks = {}
     timings = {}

@@ -1,28 +1,28 @@
 """Finite-level pseudomeasure approximations and the transfer congruence.
 
 The approximation attached to a Frobenius pick g at a level with modulus
-exponent a is the group-ring element
+exponent a is the residue table
 
-    λ_g = Σ_x Δ_g(1−k, δ^(x)) · ñ(x)^(−k) · x   in  (Z/p^a)[classes],
+    λ_g(x) = Δ_g(1−k, δ^(x)) · ñ(x)^(−k)  mod p^a,   x a class of the side,
 
-whose coefficients do not depend on the auxiliary k — that independence is a
+whose values do not depend on the auxiliary k — that independence is a
 theorem upstream and an acceptance check here, not an assumption.  The
-transfer congruence compares, inside (Z/p^(a−1))[H]:
+transfer congruence compares, class by class on H:
 
-    s = λ_{h}|_(mod p^(a−1))  −  ver_*(λ_g),     h = ver(g),
+    s(y) = λ_h(y) − Σ_{ver(x) = y} λ_g(x)  mod p^(a−1),     h = ver(g),
 
 against the trace ideal of the Σ-action.  At the abelian levels built here Σ
-acts trivially on H, so the trace ideal is p·R and the verdict is coefficient
-divisibility by p, witnessed by an explicit quotient certificate.
+acts trivially on H, so the trace ideal is p·(Z/p^(a−1))[H] and the verdict
+is coefficient divisibility by p, witnessed by an explicit quotient
+certificate.  Nothing here multiplies group-ring elements, so λ stays a plain
+table; the group rings with nontrivial Σ-actions live in `sigma`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .exact import PValuation, p_valuation
-from .groupring import GroupRing, GroupRingElement
 from .levels import L_SIDE, Q_SIDE, FrobeniusChoice, LevelData, LocallyConstantFn
 from .zeta import delta_of, delta_table, norm_residue
 
@@ -31,11 +31,9 @@ __all__ = [
     "IncompatibleLevels",
     "LevelTooShallow",
     "PseudomeasureApprox",
-    "group_ring_for",
     "lambda_approx",
     "pairing",
     "project_level",
-    "transfer_ring",
     "verify_delta_congruence",
     "verify_transfer_congruence",
 ]
@@ -53,17 +51,6 @@ class FlagViolation(ValueError):
     """A function is missing a required flag (even / p-integral)."""
 
 
-@lru_cache(maxsize=None)
-def group_ring_for(level: LevelData, side: str, modulus: int) -> GroupRing:
-    f = level.modulus
-    return GroupRing(
-        level.classes(side),
-        mul=lambda x, y: (x * y) % f,
-        identity=1 % f,
-        modulus=modulus,
-    )
-
-
 def reduce_fraction(value: Fraction, modulus: int, p: int) -> int:
     """Canonical residue of a p-integral rational mod a power of p."""
     v = Fraction(value)
@@ -73,20 +60,20 @@ def reduce_fraction(value: Fraction, modulus: int, p: int) -> int:
 
 
 class PseudomeasureApprox:
-    """λ_g at one level/side, with the ring element and its provenance."""
+    """λ_g at one level/side: `coeffs` maps each class to its residue mod p^a."""
 
-    __slots__ = ("level", "side", "g", "k", "modulus", "elt")
+    __slots__ = ("level", "side", "g", "k", "modulus", "coeffs")
 
-    def __init__(self, level, side, g, k, modulus, elt: GroupRingElement):
+    def __init__(self, level, side, g, k, modulus, coeffs: dict[int, int]):
         self.level = level
         self.side = side
         self.g = g
         self.k = k
         self.modulus = modulus
-        self.elt = elt
+        self.coeffs = coeffs
 
     def coefficient(self, cls: int) -> int:
-        return self.elt.coefficient(cls)
+        return self.coeffs.get(cls, 0)
 
     def __repr__(self) -> str:
         return (
@@ -103,14 +90,13 @@ def lambda_approx(level: LevelData, side: str, g: FrobeniusChoice, k: int) -> Ps
         raise ValueError("k must be ≥ 1")
     p, a = level.p, level.a
     modulus = p**a
-    ring = group_ring_for(level, side, modulus)
     deltas = delta_table(level, side, g, k)
     coeffs = {}
     for x in level.classes(side):
         n_tilde = norm_residue(level, x)
         inv_nk = pow(pow(n_tilde, -1, modulus), k, modulus)
-        coeffs[x] = reduce_fraction(deltas[x], modulus, p) * inv_nk
-    return PseudomeasureApprox(level, side, g, k, modulus, ring.from_coeffs(coeffs))
+        coeffs[x] = reduce_fraction(deltas[x], modulus, p) * inv_nk % modulus
+    return PseudomeasureApprox(level, side, g, k, modulus, coeffs)
 
 
 def pairing(eps: LocallyConstantFn, pm: PseudomeasureApprox) -> int:
@@ -123,25 +109,17 @@ def pairing(eps: LocallyConstantFn, pm: PseudomeasureApprox) -> int:
     p = pm.level.p
     total = 0
     for x, v in eps.support.items():
-        c = pm.elt.coefficient(x)
+        c = pm.coefficient(x)
         if c:
             total += reduce_fraction(v, modulus, p) * c
     return total % modulus
 
 
-def transfer_ring(level: LevelData, elt: GroupRingElement) -> GroupRingElement:
-    """Pushforward along ver, landing in (Z/p^(a−1))[H]."""
-    p, a = level.p, level.a
-    if a < 2:
-        raise LevelTooShallow("transfer comparison needs modulus exponent a ≥ 2")
-    target = group_ring_for(level, L_SIDE, p ** (a - 1))
-    return elt.map_group(level.transfer_class, target)
-
-
 def project_level(
-    fine: LevelData, side: str, elt: GroupRingElement, coarse: LevelData
-) -> GroupRingElement:
-    """Sum coefficients over the fibers of the class-group projection."""
+    fine: LevelData, side: str, coeffs: dict[int, int], coarse: LevelData
+) -> dict[int, int]:
+    """Sum a residue table over the fibers of the class-group projection,
+    landing in residues mod p^a of the coarse level."""
     if (
         fine.p != coarse.p
         or fine.s_primes != coarse.s_primes
@@ -150,15 +128,21 @@ def project_level(
         or (fine.field is None) != (coarse.field is None)
     ):
         raise IncompatibleLevels(f"{coarse!r} is not a coarsening of {fine!r}")
-    target = group_ring_for(coarse, side, coarse.p**coarse.a)
-    return elt.map_group(lambda x: x % coarse.modulus, target)
+    modulus = coarse.p**coarse.a
+    out = dict.fromkeys(coarse.classes(side), 0)
+    for x, c in coeffs.items():
+        y = x % coarse.modulus
+        out[y] = (out[y] + c) % modulus
+    return out
 
 
 def verify_transfer_congruence(level: LevelData, g: FrobeniusChoice, k: int = 2) -> dict:
     """End-to-end check: ver_*(λ_g) ≡ λ_{ver(g)} modulo the trace ideal.
 
-    Returns a report with the difference element s in (Z/p^(a−1))[H], the
-    membership verdict (every coefficient divisible by p; at these levels the
+    The difference s(y) = λ_h(y) − Σ_{ver(x) = y} λ_g(x) mod p^(a−1) is taken
+    class by class on H, the inner sum running over the fibres of ver that
+    `LevelData.transfer_fibers` holds.  Returns a report with s, the
+    membership verdict (every value divisible by p; at these levels the
     Σ-action on H is trivial, so the trace ideal is exactly p·R), and the
     quotient certificate α with p·α = s, re-verified before reporting.
     """
@@ -166,13 +150,14 @@ def verify_transfer_congruence(level: LevelData, g: FrobeniusChoice, k: int = 2)
     if a < 2:
         raise LevelTooShallow("the comparison ring (Z/p^(a−1))[H] needs a ≥ 2")
     h = g.transfer()
-    lam_q = lambda_approx(level, Q_SIDE, g, k)
-    lam_l = lambda_approx(level, L_SIDE, h, k)
+    lam_q = lambda_approx(level, Q_SIDE, g, k).coeffs
+    lam_l = lambda_approx(level, L_SIDE, h, k).coeffs
     target_mod = p ** (a - 1)
-    target = group_ring_for(level, L_SIDE, target_mod)
-    s = lam_l.elt.reduce_to(target) - transfer_ring(level, lam_q.elt)
-
-    difference = {y: s.coefficient(y) for y in level.h_classes}
+    fibers = level.transfer_fibers
+    difference = {
+        y: (lam_l[y] - sum(lam_q[x] for x in fibers.get(y, ()))) % target_mod
+        for y in level.h_classes
+    }
     failing = sorted(y for y, c in difference.items() if c % p)
     verdict = not failing
     certificate = {}

@@ -1,4 +1,4 @@
-"""Coset transfer, Σ-trace ideals, and orbit decompositions on explicit finite groups.
+"""Coset transfer and Σ-trace ideals on explicit finite groups.
 
 Everything here is desk-scale group theory, validated by brute force: a group
 is a multiplication table, tabulated over element positions and validated
@@ -55,7 +55,6 @@ from .units import factorize, is_prime, parse_int_list
 __all__ = [
     "BadConjugationData",
     "CATALOG",
-    "EquivarianceViolated",
     "FiniteGroup",
     "GaloisSetup",
     "MAX_TABULATED_ORDER",
@@ -65,7 +64,6 @@ __all__ = [
     "abelian_group",
     "abelian_isomorphism_types",
     "coset_transfer",
-    "decompose_difference",
     "index_p_functionals",
     "parse_setup",
     "run_sigma_suite",
@@ -81,10 +79,6 @@ class NotAbelianKernel(ValueError):
 
 class NotFixed(ValueError):
     """A trace-ideal query was made with an element outside the fixed-point ring."""
-
-
-class EquivarianceViolated(ValueError):
-    """Input coordinates are not Σ-equivariant."""
 
 
 class BadConjugationData(ValueError):
@@ -170,13 +164,8 @@ class FiniteGroup:
         until their right-product closure of the identity is the carrier.
         """
         table = self.table
-        span = [self.identity_position]
-        in_span = bytearray(len(table))
-        in_span[span[0]] = 1
-        generators = []
-        for g in range(len(table)):
-            if in_span[g]:
-                continue
+        generators, _ = _span(table, self.identity_position, range(len(table)))
+        for g in generators:
             g_row = table[g]
             for x, row in enumerate(table):
                 # the row of x·g against x·(g·y) for every y
@@ -187,18 +176,6 @@ class FiniteGroup:
                     raise ValueError(
                         f"the law is not associative: ({x!r}·{g!r})·{y!r} ≠ {x!r}·({g!r}·{y!r})"
                     )
-            generators.append(g)
-            fresh, by = list(span), (g,)
-            while fresh:
-                grown = []
-                for x in fresh:
-                    for h in by:
-                        y = table[x][h]
-                        if not in_span[y]:
-                            in_span[y] = 1
-                            grown.append(y)
-                span.extend(grown)
-                fresh, by = grown, generators
 
     def __len__(self):
         return len(self.elements)
@@ -231,6 +208,37 @@ class FiniteGroup:
     def conjugate(self, g, x):
         """g·x·g⁻¹."""
         return self.mul(self.mul(g, x), self.inverse(g))
+
+
+def _span(table, identity, candidates):
+    """(generators, span): greedy generators from `candidates` and their span.
+
+    A candidate outside the span so far becomes a generator.  The span is the
+    closure of the identity under right products by the generators, which in
+    a finite group is the subgroup they generate; each span element meets
+    each generator exactly once.  Everything is a position in `table`.
+    """
+    span = [identity]
+    in_span = bytearray(len(table))
+    in_span[identity] = 1
+    generators = []
+    for g in candidates:
+        if in_span[g]:
+            continue
+        generators.append(g)
+        fresh, by = list(span), (g,)
+        while fresh:
+            grown = []
+            for x in fresh:
+                row = table[x]
+                for h in by:
+                    y = row[h]
+                    if not in_span[y]:
+                        in_span[y] = 1
+                        grown.append(y)
+            span.extend(grown)
+            fresh, by = grown, generators
+    return generators, span
 
 
 def _positions(elements) -> dict:
@@ -364,34 +372,10 @@ class GaloisSetup:
         in_h = bytearray(len(group))
         for a in h_positions:
             in_h[a] = 1
-        # in a finite group, {1} closed under right products by generators is
-        # their span; each span element meets each generator exactly once
-        generators = []
-        span = [group.identity_position]
-        in_span = bytearray(len(group))
-        in_span[span[0]] = 1
-
-        def extend(xs, gens):
-            fresh = []
-            for x in xs:
-                row = table[x]
-                for g in gens:
-                    y = row[g]
-                    if not in_h[y]:
-                        raise ValueError("subgroup not closed under multiplication")
-                    if not in_span[y]:
-                        in_span[y] = 1
-                        fresh.append(y)
-            span.extend(fresh)
-            return fresh
-
-        for a in h_positions:
-            if in_span[a]:
-                continue
-            generators.append(a)
-            fresh = extend(list(span), (a,))
-            while fresh:
-                fresh = extend(fresh, generators)
+        # the span covers H, so H is a subgroup iff the span stays inside it
+        generators, span = _span(table, group.identity_position, h_positions)
+        if any(not in_h[x] for x in span):
+            raise ValueError("subgroup not closed under multiplication")
         self.h_is_abelian = all(
             table[a][b] == table[b][a]
             for k, a in enumerate(generators)
@@ -758,92 +742,6 @@ class TraceIdeal:
         if self.trace(cert) != elt:
             raise ArithmeticError("trace certificate failed re-expansion")
         return True, cert
-
-
-# ---------------------------------------------------------------------------
-# orbit decomposition of an H-indexed difference
-
-
-def decompose_difference(setup: GaloisSetup, l_coeffs, q_coeffs) -> dict:
-    """Split an H-indexed difference into orbit traces plus a p-divisible fixed part.
-
-    `l_coeffs` assigns coefficients to subgroup elements, `q_coeffs` to
-    ambient-group elements; the latter are pushed forward along ver and
-    subtracted.  On free orbits the (necessarily constant) difference is a
-    trace on the nose; at Σ-fixed elements membership forces divisibility by
-    p, which is the verdict.  Fixed elements outside the image of ver are
-    reported separately — their ambient contribution is an empty sum.
-    """
-    group = setup.group
-    mod = setup.p**setup.modulus_exponent
-    for h in l_coeffs:
-        if h not in setup.h_set:
-            raise ValueError(f"{h!r} is not a subgroup element")
-    for x in q_coeffs:
-        if x not in group:
-            raise ValueError(f"{x!r} is not a group element")
-
-    def lval(h):
-        return l_coeffs.get(h, 0) % mod
-
-    def qval(x):
-        return q_coeffs.get(x, 0) % mod
-
-    for h in setup.h_elements:
-        if lval(setup.sigma_action(h)) != lval(h):
-            raise EquivarianceViolated("subgroup coordinates are not Σ-invariant")
-    for x in group.elements:
-        if qval(group.conjugate(setup.sigma_rep, x)) != qval(x):
-            raise EquivarianceViolated("ambient coordinates are not Σ-invariant")
-
-    pushed = {h: 0 for h in setup.h_elements}
-    image = set()
-    for x in group.elements:
-        y = coset_transfer(setup, x)
-        image.add(y)
-        pushed[y] = (pushed[y] + qval(x)) % mod
-
-    diff = {h: (lval(h) - pushed[h]) % mod for h in setup.h_elements}
-    ring = setup.h_ring(mod)
-    verdict = True
-    orbit_traces = []
-    fixed_quotients = {}
-    fixed_outside_image = []
-    cert_coeffs = {}
-    for orbit in setup.orbits():
-        rep = orbit[0]
-        val = diff[rep]
-        if len(orbit) > 1:
-            if any(diff[h] != val for h in orbit):
-                raise EquivarianceViolated("difference is not constant on an orbit")
-            if val:
-                orbit_traces.append((rep, val))
-                cert_coeffs[rep] = cert_coeffs.get(rep, 0) + val
-        else:
-            if rep not in image:
-                fixed_outside_image.append(rep)
-            if val % setup.p:
-                verdict = False
-                continue
-            if val:
-                fixed_quotients[rep] = val // setup.p
-                cert_coeffs[rep] = cert_coeffs.get(rep, 0) + val // setup.p
-    report = {
-        "verdict": verdict,
-        "modulus": mod,
-        "orbit_traces": orbit_traces,
-        "fixed_quotients": fixed_quotients,
-        "fixed_outside_image": fixed_outside_image,
-        "difference": diff,
-        "certificate": None,
-    }
-    if verdict:
-        cert = ring.from_coeffs(cert_coeffs)
-        ideal = TraceIdeal(setup)
-        if ideal.trace(cert) != ring.from_coeffs(diff):
-            raise ArithmeticError("orbit decomposition certificate failed re-expansion")
-        report["certificate"] = cert
-    return report
 
 
 # ---------------------------------------------------------------------------

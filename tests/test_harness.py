@@ -223,7 +223,9 @@ def test_jsonable_conversions():
         "3": ["1/2", None, True],
     }
     json.dumps(converted)
-    assert jsonable(object()).startswith("<object")
+    assert jsonable({"timings": {"qexp": 0.038}}) == {"timings": {"qexp": 0.038}}
+    with pytest.raises(TypeError, match="object"):
+        jsonable([object()])
 
 
 def test_run_scenario_report_is_deterministic():
@@ -605,6 +607,35 @@ def _assert_configuration_error(capsys, argv, named):
     assert captured.out == ""
     assert captured.err.startswith("configuration error: ")
     assert named in captured.err
+
+
+@pytest.fixture
+def no_scenario_checks(monkeypatch):
+    """Make every check of `run_scenario` fail the test if it starts."""
+    import pmcong.harness as harness_module
+
+    def never(*args, **kwargs):
+        raise AssertionError("no check may run on a bad check selection")
+
+    for name in (
+        "_check_crosscheck", "_check_transfer", "_check_delta", "_check_qexp", "run_sigma_suite"
+    ):
+        monkeypatch.setattr(harness_module, name, never)
+
+
+def test_cli_verify_transfer_at_depth_1_exits_2(tmp_path, capsys, no_scenario_checks):
+    # the file's own checks do not need a ≥ 2; the selected transfer check does
+    ini = tmp_path / "shallow.ini"
+    ini.write_text(
+        SMALL_INI.replace("a = 2", "a = 1").replace("checks = transfer, delta", "checks = crosscheck")
+    )
+    _assert_configuration_error(capsys, ["verify", "transfer", "--config", str(ini)], "a ≥ 2")
+
+
+def test_cli_verify_qexp_without_an_even_k_exits_2(tmp_path, capsys, no_scenario_checks):
+    ini = tmp_path / "odd.ini"
+    ini.write_text(SMALL_INI.replace("k_values = 2", "k_values = 1, 3"))
+    _assert_configuration_error(capsys, ["verify", "qexp", "--config", str(ini)], "even k")
 
 
 def test_cli_json_out_in_a_missing_directory_exits_2(tmp_path, capsys, no_checks):

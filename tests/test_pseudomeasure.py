@@ -22,11 +22,9 @@ from pmcong.pseudomeasure import (
     FlagViolation,
     IncompatibleLevels,
     LevelTooShallow,
-    group_ring_for,
     lambda_approx,
     pairing,
     project_level,
-    transfer_ring,
     verify_delta_congruence,
     verify_transfer_congruence,
 )
@@ -106,7 +104,7 @@ def test_lambda_k_independence():
             for side, pick in ((Q_SIDE, g), (L_SIDE, h)):
                 base = lambda_approx(lv, side, pick, ks[0])
                 for k in ks[1:]:
-                    assert lambda_approx(lv, side, pick, k).elt == base.elt, (
+                    assert lambda_approx(lv, side, pick, k).coeffs == base.coeffs, (
                         lv.modulus,
                         side,
                         n,
@@ -144,24 +142,27 @@ def test_pairing_flag_and_domain_checks():
         pairing(wrong_side, pm)
 
 
-def test_transfer_ring_cubes_classes():
-    ring = group_ring_for(LV63, Q_SIDE, 9)
-    for x in LV63.classes(Q_SIDE):
-        image = transfer_ring(LV63, ring.delta(x))
-        assert image.support() == (pow(x, 3, 63),)
-        assert image.coefficient(pow(x, 3, 63)) == 1
-    a = ring.from_coeffs({2: 4, 5: 7})
-    b = ring.from_coeffs({11: 1, 4: 8})
-    assert transfer_ring(LV63, a * b) == transfer_ring(LV63, a) * transfer_ring(
-        LV63, b
-    )
+@pytest.mark.parametrize("a", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 5])
+def test_transfer_difference_matches_brute_force_pushforward(a, n):
+    # ver_* by its definition: the class x of the full group lands on x^p mod f
+    level = scenario_level(3, 7, (3, 7), a)
+    g = FrobeniusChoice(level, n)
+    lam_q = lambda_approx(level, Q_SIDE, g, 2)
+    lam_l = lambda_approx(level, L_SIDE, g.transfer(), 2)
+    f, target = level.modulus, 3 ** (a - 1)
+    pushed = dict.fromkeys(level.h_classes, 0)
+    for x in level.classes(Q_SIDE):
+        pushed[pow(x, 3, f)] += lam_q.coefficient(x)
+    expected = {
+        y: (lam_l.coefficient(y) - pushed[y]) % target for y in level.h_classes
+    }
+    report = verify_transfer_congruence(level, g, 2)
+    assert report["difference"] == expected
 
 
 def test_transfer_needs_depth():
     shallow = scenario_level(3, 7, (3, 7), 1)
-    ring = group_ring_for(shallow, Q_SIDE, 3)
-    with pytest.raises(LevelTooShallow):
-        transfer_ring(shallow, ring.one())
     with pytest.raises(LevelTooShallow):
         verify_transfer_congruence(shallow, FrobeniusChoice(shallow, 2))
 
@@ -177,19 +178,18 @@ def test_projection_tower_collapses_lambda():
             coarse_pick = FrobeniusChoice(LV63, n)
             coarse_pick = coarse_pick if side == Q_SIDE else coarse_pick.transfer()
             coarse = lambda_approx(LV63, side, coarse_pick, 2)
-            projected = project_level(LV189, side, fine.elt, LV63)
-            assert projected == coarse.elt
+            projected = project_level(LV189, side, fine.coeffs, LV63)
+            assert projected == coarse.coeffs
 
 
 def test_projection_validates_towers():
-    ring = group_ring_for(LV63, Q_SIDE, 9)
     with pytest.raises(IncompatibleLevels):
-        project_level(LV63, Q_SIDE, ring.one(), LV189)
+        project_level(LV63, Q_SIDE, {1: 1}, LV189)
     other = scenario_level(3, 13, (3, 13), 2)
     with pytest.raises(IncompatibleLevels):
         project_level(LV189, Q_SIDE, lambda_approx(
             LV189, Q_SIDE, FrobeniusChoice(LV189, 2), 2
-        ).elt, other)
+        ).coeffs, other)
 
 
 def test_transfer_congruence_at_63_is_exact_equality():

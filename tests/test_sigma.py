@@ -17,7 +17,6 @@ from pmcong.sigma import (
     CATALOG,
     MAX_TABULATED_ORDER,
     BadConjugationData,
-    EquivarianceViolated,
     FiniteGroup,
     GaloisSetup,
     NotAbelianKernel,
@@ -26,7 +25,6 @@ from pmcong.sigma import (
     abelian_group,
     abelian_isomorphism_types,
     coset_transfer,
-    decompose_difference,
     index_p_functionals,
     parse_setup,
     run_sigma_suite,
@@ -173,6 +171,10 @@ def test_packed_abelian_law_is_componentwise(orders):
 # (1·1)·2 = 2 but 1·(1·2) = 4
 _LOOP5 = [[int(c) for c in row] for row in "01234 10342 24013 32401 43120".split()]
 
+# a loop of order 6 where Light's test passes at the first greedy generator 1,
+# which spans only {0, 1}, and fails at the second, 2: (2·2)·4 = 3 but 2·(2·4) = 2
+_LOOP6 = [[int(c) for c in row] for row in "012345 103254 234501 325410 450132 541023".split()]
+
 
 @pytest.mark.parametrize(
     "elements, mul, identity, message",
@@ -182,8 +184,12 @@ _LOOP5 = [[int(c) for c in row] for row in "01234 10342 24013 32401 43120".split
         (range(3), lambda x, y: y, 0, r"0 is not a two-sided identity for 1"),
         (range(2), lambda x, y: (x + y) % 2, 1, r"1 is not a two-sided identity for 0"),
         (range(5), lambda x, y: _LOOP5[x][y], 0, r"not associative: \(1·1\)·2 ≠ 1·\(1·2\)"),
+        (range(6), lambda x, y: _LOOP6[x][y], 0, r"not associative: \(2·2\)·4 ≠ 2·\(2·4\)"),
     ],
-    ids=["product-outside", "no-inverse", "one-sided-identity", "not-an-identity", "loop"],
+    ids=[
+        "product-outside", "no-inverse", "one-sided-identity", "not-an-identity", "loop",
+        "loop-at-a-later-generator",
+    ],
 )
 def test_finite_group_rejects_laws_that_are_not_groups(elements, mul, identity, message):
     """A law that leaves the carrier, lacks a two-sided identity, leaves an
@@ -623,60 +629,6 @@ def test_trace_ideal_rejects_foreign_ring():
     other = setup.h_ring(modulus=27)
     with pytest.raises(ValueError, match="different ring"):
         ideal.membership(other.one())
-
-
-# ---------------------------------------------------------------------------
-# orbit decomposition of a subgroup-indexed difference
-
-
-def test_decompose_difference_splits_traces_and_fixed_part():
-    setup = semidirect_setup((7,), 3, action=[[2]], modulus_exponent=2)
-    e = setup.group.identity
-    h1 = ((1,), 0)
-    q_coeffs = {e: 5}
-    l_coeffs = {e: (5 + 3 * 2) % 9, h1: 4, ((2,), 0): 4, ((4,), 0): 4}
-    report = decompose_difference(setup, l_coeffs, q_coeffs)
-    assert report["verdict"]
-    assert report["modulus"] == 9
-    assert report["fixed_quotients"] == {e: 2}
-    assert report["orbit_traces"] == [(h1, 4)]
-    assert report["fixed_outside_image"] == []
-    cert = report["certificate"]
-    ideal = TraceIdeal(setup)
-    ring = setup.h_ring(9)
-    assert ideal.trace(cert) == ring.from_coeffs(report["difference"])
-
-
-def test_decompose_difference_detects_obstruction():
-    setup = semidirect_setup((7,), 3, action=[[2]], modulus_exponent=2)
-    e = setup.group.identity
-    report = decompose_difference(setup, {e: 7}, {e: 5})
-    assert not report["verdict"]
-    assert report["certificate"] is None
-
-
-def test_decompose_difference_reports_fixed_classes_off_the_image():
-    # index-2 kernel of exponent 2: the transfer is squaring, so its image
-    # collapses to the identity and the other fixed class is unreachable
-    setup = semidirect_setup((2,), 2, modulus_exponent=2)
-    h1 = ((1,), 0)
-    report = decompose_difference(setup, {h1: 2}, {})
-    assert report["verdict"]
-    assert report["fixed_outside_image"] == [h1]
-    assert report["fixed_quotients"] == {h1: 1}
-
-
-def test_decompose_difference_validates_inputs():
-    setup = semidirect_setup((7,), 3, action=[[2]], modulus_exponent=2)
-    sigma = setup.sigma_rep
-    with pytest.raises(ValueError, match="not a subgroup element"):
-        decompose_difference(setup, {sigma: 1}, {})
-    with pytest.raises(ValueError, match="not a group element"):
-        decompose_difference(setup, {}, {((9,), 0): 1})
-    with pytest.raises(EquivarianceViolated):
-        decompose_difference(setup, {((1,), 0): 1}, {})
-    with pytest.raises(EquivarianceViolated):
-        decompose_difference(setup, {}, {((1,), 1): 1})
 
 
 # ---------------------------------------------------------------------------
