@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 from .harness import (
@@ -118,6 +120,8 @@ def _check_output_paths(args) -> None:
 
     A write error at the end of a run would exit 1, the status of a false
     verdict, so these are configuration errors found before any check runs.
+    Each directory must take a new file: the cache directory is created as
+    the cache would create it, and removed again if it was missing.
     """
     json_out = getattr(args, "json_out", None)
     if json_out is not None:
@@ -125,12 +129,34 @@ def _check_output_paths(args) -> None:
             raise ConfigInvalid(f"--json-out {json_out} is a directory")
         if not json_out.parent.is_dir():
             raise ConfigInvalid(f"--json-out {json_out}: {json_out.parent} is not a directory")
+        _probe_writable(json_out.parent, f"--json-out {json_out}")
     cache_dir = getattr(args, "cache_dir", None)
     if cache_dir is not None:
         # the cache creates missing directories, so the nearest existing one decides
         existing = next((path for path in (cache_dir, *cache_dir.parents) if path.exists()), None)
         if existing is not None and not existing.is_dir():
             raise ConfigInvalid(f"--cache-dir {cache_dir}: {existing} is not a directory")
+        missing = [path for path in (cache_dir, *cache_dir.parents) if not path.exists()]
+        try:
+            _probe_writable(cache_dir, f"--cache-dir {cache_dir}", create=True)
+        finally:
+            for path in missing:  # deepest first
+                try:
+                    path.rmdir()
+                except OSError:
+                    break
+
+
+def _probe_writable(directory: Path, named: str, create: bool = False) -> None:
+    """Create (when asked) `directory`, then create and delete a file in it."""
+    try:
+        if create:
+            directory.mkdir(parents=True, exist_ok=True)
+        fd, probe = tempfile.mkstemp(dir=directory, prefix=".pmcong-probe-")
+        os.close(fd)
+        os.unlink(probe)
+    except OSError as exc:
+        raise ConfigInvalid(f"{named}: {directory} is not writable ({exc.strerror or exc})") from None
 
 
 def _emit(report: dict, json_out: Path | None) -> None:

@@ -2,10 +2,14 @@
 
 Everything here is desk-scale group theory, validated by brute force: a group
 is a multiplication table, tabulated over element positions and validated
-once when the group is built, the transfer map is computed literally from
-coset representatives by lookups in that table, and trace-ideal membership is
-integer linear algebra with a certificate that is re-expanded before it is
-believed.  This is the symbolic
+once when the group is built, and all work runs on lists of those positions.
+The transfer map is computed literally from coset representatives by lookups
+in that table, for a whole list of positions in one batch: each position is
+moved back into H once, g·x_i is read from the table's columns (transposed
+on first use), and one table product per (g, x_i) accumulates ver(g).
+Trace ideals work on coefficient vectors: the Σ-generator permutes the basis
+indices, and membership is integer linear algebra with a certificate that is
+re-expanded by the vector trace before it is believed.  This is the symbolic
 counterpart of the numeric pipeline — it exercises nontrivial Σ-actions
 (semidirect products, non-split abelian towers) that unit-group levels over Q
 can never produce, where the Σ-action on the subgroup is always trivial.
@@ -44,8 +48,10 @@ soundness guarantee.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
 import re
 
@@ -155,6 +161,7 @@ class FiniteGroup:
         self.identity = identity
         self.identity_position = e
         self.inverse_position = inverse
+        self._columns = None
 
     def _check_associative(self):
         """Light's test: (x·g)·y = x·(g·y) for all x, y and each generator g.
@@ -176,6 +183,14 @@ class FiniteGroup:
                     raise ValueError(
                         f"the law is not associative: ({x!r}·{g!r})·{y!r} ≠ {x!r}·({g!r}·{y!r})"
                     )
+
+    @property
+    def columns(self) -> list[tuple[int, ...]]:
+        """``columns[j][i] = table[i][j]``: the right products by
+        ``elements[j]``, transposed from the table on first use."""
+        if self._columns is None:
+            self._columns = list(zip(*self.table))
+        return self._columns
 
     def __len__(self):
         return len(self.elements)
@@ -215,8 +230,9 @@ def _span(table, identity, candidates):
 
     A candidate outside the span so far becomes a generator.  The span is the
     closure of the identity under right products by the generators, which in
-    a finite group is the subgroup they generate; each span element meets
-    each generator exactly once.  Everything is a position in `table`.
+    a finite group is the subgroup they generate.  The span so far is closed
+    under the earlier generators, so its elements meet only the new one; each
+    new element meets every generator.  Everything is a position in `table`.
     """
     span = [identity]
     in_span = bytearray(len(table))
@@ -226,18 +242,19 @@ def _span(table, identity, candidates):
         if in_span[g]:
             continue
         generators.append(g)
-        fresh, by = list(span), (g,)
-        while fresh:
-            grown = []
-            for x in fresh:
-                row = table[x]
-                for h in by:
-                    y = row[h]
-                    if not in_span[y]:
-                        in_span[y] = 1
-                        grown.append(y)
-            span.extend(grown)
-            fresh, by = grown, generators
+        size = len(span)
+        for x in span[:size]:
+            y = table[x][g]
+            if not in_span[y]:
+                in_span[y] = 1
+                span.append(y)
+        for x in itertools.islice(span, size, None):  # walks the span as it grows
+            row = table[x]
+            for h in generators:
+                y = row[h]
+                if not in_span[y]:
+                    in_span[y] = 1
+                    span.append(y)
     return generators, span
 
 
@@ -251,25 +268,28 @@ def _positions(elements) -> dict:
 def abelian_group(orders) -> FiniteGroup:
     """∏ Z/d_i with componentwise addition; elements are coordinate tuples.
 
-    Each tuple is also packed as a mixed-radix integer with radix 2d_i − 1.
-    The packed sum of two reduced tuples never carries out of a digit, so the
-    table entry for a pair is one integer addition and one lookup in a list
-    of ∏(2d_i − 1) reduced positions.
+    The table is built one factor at a time.  With the new coordinate last,
+    (i, a) sits at position i·d + a, and the row of (i, a) is, for each j in
+    carrier order, the block of positions k·d + (a + b) mod d over b, where
+    k is the position of i·j in the table so far.  Every block is a slice of
+    one doubled range, and a row concatenates the blocks that the row of i
+    picks, so no entry is computed on its own.
     """
     orders = tuple(int(d) for d in orders)
     if not orders or any(d < 1 for d in orders):
         raise ValueError("orders must be positive integers")
     _check_order(math.prod(orders))
     elements = tuple(itertools.product(*(range(d) for d in orders)))
-    radices = [2 * d - 1 for d in orders]
-    # packed codes and reduced positions, both built digit by digit in carrier order
-    codes = [0]
-    for r, d in zip(radices, orders):
-        codes = [c * r + a for c in codes for a in range(d)]
-    reduce = [0]
-    for r, d in zip(radices, orders):
-        reduce = [c * d + a % d for c in reduce for a in range(r)]
-    table = [[reduce[cx + cy] for cy in codes] for cx in codes]
+    table = [[0]]
+    for d in orders:
+        doubled = [list(range(k, k + d)) * 2 for k in range(0, len(table) * d, d)]
+        # blocks[a][k]: the positions k·d + (a + b) mod d for b = 0, …, d − 1
+        blocks = [[ks[a : a + d] for ks in doubled] for a in range(d)]
+        table = [
+            functools.reduce(operator.iadd, map(by_k.__getitem__, row), [])
+            for row in table
+            for by_k in blocks
+        ]
     return FiniteGroup._from_table(elements, table, elements[0])
 
 
@@ -354,27 +374,26 @@ class GaloisSetup:
             raise ValueError("modulus exponent must be ≥ 1")
         self.group = group
         self.h_elements = tuple(h_elements)
-        self.h_set = frozenset(self.h_elements)
         self.p = p
         self.modulus_exponent = modulus_exponent
-        if len(self.h_set) != len(self.h_elements):
-            raise ValueError("duplicate subgroup elements")
-        if len(group.elements) != p * len(self.h_elements):
+        n = len(group)
+        if n != p * len(self.h_elements):
             raise ValueError("subgroup does not have index p")
-        if group.identity not in self.h_set:
-            raise ValueError("subgroup is missing the identity")
         # all group arithmetic below is on positions in the group's table
         table = group.table
-        position = group.position
-        h_positions = [position.get(a) for a in self.h_elements]
+        h_positions = list(map(group.position.get, self.h_elements))
         if None in h_positions:
             raise ValueError("subgroup element outside the group")
-        in_h = bytearray(len(group))
+        in_h = bytearray(n)
         for a in h_positions:
             in_h[a] = 1
+        if sum(in_h) != len(h_positions):
+            raise ValueError("duplicate subgroup elements")
+        if not in_h[group.identity_position]:
+            raise ValueError("subgroup is missing the identity")
         # the span covers H, so H is a subgroup iff the span stays inside it
         generators, span = _span(table, group.identity_position, h_positions)
-        if any(not in_h[x] for x in span):
+        if not all(map(in_h.__getitem__, span)):
             raise ValueError("subgroup not closed under multiplication")
         self.h_is_abelian = all(
             table[a][b] == table[b][a]
@@ -383,31 +402,30 @@ class GaloisSetup:
         )
 
         if sigma_rep is None:
-            sigma_rep = next(x for x in group.elements if x not in self.h_set)
-        elif sigma_rep in self.h_set or sigma_rep not in group:
-            raise ValueError("sigma_rep must be a group element outside the subgroup")
-        self.sigma_rep = sigma_rep
+            s = in_h.index(0)
+        else:
+            s = group.position.get(sigma_rep)
+            if s is None or in_h[s]:
+                raise ValueError("sigma_rep must be a group element outside the subgroup")
+        self.sigma_rep = group.elements[s]
 
         # coset representatives sigma_rep^i by successive products, their
-        # inverses, and the coset index of every position; filling the index
-        # exhaustively doubles as a check that the cosets tile the group
-        s = position[sigma_rep]
+        # inverses, and the coset index of every position; the p·|H| products
+        # x_i·h tile G iff they reach all |G| positions
         reps = [group.identity_position]
         for _ in range(p - 1):
             reps.append(table[reps[-1]][s])
-        coset = [-1] * len(group)
+        coset_of = [-1] * n
         for i, r in enumerate(reps):
             row = table[r]
             for a in h_positions:
-                x = row[a]
-                if coset[x] >= 0:
-                    raise ValueError("coset representatives do not tile the group")
-                coset[x] = i
+                coset_of[row[a]] = i
+        if -1 in coset_of:
+            raise ValueError("coset representatives do not tile the group")
         self.rep_positions = reps
         self.rep_inverse_positions = [group.inverse_position[r] for r in reps]
-        self.coset_of_position = coset
         self.reps = tuple(group.elements[r] for r in reps)
-        self.coset_index = dict(zip(group.elements, coset))
+        self.coset_of_position = coset_of
 
         # the cosets σ^i·H tile G, so σHσ⁻¹ ⊆ H already makes H normal
         s_inv = group.inverse_position[s]
@@ -417,6 +435,15 @@ class GaloisSetup:
         self._orbits = None
         self.fibers = tuple(tuple(f) for f in fibers)
         self._validate_fibers()
+
+    @functools.cached_property
+    def h_set(self) -> frozenset:
+        return frozenset(self.h_elements)
+
+    @functools.cached_property
+    def coset_index(self) -> dict:
+        """The coset index i of every element, for the coset x_i·H."""
+        return dict(zip(self.group.elements, self.coset_of_position))
 
     def _validate_fibers(self):
         mul = self.group.mul
@@ -549,38 +576,54 @@ def semidirect_setup(
 
 
 def coset_transfer(setup: GaloisSetup, g, reps=None):
-    """The transfer ver: 𝔊 → H computed literally from a coset traversal.
+    """The transfer ver: 𝔊 → H computed literally from a coset transversal.
 
     With transversal x_0, …, x_{p−1}, each g·x_i lands in some coset x_j·H,
     contributing h_i = x_j⁻¹·g·x_i; ver(g) is the product of the h_i.  H
     abelian makes the product order irrelevant and the result independent of
     the transversal — properties the test suite checks exhaustively rather
-    than trusts.  Every product is a lookup in the group's table.
+    than trusts.  This is the one-position case of `_transfer_positions`.
     """
-    if not setup.h_is_abelian:
-        raise NotAbelianKernel("transfer needs an abelian kernel")
     group = setup.group
     i = group.position.get(g)
     if i is None:
         raise ValueError(f"{g!r} is not an element of the group")
+    return group.elements[_transfer_positions(setup, [i], reps)[0]]
+
+
+def _transfer_positions(setup: GaloisSetup, positions, reps=None) -> list[int]:
+    """ver at every table position in `positions`, from one transversal.
+
+    Every t in G is first moved back to x_j⁻¹·t, where x_j represents the
+    coset of t.  Then g·x_i is read from the column of x_i, and ver(g) is
+    the product of the moved-back g·x_i in transversal order: one table
+    product per (g, x_i) after the first.
+    """
+    if not setup.h_is_abelian:
+        raise NotAbelianKernel("transfer needs an abelian kernel")
+    group = setup.group
     table = group.table
-    coset = setup.coset_of_position
+    coset_of = setup.coset_of_position
     if reps is None:
         reps = setup.rep_positions
         inverses = setup.rep_inverse_positions
     else:
         reps = [group.position.get(r) for r in reps]
-        if None in reps or sorted(coset[x] for x in reps) != list(range(setup.p)):
+        if None in reps or sorted(coset_of[x] for x in reps) != list(range(setup.p)):
             raise ValueError("custom representatives do not form a transversal")
         inverses = [None] * setup.p
         for x in reps:
-            inverses[coset[x]] = group.inverse_position[x]
-    row = table[i]
-    out = group.identity_position
-    for x in reps:
-        t = row[x]
-        out = table[out][table[inverses[coset[t]]][t]]
-    return group.elements[out]
+            inverses[coset_of[x]] = group.inverse_position[x]
+    inverse_rows = [table[x] for x in inverses]
+    back = [inverse_rows[j][t] for t, j in enumerate(coset_of)]
+    columns = group.columns
+    x, *rest = reps
+    column = columns[x]
+    out = [back[column[g]] for g in positions]
+    for x in rest:
+        column = columns[x]
+        out = [table[a][back[column[g]]] for a, g in zip(out, positions)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -665,9 +708,13 @@ def smith_normal_form(matrix):
 class TraceIdeal:
     """T = {Σ_σ α^σ : α ∈ (Z/p^m)[H]} with certificate-producing membership.
 
-    The trace map is linear, so T is spanned by the traces of the delta
-    basis; membership is an integer linear system solved through one Smith
-    normal form shared across queries.
+    Elements are worked on as coefficient vectors over the basis
+    ``ring.elements``, with residues in [0, p^m).  The Σ-generator permutes
+    the basis indices, so a conjugate is a reindexed vector and the trace is
+    a sum of p of them.  The trace map is linear, so T is spanned by the
+    traces of the basis vectors; membership is an integer linear system solved
+    through one Smith normal form shared across queries.  Group-ring elements
+    appear only at the methods that take or return one.
     """
 
     def __init__(self, setup: GaloisSetup, modulus_exponent: int | None = None):
@@ -680,30 +727,49 @@ class TraceIdeal:
         self.modulus = setup.p**m
         self.ring = setup.h_ring(self.modulus)
         self._basis = self.ring.elements
-        self._position = {h: i for i, h in enumerate(self._basis)}
-        self.generators = [self.trace(self.ring.delta(h)) for h in self._basis]
+        index = {h: i for i, h in enumerate(self._basis)}
+        # pulls[k][j] is the index i with σ^k(basis[i]) = basis[j], so the
+        # k-th conjugate of a vector v is [v[i] for i in pulls[k]]
+        inverse = [0] * len(self._basis)
+        for i, h in enumerate(self._basis):
+            inverse[index[setup.sigma_action(h)]] = i
+        pulls = [list(range(len(self._basis)))]
+        for _ in range(setup.p - 1):
+            pulls.append([inverse[i] for i in pulls[-1]])
+        self._pulls = pulls
+        #: the traces of the basis vectors, as coefficient vectors
+        self.generators = [
+            self._trace_vector([int(i == j) for i in range(len(self._basis))])
+            for j in range(len(self._basis))
+        ]
         self._solver = None
-
-    def trace(self, elt: GroupRingElement) -> GroupRingElement:
-        """Σ-trace: sum of the p conjugates."""
-        out = elt
-        moved = elt
-        for _ in range(self.setup.p - 1):
-            moved = moved.map_group(self.setup.sigma_action)
-            out = out + moved
-        return out
-
-    def is_fixed(self, elt: GroupRingElement) -> bool:
-        return elt.map_group(self.setup.sigma_action) == elt
 
     def _vector(self, elt: GroupRingElement) -> list[int]:
         return [elt.coefficient(h) for h in self._basis]
+
+    def _element(self, vector) -> GroupRingElement:
+        return self.ring.from_coeffs({h: c for h, c in zip(self._basis, vector) if c})
+
+    def _trace_vector(self, vector) -> list[int]:
+        """Σ-trace of a coefficient vector: the sum of its p conjugates."""
+        conjugates = (map(vector.__getitem__, pull) for pull in self._pulls)
+        return [sum(column) % self.modulus for column in zip(*conjugates)]
+
+    def _is_fixed_vector(self, vector) -> bool:
+        return list(map(vector.__getitem__, self._pulls[1])) == list(vector)
+
+    def trace(self, elt: GroupRingElement) -> GroupRingElement:
+        """Σ-trace: sum of the p conjugates."""
+        return self._element(self._trace_vector(self._vector(elt)))
+
+    def is_fixed(self, elt: GroupRingElement) -> bool:
+        return self._is_fixed_vector(self._vector(elt))
 
     def _ensure_solver(self):
         if self._solver is not None:
             return
         n = len(self._basis)
-        cols = [self._vector(g) for g in self.generators]
+        cols = self.generators
         # n x (n + n): generator columns, then the modulus block
         mat = [
             [cols[j][i] for j in range(n)]
@@ -716,13 +782,20 @@ class TraceIdeal:
         """(verdict, certificate): certificate α has trace(α) = elt when true."""
         if not self.ring.same_ring(elt.ring):
             raise ValueError("element lives in a different ring")
-        if not self.is_fixed(elt):
+        verdict, cert = self._solve(self._vector(elt))
+        return verdict, None if cert is None else self._element(cert)
+
+    def _solve(self, vector):
+        """(verdict, certificate vector) for a vector of residues mod p^m.
+
+        The certificate is re-expanded by the trace before it is returned.
+        """
+        if not self._is_fixed_vector(vector):
             raise NotFixed("element is not Σ-invariant")
         self._ensure_solver()
         d, u, v = self._solver
         n = len(self._basis)
-        e = self._vector(elt)
-        w = [sum(u[i][j] * e[j] for j in range(n)) for i in range(n)]
+        w = [sum(map(operator.mul, row, vector)) for row in u]
         z = []
         for i in range(n):
             di = d[i][i]
@@ -734,14 +807,11 @@ class TraceIdeal:
                 if w[i] % di:
                     return False, None
                 z.append(w[i] // di)
-        z += [0] * n
-        x = [sum(v[i][j] * z[j] for j in range(2 * n)) % self.modulus for i in range(n)]
-        cert = self.ring.from_coeffs(
-            {h: x[self._position[h]] for h in self._basis if x[self._position[h]]}
-        )
-        if self.trace(cert) != elt:
+        # z is zero past the first n entries, so each row of V meets only those
+        x = [sum(map(operator.mul, row, z)) % self.modulus for row in v[:n]]
+        if self._trace_vector(x) != list(vector):
             raise ArithmeticError("trace certificate failed re-expansion")
-        return True, cert
+        return True, x
 
 
 # ---------------------------------------------------------------------------
@@ -863,6 +933,27 @@ CATALOG = {
 # the suite
 
 
+def _pth_powers(table, p: int) -> list[int]:
+    """x^p at every position x, by square-and-multiply on whole lists."""
+    powers = None
+    squares = list(range(len(table)))
+    while True:
+        if p & 1:
+            powers = squares if powers is None else [table[a][b] for a, b in zip(powers, squares)]
+        p >>= 1
+        if not p:
+            return powers
+        squares = [table[a][a] for a in squares]
+
+
+def _is_homomorphism(table, ver) -> bool:
+    """ver(x·y) = ver(x)·ver(y) for all x, y, one row of positions per x."""
+    return all(
+        list(map(ver.__getitem__, row)) == list(map(table[v].__getitem__, ver))
+        for row, v in zip(table, ver)
+    )
+
+
 def _check_abelian_sweep(max_order: int) -> dict:
     groups = 0
     kernels = 0
@@ -871,8 +962,9 @@ def _check_abelian_sweep(max_order: int) -> dict:
         for orders in abelian_isomorphism_types(n):
             group = abelian_group(orders)
             groups += 1
+            everything = range(n)
             for p in sorted(factorize(n)):
-                powers = [group.power(g, p) for g in group.elements]
+                powers = _pth_powers(group.table, p)
                 for functional in index_p_functionals(orders, p):
                     # the functional's values in carrier order, coordinate by coordinate
                     values = [0]
@@ -883,9 +975,13 @@ def _check_abelian_sweep(max_order: int) -> dict:
                     ]
                     setup = GaloisSetup(group, h_elements, p)
                     kernels += 1
-                    for g, g_p in zip(group.elements, powers):
-                        if coset_transfer(setup, g) != g_p:
-                            failures.append((orders, p, functional, g))
+                    ver = _transfer_positions(setup, everything)
+                    if ver != powers:
+                        failures.extend(
+                            (orders, p, functional, group.elements[g])
+                            for g in everything
+                            if ver[g] != powers[g]
+                        )
     return {
         "verdict": not failures,
         "groups": groups,
@@ -898,24 +994,25 @@ def _check_f21_brute_force(rng: random.Random) -> dict:
     setup = parse_setup(CATALOG["f21"])
     group = setup.group
     mul = group.mul
+    everything = range(len(group))
+    ver = _transfer_positions(setup, everything)
     ok = True
     # literal definition with a randomized transversal, three times over
     for _ in range(3):
         reps = [mul(r, rng.choice(setup.h_elements)) for r in setup.reps]
-        for g in group.elements:
-            if coset_transfer(setup, g, reps=reps) != coset_transfer(setup, g):
-                ok = False
-    # for kernel elements the traversal collapses to h·h^σ·h^σ²
-    for h in setup.h_elements:
-        expected = mul(mul(h, setup.sigma_action(h)), setup.sigma_action(setup.sigma_action(h)))
-        if coset_transfer(setup, h) != expected:
+        if _transfer_positions(setup, everything, reps=reps) != ver:
             ok = False
+    # for kernel elements the traversal collapses to h·h^σ·h^σ²
+    position = group.position
+    expected = []
+    for h in setup.h_elements:
+        h_sigma = setup.sigma_action(h)
+        expected.append(position[mul(mul(h, h_sigma), setup.sigma_action(h_sigma))])
+    if _transfer_positions(setup, [position[h] for h in setup.h_elements]) != expected:
+        ok = False
     # homomorphism, exhaustively
-    ver = {g: coset_transfer(setup, g) for g in group.elements}
-    for x in group.elements:
-        for y in group.elements:
-            if ver[mul(x, y)] != mul(ver[x], ver[y]):
-                ok = False
+    if not _is_homomorphism(group.table, ver):
+        ok = False
     return {"verdict": ok, "group_order": len(group)}
 
 
@@ -925,63 +1022,54 @@ def _check_membership_trivial_action() -> dict:
     h_elements = [x for x in group.elements if x[1] == 0]
     setup = GaloisSetup(group, h_elements, 3, modulus_exponent=2)
     ideal = TraceIdeal(setup)
-    ring = ideal.ring
-    basis = ring.elements
-    enumerated = set()
-    all_elts = []
-    for coeffs in itertools.product(range(9), repeat=len(basis)):
-        elt = ring.from_coeffs(dict(zip(basis, coeffs)))
-        all_elts.append((coeffs, elt))
-        enumerated.add(tuple(ideal.trace(elt).coefficient(h) for h in basis))
+    vectors = [list(c) for c in itertools.product(range(9), repeat=len(h_elements))]
+    enumerated = {tuple(ideal._trace_vector(vector)) for vector in vectors}
     ok = True
     members = 0
-    for coeffs, elt in all_elts:
-        verdict, cert = ideal.membership(elt)
-        if verdict != (coeffs in enumerated):
+    for vector in vectors:
+        verdict, cert = ideal._solve(vector)
+        if verdict != (tuple(vector) in enumerated):
             ok = False
         if verdict:
             members += 1
-            if ideal.trace(cert) != elt:
+            if ideal._trace_vector(cert) != vector:
                 ok = False
-    return {"verdict": ok, "elements": len(all_elts), "members": members}
+    return {"verdict": ok, "elements": len(vectors), "members": members}
 
 
 def _check_membership_order3_action() -> dict:
     # (Z/9)[C_7] with the order-3 action x -> 2x; fixed ring has 9^3 elements
     setup = parse_setup(CATALOG["f21"])
     ideal = TraceIdeal(setup)
-    ring = ideal.ring
-    basis = ring.elements
-    generators = [tuple(g.coefficient(h) for h in basis) for g in ideal.generators]
+    n = len(setup.h_elements)
 
-    closure = {tuple([0] * len(basis))}
-    frontier = [tuple([0] * len(basis))]
+    closure = {tuple([0] * n)}
+    frontier = [tuple([0] * n)]
     while frontier:
         current = frontier.pop()
-        for g in generators:
-            nxt = tuple((a + b) % 9 for a, b in zip(current, g))
+        for g in ideal.generators:
+            nxt = tuple([(a + b) % 9 for a, b in zip(current, g)])
             if nxt not in closure:
                 closure.add(nxt)
                 frontier.append(nxt)
 
-    orbits = setup.orbits()
+    index = {h: i for i, h in enumerate(setup.h_elements)}
+    orbits = [[index[h] for h in orbit] for orbit in setup.orbits()]
     ok = True
     members = 0
     checked = 0
     for values in itertools.product(range(9), repeat=len(orbits)):
-        coeffs = {}
+        vector = [0] * n
         for orbit, val in zip(orbits, values):
-            for h in orbit:
-                coeffs[h] = val
-        elt = ring.from_coeffs(coeffs)
-        vector = tuple(elt.coefficient(h) for h in basis)
-        verdict, cert = ideal.membership(elt)
+            for i in orbit:
+                vector[i] = val
+        verdict, cert = ideal._solve(vector)
         checked += 1
-        if verdict != (vector in closure):
+        if verdict != (tuple(vector) in closure):
             ok = False
         if verdict:
             members += 1
-            if ideal.trace(cert) != elt:
+            if ideal._trace_vector(cert) != vector:
                 ok = False
     return {
         "verdict": ok,
@@ -997,17 +1085,11 @@ def _check_catalog(rng: random.Random) -> dict:
     for name, text in sorted(CATALOG.items()):
         setup = parse_setup(text)
         group = setup.group
-        mul = group.mul
-        ver = {g: coset_transfer(setup, g) for g in group.elements}
-        hom = all(
-            ver[mul(x, y)] == mul(ver[x], ver[y])
-            for x in group.elements
-            for y in group.elements
-        )
-        reps = [mul(r, rng.choice(setup.h_elements)) for r in setup.reps]
-        rep_free = all(
-            coset_transfer(setup, g, reps=reps) == ver[g] for g in group.elements
-        )
+        everything = range(len(group))
+        ver = _transfer_positions(setup, everything)
+        hom = _is_homomorphism(group.table, ver)
+        reps = [group.mul(r, rng.choice(setup.h_elements)) for r in setup.reps]
+        rep_free = _transfer_positions(setup, everything, reps=reps) == ver
         details[name] = hom and rep_free
         ok = ok and details[name]
     return {"verdict": ok, "setups": details}

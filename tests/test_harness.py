@@ -599,6 +599,7 @@ def no_checks(monkeypatch):
 
     monkeypatch.setattr(cli_module, "run_scenario", never)
     monkeypatch.setattr(cli_module, "cache_warm", never)
+    monkeypatch.setattr(cli_module, "run_sigma_suite", never)
 
 
 def _assert_configuration_error(capsys, argv, named):
@@ -660,6 +661,63 @@ def test_cli_cache_warm_cache_dir_naming_a_file_exits_2(tmp_path, capsys, no_che
     regular.write_text("")
     _assert_configuration_error(capsys, ["cache-warm", "--cache-dir", str(regular)], "--cache-dir")
     assert regular.read_text() == ""
+
+
+_PROC_WRITABLE = Path("/proc/sys/kernel").is_dir()
+
+
+@pytest.mark.skipif(not _PROC_WRITABLE, reason="needs a /proc file system")
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["run", "--cache-dir", "/proc/forbidden"], "--cache-dir /proc/forbidden"),
+        (["run", "--cache-dir", "/proc/sys/kernel"], "--cache-dir /proc/sys/kernel"),
+        (["sigma", "--json-out", "/proc/x.json"], "--json-out /proc/x.json"),
+        (["crosscheck", "--json-out", "/proc/x.json"], "--json-out /proc/x.json"),
+        (["cache-warm", "--cache-dir", "/proc/forbidden"], "--cache-dir /proc/forbidden"),
+    ],
+    ids=["run-missing", "run-existing", "sigma-json", "crosscheck-json", "cache-warm"],
+)
+def test_cli_unwritable_output_paths_exit_2(capsys, no_checks, argv, named):
+    """Paths that even root cannot write to are configuration errors found
+    before any check runs, not a failure after the checks."""
+    _assert_configuration_error(capsys, argv, named)
+
+
+def test_cli_output_directories_that_refuse_a_file_exit_2(tmp_path, capsys, no_checks, monkeypatch):
+    """File modes do not stop root, so a refusing directory is simulated by a
+    probe that raises; a cache directory made for the probe is removed."""
+    import pmcong.cli as cli_module
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli_module.tempfile, "mkstemp", refuse)
+    cache = tmp_path / "new" / "cache"
+    _assert_configuration_error(capsys, ["run", "--cache-dir", str(cache)], "Permission denied")
+    assert not (tmp_path / "new").exists()
+    _assert_configuration_error(capsys, ["cache-warm", "--cache-dir", str(tmp_path)], "--cache-dir")
+    out = tmp_path / "r.json"
+    _assert_configuration_error(capsys, ["sigma", "--json-out", str(out)], "--json-out")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_output_probe_leaves_nothing_behind(tmp_path, monkeypatch, capsys):
+    import pmcong.cli as cli_module
+
+    def passing_run(config, cache_dir=None, checks=None):
+        return {"checks": {"transfer": {"verdict": True}}, "verdict": True}
+
+    monkeypatch.setattr(cli_module, "run_scenario", passing_run)
+    cache = tmp_path / "new" / "cache"
+    out = tmp_path / "r.json"
+    assert main(["run", "--cache-dir", str(cache), "--json-out", str(out)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
+    existing = tmp_path / "kept"
+    existing.mkdir()
+    assert main(["run", "--cache-dir", str(existing)]) == 0
+    assert existing.is_dir() and list(existing.iterdir()) == []
+    assert "overall: PASS" in capsys.readouterr().out
 
 
 def test_cli_zeta_base_side(capsys):

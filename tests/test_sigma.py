@@ -4,8 +4,12 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +37,8 @@ from pmcong.sigma import (
     verify_conjugation_identity,
 )
 from pmcong.units import factorize
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +269,20 @@ def test_power_matches_repeated_multiplication():
                 else:
                     assert got == powers[n % order]
                     assert group.mul(got, powers[-n]) == group.identity
+
+
+def test_columns_are_the_transposed_table():
+    """columns[j][i] = table[i][j] = position of elements[i]·elements[j]."""
+    groups = [parse_setup(text).group for text in CATALOG.values()]
+    groups += [_s3_group(), _units63_group(), abelian_group((2, 6)), abelian_group((1,))]
+    for group in groups:
+        n = len(group)
+        assert group.columns == [tuple(row[j] for row in group.table) for j in range(n)]
+        for j, y in enumerate(group.elements):
+            assert [group.elements[i] for i in group.columns[j]] == [
+                group.mul(x, y) for x in group.elements
+            ]
+        assert group.columns is group.columns  # built once
 
 
 def test_setup_rejects_bad_data():
@@ -521,6 +541,83 @@ def test_transfer_needs_abelian_kernel():
         TraceIdeal(setup)
 
 
+def _reference_transfer(setup, g, reps):
+    """ver(g) as the product of x_j⁻¹·g·x_i, with x_j found by searching the
+    transversal for the one that brings g·x_i into H; only `mul` and
+    `inverse` of the group are used."""
+    group = setup.group
+    mul, inverse = group.mul, group.inverse
+    h_set = set(setup.h_elements)
+    out = group.identity
+    for x_i in reps:
+        t = mul(g, x_i)
+        (h,) = [mul(inverse(x_j), t) for x_j in reps if mul(inverse(x_j), t) in h_set]
+        out = mul(out, h)
+    return out
+
+
+def _random_transversal(setup, rng):
+    return [setup.group.mul(r, rng.choice(setup.h_elements)) for r in rng.sample(setup.reps, setup.p)]
+
+
+def _assert_batched_transfer_matches_reference(setup, reps=None):
+    group = setup.group
+    everything = range(len(group))
+    got = sigma._transfer_positions(setup, everything, reps)
+    expected = [_reference_transfer(setup, g, reps or setup.reps) for g in group.elements]
+    assert [group.elements[i] for i in got] == expected
+    assert [coset_transfer(setup, g, reps) for g in group.elements] == expected
+    # any subset of positions, in any order, reads the same values
+    picked = [i for i in everything if i % 3 != 1][::-1]
+    assert sigma._transfer_positions(setup, picked, reps) == [got[i] for i in picked]
+
+
+def test_batched_transfer_matches_a_reference_on_the_catalog():
+    for text in CATALOG.values():
+        _assert_batched_transfer_matches_reference(parse_setup(text))
+
+
+def test_batched_transfer_matches_a_reference_on_random_transversals():
+    rng = random.Random(2024)
+    f21 = parse_setup(CATALOG["f21"])
+    for _ in range(8):
+        _assert_batched_transfer_matches_reference(f21, _random_transversal(f21, rng))
+    s3 = _s3_group()
+    a3 = GaloisSetup(s3, ((0, 1, 2), (1, 2, 0), (2, 0, 1)), 2)
+    _assert_batched_transfer_matches_reference(a3)
+    for _ in range(4):
+        _assert_batched_transfer_matches_reference(a3, _random_transversal(a3, rng))
+    units = _units63_setup()
+    _assert_batched_transfer_matches_reference(units, _random_transversal(units, rng))
+
+
+def test_batched_transfer_matches_a_reference_on_sweep_kernels():
+    """Seeded kernels from the abelian sweep's range, built the way the sweep
+    builds them, each with the default and a random transversal."""
+    rng = random.Random(11)
+    kernels = [
+        (orders, p, functional)
+        for n in range(2, 101)
+        for orders in abelian_isomorphism_types(n)
+        for p in sorted(factorize(n))
+        for functional in index_p_functionals(orders, p)
+    ]
+    assert len(kernels) == 893
+    for orders, p, functional in rng.sample(kernels, 24):
+        group = abelian_group(orders)
+        h = [
+            x
+            for x in group.elements
+            if sum(c * a for c, a in zip(functional, x)) % p == 0
+        ]
+        setup = GaloisSetup(group, h, p)
+        _assert_batched_transfer_matches_reference(setup)
+        _assert_batched_transfer_matches_reference(setup, _random_transversal(setup, rng))
+        assert [group.elements[i] for i in sigma._pth_powers(group.table, p)] == [
+            group.power(g, p) for g in group.elements
+        ]
+
+
 # ---------------------------------------------------------------------------
 # trace ideals against the closed-form description
 
@@ -611,14 +708,55 @@ def test_trace_of_anything_is_a_member():
         assert ideal.trace(cert) == traced
 
 
+@pytest.mark.parametrize("name", ["f21", "c11_c5", "heisenberg3", "a4", "two_fiber_48"])
+def test_vector_trace_and_fixedness_match_map_group(name):
+    """The permutation-of-indices trace and fixedness test against pushing
+    group-ring elements along σ^k with `map_group`, on random elements and on
+    random Σ-fixed ones."""
+    setup = parse_setup(CATALOG[name])
+    ideal = TraceIdeal(setup)
+    ring = ideal.ring
+    rng = random.Random(name)
+
+    def conjugate(elt, k):
+        for _ in range(k):
+            elt = elt.map_group(setup.sigma_action)
+        return elt
+
+    samples = [
+        ring.from_coeffs({h: rng.randrange(ring.modulus) for h in rng.sample(ring.elements, 4)})
+        for _ in range(12)
+    ]
+    for _ in range(6):
+        values = [rng.randrange(ring.modulus) for _ in setup.orbits()]
+        samples.append(
+            ring.from_coeffs({h: v for orbit, v in zip(setup.orbits(), values) for h in orbit})
+        )
+    fixed = 0
+    for elt in samples:
+        expected = ring.zero()
+        for k in range(setup.p):
+            expected = expected + conjugate(elt, k)
+        assert ideal.trace(elt) == expected
+        assert ideal.is_fixed(expected)
+        is_fixed = conjugate(elt, 1) == elt
+        assert ideal.is_fixed(elt) == is_fixed
+        fixed += is_fixed
+    assert fixed >= 6
+
+
 def test_membership_rejects_a_certificate_that_fails_re_expansion(monkeypatch):
     setup = semidirect_setup((7,), 3, action=[[2]], modulus_exponent=2)
     ideal = TraceIdeal(setup)
     member = ideal.trace(ideal.ring.delta(setup.h_elements[1]))
-    trace = TraceIdeal.trace
-    monkeypatch.setattr(
-        TraceIdeal, "trace", lambda self, elt: trace(self, elt) + self.ring.one()
-    )
+    trace = TraceIdeal._trace_vector
+
+    def off_by_one(self, vector):
+        out = trace(self, vector)
+        out[0] = (out[0] + 1) % self.modulus
+        return out
+
+    monkeypatch.setattr(TraceIdeal, "_trace_vector", off_by_one)
     with pytest.raises(ArithmeticError, match="re-expansion"):
         ideal.membership(member)
 
@@ -703,33 +841,63 @@ def test_suite_report_is_pinned_byte_for_byte(suite_report, tmp_path, capsys):
     assert "overall: PASS" in capsys.readouterr().out
 
 
+def test_suite_report_is_pinned_under_python_O(tmp_path):
+    """`python -O` strips assert statements; the suite's report must not change."""
+    out = tmp_path / "sigma.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pmcong.cli", "sigma", "--json-out", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    canonical = json.dumps(json.loads(out.read_text()), sort_keys=True)
+    assert hashlib.sha256(canonical.encode()).hexdigest() == SUITE_REPORT_SHA256
+
+
 def test_suite_call_counts(monkeypatch):
-    """The suite builds 905 setups and takes 53 809 literal transfers, one per
-    element and transversal; the benchmark's traced counters explain its time
-    by these numbers."""
-    calls = {"transfer": 0, "setup": 0}
-    transfer = sigma.coset_transfer
+    """The suite builds 905 setups and makes 912 batched transfers over 53 746
+    positions, one transversal per call; the abelian sweep alone transfers
+    Σ|G| = 53 065 positions over its 893 kernels.  No check goes through the
+    one-position `coset_transfer`, so the benchmark's traced count of it is 0."""
+    calls = {"batched": 0, "positions": 0, "single": 0, "setup": 0}
+    batched = sigma._transfer_positions
+    single = sigma.coset_transfer
     init = GaloisSetup.__init__
 
-    def counted_transfer(*args, **kwargs):
-        calls["transfer"] += 1
-        return transfer(*args, **kwargs)
+    def counted_batched(setup, positions, reps=None):
+        calls["batched"] += 1
+        calls["positions"] += len(positions)
+        return batched(setup, positions, reps)
+
+    def counted_single(*args, **kwargs):
+        calls["single"] += 1
+        return single(*args, **kwargs)
 
     def counted_init(self, *args, **kwargs):
         calls["setup"] += 1
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(sigma, "coset_transfer", counted_transfer)
+    monkeypatch.setattr(sigma, "_transfer_positions", counted_batched)
+    monkeypatch.setattr(sigma, "coset_transfer", counted_single)
     monkeypatch.setattr(GaloisSetup, "__init__", counted_init)
     assert run_sigma_suite()["verdict"]
-    assert calls == {"transfer": 53_809, "setup": 905}
+    assert calls == {"batched": 912, "positions": 53_746, "single": 0, "setup": 905}
+    for key in calls:
+        calls[key] = 0
+    assert sigma._check_abelian_sweep(100)["verdict"]
+    assert calls == {"batched": 893, "positions": 53_065, "single": 0, "setup": 893}
 
 
 def test_abelian_sweep_can_fail(monkeypatch):
-    def trivial_transfer(setup, g, reps=None):
-        return setup.group.identity
+    def trivial_transfer(setup, positions, reps=None):
+        return [setup.group.identity_position] * len(positions)
 
-    monkeypatch.setattr(sigma, "coset_transfer", trivial_transfer)
+    monkeypatch.setattr(sigma, "_transfer_positions", trivial_transfer)
     check = run_sigma_suite()["checks"]["abelian_transfer_is_pth_power"]
     assert not check["verdict"]
     assert (check["groups"], check["kernels"]) == (184, 893)
