@@ -23,12 +23,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
-from operator import mul
+from math import gcd, lcm, prod
+from operator import add, mul
 
-from .cyclotomic import CyclotomicNumber, cyclo_reduce_rational
+from .cyclotomic import CyclotomicNumber
 from .exact import bernoulli_poly, poly_eval
-from .units import UnitGroup, divisors, is_prime, unit_group
+from .units import UnitGroup, divisors, unit_group
 
 __all__ = [
     "DirichletCharacter",
@@ -219,66 +219,36 @@ def series_coefficients(
 ) -> list[int]:
     """Dirichlet-series coefficients a_1..a_bound of prod_i L_S(s, chi_i).
 
-    Expands the Euler product over primes q <= bound outside S; the result of
-    multiplying a Galois-stable family is asserted to be a rational integer in
-    every degree.  Index 0 of the returned list is unused (set to 0).
+    One Dirichlet convolution per character, in exponent buckets: a_m is held
+    as n integer counts, one per root zeta_n^t, and each d <= bound/m prime to
+    S with chi*(d) = zeta_n^t adds a_m, shifted by t, into a_(m·d).  Each a_m
+    is then reduced modulo Phi_n once; the product over a Galois-stable family
+    must be a rational integer in every degree (NotRational otherwise).  Index
+    0 of the returned list is unused (set to 0).
     """
     if not prims:
         raise ValueError("need at least one character")
     n = prims[0].ambient_order
-    skip = set(s_primes)
-    coeffs: list[CyclotomicNumber] = [CyclotomicNumber.zero(n) for _ in range(bound + 1)]
+    s_product = prod(s_primes)
+    prime_to_s = [d for d in range(1, bound + 1) if gcd(d, s_product) == 1]
+    series = [[0] * n for _ in range(bound + 1)]
     if bound >= 1:
-        coeffs[1] = CyclotomicNumber.one(n)
-    for q in range(2, bound + 1):
-        if not is_prime(q) or q in skip:
-            continue
-        # local factor prod_i (1 - chi_i(q) T)^(-1) as a power series in T = q^{-s}
-        max_j = 0
-        qq = 1
-        while qq * q <= bound:
-            qq *= q
-            max_j += 1
-        local = _local_inverse_series(prims, q, max_j, n)
-        # multiply into coeffs along q-power fibers (standard Euler sieve)
-        for m in range(bound, 0, -1):
-            if m % q == 0:
+        series[1][0] = 1
+    for prim in prims:
+        shifts = [(d, t) for d in prime_to_s if (t := prim.exponent_at(d)) is not None]
+        new = [[0] * n for _ in range(bound + 1)]
+        for m in range(1, bound + 1):
+            counts = series[m]
+            if not any(counts):
                 continue
-            base = coeffs[m]
-            if base.is_zero():
-                continue
-            mq = m
-            for j in range(1, max_j + 1):
-                mq *= q
-                if mq > bound:
+            for d, t in shifts:
+                md = m * d
+                if md > bound:
                     break
-                coeffs[mq] = coeffs[mq] + base * local[j]
+                new[md] = list(map(add, new[md], counts[n - t:] + counts[: n - t]))
+        series = new
     out = [0] * (bound + 1)
     for m in range(1, bound + 1):
-        value = cyclo_reduce_rational(coeffs[m])
-        if value.denominator != 1:
-            raise ArithmeticError(f"non-integral series coefficient at {m}: {value}")
-        out[m] = int(value)
+        # integer counts over denominator 1: a rational value is an integer
+        out[m] = int(CyclotomicNumber.from_exponent_sums(n, series[m]).rational_part())
     return out
-
-
-def _local_inverse_series(
-    prims: tuple[PrimitiveData, ...], q: int, max_j: int, n: int
-) -> list[CyclotomicNumber]:
-    # coefficients of prod_i (1 - chi_i(q) T)^(-1) up to T^max_j
-    poly = [CyclotomicNumber.one(n)]
-    for prim in prims:
-        v = prim.value(q)
-        new = [CyclotomicNumber.zero(n) for _ in range(len(poly) + 1)]
-        for i, c in enumerate(poly):
-            new[i] = new[i] + c
-            new[i + 1] = new[i + 1] - c * v
-        poly = new
-    # invert the polynomial as a power series: s with poly * s = 1
-    series = [CyclotomicNumber.one(n)]
-    for j in range(1, max_j + 1):
-        acc = CyclotomicNumber.zero(n)
-        for i in range(1, min(j, len(poly) - 1) + 1):
-            acc = acc + poly[i] * series[j - i]
-        series.append(-acc)
-    return series

@@ -36,9 +36,10 @@ class GroupRing:
     def same_ring(self, other: "GroupRing") -> bool:
         """Structural equality: same carrier, same law, same coefficient modulus.
 
-        Rings are routinely rebuilt from the same level data, so object
-        identity is too strict; comparing multiplication tables keeps distinct
-        group laws on a shared carrier apart.
+        Only the σ-suite builds rings, and each ``GaloisSetup.h_ring`` call
+        builds a new one, so object identity is too strict; comparing
+        multiplication tables keeps distinct group laws on a shared carrier
+        apart.
         """
         if self is other:
             return True

@@ -159,6 +159,8 @@ def zeta_level(
     s = frozenset(s_primes)
     if modulus < 1:
         raise ValueError("modulus must be ≥ 1")
+    if not all(is_prime(q) for q in s):
+        raise ValueError("S must consist of primes")
     if any(modulus % q for q in s):
         raise ValueError("every S-prime must divide the modulus")
     field = None

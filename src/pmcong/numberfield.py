@@ -654,27 +654,20 @@ def enumerate_ideals(spec: AbelianFieldSpec, bound: int, s_primes=()) -> tuple[I
 
     results: list[IdealFactored] = []
 
-    def extend(idx: int, current: list, norm: int) -> None:
-        results.append(IdealFactored(spec, list(current)))
-        for i in range(idx, len(primes)):
+    def extend(start: int, factors: list, norm: int) -> None:
+        results.append(IdealFactored(spec, list(factors)))
+        for i in range(start, len(primes)):
             pr = primes[i]
             if norm * pr.q > bound:
                 break  # sorted by q and N𝔭 ≥ q: no later prime fits either
+            e = 1
             nn = norm * pr.norm()
-            if nn > bound:
-                continue
-            current.append((pr, 1))
-            extend_exp(i, current, nn)
-            current.pop()
-
-    def extend_exp(i: int, current: list, norm: int) -> None:
-        extend(i + 1, current, norm)
-        pr, e = current[-1]
-        nn = norm * pr.norm()
-        if nn <= bound:
-            current[-1] = (pr, e + 1)
-            extend_exp(i, current, nn)
-            current[-1] = (pr, e)
+            while nn <= bound:
+                factors.append((pr, e))
+                extend(i + 1, factors, nn)
+                factors.pop()
+                e += 1
+                nn *= pr.norm()
 
     extend(0, [], 1)
     results.sort(key=lambda b: (b.norm(), b.key()))

@@ -1042,20 +1042,27 @@ def _check_membership_order3_action() -> dict:
     setup = parse_setup(CATALOG["f21"])
     ideal = TraceIdeal(setup)
     n = len(setup.h_elements)
+    index = {h: i for i, h in enumerate(setup.h_elements)}
+    orbits = [[index[h] for h in orbit] for orbit in setup.orbits()]
 
+    # traces are Σ-fixed, so the closure lies in the 9^(orbits) fixed vectors;
+    # a vector outside them, or a closure past their count, is a false verdict
+    # (a faulty trace would otherwise walk toward all 9^n vectors)
+    fixed_count = 9 ** len(orbits)
+    ok = True
     closure = {tuple([0] * n)}
     frontier = [tuple([0] * n)]
-    while frontier:
+    while frontier and ok:
         current = frontier.pop()
         for g in ideal.generators:
             nxt = tuple([(a + b) % 9 for a, b in zip(current, g)])
             if nxt not in closure:
+                if len(closure) == fixed_count or not ideal._is_fixed_vector(nxt):
+                    ok = False
+                    break
                 closure.add(nxt)
                 frontier.append(nxt)
 
-    index = {h: i for i, h in enumerate(setup.h_elements)}
-    orbits = [[index[h] for h in orbit] for orbit in setup.orbits()]
-    ok = True
     members = 0
     checked = 0
     for values in itertools.product(range(9), repeat=len(orbits)):

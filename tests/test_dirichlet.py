@@ -190,6 +190,44 @@ def test_series_multiplicative():
                 assert a[m * n] == a[m] * a[n]
 
 
+def _ordered_factorizations(m, r):
+    if r == 1:
+        yield (m,)
+        return
+    for d in range(1, m + 1):
+        if m % d == 0:
+            for rest in _ordered_factorizations(m // d, r - 1):
+                yield (d, *rest)
+
+
+def _brute_force_series(prims, bound, s_primes):
+    """a_m = sum over ordered m = m_1...m_r of prod_i chi_i*(m_i), each m_i prime to S."""
+    n = prims[0].ambient_order
+    out = [0]
+    for m in range(1, bound + 1):
+        total = CyclotomicNumber.zero(n)
+        for parts in _ordered_factorizations(m, len(prims)):
+            if any(part % q == 0 for part in parts for q in s_primes):
+                continue
+            exponents = [prim.exponent_at(part) for prim, part in zip(prims, parts)]
+            if None not in exponents:
+                total = total + CyclotomicNumber.root(n, sum(exponents))
+        out.append(cyclo_reduce_rational(total))
+    return out
+
+
+@pytest.mark.parametrize("p, conductor", [(3, 7), (5, 11)])
+@pytest.mark.parametrize("with_s", [False, True], ids=["S-empty", "S-p-conductor"])
+def test_series_matches_ordered_factorizations(p, conductor, with_s):
+    # {1, -1} is the index-p subgroup of (Z/conductor)^x for both fields: the
+    # family is the p characters of the degree-p field
+    chars = characters_of(conductor, trivial_on=(1, conductor - 1))
+    assert len(chars) == p
+    prims = tuple(conductor_primitive(c) for c in chars)
+    s_primes = (p, conductor) if with_s else ()
+    assert series_coefficients(prims, 120, s_primes) == _brute_force_series(prims, 120, s_primes)
+
+
 def test_series_needs_characters():
     with pytest.raises(ValueError):
         series_coefficients((), 10)

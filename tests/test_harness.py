@@ -744,6 +744,11 @@ def test_cli_zeta_bad_s_primes_exits_2(capsys):
     assert "--s-primes" in capsys.readouterr().err
 
 
+_ZETA_L63_CLASS_1 = [
+    "--modulus", "63", "--k", "2", "--side", "L", "--p", "3", "--conductor", "7", "--cls", "1"
+]
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [
@@ -754,6 +759,10 @@ def test_cli_zeta_bad_s_primes_exits_2(capsys):
         (["--modulus", "63", "--k", "2", "--side", "L", "--p", "3", "--conductor", "13"], "conductor"),
         (["--modulus", "7", "--k", "2", "--side", "L", "--p", "5", "--conductor", "7"], "conductor"),
         (["--modulus", "31", "--k", "2", "--side", "L", "--p", "3", "--conductor", "31"], "[O_L"),
+        *(
+            ([*_ZETA_L63_CLASS_1, f"--s-primes={s_primes}"], "S must consist of primes")
+            for s_primes in ("0", "1", "-3,7", "3,7,9", "21")
+        ),
     ],
     ids=[
         "modulus-0",
@@ -763,6 +772,11 @@ def test_cli_zeta_bad_s_primes_exits_2(capsys):
         "conductor-off-modulus",
         "bad-field",
         "unsupported-field",
+        "s-prime-0",
+        "s-prime-1",
+        "s-prime-negative",
+        "s-prime-square",
+        "s-prime-composite",
     ],
 )
 def test_cli_zeta_bad_arguments_exit_2(capsys, argv, named):

@@ -211,7 +211,11 @@ def test_sigma_ideal_preserves_invariants():
 def test_ideal_counts_match_euler_product():
     # 1728 = 12³ with S = {3, 7}: the pool the q-expansion check of the
     # bundled scenario enumerates (ν = 12, of trace 36)
-    for spec, bound, s_primes in ((F7, 300, ()), (F13, 150, ()), (F7, 1728, (3, 7))):
+    cases = [(F7, 300, ()), (F13, 150, ()), (F7, 1728, (3, 7))]
+    for p, conductor in ((5, 11), (11, 23)):
+        spec = field_spec(p, conductor)
+        cases += [(spec, 300, ()), (spec, 300, (p, conductor))]
+    for spec, bound, s_primes in cases:
         f = spec.conductor
         norm_classes = tuple(x for x in sorted(spec.coset_of) if spec.coset_of[x] == 0)
         prims = tuple(

@@ -16,7 +16,7 @@ import pytest
 import pmcong.sigma as sigma
 from pmcong.cli import main
 from pmcong.harness import jsonable
-from pmcong.levels import scenario_level
+from pmcong.levels import L_SIDE, Q_SIDE, scenario_level
 from pmcong.sigma import (
     CATALOG,
     MAX_TABULATED_ORDER,
@@ -461,15 +461,20 @@ def test_fiber_validation():
 # the transfer map
 
 
-def test_transfer_is_cubing_on_the_arithmetic_group():
-    """On the abelian unit group the coset transfer is the p-power map."""
-    setup = _units63_setup()
-    level = scenario_level(3, 7, (3, 7), 2)
-    for g in setup.group.elements:
+@pytest.mark.parametrize(
+    "p, conductor, a", [(3, 7, 2), (3, 7, 3), (3, 7, 4), (3, 7, 5), (5, 11, 2)]
+)
+def test_transfer_is_cubing_on_the_arithmetic_group(p, conductor, a):
+    """On the abelian unit group the coset transfer is the p-power map, and
+    the literal transfer agrees with the level's `transfer_class`."""
+    level = scenario_level(p, conductor, (p, conductor), a)
+    f = level.modulus
+    group = FiniteGroup(level.classes(Q_SIDE), lambda x, y: x * y % f, 1)
+    setup = GaloisSetup(group, level.classes(L_SIDE), p)
+    for g in group.elements:
         image = coset_transfer(setup, g)
-        assert image == pow(g, 3, 63)
+        assert image == pow(g, p, f) == level.transfer_class(g)
         assert image in setup.h_set
-        assert image == level.transfer_class(g)
 
 
 def test_transfer_is_independent_of_transversal():
@@ -857,6 +862,38 @@ def test_suite_report_is_pinned_under_python_O(tmp_path):
     assert proc.returncode == 0, proc.stderr
     canonical = json.dumps(json.loads(out.read_text()), sort_keys=True)
     assert hashlib.sha256(canonical.encode()).hexdigest() == SUITE_REPORT_SHA256
+
+
+_TRACE_MISSING_ONE_CONJUGATE = """
+from pmcong import sigma
+
+def trace_missing_one_conjugate(self, vector):
+    conjugates = (map(vector.__getitem__, pull) for pull in self._pulls[:-1])
+    return [sum(column) % self.modulus for column in zip(*conjugates)]
+
+sigma.TraceIdeal._trace_vector = trace_missing_one_conjugate
+print(sigma._check_membership_order3_action()["verdict"])
+"""
+
+
+def test_order3_membership_check_stops_on_a_faulty_trace():
+    """A trace missing one conjugate gives generators outside the Σ-fixed
+    ring: the closure walk must end in a false verdict instead of growing
+    toward all 9^7 vectors.  A subprocess with a timeout keeps an unbounded
+    walk from hanging the suite."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACE_MISSING_ONE_CONJUGATE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_suite_call_counts(monkeypatch):
