@@ -13,7 +13,7 @@ from pmcong.zeta import partial_zeta, partial_zeta_q_characters
 
 def main() -> None:
     # Base side: the 36 classes coprime to 63, Euler factors at 3 and 7 removed.
-    level = zeta_level(63, (3, 7))
+    level = zeta_level(63)
     print("zeta_S(1-2; x mod 63) for the first few classes, both routes:")
     for x in (1, 2, 4, 62):
         hurwitz = partial_zeta(level, Q_SIDE, x, 2)
@@ -26,7 +26,7 @@ def main() -> None:
     print(f"sum over all 36 classes  = {total}")
 
     # Extension side: the two norm classes of the cubic field of conductor 7.
-    ext = zeta_level(7, (7,), p=3, conductor=7)
+    ext = zeta_level(7, p=3, conductor=7)
     values = {cls: partial_zeta(ext, L_SIDE, cls, 2) for cls in ext.classes(L_SIDE)}
     print("\nextension side, conductor 7, S = {7}:")
     for cls, value in values.items():

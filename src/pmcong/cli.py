@@ -32,7 +32,6 @@ from .harness import (
 )
 from .levels import L_SIDE, Q_SIDE, zeta_level
 from .sigma import run_sigma_suite
-from .units import parse_int_list
 from .zeta import partial_zeta
 
 __all__ = ["main"]
@@ -88,12 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     zeta.add_argument("--modulus", type=int, required=True)
     zeta.add_argument("--k", type=int, required=True)
     zeta.add_argument("--side", choices=(Q_SIDE, L_SIDE), default=Q_SIDE)
-    zeta.add_argument(
-        "--s-primes",
-        type=parse_int_list,
-        default=(),
-        help="comma-separated primes whose Euler factors are removed",
-    )
     zeta.add_argument("--p", type=int, default=None, help="degree of the extension side")
     zeta.add_argument(
         "--conductor", type=int, default=None, help="conductor of the extension side"
@@ -190,7 +183,7 @@ def _cmd_zeta(args) -> int:
     if args.k < 1:
         raise ConfigInvalid("--k must be ≥ 1")
     try:  # zeta_level only checks and builds what the arguments describe
-        level = zeta_level(args.modulus, args.s_primes, p=args.p, conductor=args.conductor)
+        level = zeta_level(args.modulus, p=args.p, conductor=args.conductor)
     except (ValueError, ArithmeticError) as exc:
         raise ConfigInvalid(str(exc)) from None
     if args.side == L_SIDE and level.field is None:

@@ -196,6 +196,8 @@ class ScenarioConfig:
                 f"p · qexp_bound = {self.qexp_trace_bound} exceeds the largest "
                 f"supported trace {_MAX_TRACE}"
             )
+        if not self.checks:
+            raise ConfigInvalid("at least one check is required")
         unknown = set(self.checks) - set(_KNOWN_CHECKS)
         if unknown:
             raise ConfigInvalid(f"unknown checks: {sorted(unknown)}")
@@ -333,10 +335,7 @@ def _check_crosscheck(config: ScenarioConfig, level) -> dict:
     counts = {}
     for ideal in ideals:
         counts[ideal.norm()] = counts.get(ideal.norm(), 0) + 1
-    norm_classes = tuple(
-        x for x in sorted(field.coset_of) if field.coset_of[x] == 0
-    )
-    chars = characters_of(field.conductor, trivial_on=norm_classes)
+    chars = characters_of(field.conductor, trivial_on=field.cosets[0])
     prims = [conductor_primitive(chi) for chi in chars]
     series = series_coefficients(prims, config.ideal_bound, ())
     euler_ok = all(

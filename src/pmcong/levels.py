@@ -4,12 +4,15 @@ A level models one layer of the admissible tower: the base-side class group
 G = (Z/f)^× together with the index-p subgroup H cut out by the degree-p
 field L (classes whose reduction mod f_L is a p-th power).  Two tiers exist:
 
-* scenario levels enforce the full running hypotheses — S exactly the prime
-  support of f, p ∈ S, f_L ∈ S, modulus f = p^a · ∏_{q ∈ S∖{p}} q with a ≥ 1 —
-  so that congruence-class membership mod f already encodes coprimality to S
-  and the depth invariant m = a holds;
-* zeta levels only require S ⊆ primes(f) (and f_L | f when the extension side
-  is used) and exist for oracle computations at bare moduli such as f = f_L.
+* scenario levels enforce the full running hypotheses — p ∈ S, f_L ∈ S,
+  modulus f = p^a · ∏_{q ∈ S∖{p}} q with a ≥ 1 — so that the depth invariant
+  m = a holds;
+* zeta levels take any modulus f ≥ 1 (and f_L | f when the extension side is
+  used) and exist for oracle computations at bare moduli such as f = f_L.
+
+Either way S is the prime support of f and p is the degree of L (0 without
+a field).  Every class is a unit mod f, so congruence-class membership mod f
+already encodes coprimality to S.
 
 Functions on a level are stored by their support (class ↦ nonzero value), so
 indicators and shifts cost O(support).  Evenness (invariance under the class
@@ -41,21 +44,17 @@ L_SIDE = "L"
 
 
 class LevelData:
-    """One finite level: modulus, S, both class groups, and the field data."""
+    """One finite level: modulus, both class groups, and the field data.
 
-    def __init__(
-        self,
-        p: int,
-        field: AbelianFieldSpec | None,
-        modulus: int,
-        s_primes: frozenset[int],
-        a: int,
-        scenario: bool,
-    ):
-        self.p = p
+    S is read off the modulus as its prime support, p off the field as its
+    degree (0 without a field).
+    """
+
+    def __init__(self, field: AbelianFieldSpec | None, modulus: int, a: int, scenario: bool):
         self.field = field
         self.modulus = modulus
-        self.s_primes = frozenset(s_primes)
+        self.s_primes = frozenset(factorize(modulus))
+        self.p = 0 if field is None else field.p
         self.a = a
         self.scenario = scenario
         self.group = unit_group(modulus)
@@ -109,7 +108,6 @@ class LevelData:
             self.p,
             None if self.field is None else self.field.conductor,
             self.modulus,
-            tuple(sorted(self.s_primes)),
             self.a,
             self.scenario,
         )
@@ -145,24 +143,14 @@ def scenario_level(p: int, conductor: int, s_primes: tuple[int, ...], a: int) ->
     modulus = p**a
     for q in sorted(s - {p}):
         modulus *= q
-    return LevelData(p, field, modulus, s, a, scenario=True)
+    return LevelData(field, modulus, a, scenario=True)
 
 
 @lru_cache(maxsize=None)
-def zeta_level(
-    modulus: int,
-    s_primes: tuple[int, ...],
-    p: int | None = None,
-    conductor: int | None = None,
-) -> LevelData:
+def zeta_level(modulus: int, p: int | None = None, conductor: int | None = None) -> LevelData:
     """Relaxed level for bare zeta computations (oracles and spot values)."""
-    s = frozenset(s_primes)
     if modulus < 1:
         raise ValueError("modulus must be ≥ 1")
-    if not all(is_prime(q) for q in s):
-        raise ValueError("S must consist of primes")
-    if any(modulus % q for q in s):
-        raise ValueError("every S-prime must divide the modulus")
     field = None
     if conductor is not None:
         if p is None:
@@ -170,7 +158,9 @@ def zeta_level(
         field = field_spec(p, conductor)
         if modulus % conductor:
             raise ValueError("the field conductor must divide the modulus")
-    return LevelData(p if p is not None else 0, field, modulus, s, a=0, scenario=False)
+    elif p is not None:
+        raise ValueError("the degree p is read only with a conductor")
+    return LevelData(field, modulus, a=0, scenario=False)
 
 
 class LocallyConstantFn:

@@ -114,7 +114,7 @@ class QExpansionL:
 def eisenstein_q(
     level: LevelData, eps: LocallyConstantFn, k: int, bound: int
 ) -> QExpansionQ:
-    """G_{k,ε} on the base: constant 2⁻¹ζ(1−k, ε), c(μ) = Σ_{d|μ, (d,S)=1} ε(d)d^(k−1)."""
+    """G_{k,ε} on the base: constant 2⁻¹ζ(1−k, ε), c(μ) = Σ_{d|μ, (d, f) = 1} ε(d)d^(k−1)."""
     if eps.level != level or eps.side != Q_SIDE:
         raise ValueError("eisenstein_q needs a base-side function on this level")
     if not eps.even:
@@ -124,14 +124,11 @@ def eisenstein_q(
     if bound < 1:
         raise ValueError("bound must be ≥ 1")
     f = level.modulus
-    s_set = set(level.s_primes)
     constant = scaled_zeta_of(level, Q_SIDE, eps, k)
     coeffs = []
     for mu in range(1, bound + 1):
         total = Fraction(0)
         for d in divisors(mu):
-            if any(d % q == 0 for q in s_set):
-                continue
             if math.gcd(d, f) != 1:
                 continue
             total += eps.support.get(d % f, 0) * d ** (k - 1)
@@ -146,7 +143,7 @@ class _MuOrbits(NamedTuple):
     moved: tuple[tuple[int, int], ...]  # (norm, class) of one pair per moved orbit
     fixed: tuple[tuple[int | None, int, int], ...]  # (base divisor d or None, norm, class)
     fixed_match: bool
-    base_divisors: tuple[int, ...]  # d | μ prime to S and to the modulus
+    base_divisors: tuple[int, ...]  # d | μ prime to the modulus
 
 
 class NuTable:
@@ -248,10 +245,9 @@ def _mu_orbits(level: LevelData, mu: int, nus, divisor_ideals, factored) -> _MuO
     # fixed pairs must be exactly the base-extended divisor pairs (d·o_L, μ);
     # d·o_L = (ν) for ν = d, of trace p·d ≤ p·μ, whose factorization the
     # caller already holds
-    s_set = set(level.s_primes)
     expected = {}
     for d in divisors(mu):
-        if any(d % q == 0 for q in s_set) or math.gcd(d, f) != 1:
+        if math.gcd(d, f) != 1:
             continue
         expected[factored[field.from_rational(d).coords].key()] = d
     got = {ideal.key() for ideal, _ in fixed}

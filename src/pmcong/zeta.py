@@ -5,7 +5,7 @@ Base side (classes x of (Z/f)^×): the partial zeta value is the Hurwitz sum
 
     ζ_S(1−k, δ^(x)) = −f^(k−1) · B_k(a/f) / k,   a ∈ [1, f], a ≡ x (mod f),
 
-valid because every prime of S divides f, so the congruence class already
+valid because S is the prime support of f, so the congruence class already
 encodes coprimality to S.  A second, independent route assembles the same
 value from character orthogonality and L-values; the two must agree exactly.
 
@@ -64,8 +64,13 @@ def _orbit_representative(modulus: int, exponents: tuple[int, ...]) -> tuple[tup
 
 
 @lru_cache(maxsize=None)
-def _l_value(modulus: int, exponents: tuple[int, ...], k: int, s_primes: tuple[int, ...]):
+def _l_value(modulus: int, exponents: tuple[int, ...], k: int):
     """L_S(1−k, χ) in Q(ζ_n), n the exponent of (Z/modulus)^×, one l_value_neg per Galois orbit.
+
+    S is the prime support of the modulus: classes are coprime to it, so the
+    character decomposition of a one-class sum needs the Euler factor of
+    every prime of the modulus removed (for imprimitive characters these are
+    the level-imprimitivity factors; `l_value_neg` skips conductor primes).
 
     Conjugate characters have conjugate L-values: for χ = ρ^a with a prime to
     n, L_S(1−k, χ) = σ_a(L_S(1−k, ρ)), σ_a: ζ_n ↦ ζ_n^a, since the Bernoulli
@@ -75,7 +80,8 @@ def _l_value(modulus: int, exponents: tuple[int, ...], k: int, s_primes: tuple[i
     """
     rep, a = _orbit_representative(modulus, exponents)
     if rep != exponents:
-        return _l_value(modulus, rep, k, s_primes).conjugate(a)
+        return _l_value(modulus, rep, k).conjugate(a)
+    s_primes = tuple(factorize(modulus))
     return l_value_neg(DirichletCharacter(unit_group(modulus), exponents), k, s_primes)
 
 
@@ -87,14 +93,6 @@ def _q_table(level: LevelData, k: int) -> dict[int, Fraction]:
         a = cls if cls >= 1 else f
         table[cls] = -(Fraction(f) ** (k - 1)) * bernoulli_poly_at(k, Fraction(a, f)) / k
     return table
-
-
-def _removal_primes(level: LevelData) -> tuple[int, ...]:
-    # classes are coprime to the modulus, so the character decomposition of a
-    # one-class sum needs the Euler factor of every prime dividing the level
-    # removed, along with the S-primes (for imprimitive characters these are
-    # the level-imprimitivity factors; l_value_neg skips conductor primes)
-    return tuple(sorted(set(level.s_primes) | set(factorize(level.modulus))))
 
 
 def _orthogonality_table(
@@ -133,9 +131,8 @@ def _orthogonality_table(
 def _q_table_characters(level: LevelData, k: int) -> dict[int, Fraction]:
     """Independent route: character orthogonality on the full class group."""
     f = level.modulus
-    s = _removal_primes(level)
     chars = characters_of(f)
-    terms = [(chi, 1, _l_value(f, chi.exponents, k, s)) for chi in chars]
+    terms = [(chi, 1, _l_value(f, chi.exponents, k)) for chi in chars]
     return _orthogonality_table(chars[0].ambient_order, terms, level.classes(Q_SIDE), len(chars))
 
 
@@ -168,13 +165,12 @@ def _l_table(level: LevelData, k: int) -> dict[int, Fraction]:
     if level.field is None:
         raise ValueError("extension-side values need a level with field data")
     f = level.modulus
-    s = _removal_primes(level)
     chars = characters_of(f)
     terms = []
     for members in _l_fibers(level):
-        prod = _l_value(f, members[0].exponents, k, s)
+        prod = _l_value(f, members[0].exponents, k)
         for psi in members[1:]:
-            prod = prod * _l_value(f, psi.exponents, k, s)
+            prod = prod * _l_value(f, psi.exponents, k)
         # every member shares ψ(y) for y ∈ H; weight once per member
         terms.append((members[0], len(members), prod))
     return _orthogonality_table(chars[0].ambient_order, terms, level.h_classes, len(chars))

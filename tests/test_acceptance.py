@@ -116,7 +116,7 @@ def test_05_qexp_coefficients_divisible():
 
 
 def test_06_classical_eisenstein_oracle():
-    level = zeta_level(1, ())
+    level = zeta_level(1)
     eps = LocallyConstantFn.constant_fn(level, Q_SIDE, 1)
     expansion = eisenstein_q(level, eps, 4, 50)
     ok = expansion.constant == Fraction(1, 240)
@@ -127,7 +127,7 @@ def test_06_classical_eisenstein_oracle():
 
 
 def test_07_extension_zeta_oracle():
-    level = zeta_level(7, (7,), p=3, conductor=7)
+    level = zeta_level(7, p=3, conductor=7)
     values = [partial_zeta(level, L_SIDE, cls, 2) for cls in level.classes(L_SIDE)]
     total = sum(values, Fraction(0))
     chars = characters_of(7, trivial_on=(1, 6))

@@ -5,6 +5,7 @@ import configparser
 import inspect
 import json
 import os
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import pmcong.qexpansion as qexpansion
-from pmcong.cli import main
+from pmcong.cli import _build_parser, main
 from pmcong.exact import PValuation
 from pmcong.harness import (
     REPORT_SCHEMA,
@@ -154,6 +155,21 @@ def test_readme_scenario_example_reads_as_the_default(tmp_path):
     assert config.describe() == ScenarioConfig.default().describe()
 
 
+def test_readme_command_lines_parse():
+    """Every `pmcong …` line of the README's command block is accepted by the parser."""
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv for argv in commands if argv[:1] == ["pmcong"]]
+    assert len(commands) >= 8
+    parser = _build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"the README line {shlex.join(argv)!r} does not parse")
+
+
 def test_ini_rejections(tmp_path):
     with pytest.raises(ConfigInvalid, match="cannot read"):
         ScenarioConfig.from_ini(tmp_path / "absent.ini")
@@ -193,6 +209,7 @@ def test_validation_branches():
         (dict(qexp_bound=0), "bounds"),
         (dict(ideal_bound=0), "bounds"),
         (dict(checks=("transfer", "nonsense")), "unknown checks"),
+        (dict(checks=()), "at least one check"),
         (dict(eps_basis="junk"), "eps_basis"),
         (dict(eps_basis="table"), "nonempty"),
     ]
@@ -249,6 +266,8 @@ def test_run_scenario_checks_override():
     assert report["verdict"]
     with pytest.raises(ConfigInvalid, match="unknown checks"):
         run_scenario(config, checks=("bogus",))
+    with pytest.raises(ConfigInvalid, match="at least one check"):
+        run_scenario(ScenarioConfig.default(), checks=())
 
 
 def test_cache_warm_is_idempotent_and_heals(tmp_path):
@@ -639,6 +658,17 @@ def test_cli_verify_qexp_without_an_even_k_exits_2(tmp_path, capsys, no_scenario
     _assert_configuration_error(capsys, ["verify", "qexp", "--config", str(ini)], "even k")
 
 
+def test_cli_empty_check_list_exits_2(tmp_path, capsys, no_scenario_checks):
+    ini = tmp_path / "none.ini"
+    ini.write_text(SMALL_INI.replace("checks = transfer, delta", "checks ="))
+    _assert_configuration_error(capsys, ["run", "--config", str(ini)], "at least one check")
+    cache = tmp_path / "cache"
+    _assert_configuration_error(
+        capsys, ["cache-warm", "--config", str(ini), "--cache-dir", str(cache)], "at least one check"
+    )
+    assert not cache.exists()
+
+
 def test_cli_json_out_in_a_missing_directory_exits_2(tmp_path, capsys, no_checks):
     target = tmp_path / "missing" / "r.json"
     _assert_configuration_error(capsys, ["run", "--json-out", str(target)], "--json-out")
@@ -721,32 +751,9 @@ def test_cli_output_probe_leaves_nothing_behind(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_zeta_base_side(capsys):
-    rc = main(
-        ["zeta", "--modulus", "63", "--k", "2", "--s-primes", "3,7", "--cls", "2"]
-    )
+    rc = main(["zeta", "--modulus", "63", "--k", "2", "--cls", "2"])
     assert rc == 0
     assert "zeta(1-2; 2 mod 63) = -1079/252" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("s_primes", ["3 7", " 3, 7 ", "3,7,"])
-def test_cli_zeta_s_primes_syntax(capsys, s_primes):
-    rc = main(
-        ["zeta", "--modulus", "63", "--k", "2", "--s-primes", s_primes, "--cls", "2"]
-    )
-    assert rc == 0
-    assert "zeta(1-2; 2 mod 63) = -1079/252" in capsys.readouterr().out
-
-
-def test_cli_zeta_bad_s_primes_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["zeta", "--modulus", "63", "--k", "2", "--s-primes", "3,x"])
-    assert exc.value.code == 2
-    assert "--s-primes" in capsys.readouterr().err
-
-
-_ZETA_L63_CLASS_1 = [
-    "--modulus", "63", "--k", "2", "--side", "L", "--p", "3", "--conductor", "7", "--cls", "1"
-]
 
 
 @pytest.mark.parametrize(
@@ -754,29 +761,20 @@ _ZETA_L63_CLASS_1 = [
     [
         (["--modulus", "0", "--k", "2"], "modulus"),
         (["--modulus", "63", "--k", "0"], "--k"),
-        (["--modulus", "63", "--k", "2", "--s-primes", "5"], "S-prime"),
         (["--modulus", "63", "--k", "2", "--cls", "3"], "--cls 3"),
         (["--modulus", "63", "--k", "2", "--side", "L", "--p", "3", "--conductor", "13"], "conductor"),
         (["--modulus", "7", "--k", "2", "--side", "L", "--p", "5", "--conductor", "7"], "conductor"),
         (["--modulus", "31", "--k", "2", "--side", "L", "--p", "3", "--conductor", "31"], "[O_L"),
-        *(
-            ([*_ZETA_L63_CLASS_1, f"--s-primes={s_primes}"], "S must consist of primes")
-            for s_primes in ("0", "1", "-3,7", "3,7,9", "21")
-        ),
+        (["--modulus", "63", "--k", "2", "--p", "5"], "degree p is read only with a conductor"),
     ],
     ids=[
         "modulus-0",
         "k-0",
-        "s-prime-off-modulus",
         "non-unit-class",
         "conductor-off-modulus",
         "bad-field",
         "unsupported-field",
-        "s-prime-0",
-        "s-prime-1",
-        "s-prime-negative",
-        "s-prime-square",
-        "s-prime-composite",
+        "p-without-conductor",
     ],
 )
 def test_cli_zeta_bad_arguments_exit_2(capsys, argv, named):
@@ -797,8 +795,6 @@ def test_cli_zeta_extension_side(capsys):
             "2",
             "--side",
             "L",
-            "--s-primes",
-            "7",
             "--p",
             "3",
             "--conductor",

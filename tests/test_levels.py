@@ -117,13 +117,24 @@ def test_frobenius_choice_validation_and_transfer():
 
 
 def test_zeta_level_plain_q():
-    lv1 = zeta_level(1, ())
+    lv1 = zeta_level(1)
     assert lv1.modulus == 1
     assert lv1.classes(Q_SIDE) == (0,)
-    lv4 = zeta_level(4, ())
+    lv4 = zeta_level(4)
     assert lv4.classes(Q_SIDE) == (1, 3)
     with pytest.raises(ValueError):
-        zeta_level(12, (), p=3, conductor=7)  # conductor must divide modulus
+        zeta_level(12, p=3, conductor=7)  # conductor must divide modulus
+
+
+def test_zeta_level_reads_s_and_p_off_its_inputs():
+    assert zeta_level(63) is zeta_level(63)
+    assert zeta_level(63).s_primes == frozenset({3, 7})
+    assert zeta_level(63).p == 0
+    assert zeta_level(1).s_primes == frozenset()
+    cubic = zeta_level(63, p=3, conductor=7)
+    assert cubic.p == 3 and cubic.s_primes == frozenset({3, 7})
+    with pytest.raises(ValueError, match="read only with a conductor"):
+        zeta_level(63, p=5)
 
 
 def test_transfer_class_outside_h_is_an_arithmetic_error(monkeypatch):

@@ -115,7 +115,7 @@ def test_lambda_k_independence():
 def test_lambda_rejects_bad_inputs():
     from pmcong.levels import zeta_level
 
-    bare = zeta_level(63, (3, 7))
+    bare = zeta_level(63)
     with pytest.raises(ValueError):
         lambda_approx(bare, Q_SIDE, FrobeniusChoice(bare, 2), 2)
     with pytest.raises(ValueError):

@@ -29,7 +29,7 @@ def _sigma_power(mu, power):
 
 def test_classical_weight_four_series():
     """At level one the table must be the textbook series 1/240 + Σσ₃(μ)qᵘ."""
-    level = zeta_level(1, ())
+    level = zeta_level(1)
     eps = LocallyConstantFn.constant_fn(level, Q_SIDE, 1)
     expansion = eisenstein_q(level, eps, 4, 50)
     assert expansion.constant == Fraction(1, 240)
@@ -38,7 +38,7 @@ def test_classical_weight_four_series():
 
 
 def test_classical_weight_two_and_six_spot_values():
-    level = zeta_level(1, ())
+    level = zeta_level(1)
     eps = LocallyConstantFn.constant_fn(level, Q_SIDE, 1)
     e2 = eisenstein_q(level, eps, 2, 10)
     assert e2.constant == Fraction(-1, 24)
@@ -68,7 +68,7 @@ def test_eisenstein_q_validates_inputs():
         eisenstein_q(LV, eps, 2, 0)
     with pytest.raises(ValueError, match="base-side"):
         eisenstein_q(LV, ONE_L, 2, 5)
-    other = zeta_level(5, ())
+    other = zeta_level(5)
     odd = LocallyConstantFn.from_table(other, Q_SIDE, {1: 1, 2: 0, 3: 0, 4: 0})
     assert not odd.even
     with pytest.raises(NotEven):
@@ -202,6 +202,18 @@ def test_shared_table_matches_a_fresh_build_and_guards_its_bound():
     other = scenario_level(3, 7, (3, 7), 3)
     with pytest.raises(ValueError, match="does not cover"):
         eisenstein_l(other, LocallyConstantFn.constant_fn(other, L_SIDE, 1), 2, 6, table=table)
+
+
+def test_relaxed_level_reads_s_off_its_modulus():
+    """A zeta level at 63 with the cubic field has S = {3, 7}, so its table
+    never meets the prime above 7, and it reports what the scenario level
+    at the same modulus reports."""
+    level = zeta_level(63, p=3, conductor=7)
+    table = NuTable(level, 3 * 4)
+    one = LocallyConstantFn.constant_fn(level, L_SIDE, 1)
+    report = verify_qexp_congruence(level, one, 2, 4, table=table)
+    assert report["verdict"]
+    assert report == verify_qexp_congruence(LV, ONE_L, 2, 4)
 
 
 def test_table_takes_two_char_polys_per_nu(tmp_path, monkeypatch):

@@ -40,14 +40,14 @@ LV189 = scenario_level(3, 7, (3, 7), 3)
 
 
 def test_riemann_zeta_at_negative_integers():
-    lv = zeta_level(1, ())
+    lv = zeta_level(1)
     assert partial_zeta(lv, Q_SIDE, 0, 2) == Fraction(-1, 12)
     assert partial_zeta(lv, Q_SIDE, 0, 4) == Fraction(1, 120)
     assert partial_zeta(lv, Q_SIDE, 0, 1) == Fraction(-1, 2)
 
 
 def test_hurwitz_anchor_mod_4():
-    lv = zeta_level(4, ())
+    lv = zeta_level(4)
     assert partial_zeta(lv, Q_SIDE, 1, 2) == Fraction(1, 24)
     assert partial_zeta_q_characters(lv, 1, 2) == Fraction(1, 24)
     # the two classes rebuild zeta minus its 2-Euler factor
@@ -95,8 +95,8 @@ def test_character_route_rejects_a_nonrational_sum(monkeypatch, fresh_zeta_cache
     l_value = zeta._l_value
     target = characters_of(63)[5].exponents
 
-    def perturbed(modulus, exponents, k, s_primes):
-        value = l_value(modulus, exponents, k, s_primes)
+    def perturbed(modulus, exponents, k):
+        value = l_value(modulus, exponents, k)
         if exponents == target:
             value = value + CyclotomicNumber.root(value.order, 1)
         return value
@@ -138,7 +138,7 @@ def test_orbit_l_values_match_the_direct_route(modulus, orbits):
         assert tuple(a * e % o for e, o in zip(rep, group.orders)) == chi.exponents
         representatives.add(rep)
         for k in (1, 2, 4):
-            assert zeta._l_value(modulus, chi.exponents, k, (3, 7)) == l_value_neg(chi, k, (3, 7))
+            assert zeta._l_value(modulus, chi.exponents, k) == l_value_neg(chi, k, (3, 7))
     assert len(representatives) == orbits
 
 
@@ -152,7 +152,7 @@ def test_distribution_compatibility_189_to_63():
 
 
 def test_extension_side_sums_to_depleted_dedekind_value():
-    lv = zeta_level(7, (7,), p=3, conductor=7)
+    lv = zeta_level(7, p=3, conductor=7)
     values = [partial_zeta(lv, L_SIDE, h, 2) for h in lv.h_classes]
     assert values == [Fraction(1, 7), Fraction(1, 7)]
     # independent product oracle over the character family
@@ -270,7 +270,7 @@ def test_twisted_sum_detects_violations():
 
 
 def test_twisted_sum_rejects_a_level_without_p():
-    level = zeta_level(63, (3, 7))
+    level = zeta_level(63)
     g = FrobeniusChoice(level, 2)
     eps = LocallyConstantFn.delta_fn(level, Q_SIDE, 1)
     with pytest.raises(ValueError, match="scenario level"):
