@@ -3,11 +3,13 @@
 Elements are coordinate vectors over the power basis 1, z, ..., z^(phi(n)-1)
 of Q[x]/(Phi_n(x)), stored as integer numerators over one positive common
 denominator in lowest terms.  That form is canonical, so equality is a tuple
-comparison, and addition, multiplication and the reduction modulo Phi_n are
-integer loops; ``coords`` gives the coordinates as Fractions.  Working modulo
-the cyclotomic polynomial (rather than x^n - 1) makes rationality a coordinate
-check: an element is rational iff every coordinate above the constant one
-vanishes.
+comparison, and addition and the reduction modulo Phi_n are integer loops;
+``coords`` gives the coordinates as Fractions.  A product is one multiplication
+of two integers, each packing a numerator vector into slots of fixed width
+(Kronecker substitution, ``pack_slots``), and ``signed_slots`` reads the
+signed slots back.  Working modulo the cyclotomic polynomial (rather than
+x^n - 1) makes rationality a coordinate check: an element is rational iff
+every coordinate above the constant one vanishes.
 
 Phi_n itself is obtained by iterated exact integer polynomial division of
 x^n - 1 by the Phi_d for proper divisors d | n; products and exponent sums are
@@ -31,6 +33,8 @@ __all__ = [
     "NotRational",
     "cyclotomic_polynomial",
     "cyclo_reduce_rational",
+    "pack_slots",
+    "signed_slots",
 ]
 
 
@@ -73,6 +77,40 @@ def _phi_tail(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
     return deg, tuple((j, -c) for j, c in enumerate(phi[:deg]) if c)
+
+
+def pack_slots(nums, width: int) -> int:
+    """sum_j nums[j] * 2^(j*width): an integer vector as one integer (Kronecker substitution)."""
+    packed = 0
+    for c in reversed(nums):
+        packed = (packed << width) + c
+    return packed
+
+
+def signed_slots(packed: int, count: int, width: int) -> list[int]:
+    """The slots d_j of packed = sum_j d_j * 2^(j*width), |d_j| < 2^(width-1), lowest first.
+
+    Each split takes the low half as the residue of least absolute value, so
+    a negative slot borrows from the half above it.
+    """
+    if count <= 8:
+        mask = (1 << width) - 1
+        half = 1 << (width - 1)
+        out = []
+        for _ in range(count):
+            d = packed & mask
+            if d >= half:
+                d -= 1 << width
+            out.append(d)
+            packed = (packed - d) >> width
+        return out
+    split = count // 2 * width
+    low = packed & ((1 << split) - 1)
+    if low >> (split - 1):
+        low -= 1 << split
+    return signed_slots(low, count // 2, width) + signed_slots(
+        (packed - low) >> split, count - count // 2, width
+    )
 
 
 def _reduce(order: int, poly: list[int]) -> tuple[int, ...]:
@@ -186,13 +224,17 @@ class CyclotomicNumber:
         return CyclotomicNumber(self.order, tuple(a * m for a in self.nums), self.den * q.denominator)
 
     def __mul__(self, other: "CyclotomicNumber") -> "CyclotomicNumber":
+        """The product by one integer multiplication (Kronecker substitution).
+
+        Each coefficient of the convolution is at most d * max|a| * max|b|
+        in absolute value, d = phi(n), so slots one bit wider than that
+        bound hold it with its sign.
+        """
         self._check(other)
         a, b = self.nums, other.nums
-        prod = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b, i):
-                    prod[j] += ai * bj
+        width = (len(a) * max(map(abs, a)) * max(map(abs, b))).bit_length() + 1
+        packed = pack_slots(a, width) * pack_slots(b, width)
+        prod = signed_slots(packed, 2 * len(a) - 1, width)
         return CyclotomicNumber(self.order, _reduce(self.order, prod), self.den * other.den)
 
     def mul_root(self, exponent: int) -> "CyclotomicNumber":

@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .dirichlet import characters_of, conductor_primitive, series_coefficients
-from .exact import PValuation, p_valuation
+from .exact import PValuation, int_valuation
 from .levels import (
     L_SIDE,
     Q_SIDE,
@@ -38,8 +38,8 @@ from .qexpansion import NuTable, verify_qexp_congruence
 from .sigma import run_sigma_suite
 from .units import parse_int_list
 from .zeta import (
+    delta_numerators,
     delta_sum_integrality,
-    delta_table,
     partial_zeta,
     partial_zeta_q_characters,
 )
@@ -307,20 +307,17 @@ def _check_crosscheck(config: ScenarioConfig, level) -> dict:
                     k_indep = False
     details["lambda_k_independent"] = {"verdict": k_indep}
 
-    integral = True
-    worst = None
+    worst = PValuation.infinite()
     for n in config.frobenius:
         g = FrobeniusChoice(level, n)
         for k in config.k_values:
             for side in (Q_SIDE, L_SIDE):
                 pick = g if side == Q_SIDE else g.transfer()
-                for value in delta_table(level, side, pick, k).values():
-                    v = p_valuation(value, config.p)
-                    if not v >= 0:
-                        integral = False
-                    if worst is None or v < worst:
-                        worst = v
-    details["delta_p_integral"] = {"verdict": integral, "min_valuation": worst}
+                nums, den = delta_numerators(level, side, pick, k)
+                finite = [int_valuation(c, config.p) for c in nums.values() if c]
+                if finite:
+                    worst = min(worst, PValuation.of(min(finite) - int_valuation(den, config.p)))
+    details["delta_p_integral"] = {"verdict": worst >= 0, "min_valuation": worst}
 
     twist = True
     g = FrobeniusChoice(level, config.frobenius[0])

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import PValuation, p_valuation
+from .exact import PValuation, int_valuation, p_valuation
 from .levels import L_SIDE, Q_SIDE, FrobeniusChoice, LevelData, LocallyConstantFn
-from .zeta import delta_of, delta_table, norm_residue
+from .zeta import delta_numerators, delta_of, norm_residue
 
 __all__ = [
     "FlagViolation",
@@ -90,12 +90,19 @@ def lambda_approx(level: LevelData, side: str, g: FrobeniusChoice, k: int) -> Ps
         raise ValueError("k must be ≥ 1")
     p, a = level.p, level.a
     modulus = p**a
-    deltas = delta_table(level, side, g, k)
+    nums, den = delta_numerators(level, side, g, k)
+    # c / den = (c / p^e) / (den / p^e) with p^e ∥ den: p-integral iff p^e | c
+    pe = p ** int_valuation(den, p)
+    inv_den = pow(den // pe, -1, modulus)
     coeffs = {}
-    for x in level.classes(side):
+    for x, c in nums.items():
+        if c % pe:
+            raise ArithmeticError(
+                f"{Fraction(c, den)} is not p-integral and has no residue mod {modulus}"
+            )
         n_tilde = norm_residue(level, x)
         inv_nk = pow(pow(n_tilde, -1, modulus), k, modulus)
-        coeffs[x] = reduce_fraction(deltas[x], modulus, p) * inv_nk % modulus
+        coeffs[x] = c // pe * inv_den % modulus * inv_nk % modulus
     return PseudomeasureApprox(level, side, g, k, modulus, coeffs)
 
 

@@ -18,6 +18,19 @@ induction at the finite level:
 where Π(ψ) is the product of L_S(1−k, ·) over the p characters of G that
 share the restriction ψ|_H.  The cyclotomic result is asserted rational;
 NotRational propagating out of here signals broken character bookkeeping.
+
+Both character sums are one Fourier transform on G = ∏_i C_(o_i)
+(`_exponent_sums`).  Values live in Z[x]/(x^n − 1), n the exponent of G, as
+two packed non-negative integers (positive and negative parts), so a root
+multiplication is a rotation of bits.  The mixed-radix Cooley–Tukey
+transforms, one per coordinate, cost |G|·Σ_i Σ(prime factors of o_i)
+rotations per table; each class is then reduced modulo Φ_n once and asserted
+rational.  The Hurwitz route (`_q_table`) shares none of this code.
+
+Everything built on the tables (`zeta_of`, Δ, λ, the twisted sums) reads one
+integer view per (level, side, k): the table's numerators over the lcm of
+its denominators.  A returned rational costs one Fraction; nothing is summed
+in Fractions.
 """
 
 from __future__ import annotations
@@ -27,14 +40,15 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
-from .cyclotomic import CyclotomicNumber, cyclo_reduce_rational
+from .cyclotomic import CyclotomicNumber, cyclo_reduce_rational, pack_slots, signed_slots
 from .dirichlet import DirichletCharacter, characters_of, l_value_neg
-from .exact import PValuation, Rational, bernoulli_poly_at, p_valuation
+from .exact import PValuation, bernoulli_poly_at, int_valuation
 from .levels import L_SIDE, Q_SIDE, FrobeniusChoice, LevelData, LocallyConstantFn
 from .units import factorize, unit_group
 
 __all__ = [
     "HypothesisViolated",
+    "delta_numerators",
     "delta_of",
     "delta_sum_integrality",
     "delta_table",
@@ -95,6 +109,91 @@ def _q_table(level: LevelData, k: int) -> dict[int, Fraction]:
     return table
 
 
+def _pack(nums: tuple[int, ...], scale: int, width: int) -> tuple[int, int]:
+    """The positive and the negative parts of scale·nums as two packed integers."""
+    pos = pack_slots([scale * c if c > 0 else 0 for c in nums], width)
+    neg = pack_slots([-scale * c if c < 0 else 0 for c in nums], width)
+    return pos, neg
+
+
+def _dft(pos: list[int], neg: list[int], step: int, order: int, width: int):
+    """X(l) = Σ_e a(e)·ζ_n^(−e·l·step) for one packed line a, n = order.
+
+    Mixed-radix Cooley–Tukey: with r the least prime factor of the length
+    N = r·m and a split into the r decimated lines a(r·e' + j), each output is
+    X(l) = Σ_j ζ_n^(−j·l·step)·Y_j(l mod m), Y_j the length-m transform of
+    line j at the root ζ_n^(r·step).  That is N·(r − 1) rotations per stage.
+    A rotation by t slots is multiplication by ζ_n^t in Z[x]/(x^n − 1).
+    """
+    size = len(pos)
+    if size == 1:
+        return pos, neg
+    r = min(factorize(size))
+    m = size // r
+    parts = [_dft(pos[j::r], neg[j::r], step * r, order, width) for j in range(r)]
+    out_pos = parts[0][0] * r
+    out_neg = parts[0][1] * r
+    span = order * width
+    full = (1 << span) - 1
+    for j in range(1, r):
+        sub_pos, sub_neg = parts[j]
+        for l in range(size):
+            shift = -j * l * step % order * width
+            back = span - shift
+            a = sub_pos[l % m]
+            if a:
+                out_pos[l] += ((a << shift) & full) | (a >> back)
+            b = sub_neg[l % m]
+            if b:
+                out_neg[l] += ((b << shift) & full) | (b >> back)
+    return out_pos, out_neg
+
+
+def _exponent_sums(order: int, terms: list[tuple[DirichletCharacter, int, CyclotomicNumber]], classes):
+    """(den, the pairs (x, s_x)), with Σ_t s_x[t]·ζ_n^t = den·Σ w·χ(x)⁻¹·V over the terms (χ, w, V).
+
+    den is the lcm of the denominators of every V.  Term (χ, w, V) puts the
+    integer-scaled numerators w·(den/V.den)·V at χ's exponent tuple on the
+    grid ∏_i C_(o_i) of (Z/f)^×; every other tuple is zero.  One transform
+    per coordinate i (row–column) replaces the tuples e by the sums
+    Σ_e a(e)·ζ_n^(−Σ_i e_i·(n/o_i)·l_i), and class x reads position
+    l = dlog(x), as the signed slots of the difference of its two packed integers.
+
+    The slot width is bit_length(|G|·max|numerator|) + 1 bits.  A slot of
+    either packed integer sums at most |G| magnitudes, so it never carries
+    into the next; the spare bit bounds each slot of the difference by
+    2^(width−1) in absolute value, so the signed slots read back exactly.
+    """
+    group = terms[0][0].group
+    den = lcm(*(v.den for _, _, v in terms))
+    size = len(group.elements)
+    top = max(w * (den // v.den) * max(map(abs, v.nums)) for _, w, v in terms)
+    width = (size * top).bit_length() + 1
+    strides = []  # row-major: the tuple e sits in cell Σ_i e_i·strides[i]
+    stride = size
+    for o in group.orders:
+        stride //= o
+        strides.append(stride)
+    pos = [0] * size
+    neg = [0] * size
+    for chi, w, v in terms:
+        cell = sum(map(mul, chi.exponents, strides))
+        pos[cell], neg[cell] = _pack(v.nums, w * (den // v.den), width)
+    for o, stride in zip(group.orders, strides):
+        block = o * stride
+        for start in range(0, size, block):
+            for first in range(start, start + stride):
+                line = slice(first, first + block, stride)
+                pos[line], neg[line] = _dft(pos[line], neg[line], order // o, order, width)
+
+    def read():
+        for x in classes:
+            cell = sum(map(mul, group.dlog(x), strides))
+            yield x, signed_slots(pos[cell] - neg[cell], order, width)
+
+    return den, read()
+
+
 def _orthogonality_table(
     order: int,
     terms: list[tuple[DirichletCharacter, int, CyclotomicNumber]],
@@ -103,28 +202,15 @@ def _orthogonality_table(
 ) -> dict[int, Fraction]:
     """x ↦ (Σ w·χ(x)⁻¹·V) / size over the terms (χ, w, V), asserted rational.
 
-    The integer numerators of every V are brought once to the lcm of the
-    denominators of all V.  Per class, numerator j of V (weight w) lands in
-    the integer bucket of root exponent j − χ(x), and the buckets are reduced
-    modulo Φ_n once per class.  χ(x) is read from one discrete log per class.
+    The exponent sums of every class come from one packed transform
+    (`_exponent_sums`); each class is reduced modulo Φ_n once and must be
+    rational (NotRational otherwise).
     """
-    group = terms[0][0].group
-    den = lcm(*(v.den for _, _, v in terms))
-    scaled = [
-        (chi.weights(), [(j, w * c * (den // v.den)) for j, c in enumerate(v.nums) if c])
-        for chi, w, v in terms
-    ]
-    table = {}
-    for x in classes:
-        logs = group.dlog(x)
-        sums = [0] * order
-        for weights, coords in scaled:
-            e = sum(map(mul, weights, logs))
-            for j, c in coords:
-                sums[(j - e) % order] += c
-        value = CyclotomicNumber.from_exponent_sums(order, sums, den * size)
-        table[x] = cyclo_reduce_rational(value)
-    return table
+    den, sums = _exponent_sums(order, terms, classes)
+    return {
+        x: cyclo_reduce_rational(CyclotomicNumber.from_exponent_sums(order, s, den * size))
+        for x, s in sums
+    }
 
 
 @lru_cache(maxsize=None)
@@ -190,45 +276,82 @@ def partial_zeta_q_characters(level: LevelData, cls: int, k: int) -> Fraction:
     return _q_table_characters(level, k)[cls % level.modulus]
 
 
-def zeta_of(level: LevelData, side: str, eps: LocallyConstantFn, k: int) -> Fraction:
-    """Linear extension of partial_zeta to a locally constant function."""
+@lru_cache(maxsize=None)
+def _integer_view(level: LevelData, side: str, k: int) -> tuple[dict[int, int], int]:
+    """(nums, den) with ζ_S(1−k, δ^(x)) = nums[x] / den for every class x of the side.
+
+    den is the lcm of the table's denominators.
+    """
+    table = _q_table(level, k) if side == Q_SIDE else _l_table(level, k)
+    den = lcm(*(v.denominator for v in table.values()))
+    return {x: v.numerator * (den // v.denominator) for x, v in table.items()}, den
+
+
+def _delta_numerator(
+    level: LevelData, side: str, g: FrobeniusChoice | None, eps: LocallyConstantFn, k: int
+) -> tuple[int, int]:
+    """(N, D) with N / D = ζ(1−k, ε) − n^k·ζ(1−k, ε_g); ζ(1−k, ε) alone when g is None.
+
+    Σ_x ε(g·x)·ζ(δ^(x)) = Σ_y ε(y)·ζ(δ^(g⁻¹y)), so both sums run over the
+    support of ε.  D is the table's denominator times the lcm of ε's.
+    """
+    if g is not None and side == L_SIDE and not level.in_h(g.cls):
+        raise ValueError("extension-side Δ needs a pick inside the subgroup")
     if eps.level != level or eps.side != side:
         raise ValueError("function does not live on the requested level/side")
-    table = _q_table(level, k) if side == Q_SIDE else _l_table(level, k)
-    return sum((v * table[x] for x, v in eps.support.items()), Fraction(0))
+    nums, den = _integer_view(level, side, k)
+    f = level.modulus
+    # without a pick the shifted term has weight n^k = 0
+    g_inv, nk = (1, 0) if g is None else (pow(g.cls, -1, f) if f > 1 else 0, g.n**k)
+    scale = lcm(*(v.denominator for v in eps.support.values()))
+    total = sum(
+        v.numerator * (scale // v.denominator) * (nums[x] - nk * nums[g_inv * x % f])
+        for x, v in eps.support.items()
+    )
+    return total, den * scale
+
+
+def zeta_of(level: LevelData, side: str, eps: LocallyConstantFn, k: int) -> Fraction:
+    """Linear extension of partial_zeta to a locally constant function."""
+    return Fraction(*_delta_numerator(level, side, None, eps, k))
 
 
 def scaled_zeta_of(level: LevelData, side: str, eps: LocallyConstantFn, k: int) -> Fraction:
     """Archimedean normalization 2^{−r}: r = 1 on the base, p on the extension."""
     r = 1 if side == Q_SIDE else level.p
-    return zeta_of(level, side, eps, k) / 2**r
+    num, den = _delta_numerator(level, side, None, eps, k)
+    return Fraction(num, den * 2**r)
 
 
 def delta_of(
     level: LevelData, side: str, g: FrobeniusChoice, eps: LocallyConstantFn, k: int
 ) -> Fraction:
     """Δ_g(1−k, ε) = ζ(1−k, ε) − n^k · ζ(1−k, ε_g), with ε_g(x) = ε(g·x)."""
-    if side == L_SIDE and not level.in_h(g.cls):
-        raise ValueError("extension-side Δ needs a pick inside the subgroup")
-    shifted = eps.shift(g.cls)
-    return zeta_of(level, side, eps, k) - g.n**k * zeta_of(level, side, shifted, k)
+    return Fraction(*_delta_numerator(level, side, g, eps, k))
+
+
+def delta_numerators(
+    level: LevelData, side: str, g: FrobeniusChoice, k: int
+) -> tuple[dict[int, int], int]:
+    """(nums, den) with Δ_g(1−k, δ^(x)) = nums[x] / den for every class x of the side.
+
+    Shifting the indicator moves its support: (δ^(x))_g = δ^(g⁻¹x), so each
+    entry needs just two partial zeta values, read as integers over the
+    table's one denominator.
+    """
+    nums, den = _integer_view(level, side, k)
+    f = level.modulus
+    g_inv = pow(g.cls, -1, f) if f > 1 else 0
+    nk = g.n**k
+    return {x: nums[x] - nk * nums[g_inv * x % f] for x in level.classes(side)}, den
 
 
 def delta_table(
     level: LevelData, side: str, g: FrobeniusChoice, k: int
 ) -> dict[int, Fraction]:
-    """Δ_g(1−k, δ^(x)) for every class x of the side.
-
-    Shifting the indicator moves its support: (δ^(x))_g = δ^(g⁻¹x), so each
-    entry needs just two partial zeta values.
-    """
-    f = level.modulus
-    table = _q_table(level, k) if side == Q_SIDE else _l_table(level, k)
-    g_inv = pow(g.cls, -1, f) if f > 1 else 0
-    out = {}
-    for x in level.classes(side):
-        out[x] = table[x] - g.n**k * table[(g_inv * x) % f]
-    return out
+    """Δ_g(1−k, δ^(x)) for every class x of the side (see `delta_numerators`)."""
+    nums, den = delta_numerators(level, side, g, k)
+    return {x: Fraction(c, den) for x, c in nums.items()}
 
 
 def norm_residue(level: LevelData, cls: int) -> int:
@@ -257,24 +380,30 @@ def delta_sum_integrality(
         raise ValueError("the twisted-sum check needs a scenario level")
     p = level.p
     a = level.a
+    too_deep = p ** (a + 1)
     for k, eps in eps_by_k.items():
         if k < 1:
             raise ValueError("k must be ≥ 1")
-        if eps.min_p_valuation() < -a:
+        if any(v.denominator % too_deep == 0 for v in eps.support.values()):
             raise HypothesisViolated(
                 f"ε_{k} has a denominator beyond p^{a}; the finite level cannot "
                 "certify the twisted-sum hypothesis"
             )
+    # the twisted sums as integers over the lcm of every ε_k's denominators
+    scale = lcm(*(v.denominator for eps in eps_by_k.values() for v in eps.support.values()))
+    scale_valuation = int_valuation(scale, p)
     for x in sorted(set().union(*(eps.support for eps in eps_by_k.values()))):
         n_tilde = norm_residue(level, x)
-        twisted = sum(
-            (eps.support.get(x, 0) * n_tilde ** (k - 1) for k, eps in eps_by_k.items()),
-            Fraction(0),
-        )
-        if p_valuation(twisted, p) < 0:
+        twisted = 0
+        for k, eps in eps_by_k.items():
+            v = eps.support.get(x)
+            if v is not None:
+                twisted += v.numerator * (scale // v.denominator) * n_tilde ** (k - 1)
+        if twisted and int_valuation(twisted, p) < scale_valuation:
             raise HypothesisViolated(f"twisted sum at class {x} is not p-integral")
-    total = sum(
-        (delta_of(level, side, g, eps, k) for k, eps in eps_by_k.items()),
-        Fraction(0),
-    )
-    return p_valuation(total, p)
+    parts = [_delta_numerator(level, side, g, eps, k) for k, eps in eps_by_k.items()]
+    den = lcm(*(d for _, d in parts))
+    total = sum(num * (den // d) for num, d in parts)
+    if not total:
+        return PValuation.infinite()
+    return PValuation.of(int_valuation(total, p) - int_valuation(den, p))

@@ -254,3 +254,24 @@ def test_coords_are_the_fraction_coordinates():
                 assert (a * b).coords == fraction_product(a.coords, b.coords, n)
                 assert (a + b).coords == tuple(p + q for p, q in zip(a.coords, b.coords))
                 assert (a - b).coords == tuple(p - q for p, q in zip(a.coords, b.coords))
+
+
+@pytest.mark.parametrize("n", [6, 18, 54, 162])
+def test_products_of_wide_values_match_the_fraction_reference(n):
+    """Products are one integer multiplication of packed numerators; every
+    coordinate at ±(2^60 − 1) makes a convolution coefficient reach its bound."""
+    rnd = random.Random(n)
+    deg = len(cyclotomic_polynomial(n)) - 1
+    top = 2**60 - 1
+    values = [
+        CyclotomicNumber(n, (top,) * deg),
+        CyclotomicNumber(n, (-top,) * deg, 7),
+        CyclotomicNumber(
+            n, tuple(rnd.choice((0, top, -top, rnd.randint(-top, top))) for _ in range(deg)), 3
+        ),
+        CyclotomicNumber(n, tuple(rnd.randint(-5, 5) for _ in range(deg)), 10),
+        CyclotomicNumber.zero(n),
+    ]
+    for a in values:
+        for b in values:
+            assert (a * b).coords == fraction_product(a.coords, b.coords, n)

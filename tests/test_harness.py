@@ -449,41 +449,38 @@ def test_cli_run_passes_for_a_quintic_field_at_qexp_bound_8(tmp_path, capsys):
     _run_quintic(tmp_path, capsys, 8)
 
 
-def test_cli_run_passes_at_depth_4(tmp_path, capsys):
-    """a=4 (modulus 567, ring Z/27): the dual zeta routes at ambient order 54."""
-    ini = tmp_path / "a4.ini"
+def _run_routes(tmp_path, capsys, a):
+    """`pmcong run` at depth a with the checks crosscheck, transfer and delta."""
+    ini = tmp_path / f"a{a}.ini"
     ini.write_text(
         (REPO_ROOT / "configs" / "default.ini")
         .read_text()
-        .replace("a = 2", "a = 4")
+        .replace("a = 2", f"a = {a}")
         .replace("crosscheck, transfer, delta, qexp, sigma", "crosscheck, transfer, delta")
     )
     config = ScenarioConfig.from_ini(ini)
-    assert (config.a, config.checks) == (4, ("crosscheck", "transfer", "delta"))
+    assert (config.a, config.checks) == (a, ("crosscheck", "transfer", "delta"))
     assert main(["run", "--config", str(ini)]) == 0
     printed = capsys.readouterr().out
     for check in ("crosscheck", "transfer", "delta"):
         assert f"check {check}: PASS" in printed
     assert "overall: PASS" in printed
+
+
+def test_cli_run_passes_at_depth_4(tmp_path, capsys):
+    """a=4 (modulus 567, ring Z/27): the dual zeta routes at ambient order 54."""
+    _run_routes(tmp_path, capsys, 4)
+
+
+def test_cli_run_passes_at_depth_5(tmp_path, capsys):
+    """a=5 (modulus 1701, ring Z/81): the dual zeta routes at ambient order 162."""
+    _run_routes(tmp_path, capsys, 5)
 
 
 @pytest.mark.slow
-def test_cli_run_passes_at_depth_5(tmp_path, capsys):
-    """a=5 (modulus 1701, ring Z/81): the dual zeta routes at ambient order 162."""
-    ini = tmp_path / "a5.ini"
-    ini.write_text(
-        (REPO_ROOT / "configs" / "default.ini")
-        .read_text()
-        .replace("a = 2", "a = 5")
-        .replace("crosscheck, transfer, delta, qexp, sigma", "crosscheck, transfer, delta")
-    )
-    config = ScenarioConfig.from_ini(ini)
-    assert (config.a, config.checks) == (5, ("crosscheck", "transfer", "delta"))
-    assert main(["run", "--config", str(ini)]) == 0
-    printed = capsys.readouterr().out
-    for check in ("crosscheck", "transfer", "delta"):
-        assert f"check {check}: PASS" in printed
-    assert "overall: PASS" in printed
+def test_cli_run_passes_at_depth_6(tmp_path, capsys):
+    """a=6 (modulus 5103, ring Z/243): 2 916 characters at ambient order 486 (~13 s)."""
+    _run_routes(tmp_path, capsys, 6)
 
 
 def test_qexp_factors_each_nu_once(monkeypatch):

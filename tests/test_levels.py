@@ -223,15 +223,98 @@ def test_sparse_linear_operations_match_dense(case, c):
     assert (a - a).is_zero() and a.scale(0).is_zero()
 
 
+_KS = st.sampled_from((2, 4, 6, 12))
+
+
 @settings(max_examples=20, deadline=None)
-@given(_cases())
-def test_sparse_zeta_of_matches_dense_sum(case):
+@given(_cases(), _KS)
+def test_sparse_zeta_of_matches_dense_sum(case, k):
     from pmcong.zeta import partial_zeta, zeta_of
 
     level, side, (dense,) = case
     fn = LocallyConstantFn.from_table(level, side, dense)
-    expected = sum(v * partial_zeta(level, side, x, 2) for x, v in dense.items())
-    assert zeta_of(level, side, fn, 2) == expected
+    expected = sum(v * partial_zeta(level, side, x, k) for x, v in dense.items())
+    assert zeta_of(level, side, fn, k) == expected
+
+
+def _outcome(call, *args):
+    """The value of a call, or the type and message of the error it raised."""
+    try:
+        return call(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _reference_delta_table(level, side, g, k):
+    from pmcong.zeta import partial_zeta
+
+    f = level.modulus
+    g_inv = pow(g.cls, -1, f)
+    return {
+        x: partial_zeta(level, side, x, k) - g.n**k * partial_zeta(level, side, g_inv * x % f, k)
+        for x in level.classes(side)
+    }
+
+
+def _reference_lambda(level, side, g, k):
+    from pmcong.pseudomeasure import reduce_fraction
+    from pmcong.zeta import norm_residue
+
+    modulus = level.p**level.a
+    deltas = _reference_delta_table(level, side, g, k)
+    return {
+        x: reduce_fraction(deltas[x], modulus, level.p)
+        * pow(pow(norm_residue(level, x), -1, modulus), k, modulus)
+        % modulus
+        for x in level.classes(side)
+    }
+
+
+def _reference_delta_sum(level, side, g, eps_by_k):
+    from pmcong.zeta import HypothesisViolated, norm_residue, partial_zeta
+
+    p, a, f = level.p, level.a, level.modulus
+    for k, eps in eps_by_k.items():
+        if eps.min_p_valuation() < -a:
+            raise HypothesisViolated(
+                f"ε_{k} has a denominator beyond p^{a}; the finite level cannot "
+                "certify the twisted-sum hypothesis"
+            )
+    for x in sorted(set().union(*(eps.support for eps in eps_by_k.values()))):
+        twisted = sum(
+            (eps.support.get(x, 0) * norm_residue(level, x) ** (k - 1) for k, eps in eps_by_k.items()),
+            Fraction(0),
+        )
+        if p_valuation(twisted, p) < 0:
+            raise HypothesisViolated(f"twisted sum at class {x} is not p-integral")
+    total = Fraction(0)
+    for k, eps in eps_by_k.items():
+        for x, v in eps.support.items():
+            total += v * partial_zeta(level, side, x, k)
+            total -= g.n**k * v * partial_zeta(level, side, pow(g.cls, -1, f) * x % f, k)
+    return p_valuation(total, p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_cases(count=2), _KS, _KS, st.sampled_from((2, 5, 10, 11)))
+def test_integer_view_matches_fraction_reference(case, k, k2, n):
+    """Δ tables, λ residues and the twisted-sum valuation read the partial
+    zeta values as integers over one denominator; they equal the same
+    formulas in Fractions."""
+    from pmcong.pseudomeasure import lambda_approx
+    from pmcong.zeta import delta_sum_integrality, delta_table
+
+    level, side, (da, db) = case
+    g = FrobeniusChoice(level, n)
+    pick = g if side == Q_SIDE else g.transfer()
+    assert delta_table(level, side, pick, k) == _reference_delta_table(level, side, pick, k)
+    got = _outcome(lambda: lambda_approx(level, side, pick, k).coeffs)
+    assert got == _outcome(_reference_lambda, level, side, pick, k)
+    a = LocallyConstantFn.from_table(level, side, da)
+    b = LocallyConstantFn.from_table(level, side, db)
+    for eps_by_k in ({k: a}, {k: a, k2: b} if k2 != k else {k: b}, {k: a.scale(27), k2: b.scale(27)}):
+        got = _outcome(delta_sum_integrality, level, side, pick, eps_by_k)
+        assert got == _outcome(_reference_delta_sum, level, side, pick, eps_by_k)
 
 
 def test_zero_function_has_infinite_valuation():

@@ -5,12 +5,19 @@ tables vs character decomposition with generalized Bernoulli numbers) are
 compared exhaustively at the working moduli.
 """
 
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from pmcong import zeta
-from pmcong.cyclotomic import CyclotomicNumber, NotRational, cyclo_reduce_rational
+from pmcong.cyclotomic import (
+    CyclotomicNumber,
+    NotRational,
+    cyclo_reduce_rational,
+    cyclotomic_polynomial,
+)
 from pmcong.dirichlet import characters_of, conductor_primitive, l_value_neg
 from pmcong.exact import p_valuation
 from pmcong.units import divisors, unit_group
@@ -330,3 +337,87 @@ def test_per_class_discrete_logs_match_exponent_at(modulus):
         terms = [(chi, 1, chi.value(x0)) for chi in chars]
         table = zeta._orthogonality_table(group.exponent, terms, group.elements, len(chars))
         assert table == {x: Fraction(int(x == x0)) for x in group.elements}
+
+
+# -- the packed transform against a bucket sum per (class, term) ---------------
+
+
+def _bucket_sums(order, terms, classes):
+    """x ↦ the exponent sums of den·Σ w·ζ^(−χ(x))·V, one bucket pass per (class, term)."""
+    den = lcm(*(v.den for _, _, v in terms))
+    out = {}
+    for x in classes:
+        sums = [0] * order
+        for chi, w, v in terms:
+            e = chi.exponent_at(x)
+            for j, c in enumerate(v.nums):
+                sums[(j - e) % order] += w * c * (den // v.den)
+        out[x] = sums
+    return den, out
+
+
+def _random_value(rnd, order):
+    degree = len(cyclotomic_polynomial(order)) - 1
+    nums = [
+        rnd.choice((0, 0, rnd.randint(-9, 9), rnd.randint(-(10**12), 10**12)))
+        for _ in range(degree)
+    ]
+    return CyclotomicNumber(order, tuple(nums), rnd.choice((1, 2, 3, 7, 9, 12, 49, 81)))
+
+
+def _assert_transform_matches(order, terms, classes):
+    den, sums = zeta._exponent_sums(order, terms, classes)
+    expected_den, expected = _bucket_sums(order, terms, classes)
+    assert den == expected_den
+    got = dict(sums)
+    assert list(got) == list(classes)
+    assert got == expected
+
+
+# 504 = 8·9·7: (Z/8)^× gives two factors C_2, so the grid has four axes
+TRANSFORM_LEVELS = [
+    zeta_level(7, p=3, conductor=7),
+    LV63,
+    LV189,
+    scenario_level(3, 7, (3, 7), 4),
+    zeta_level(504, p=3, conductor=7),
+]
+
+
+@pytest.mark.parametrize("level", TRANSFORM_LEVELS, ids=lambda lv: str(lv.modulus))
+@pytest.mark.parametrize("seed", range(3))
+def test_transform_matches_bucket_sums_on_the_full_group(level, seed):
+    """Random terms on random exponent tuples, read at every class."""
+    rnd = random.Random(level.modulus * 10 + seed)
+    chars = characters_of(level.modulus)
+    order = chars[0].ambient_order
+    picked = rnd.sample(chars, min(len(chars), 40))
+    terms = [(chi, rnd.choice((1, 2, 3)), _random_value(rnd, order)) for chi in picked]
+    _assert_transform_matches(order, terms, level.classes(Q_SIDE))
+
+
+@pytest.mark.parametrize("level", TRANSFORM_LEVELS, ids=lambda lv: str(lv.modulus))
+def test_transform_matches_bucket_sums_on_h(level):
+    """The extension layout: one value per fibre over H, weighted by the
+    fibre size, at the fibre's representative; read on H only."""
+    rnd = random.Random(level.modulus)
+    chars = characters_of(level.modulus)
+    order = chars[0].ambient_order
+    fibers = zeta._l_fibers(level)
+    terms = [(members[0], len(members), _random_value(rnd, order)) for members in fibers]
+    assert len(terms) < len(chars)
+    _assert_transform_matches(order, terms, level.h_classes)
+
+
+@pytest.mark.parametrize("level", TRANSFORM_LEVELS, ids=lambda lv: str(lv.modulus))
+def test_transform_slots_hold_the_largest_possible_sum(level):
+    """Every character with the same positive numerator: the identity class
+    reads |G| times it in one slot, the most a slot can hold."""
+    chars = characters_of(level.modulus)
+    order = chars[0].ambient_order
+    value = CyclotomicNumber.from_rational(order, 2**40 - 1)
+    terms = [(chi, 1, value) for chi in chars]
+    den, sums = zeta._exponent_sums(order, terms, (1,))
+    assert den == 1
+    assert dict(sums)[1][0] == len(chars) * (2**40 - 1)
+    _assert_transform_matches(order, terms, level.classes(Q_SIDE)[:12])
