@@ -3,7 +3,8 @@
 Characters mod f are stored as exponent tuples against the fixed generators of
 (Z/f)^x; a value chi(a) is the root of unity zeta_n^t with n the group exponent
 and t = chi.exponent_at(a).  Values are materialized into CyclotomicNumber
-only when L-values are assembled.
+only when L-values are assembled.  Primitive cores read one discrete-log
+table per modulus, shared by all its characters (`_reduction_table`).
 
 Special values at nonpositive integers come from generalized Bernoulli numbers
 attached to the primitive core chi* of chi,
@@ -16,7 +17,10 @@ S-truncation applied as explicit Euler factors (1 - chi*(q) q^(k-1)) for
 primes q in S not dividing the conductor.  Evaluating through the primitive
 core keeps the two zeta routes used elsewhere (Hurwitz sums vs character
 orthogonality) consistent: level moduli always have prime support exactly S,
-so no Euler factor is dropped or counted twice.
+so no Euler factor is dropped or counted twice.  B_{k,chi} is summed in
+integer buckets, one per root exponent, over one common denominator
+(`_bernoulli_row`); that row belongs to the character route, and the
+Hurwitz route in `zeta` keeps its own evaluation.
 """
 
 from __future__ import annotations
@@ -144,23 +148,40 @@ class PrimitiveData:
         return CyclotomicNumber.root(self.ambient_order, t)
 
 
+@lru_cache(maxsize=None)
+def _reduction_table(modulus: int):
+    """(logs, kernels) for (Z/modulus)^x, one table shared by all its characters.
+
+    logs[i] is the discrete log of the i-th class of `group.elements`; kernels
+    lists, for each divisor d of the modulus in ascending order, the positions
+    of the classes = 1 mod d (the kernel of the reduction to (Z/d)^x).
+    """
+    group = unit_group(modulus)
+    logs = tuple(group.dlog(x) for x in group.elements)
+    kernels = tuple(
+        (d, tuple(i for i, x in enumerate(group.elements) if x % d == 1 % d))
+        for d in divisors(modulus)
+    )
+    return logs, kernels
+
+
 def conductor_primitive(chi: DirichletCharacter) -> PrimitiveData:
     """Smallest d | f through which chi factors, with the factored value table.
 
     Every unit mod f reduces to a unit mod d, and chi is constant on the
     fibres of that reduction, so chi*(x mod d) = chi(x).  The exponents come
-    from one discrete log per class of (Z/f)^x.
+    from the modulus's shared discrete-log table, and chi factors through d
+    when it is trivial on that table's kernel for d.
     """
-    f = chi.modulus
     group = chi.group
     n = chi.ambient_order
     weights = chi.weights()
-    exponent = {x: sum(map(mul, weights, group.dlog(x))) % n for x in group.elements}
-    for d in divisors(f):
-        # trivial on the kernel of (Z/f)^x -> (Z/d)^x ?
-        if any(t for x, t in exponent.items() if x % d == 1 % d):
+    logs, kernels = _reduction_table(chi.modulus)
+    exponents = [sum(map(mul, weights, log)) % n for log in logs]
+    for d, kernel in kernels:
+        if any(exponents[i] for i in kernel):
             continue
-        return PrimitiveData(d, n, {x % d: t for x, t in exponent.items()})
+        return PrimitiveData(d, n, {x % d: t for x, t in zip(group.elements, exponents)})
     raise ArithmeticError(f"{chi!r} does not factor through its own modulus")
 
 

@@ -16,7 +16,6 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -38,20 +37,32 @@ __all__ = [
 Rational = Fraction
 
 
-@dataclass(frozen=True)
 class PValuation:
     """A p-adic valuation: an integer for nonzero inputs, infinite for zero.
 
+    Immutable and hashable; an infinite valuation always carries value 0.
     Supports comparison against plain integers and other valuations, and
     addition (valuations are additive under multiplication).
     """
 
-    finite: bool
-    value: int = 0
+    __slots__ = ("finite", "value")
 
-    def __post_init__(self) -> None:
-        if not self.finite and self.value != 0:
-            object.__setattr__(self, "value", 0)
+    def __init__(self, finite: bool, value: int = 0):
+        object.__setattr__(self, "finite", finite)
+        object.__setattr__(self, "value", value if finite else 0)
+
+    def __setattr__(self, *_):
+        raise AttributeError("PValuation is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not PValuation:
+            return NotImplemented
+        return self.finite == other.finite and self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((self.finite, self.value))
 
     @staticmethod
     def of(value: int) -> "PValuation":

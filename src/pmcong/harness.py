@@ -14,7 +14,6 @@ from __future__ import annotations
 import configparser
 import math
 import time
-from dataclasses import MISSING, dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -96,35 +95,54 @@ def _read_section(sec) -> dict:
     return kwargs
 
 
-@dataclass(slots=True, eq=False)
 class ScenarioConfig:
     """Validated scenario parameters; see `from_ini` for the file format.
 
-    The fields are the scenario keys.  Every running hypothesis is checked
-    when a config is built, so any config that exists can be run.
+    The slots are the scenario keys in report order, and the constructor takes
+    them in the same order; the keys without a default are required.  Every
+    running hypothesis is checked when a config is built, so any config that
+    exists can be run.
     """
 
-    p: int
-    conductor: int
-    s_primes: tuple[int, ...]
-    a: int
-    k_values: tuple[int, ...] = (2, 4)
-    frobenius: tuple[int, ...] = (2,)
-    qexp_bound: int = 12
-    ideal_bound: int = 300
-    checks: tuple[str, ...] = _KNOWN_CHECKS
-    scaled: bool = False
-    eps_basis: str = "even_orbit_indicators"
-    eps_table: list[dict[int, Fraction]] | None = None
+    __slots__ = (
+        "p",
+        "conductor",
+        "s_primes",
+        "a",
+        "k_values",
+        "frobenius",
+        "qexp_bound",
+        "ideal_bound",
+        "checks",
+        "scaled",
+        "eps_basis",
+        "eps_table",
+    )
 
-    def __post_init__(self):
-        self.p, self.conductor, self.a = int(self.p), int(self.conductor), int(self.a)
-        self.s_primes = tuple(sorted({int(q) for q in self.s_primes}))
-        self.k_values = tuple(int(k) for k in self.k_values)
-        self.frobenius = tuple(int(n) for n in self.frobenius)
-        self.qexp_bound, self.ideal_bound = int(self.qexp_bound), int(self.ideal_bound)
-        self.checks = tuple(self.checks)
-        self.scaled = bool(self.scaled)
+    def __init__(
+        self,
+        p: int,
+        conductor: int,
+        s_primes: tuple[int, ...],
+        a: int,
+        k_values: tuple[int, ...] = (2, 4),
+        frobenius: tuple[int, ...] = (2,),
+        qexp_bound: int = 12,
+        ideal_bound: int = 300,
+        checks: tuple[str, ...] = _KNOWN_CHECKS,
+        scaled: bool = False,
+        eps_basis: str = "even_orbit_indicators",
+        eps_table: list[dict[int, Fraction]] | None = None,
+    ):
+        self.p, self.conductor, self.a = int(p), int(conductor), int(a)
+        self.s_primes = tuple(sorted({int(q) for q in s_primes}))
+        self.k_values = tuple(int(k) for k in k_values)
+        self.frobenius = tuple(int(n) for n in frobenius)
+        self.qexp_bound, self.ideal_bound = int(qexp_bound), int(ideal_bound)
+        self.checks = tuple(checks)
+        self.scaled = bool(scaled)
+        self.eps_basis = eps_basis
+        self.eps_table = eps_table
         self.validate()
 
     @classmethod
@@ -136,8 +154,8 @@ class ScenarioConfig:
     def from_ini(cls, path) -> "ScenarioConfig":
         """Read a `[scenario]` section.
 
-        The recognized keys are the fields of the class; those without a
-        default are required.  Integer lists are comma- or space-separated.
+        The recognized keys are the slots of the class; those without a
+        default in the constructor are required.  Integer lists are comma- or space-separated.
         An explicit function table uses `eps_basis = table` with `eps_table`
         holding one function per ';'-separated group of comma-separated
         `class:value` entries, values being exact rationals.
@@ -152,14 +170,15 @@ class ScenarioConfig:
         if "scenario" not in parser:
             raise ConfigInvalid("configuration needs a [scenario] section")
         sec = parser["scenario"]
-        unknown = set(sec) - {f.name for f in fields(cls)}
+        unknown = set(sec) - set(cls.__slots__)
         if unknown:
             raise ConfigInvalid(f"unknown configuration keys: {sorted(unknown)}")
         try:
             kwargs = _read_section(sec)
         except (ValueError, ZeroDivisionError, configparser.Error) as exc:
             raise ConfigInvalid(f"malformed configuration value: {exc}") from None
-        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(kwargs)
+        required = cls.__slots__[: len(cls.__slots__) - len(cls.__init__.__defaults__)]
+        missing = set(required) - set(kwargs)
         if missing:
             raise ConfigInvalid(f"configuration is missing {sorted(missing)}")
         return cls(**kwargs)
@@ -236,10 +255,10 @@ class ScenarioConfig:
     def describe(self) -> dict:
         """The report's `config` block: every key but `eps_table`, lists for tuples."""
         out = {}
-        for f in fields(self):
-            if f.name != "eps_table":
-                value = getattr(self, f.name)
-                out[f.name] = list(value) if isinstance(value, tuple) else value
+        for key in self.__slots__:
+            if key != "eps_table":
+                value = getattr(self, key)
+                out[key] = list(value) if isinstance(value, tuple) else value
         return out
 
 
@@ -412,7 +431,8 @@ def run_scenario(
     """
     selected = config.checks
     if checks is not None:
-        selected = replace(config, checks=tuple(checks)).checks
+        values = {key: getattr(config, key) for key in config.__slots__}
+        selected = ScenarioConfig(**{**values, "checks": tuple(checks)}).checks
     level = config.level()
     report_checks = {}
     timings = {}

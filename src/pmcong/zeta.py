@@ -6,8 +6,10 @@ Base side (classes x of (Z/f)^×): the partial zeta value is the Hurwitz sum
     ζ_S(1−k, δ^(x)) = −f^(k−1) · B_k(a/f) / k,   a ∈ [1, f], a ≡ x (mod f),
 
 valid because S is the prime support of f, so the congruence class already
-encodes coprimality to S.  A second, independent route assembles the same
-value from character orthogonality and L-values; the two must agree exactly.
+encodes coprimality to S.  `_q_table` evaluates it in integers (one
+homogeneous Horner pass and one Fraction per class).  A second, independent
+route assembles the same value from character orthogonality and L-values;
+the two must agree exactly.
 
 Extension side (classes y of the index-p subgroup H): ideals of L enter only
 through their norms, so the partial zeta value is assembled by Artin
@@ -25,7 +27,13 @@ two packed non-negative integers (positive and negative parts), so a root
 multiplication is a rotation of bits.  The mixed-radix Cooley–Tukey
 transforms, one per coordinate, cost |G|·Σ_i Σ(prime factors of o_i)
 rotations per table; each class is then reduced modulo Φ_n once and asserted
-rational.  The Hurwitz route (`_q_table`) shares none of this code.
+rational.  The Hurwitz route (`_q_table`) shares none of this code and no
+helper with `dirichlet`: both routes read only `exact.bernoulli_poly`.
+
+No character sweeps all of (Z/f)^× on its own: the Galois orbits are
+labelled in one walk per modulus (`_galois_orbits`), the fibres over H
+restrict each character to generators of H (`_l_fibers`), and the primitive
+cores read one discrete-log table per modulus (`conductor_primitive`).
 
 Everything built on the tables (`zeta_of`, Δ, λ, the twisted sums) reads one
 integer view per (level, side, k): the table's numerators over the lcm of
@@ -35,6 +43,7 @@ in Fractions.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -42,7 +51,7 @@ from operator import mul
 
 from .cyclotomic import CyclotomicNumber, cyclo_reduce_rational, pack_slots, signed_slots
 from .dirichlet import DirichletCharacter, characters_of, l_value_neg
-from .exact import PValuation, bernoulli_poly_at, int_valuation
+from .exact import PValuation, bernoulli_poly, int_valuation
 from .levels import L_SIDE, Q_SIDE, FrobeniusChoice, LevelData, LocallyConstantFn
 from .units import factorize, unit_group
 
@@ -65,16 +74,32 @@ class HypothesisViolated(ValueError):
 
 
 @lru_cache(maxsize=None)
-def _orbit_representative(modulus: int, exponents: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """(ρ, a) with χ = ρ^a, ρ the least exponent tuple in the Galois orbit {χ^b : b ∈ (Z/n)^×}."""
+def _galois_orbits(modulus: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], int]]:
+    """χ ↦ (ρ, a) with χ = ρ^a, a prime to n, ρ the least exponent tuple in χ's
+    Galois orbit {χ^b : b ∈ (Z/n)^×}, for every character mod the modulus.
+
+    In lexicographic order the first tuple not yet labelled is the least of its
+    orbit; its powers ρ^a label the whole orbit, which has φ(ord ρ) members, so
+    the walk over a stops as soon as they are all labelled.
+    """
     group = unit_group(modulus)
     n = group.exponent
-    rep, b = min(
-        (tuple(b * e % o for e, o in zip(exponents, group.orders)), b)
-        for b in range(1, n + 1)
-        if gcd(b, n) == 1
-    )
-    return rep, pow(b, -1, n)
+    labels: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+    for rep in itertools.product(*(range(o) for o in group.orders)):
+        if rep in labels:
+            continue
+        size = lcm(*(o // gcd(e, o) for e, o in zip(rep, group.orders)))
+        for q in factorize(size):
+            size = size // q * (q - 1)
+        for a in range(1, n + 1):
+            if gcd(a, n) == 1:
+                member = tuple(a * e % o for e, o in zip(rep, group.orders))
+                if member not in labels:
+                    labels[member] = (rep, a)
+                    size -= 1
+                    if not size:
+                        break
+    return labels
 
 
 @lru_cache(maxsize=None)
@@ -92,7 +117,7 @@ def _l_value(modulus: int, exponents: tuple[int, ...], k: int):
     and the conductor is the same (Washington, §4.1).  So `l_value_neg` runs
     on the orbit representative ρ only, and the rest are its conjugates.
     """
-    rep, a = _orbit_representative(modulus, exponents)
+    rep, a = _galois_orbits(modulus)[exponents]
     if rep != exponents:
         return _l_value(modulus, rep, k).conjugate(a)
     s_primes = tuple(factorize(modulus))
@@ -101,11 +126,27 @@ def _l_value(modulus: int, exponents: tuple[int, ...], k: int):
 
 @lru_cache(maxsize=None)
 def _q_table(level: LevelData, k: int) -> dict[int, Fraction]:
+    """The Hurwitz route: x ↦ −f^(k−1)·B_k(a/f)/k, a ∈ [1, f] the representative of x.
+
+    With D the lcm of the denominators of the coefficients b_j of B_k and
+    N_j = D·b_j, f^(k−1)·B_k(a/f) = Σ_j N_j·a^j·f^(k−j) / (D·f); the sum is
+    one homogeneous integer Horner pass per class, and each class makes one
+    Fraction.  Nothing here is shared with the character route.
+    """
     f = level.modulus
+    coeffs = bernoulli_poly(k)
+    d = lcm(*(c.denominator for c in coeffs))
+    # top-down: N_k, then (N_j, f^(k−j)) for j = k−1, …, 0
+    top = coeffs[k].numerator * (d // coeffs[k].denominator)
+    rest = [(coeffs[j].numerator * (d // coeffs[j].denominator), f ** (k - j)) for j in reversed(range(k))]
+    den = -d * f * k
     table = {}
     for cls in level.classes(Q_SIDE):
         a = cls if cls >= 1 else f
-        table[cls] = -(Fraction(f) ** (k - 1)) * bernoulli_poly_at(k, Fraction(a, f)) / k
+        acc = top
+        for n_j, f_power in rest:
+            acc = acc * a + n_j * f_power
+        table[cls] = Fraction(acc, den)
     return table
 
 
@@ -222,21 +263,40 @@ def _q_table_characters(level: LevelData, k: int) -> dict[int, Fraction]:
     return _orthogonality_table(chars[0].ambient_order, terms, level.classes(Q_SIDE), len(chars))
 
 
+def _subgroup_generators(modulus: int, classes: tuple[int, ...]) -> list[int]:
+    """Generators of the subgroup `classes` of (Z/modulus)^×: each is the first
+    class outside the span of the ones before it."""
+    span = {1 % modulus}
+    generators = []
+    for y in classes:
+        if y in span:
+            continue
+        generators.append(y)
+        grown, power = set(span), y
+        while power not in span:
+            grown.update(power * s % modulus for s in span)
+            power = power * y % modulus
+        span = grown
+    return generators
+
+
 @lru_cache(maxsize=None)
 def _l_fibers(level: LevelData) -> tuple[tuple[DirichletCharacter, ...], ...]:
     """The characters mod the level's modulus grouped by their restriction to H.
 
-    The grouping does not depend on k, so it is made once per level.
+    A restriction is fixed by its values on generators of H, so each character
+    is read there only.  The grouping does not depend on k, so it is made once
+    per level.
     """
     f = level.modulus
     chars = characters_of(f)
     order = chars[0].ambient_order
     h = level.h_classes
-    h_logs = [chars[0].group.dlog(y) for y in h]
+    gen_logs = [chars[0].group.dlog(y) for y in _subgroup_generators(f, h)]
     fibers: dict[tuple[int, ...], list[DirichletCharacter]] = {}
     for chi in chars:
         weights = chi.weights()
-        restriction = tuple(sum(map(mul, weights, logs)) % order for logs in h_logs)
+        restriction = tuple(sum(map(mul, weights, logs)) % order for logs in gen_logs)
         fibers.setdefault(restriction, []).append(chi)
     expected = max(len(chars) // len(h), 1)
     if any(len(members) != expected for members in fibers.values()):

@@ -109,6 +109,24 @@ def test_valuation_ordering_and_infinity():
     assert PValuation.of(2) + PValuation.of(-7) == PValuation.of(-5)
 
 
+def test_valuation_equality_hash_and_immutability():
+    assert PValuation.of(3) == PValuation(True, 3) != PValuation.of(4)
+    assert PValuation.of(0) != PValuation.infinite()
+    # an infinite valuation forgets any value it was given
+    assert PValuation(False, 7) == PValuation.infinite()
+    assert PValuation(False, 7).value == 0
+    assert len({PValuation.of(1), PValuation(True, 1), PValuation(False, 2), PValuation.infinite()}) == 2
+    assert hash(PValuation(False, 9)) == hash(PValuation.infinite())
+    # equality is between valuations; comparisons with integers use the order
+    assert PValuation.of(1) != 1
+    v = PValuation.of(2)
+    with pytest.raises(AttributeError):
+        v.value = 5
+    with pytest.raises(AttributeError):
+        del v.finite
+    assert v == PValuation.of(2)
+
+
 @given(
     st.fractions(min_value=-1000, max_value=1000),
     st.fractions(min_value=-1000, max_value=1000),

@@ -146,6 +146,46 @@ def test_scenario_keys_have_one_home(tmp_path):
         ScenarioConfig.from_ini(path)
 
 
+def test_config_defaults_and_unknown_keywords():
+    config = _small_config()
+    assert (config.qexp_bound, config.scaled, config.eps_basis, config.eps_table) == (
+        2,
+        False,
+        "even_orbit_indicators",
+        None,
+    )
+    bare = ScenarioConfig(p=3, conductor=7, s_primes=(7, 3, 3), a=2)
+    assert bare.describe() == {
+        "p": 3,
+        "conductor": 7,
+        "s_primes": [3, 7],
+        "a": 2,
+        "k_values": [2, 4],
+        "frobenius": [2],
+        "qexp_bound": 12,
+        "ideal_bound": 300,
+        "checks": ["crosscheck", "transfer", "delta", "qexp", "sigma"],
+        "scaled": False,
+        "eps_basis": "even_orbit_indicators",
+    }
+    with pytest.raises(TypeError):
+        _small_config(extra=1)
+    with pytest.raises(TypeError):
+        ScenarioConfig(p=3, conductor=7, a=2)
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    """Start-up: `import pmcong.cli` in a fresh interpreter loads neither module."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = "import sys, pmcong.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_readme_scenario_example_reads_as_the_default(tmp_path):
     readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
@@ -479,7 +519,7 @@ def test_cli_run_passes_at_depth_5(tmp_path, capsys):
 
 @pytest.mark.slow
 def test_cli_run_passes_at_depth_6(tmp_path, capsys):
-    """a=6 (modulus 5103, ring Z/243): 2 916 characters at ambient order 486 (~13 s)."""
+    """a=6 (modulus 5103, ring Z/243): 2 916 characters at ambient order 486 (~5 s)."""
     _run_routes(tmp_path, capsys, 6)
 
 

@@ -7,7 +7,7 @@ compared exhaustively at the working moduli.
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -141,7 +141,7 @@ def test_orbit_l_values_match_the_direct_route(modulus, orbits):
     group = unit_group(modulus)
     representatives = set()
     for chi in characters_of(modulus):
-        rep, a = zeta._orbit_representative(modulus, chi.exponents)
+        rep, a = zeta._galois_orbits(modulus)[chi.exponents]
         assert tuple(a * e % o for e, o in zip(rep, group.orders)) == chi.exponents
         representatives.add(rep)
         for k in (1, 2, 4):
@@ -421,3 +421,85 @@ def test_transform_slots_hold_the_largest_possible_sum(level):
     assert den == 1
     assert dict(sums)[1][0] == len(chars) * (2**40 - 1)
     _assert_transform_matches(order, terms, level.classes(Q_SIDE)[:12])
+
+
+# -- the integer Hurwitz route and the per-modulus tables against references ----
+
+
+@pytest.mark.parametrize("modulus", [7, 63, 189, 91])
+def test_integer_hurwitz_table_matches_the_fraction_formula(modulus):
+    """−f^(k−1)·B_k(a/f)/k evaluated in Fractions, class by class."""
+    from pmcong.exact import bernoulli_poly_at
+
+    level = zeta_level(modulus)
+    for k in range(1, 13):
+        expected = {
+            x: -(Fraction(modulus) ** (k - 1)) * bernoulli_poly_at(k, Fraction(x or modulus, modulus)) / k
+            for x in level.classes(Q_SIDE)
+        }
+        assert zeta._q_table(level, k) == expected, k
+
+
+def _orbit_sweep(modulus, exponents):
+    """The least tuple of χ's Galois orbit, from the whole orbit of χ."""
+    group = unit_group(modulus)
+    n = group.exponent
+    return min(
+        tuple(b * e % o for e, o in zip(exponents, group.orders))
+        for b in range(1, n + 1)
+        if gcd(b, n) == 1
+    )
+
+
+def _fiber_sweep(level):
+    """The characters grouped by their exponents at every class of H."""
+    chars = characters_of(level.modulus)
+    fibers = {}
+    for chi in chars:
+        restriction = tuple(chi.exponent_at(y) for y in level.h_classes)
+        fibers.setdefault(restriction, []).append(chi)
+    return sorted(sorted(chi.exponents for chi in members) for members in fibers.values())
+
+
+def _primitive_sweep(chi):
+    """(conductor, table) from one discrete log per class."""
+    exponent = {x: chi.exponent_at(x) for x in chi.group.elements}
+    d = next(
+        d for d in divisors(chi.modulus) if all(t == 0 for x, t in exponent.items() if x % d == 1 % d)
+    )
+    return d, {x % d: t for x, t in exponent.items()}
+
+
+def _closure(modulus, generators):
+    """The subgroup generated by `generators`, by multiplying until nothing new appears."""
+    span = {1 % modulus}
+    while True:
+        grown = span | {s * g % modulus for s in span for g in generators}
+        if grown == span:
+            return span
+        span = grown
+
+
+TABLE_LEVELS = [LV63, LV189, scenario_level(3, 7, (3, 7), 4), zeta_level(504, p=3, conductor=7)]
+
+
+@pytest.mark.parametrize("level", TABLE_LEVELS, ids=lambda lv: str(lv.modulus))
+def test_orbit_fiber_and_primitive_tables_match_the_sweeps(level):
+    modulus = level.modulus
+    group = unit_group(modulus)
+    orbits = zeta._galois_orbits(modulus)
+    chars = characters_of(modulus)
+    assert len(orbits) == len(chars)
+    for chi in chars:
+        rep, a = orbits[chi.exponents]
+        assert rep == _orbit_sweep(modulus, chi.exponents)
+        assert gcd(a, group.exponent) == 1
+        assert tuple(a * e % o for e, o in zip(rep, group.orders)) == chi.exponents
+        prim = conductor_primitive(chi)
+        assert (prim.conductor, prim._table) == _primitive_sweep(chi)
+    generators = zeta._subgroup_generators(modulus, level.h_classes)
+    assert _closure(modulus, generators) == set(level.h_classes)
+    # each generator lies outside the span of the ones before it
+    assert all(y not in _closure(modulus, generators[:i]) for i, y in enumerate(generators))
+    fibers = zeta._l_fibers(level)
+    assert sorted(sorted(chi.exponents for chi in members) for members in fibers) == _fiber_sweep(level)
