@@ -155,10 +155,10 @@ class ScenarioConfig:
         """Read a `[scenario]` section.
 
         The recognized keys are the slots of the class; those without a
-        default in the constructor are required.  Integer lists are comma- or space-separated.
-        An explicit function table uses `eps_basis = table` with `eps_table`
-        holding one function per ';'-separated group of comma-separated
-        `class:value` entries, values being exact rationals.
+        default in the constructor are required.  Integer lists are comma- or
+        space-separated.  An explicit function table uses `eps_basis = table`
+        with `eps_table` holding one function per ';'-separated group of
+        comma-separated `class:value` entries, values being exact rationals.
         """
         parser = configparser.ConfigParser()
         try:
@@ -177,6 +177,7 @@ class ScenarioConfig:
             kwargs = _read_section(sec)
         except (ValueError, ZeroDivisionError, configparser.Error) as exc:
             raise ConfigInvalid(f"malformed configuration value: {exc}") from None
+        # the constructor takes the slots in order, the defaulted ones last
         required = cls.__slots__[: len(cls.__slots__) - len(cls.__init__.__defaults__)]
         missing = set(required) - set(kwargs)
         if missing:

@@ -88,8 +88,8 @@ def _galois_orbits(modulus: int) -> dict[tuple[int, ...], tuple[tuple[int, ...],
     for rep in itertools.product(*(range(o) for o in group.orders)):
         if rep in labels:
             continue
-        size = lcm(*(o // gcd(e, o) for e, o in zip(rep, group.orders)))
-        for q in factorize(size):
+        size = order = DirichletCharacter(group, rep).order()
+        for q in factorize(order):
             size = size // q * (q - 1)
         for a in range(1, n + 1):
             if gcd(a, n) == 1:
@@ -136,15 +136,15 @@ def _q_table(level: LevelData, k: int) -> dict[int, Fraction]:
     f = level.modulus
     coeffs = bernoulli_poly(k)
     d = lcm(*(c.denominator for c in coeffs))
-    # top-down: N_k, then (N_j, f^(k−j)) for j = k−1, …, 0
-    top = coeffs[k].numerator * (d // coeffs[k].denominator)
-    rest = [(coeffs[j].numerator * (d // coeffs[j].denominator), f ** (k - j)) for j in reversed(range(k))]
+    nums = [c.numerator * (d // c.denominator) for c in coeffs]
+    # Horner from the top: acc ← acc·a + N_j·f^(k−j) for j = k−1, …, 0
+    steps = [(nums[j], f ** (k - j)) for j in reversed(range(k))]
     den = -d * f * k
     table = {}
     for cls in level.classes(Q_SIDE):
         a = cls if cls >= 1 else f
-        acc = top
-        for n_j, f_power in rest:
+        acc = nums[k]
+        for n_j, f_power in steps:
             acc = acc * a + n_j * f_power
         table[cls] = Fraction(acc, den)
     return table
