@@ -83,16 +83,6 @@ class DirichletCharacter:
     def order(self) -> int:
         return lcm(*(o // gcd(e, o) for e, o in zip(self.exponents, self.group.orders)))
 
-    def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
-        if self.group is not other.group and self.modulus != other.modulus:
-            raise ValueError("characters of different moduli")
-        return DirichletCharacter(
-            self.group, tuple(a + b for a, b in zip(self.exponents, other.exponents))
-        )
-
-    def inverse(self) -> "DirichletCharacter":
-        return DirichletCharacter(self.group, tuple(-e for e in self.exponents))
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, DirichletCharacter)

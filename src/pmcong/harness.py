@@ -37,6 +37,7 @@ from .qexpansion import NuTable, verify_qexp_congruence
 from .sigma import run_sigma_suite
 from .units import parse_int_list
 from .zeta import (
+    _MAX_GRID_SLOTS,
     delta_numerators,
     delta_sum_integrality,
     partial_zeta,
@@ -221,6 +222,13 @@ class ScenarioConfig:
         unknown = set(self.checks) - set(_KNOWN_CHECKS)
         if unknown:
             raise ConfigInvalid(f"unknown checks: {sorted(unknown)}")
+        # every check but sigma reads zeta tables from the packed transform
+        cells, slots = len(level.group.elements), level.group.exponent
+        if set(self.checks) != {"sigma"} and cells * slots > _MAX_GRID_SLOTS:
+            raise ConfigInvalid(
+                f"the character transform needs |G| · n = {cells} · {slots} = "
+                f"{cells * slots} slots, above the cap {_MAX_GRID_SLOTS}"
+            )
         if self.eps_basis not in ("even_orbit_indicators", "table"):
             raise ConfigInvalid(
                 "eps_basis must be 'even_orbit_indicators' or 'table'"
@@ -316,31 +324,27 @@ def _check_crosscheck(config: ScenarioConfig, level) -> dict:
                 dual = False
     details["partial_zeta_dual_route"] = {"verdict": dual, "k_values": list(config.k_values)}
 
+    picks = [FrobeniusChoice(level, n) for n in config.frobenius]
+    side_picks = [(side, pick) for g in picks for side, pick in ((Q_SIDE, g), (L_SIDE, g.transfer()))]
     k_indep = True
-    for n in config.frobenius:
-        g = FrobeniusChoice(level, n)
-        h = g.transfer()
-        for side, pick in ((Q_SIDE, g), (L_SIDE, h)):
-            base = lambda_approx(level, side, pick, config.k_values[0])
-            for k in config.k_values[1:]:
-                if lambda_approx(level, side, pick, k).coeffs != base.coeffs:
-                    k_indep = False
+    for side, pick in side_picks:
+        base = lambda_approx(level, side, pick, config.k_values[0])
+        for k in config.k_values[1:]:
+            if lambda_approx(level, side, pick, k).coeffs != base.coeffs:
+                k_indep = False
     details["lambda_k_independent"] = {"verdict": k_indep}
 
     worst = PValuation.infinite()
-    for n in config.frobenius:
-        g = FrobeniusChoice(level, n)
+    for side, pick in side_picks:
         for k in config.k_values:
-            for side in (Q_SIDE, L_SIDE):
-                pick = g if side == Q_SIDE else g.transfer()
-                nums, den = delta_numerators(level, side, pick, k)
-                finite = [int_valuation(c, config.p) for c in nums.values() if c]
-                if finite:
-                    worst = min(worst, PValuation.of(min(finite) - int_valuation(den, config.p)))
+            nums, den = delta_numerators(level, side, pick, k)
+            finite = [int_valuation(c, config.p) for c in nums.values() if c]
+            if finite:
+                worst = min(worst, PValuation.of(min(finite) - int_valuation(den, config.p)))
     details["delta_p_integral"] = {"verdict": worst >= 0, "min_valuation": worst}
 
     twist = True
-    g = FrobeniusChoice(level, config.frobenius[0])
+    g = picks[0]
     for x in level.classes(Q_SIDE):
         eps_by_k = dict.fromkeys(config.k_values, LocallyConstantFn.delta_fn(level, Q_SIDE, x))
         if not delta_sum_integrality(level, Q_SIDE, g, eps_by_k) >= 0:
@@ -383,10 +387,11 @@ def _check_transfer(config: ScenarioConfig, level) -> dict:
 def _check_delta(config: ScenarioConfig, level) -> dict:
     runs = []
     verdict = True
+    functions = _eps_functions(config, level)
     for n in config.frobenius:
         g = FrobeniusChoice(level, n)
         for k in config.k_values:
-            for i, eps in enumerate(_eps_functions(config, level)):
+            for i, eps in enumerate(functions):
                 v = verify_delta_congruence(level, g, eps, k)
                 ok = v >= 1
                 verdict = verdict and ok
@@ -399,10 +404,10 @@ def _check_delta(config: ScenarioConfig, level) -> dict:
 def _check_qexp(config: ScenarioConfig, level, cache_dir) -> dict:
     runs = []
     verdict = True
-    ks = [k for k in config.k_values if k >= 2 and k % 2 == 0]
     table = NuTable(level, config.qexp_trace_bound, cache_dir=cache_dir)
-    for k in ks:
-        for i, eps in enumerate(_qexp_functions(config, level)):
+    functions = _qexp_functions(config, level)
+    for k in [k for k in config.k_values if k >= 2 and k % 2 == 0]:
+        for i, eps in enumerate(functions):
             report = verify_qexp_congruence(
                 level, eps, k, config.qexp_bound, table=table
             )

@@ -15,9 +15,8 @@ a field).  Every class is a unit mod f, so congruence-class membership mod f
 already encodes coprimality to S.
 
 Functions on a level are stored by their support (class ↦ nonzero value), so
-indicators and shifts cost O(support).  Evenness (invariance under the class
-of −1), p-integrality and the least p-adic valuation are decided over the
-support; as v_p(0) = ∞, the zero function has valuation ∞.
+indicators cost O(support).  Evenness (invariance under the class of −1) and
+p-integrality are decided over the support.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .exact import PValuation, p_valuation
 from .numberfield import AbelianFieldSpec, field_spec
 from .units import factorize, is_prime, unit_group
 
@@ -200,21 +198,12 @@ class LocallyConstantFn:
             raise ValueError("value table must cover the side's classes exactly")
         return LocallyConstantFn(level, side, {x: v for x, v in values.items() if v})
 
-    # -- evaluation and operators -------------------------------------------------
+    # -- evaluation and pullback ---------------------------------------------------
     def __call__(self, cls: int) -> Fraction:
         x = cls % self.level.modulus
         if not self.level.has_class(self.side, x):
             raise ValueError(f"{cls} is not a class of side {self.side}")
         return self.support.get(x, Fraction(0))
-
-    def shift(self, g_cls: int) -> "LocallyConstantFn":
-        """ε_g with ε_g(x) = ε(g·x): the support moves to g⁻¹·supp ε."""
-        f = self.level.modulus
-        if not self.level.has_class(self.side, g_cls % f):
-            raise ValueError(f"{g_cls} is not a class of side {self.side}")
-        g_inv = pow(g_cls, -1, f) if f > 1 else 0
-        support = {(g_inv * y) % f: v for y, v in self.support.items()}
-        return LocallyConstantFn(self.level, self.side, support)
 
     def compose_transfer(self) -> "LocallyConstantFn":
         """ε_L∘ver on the full group: x ↦ ε_L(x^p)."""
@@ -223,31 +212,6 @@ class LocallyConstantFn:
         fibers = self.level.transfer_fibers
         table = {x: v for y, v in self.support.items() for x in fibers.get(y, ())}
         return LocallyConstantFn(self.level, Q_SIDE, table)
-
-    def scale(self, factor) -> "LocallyConstantFn":
-        c = Fraction(factor)
-        support = {x: v * c for x, v in self.support.items()} if c else {}
-        return LocallyConstantFn(self.level, self.side, support)
-
-    def __add__(self, other: "LocallyConstantFn") -> "LocallyConstantFn":
-        if self.level != other.level or self.side != other.side:
-            raise ValueError("mismatched function domains")
-        a, b = self.support, other.support
-        total = {x: a.get(x, 0) + b.get(x, 0) for x in a.keys() | b.keys()}
-        return LocallyConstantFn(self.level, self.side, {x: v for x, v in total.items() if v})
-
-    def __sub__(self, other: "LocallyConstantFn") -> "LocallyConstantFn":
-        return self + other.scale(-1)
-
-    def is_zero(self) -> bool:
-        return not self.support
-
-    def min_p_valuation(self):
-        """min_x v_p(ε(x)); PValuation.infinite() for the zero function."""
-        p = self.level.p
-        if p == 0:
-            return None
-        return min((p_valuation(v, p) for v in self.support.values()), default=PValuation.infinite())
 
     def __repr__(self) -> str:
         return (

@@ -44,6 +44,7 @@ __all__ = [
     "factor_principal",
     "field_spec",
     "sigma_ideal",
+    "split_type",
     "tot_pos_up_to",
 ]
 
@@ -130,17 +131,6 @@ class AlgebraicInt:
         raise AttributeError("AlgebraicInt is immutable")
 
     # -- ring structure -----------------------------------------------------
-    def __add__(self, other: "AlgebraicInt") -> "AlgebraicInt":
-        self._check(other)
-        return AlgebraicInt(self.spec, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "AlgebraicInt") -> "AlgebraicInt":
-        self._check(other)
-        return AlgebraicInt(self.spec, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "AlgebraicInt":
-        return AlgebraicInt(self.spec, tuple(-a for a in self.coords))
-
     def __mul__(self, other):
         if isinstance(other, int):
             return AlgebraicInt(self.spec, tuple(a * other for a in self.coords))
@@ -162,18 +152,6 @@ class AlgebraicInt:
         return AlgebraicInt(self.spec, tuple(out))
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "AlgebraicInt":
-        if n < 0:
-            raise ValueError("negative powers leave o_L")
-        result = self.spec.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def _check(self, other: "AlgebraicInt") -> None:
         if self.spec is not other.spec:
@@ -349,9 +327,6 @@ class AbelianFieldSpec:
     # -- element constructors -------------------------------------------------
     def element(self, coords) -> AlgebraicInt:
         return AlgebraicInt(self, tuple(coords))
-
-    def zero(self) -> AlgebraicInt:
-        return AlgebraicInt(self, (0,) * self.p)
 
     def one(self) -> AlgebraicInt:
         return self.from_rational(1)

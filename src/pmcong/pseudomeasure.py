@@ -28,12 +28,9 @@ from .zeta import delta_numerators, delta_of, norm_residue
 
 __all__ = [
     "FlagViolation",
-    "IncompatibleLevels",
     "LevelTooShallow",
     "PseudomeasureApprox",
     "lambda_approx",
-    "pairing",
-    "project_level",
     "verify_delta_congruence",
     "verify_transfer_congruence",
 ]
@@ -43,20 +40,8 @@ class LevelTooShallow(ValueError):
     """The modulus exponent is too small for the requested comparison."""
 
 
-class IncompatibleLevels(ValueError):
-    """The two levels are not nested within one tower."""
-
-
 class FlagViolation(ValueError):
     """A function is missing a required flag (even / p-integral)."""
-
-
-def reduce_fraction(value: Fraction, modulus: int, p: int) -> int:
-    """Canonical residue of a p-integral rational mod a power of p."""
-    v = Fraction(value)
-    if v.denominator % p == 0:
-        raise ArithmeticError(f"{v} is not p-integral and has no residue mod {modulus}")
-    return (v.numerator * pow(v.denominator, -1, modulus)) % modulus
 
 
 class PseudomeasureApprox:
@@ -104,43 +89,6 @@ def lambda_approx(level: LevelData, side: str, g: FrobeniusChoice, k: int) -> Ps
         inv_nk = pow(pow(n_tilde, -1, modulus), k, modulus)
         coeffs[x] = c // pe * inv_den % modulus * inv_nk % modulus
     return PseudomeasureApprox(level, side, g, k, modulus, coeffs)
-
-
-def pairing(eps: LocallyConstantFn, pm: PseudomeasureApprox) -> int:
-    """⟨ε, λ⟩ = Σ_x ε(x)·λ(x) mod p^a, for p-integral ε on the same side."""
-    if eps.level != pm.level or eps.side != pm.side:
-        raise ValueError("function and pseudomeasure live on different domains")
-    if not eps.p_integral:
-        raise FlagViolation("pairing requires a p-integral function")
-    modulus = pm.modulus
-    p = pm.level.p
-    total = 0
-    for x, v in eps.support.items():
-        c = pm.coefficient(x)
-        if c:
-            total += reduce_fraction(v, modulus, p) * c
-    return total % modulus
-
-
-def project_level(
-    fine: LevelData, side: str, coeffs: dict[int, int], coarse: LevelData
-) -> dict[int, int]:
-    """Sum a residue table over the fibers of the class-group projection,
-    landing in residues mod p^a of the coarse level."""
-    if (
-        fine.p != coarse.p
-        or fine.s_primes != coarse.s_primes
-        or fine.modulus % coarse.modulus
-        or fine.a < coarse.a
-        or (fine.field is None) != (coarse.field is None)
-    ):
-        raise IncompatibleLevels(f"{coarse!r} is not a coarsening of {fine!r}")
-    modulus = coarse.p**coarse.a
-    out = dict.fromkeys(coarse.classes(side), 0)
-    for x, c in coeffs.items():
-        y = x % coarse.modulus
-        out[y] = (out[y] + c) % modulus
-    return out
 
 
 def verify_transfer_congruence(level: LevelData, g: FrobeniusChoice, k: int = 2) -> dict:

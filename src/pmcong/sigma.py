@@ -440,11 +440,6 @@ class GaloisSetup:
     def h_set(self) -> frozenset:
         return frozenset(self.h_elements)
 
-    @functools.cached_property
-    def coset_index(self) -> dict:
-        """The coset index i of every element, for the coset x_i·H."""
-        return dict(zip(self.group.elements, self.coset_of_position))
-
     def _validate_fibers(self):
         mul = self.group.mul
         for fiber in self.fibers:

@@ -1,4 +1,6 @@
-"""Every name a `pmcong` module exports in `__all__` resolves."""
+"""`__all__` of every `pmcong` module is exactly its public surface: each
+exported name resolves, and each public function or class it defines is
+exported."""
 
 import importlib
 import pkgutil
@@ -23,3 +25,17 @@ def test_all_names_resolve(name):
     assert exported, f"{name} has no __all__"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_public_definitions_are_exported(name):
+    module = importlib.import_module(name)
+    defined = [
+        attr
+        for attr, value in vars(module).items()
+        if not attr.startswith("_")
+        and callable(value)
+        and getattr(value, "__module__", None) == name
+    ]
+    unlisted = sorted(set(defined) - set(module.__all__))
+    assert not unlisted, f"{name} defines public names missing from __all__: {unlisted}"

@@ -252,6 +252,7 @@ def test_validation_branches():
         (dict(checks=()), "at least one check"),
         (dict(eps_basis="junk"), "eps_basis"),
         (dict(eps_basis="table"), "nonempty"),
+        (dict(a=8), "26244 · 4374 = 114791256 slots, above the cap 16777216"),
     ]
     for overrides, needle in cases:
         with pytest.raises(ConfigInvalid, match=needle):
@@ -259,6 +260,10 @@ def test_validation_branches():
     # the a=1 restriction only binds the transfer comparison
     shallow = _small_config(a=1, checks=("delta",))
     assert shallow.a == 1
+    # the transform grid fits at a=7 (8 748 · 1 458 slots), and the sigma
+    # check alone reads no zeta table
+    assert _small_config(a=7).a == 7
+    assert _small_config(a=8, checks=("sigma",)).checks == ("sigma",)
 
 
 def test_jsonable_conversions():
@@ -489,17 +494,25 @@ def test_cli_run_passes_for_a_quintic_field_at_qexp_bound_8(tmp_path, capsys):
     _run_quintic(tmp_path, capsys, 8)
 
 
-def _run_routes(tmp_path, capsys, a):
-    """`pmcong run` at depth a with the checks crosscheck, transfer and delta."""
-    ini = tmp_path / f"a{a}.ini"
+def _run_routes(tmp_path, capsys, a, field=(3, 7), picks=(2, 5)):
+    """`pmcong run` on the field (p, conductor) at depth a with the checks
+    crosscheck, transfer and delta."""
+    p, conductor = field
+    ini = tmp_path / f"p{p}-f{conductor}-a{a}.ini"
     ini.write_text(
         (REPO_ROOT / "configs" / "default.ini")
         .read_text()
+        .replace("p = 3", f"p = {p}")
+        .replace("conductor = 7", f"conductor = {conductor}")
+        .replace("s_primes = 3, 7", f"s_primes = {p}, {conductor}")
         .replace("a = 2", f"a = {a}")
+        .replace("frobenius = 2, 5", "frobenius = " + ", ".join(map(str, picks)))
         .replace("crosscheck, transfer, delta, qexp, sigma", "crosscheck, transfer, delta")
     )
     config = ScenarioConfig.from_ini(ini)
-    assert (config.a, config.checks) == (a, ("crosscheck", "transfer", "delta"))
+    assert (config.p, config.conductor, config.a, config.frobenius, config.checks) == (
+        p, conductor, a, picks, ("crosscheck", "transfer", "delta")
+    )
     assert main(["run", "--config", str(ini)]) == 0
     printed = capsys.readouterr().out
     for check in ("crosscheck", "transfer", "delta"):
@@ -515,6 +528,16 @@ def test_cli_run_passes_at_depth_4(tmp_path, capsys):
 def test_cli_run_passes_at_depth_5(tmp_path, capsys):
     """a=5 (modulus 1701, ring Z/81): the dual zeta routes at ambient order 162."""
     _run_routes(tmp_path, capsys, 5)
+
+
+def test_cli_run_passes_for_p5_conductor_11_at_depth_3(tmp_path, capsys):
+    """(5, 11) at a=3 (modulus 1375, ring Z/25): the dual zeta routes at ambient order 100."""
+    _run_routes(tmp_path, capsys, 3, field=(5, 11), picks=(2, 3))
+
+
+def test_cli_run_passes_for_p3_conductor_13_at_depth_4(tmp_path, capsys):
+    """(3, 13) at a=4 (modulus 1053, ring Z/27): the dual zeta routes at ambient order 108."""
+    _run_routes(tmp_path, capsys, 4, field=(3, 13), picks=(2, 5))
 
 
 @pytest.mark.slow
@@ -721,6 +744,12 @@ def test_cli_run_cache_dir_naming_a_file_exits_2(tmp_path, capsys, no_checks):
     regular.write_text("")
     _assert_configuration_error(capsys, ["run", "--cache-dir", str(regular)], "--cache-dir")
     _assert_configuration_error(capsys, ["run", "--cache-dir", str(regular / "sub")], "--cache-dir")
+
+
+def test_cli_run_beyond_the_transform_grid_cap_exits_2(tmp_path, capsys, no_checks):
+    ini = tmp_path / "deep.ini"
+    ini.write_text(SMALL_INI.replace("a = 2", "a = 9"))
+    _assert_configuration_error(capsys, ["run", "--config", str(ini)], "above the cap")
 
 
 def test_cli_cache_warm_cache_dir_naming_a_file_exits_2(tmp_path, capsys, no_checks):

@@ -70,15 +70,6 @@ def test_locally_constant_parity_and_integrality_flags():
     assert fn(2 + 63) == Fraction(2 % 5)
 
 
-def test_shift_relabels_support():
-    delta = LocallyConstantFn.delta_fn(LV, Q_SIDE, 10)
-    shifted = delta.shift(2)
-    # (delta^(x))_g(y) = delta^(x)(g y): support moves to g^{-1} x
-    inv2 = pow(2, -1, 63)
-    for y in LV.classes(Q_SIDE):
-        assert shifted(y) == (1 if y == (inv2 * 10) % 63 else 0)
-
-
 def test_compose_transfer_pulls_back_along_cubing():
     eps = LocallyConstantFn.from_table(
         LV, L_SIDE, {h: Fraction(h) for h in LV.h_classes}
@@ -179,21 +170,7 @@ def test_sparse_flags_and_valuation_match_dense(case):
     assert fn.support == {x: v for x, v in dense.items() if v}
     assert fn.even == all(dense[x] == dense[level.neg_class(x)] for x in dense)
     assert fn.p_integral == all(v.denominator % 3 for v in dense.values())
-    assert fn.is_zero() == all(v == 0 for v in dense.values())
-    assert fn.min_p_valuation() == min(p_valuation(v, 3) for v in dense.values())
     assert all(fn(x) == v for x, v in dense.items())
-
-
-@settings(max_examples=40, deadline=None)
-@given(_cases(), st.data())
-def test_sparse_shift_matches_dense(case, data):
-    level, side, (dense,) = case
-    fn = LocallyConstantFn.from_table(level, side, dense)
-    g = data.draw(st.sampled_from(level.classes(side)))
-    shifted = fn.shift(g)
-    f = level.modulus
-    assert all(shifted(x) == dense[(g * x) % f] for x in level.classes(side))
-    assert (shifted.even, shifted.p_integral) == (fn.even, fn.p_integral)
 
 
 @settings(max_examples=40, deadline=None)
@@ -204,23 +181,6 @@ def test_sparse_compose_transfer_matches_dense(case):
     reference = {x: dense[pow(x, 3, level.modulus)] for x in level.classes(Q_SIDE)}
     assert pulled.side == Q_SIDE
     assert pulled.support == {x: v for x, v in reference.items() if v}
-
-
-@settings(max_examples=40, deadline=None)
-@given(_cases(count=2), st.fractions(min_value=-3, max_value=3, max_denominator=9))
-def test_sparse_linear_operations_match_dense(case, c):
-    level, side, (da, db) = case
-    a = LocallyConstantFn.from_table(level, side, da)
-    b = LocallyConstantFn.from_table(level, side, db)
-    for fn, reference in (
-        (a.scale(c), {x: c * v for x, v in da.items()}),
-        (a + b, {x: da[x] + db[x] for x in da}),
-        (a - b, {x: da[x] - db[x] for x in da}),
-    ):
-        assert fn.support == {x: v for x, v in reference.items() if v}
-        assert fn.is_zero() == all(v == 0 for v in reference.values())
-        assert fn.even == all(reference[x] == reference[level.neg_class(x)] for x in reference)
-    assert (a - a).is_zero() and a.scale(0).is_zero()
 
 
 _KS = st.sampled_from((2, 4, 6, 12))
@@ -256,14 +216,19 @@ def _reference_delta_table(level, side, g, k):
     }
 
 
+def _residue(value, modulus, p):
+    if value.denominator % p == 0:
+        raise ArithmeticError(f"{value} is not p-integral and has no residue mod {modulus}")
+    return value.numerator * pow(value.denominator, -1, modulus) % modulus
+
+
 def _reference_lambda(level, side, g, k):
-    from pmcong.pseudomeasure import reduce_fraction
     from pmcong.zeta import norm_residue
 
     modulus = level.p**level.a
     deltas = _reference_delta_table(level, side, g, k)
     return {
-        x: reduce_fraction(deltas[x], modulus, level.p)
+        x: _residue(deltas[x], modulus, level.p)
         * pow(pow(norm_residue(level, x), -1, modulus), k, modulus)
         % modulus
         for x in level.classes(side)
@@ -275,7 +240,7 @@ def _reference_delta_sum(level, side, g, eps_by_k):
 
     p, a, f = level.p, level.a, level.modulus
     for k, eps in eps_by_k.items():
-        if eps.min_p_valuation() < -a:
+        if min((p_valuation(v, p) for v in eps.support.values()), default=PValuation.infinite()) < -a:
             raise HypothesisViolated(
                 f"ε_{k} has a denominator beyond p^{a}; the finite level cannot "
                 "certify the twisted-sum hypothesis"
@@ -310,21 +275,13 @@ def test_integer_view_matches_fraction_reference(case, k, k2, n):
     assert delta_table(level, side, pick, k) == _reference_delta_table(level, side, pick, k)
     got = _outcome(lambda: lambda_approx(level, side, pick, k).coeffs)
     assert got == _outcome(_reference_lambda, level, side, pick, k)
-    a = LocallyConstantFn.from_table(level, side, da)
-    b = LocallyConstantFn.from_table(level, side, db)
-    for eps_by_k in ({k: a}, {k: a, k2: b} if k2 != k else {k: b}, {k: a.scale(27), k2: b.scale(27)}):
+    a, a27, b, b27 = (
+        LocallyConstantFn.from_table(level, side, {x: c * v for x, v in d.items()})
+        for d in (da, db) for c in (1, 27)
+    )
+    for eps_by_k in ({k: a}, {k: a, k2: b} if k2 != k else {k: b}, {k: a27, k2: b27}):
         got = _outcome(delta_sum_integrality, level, side, pick, eps_by_k)
         assert got == _outcome(_reference_delta_sum, level, side, pick, eps_by_k)
-
-
-def test_zero_function_has_infinite_valuation():
-    for level in (LV, LV189):
-        for side in (Q_SIDE, L_SIDE):
-            zero = LocallyConstantFn.constant_fn(level, side, 0)
-            assert zero.is_zero() and zero.support == {}
-            assert zero.min_p_valuation() == PValuation.infinite()
-            one = LocallyConstantFn.constant_fn(level, side, 1)
-            assert (one - one).min_p_valuation() == PValuation.infinite()
 
 
 def test_from_table_rejects_partial_or_foreign_tables():
@@ -337,5 +294,3 @@ def test_from_table_rejects_partial_or_foreign_tables():
         LocallyConstantFn.delta_fn(LV, L_SIDE, 2)  # 2 is not in H
     with pytest.raises(ValueError):
         LocallyConstantFn.constant_fn(LV, L_SIDE, 1)(2)
-    with pytest.raises(ValueError):
-        LocallyConstantFn.constant_fn(LV, L_SIDE, 1).shift(2)  # ε_2 leaves H

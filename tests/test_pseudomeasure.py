@@ -20,11 +20,8 @@ from pmcong.levels import (
 )
 from pmcong.pseudomeasure import (
     FlagViolation,
-    IncompatibleLevels,
     LevelTooShallow,
     lambda_approx,
-    pairing,
-    project_level,
     verify_delta_congruence,
     verify_transfer_congruence,
 )
@@ -41,25 +38,6 @@ LAMBDA_63_G2 = {
     37: 5, 38: 2, 40: 1, 41: 1, 43: 2, 44: 5, 46: 4, 47: 7, 50: 8, 52: 7,
     53: 4, 55: 5, 58: 1, 59: 1, 61: 2, 62: 5,
 }
-
-
-def test_reduce_fraction_exhaustive():
-    from pmcong.pseudomeasure import reduce_fraction
-
-    for num in range(-20, 21):
-        for den in range(1, 15):
-            if den % 3 == 0 and num % 3 != 0:
-                value = Fraction(num, den)
-                if value.denominator % 3 == 0:
-                    with pytest.raises(ArithmeticError):
-                        reduce_fraction(value, 27, 3)
-                continue
-            value = Fraction(num, den)
-            if value.denominator % 3 == 0:
-                continue
-            r = reduce_fraction(value, 27, 3)
-            assert 0 <= r < 27
-            assert (r * value.denominator - value.numerator) % 27 == 0
 
 
 def hand_coefficient(x, g_n, k):
@@ -122,26 +100,6 @@ def test_lambda_rejects_bad_inputs():
         lambda_approx(LV63, Q_SIDE, FrobeniusChoice(LV63, 2), 0)
 
 
-def test_pairing_picks_out_coefficients():
-    pm = lambda_approx(LV63, Q_SIDE, FrobeniusChoice(LV63, 2), 2)
-    for x in LV63.classes(Q_SIDE):
-        eps = LocallyConstantFn.delta_fn(LV63, Q_SIDE, x)
-        assert pairing(eps, pm) == pm.coefficient(x)
-    half = LocallyConstantFn.constant_fn(LV63, Q_SIDE, Fraction(1, 2))
-    expected = sum(5 * pm.coefficient(x) for x in LV63.classes(Q_SIDE)) % 9
-    assert pairing(half, pm) == expected
-
-
-def test_pairing_flag_and_domain_checks():
-    pm = lambda_approx(LV63, Q_SIDE, FrobeniusChoice(LV63, 2), 2)
-    bad = LocallyConstantFn.constant_fn(LV63, Q_SIDE, Fraction(1, 3))
-    with pytest.raises(FlagViolation):
-        pairing(bad, pm)
-    wrong_side = LocallyConstantFn.constant_fn(LV63, L_SIDE, 1)
-    with pytest.raises(ValueError):
-        pairing(wrong_side, pm)
-
-
 @pytest.mark.parametrize("a", [2, 3, 4])
 @pytest.mark.parametrize("n", [2, 5])
 def test_transfer_difference_matches_brute_force_pushforward(a, n):
@@ -178,18 +136,10 @@ def test_projection_tower_collapses_lambda():
             coarse_pick = FrobeniusChoice(LV63, n)
             coarse_pick = coarse_pick if side == Q_SIDE else coarse_pick.transfer()
             coarse = lambda_approx(LV63, side, coarse_pick, 2)
-            projected = project_level(LV189, side, fine.coeffs, LV63)
+            projected = dict.fromkeys(LV63.classes(side), 0)
+            for x, c in fine.coeffs.items():
+                projected[x % 63] = (projected[x % 63] + c) % 9
             assert projected == coarse.coeffs
-
-
-def test_projection_validates_towers():
-    with pytest.raises(IncompatibleLevels):
-        project_level(LV63, Q_SIDE, {1: 1}, LV189)
-    other = scenario_level(3, 13, (3, 13), 2)
-    with pytest.raises(IncompatibleLevels):
-        project_level(LV189, Q_SIDE, lambda_approx(
-            LV189, Q_SIDE, FrobeniusChoice(LV189, 2), 2
-        ).coeffs, other)
 
 
 def test_transfer_congruence_at_63_is_exact_equality():

@@ -481,7 +481,7 @@ def test_transfer_is_independent_of_transversal():
     setup = semidirect_setup((7,), 3, action=[[2]])
     cosets = {}
     for x in setup.group.elements:
-        cosets.setdefault(setup.coset_index[x], []).append(x)
+        cosets.setdefault(setup.coset_of_position[setup.group.position[x]], []).append(x)
     rng = random.Random(45)
     for g in setup.group.elements:
         expected = coset_transfer(setup, g)
@@ -522,7 +522,8 @@ def test_transfer_agrees_on_permuted_custom_transversal():
         group, mul = setup.group, setup.group.mul
         shifted = [mul(r, h) for r, h in zip(setup.reps, setup.h_elements[1:])]
         for reps in (shifted[::-1], shifted[1:] + shifted[:1]):
-            assert [setup.coset_index[x] for x in reps] != list(range(setup.p))
+            coset = [setup.coset_of_position[group.position[x]] for x in reps]
+            assert coset != list(range(setup.p))
             for g in group.elements:
                 assert coset_transfer(setup, g, reps=reps) == coset_transfer(setup, g)
     # the transfer from S3 to A3 is trivial

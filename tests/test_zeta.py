@@ -191,7 +191,9 @@ def test_extension_side_at_the_scenario_level():
 def test_zeta_of_is_linear_in_eps():
     eps_a = LocallyConstantFn.delta_fn(LV63, Q_SIDE, 5)
     eps_b = LocallyConstantFn.constant_fn(LV63, Q_SIDE, Fraction(3, 2))
-    combined = eps_a + eps_b.scale(Fraction(-2, 7))
+    combined = LocallyConstantFn.from_table(
+        LV63, Q_SIDE, {x: eps_a(x) + Fraction(-2, 7) * eps_b(x) for x in LV63.classes(Q_SIDE)}
+    )
     got = zeta_of(LV63, Q_SIDE, combined, 2)
     expected = zeta_of(LV63, Q_SIDE, eps_a, 2) + Fraction(-2, 7) * zeta_of(
         LV63, Q_SIDE, eps_b, 2
@@ -304,14 +306,18 @@ def test_twisted_sum_names_the_failing_class_inside_the_support():
     g = FrobeniusChoice(LV63, 2)
     third = Fraction(1, 3)
     n10 = norm_residue(LV63, 10)
-    eps_2 = LocallyConstantFn.delta_fn(LV63, Q_SIDE, 10).scale(-third * n10**2)
+    eps_2 = LocallyConstantFn.from_table(
+        LV63, Q_SIDE, {x: -third * n10**2 if x == 10 else 0 for x in LV63.classes(Q_SIDE)}
+    )
     eps_4 = LocallyConstantFn.from_table(
         LV63, Q_SIDE, {x: third if x in (10, 20) else 0 for x in LV63.classes(Q_SIDE)}
     )
     with pytest.raises(HypothesisViolated, match="class 20 is not"):
         delta_sum_integrality(LV63, Q_SIDE, g, {2: eps_2, 4: eps_4})
     # without class 20 the same pair passes
-    eps_4 = LocallyConstantFn.delta_fn(LV63, Q_SIDE, 10).scale(third)
+    eps_4 = LocallyConstantFn.from_table(
+        LV63, Q_SIDE, {x: third if x == 10 else 0 for x in LV63.classes(Q_SIDE)}
+    )
     assert delta_sum_integrality(LV63, Q_SIDE, g, {2: eps_2, 4: eps_4}) >= 0
 
 
