@@ -23,16 +23,18 @@ import sys
 import tempfile
 from pathlib import Path
 
+# sigma and zeta are the modules harness registers unexecuted (see its
+# _register_lazily); their functions are read at call time
 from .harness import (
     ConfigInvalid,
     ScenarioConfig,
     cache_warm,
     jsonable,
     run_scenario,
+    sigma,
+    zeta,
 )
 from .levels import L_SIDE, Q_SIDE, zeta_level
-from .sigma import run_sigma_suite
-from .zeta import partial_zeta
 
 __all__ = ["main"]
 
@@ -80,18 +82,18 @@ def _build_parser() -> argparse.ArgumentParser:
     cross = sub.add_parser("crosscheck", help="engine consistency checks")
     _add_common(cross)
 
-    sigma = sub.add_parser("sigma", help="symbolic group-theory suite")
-    sigma.add_argument("--json-out", type=Path, default=None)
+    suite = sub.add_parser("sigma", help="symbolic group-theory suite")
+    suite.add_argument("--json-out", type=Path, default=None)
 
-    zeta = sub.add_parser("zeta", help="print exact partial zeta values")
-    zeta.add_argument("--modulus", type=int, required=True)
-    zeta.add_argument("--k", type=int, required=True)
-    zeta.add_argument("--side", choices=(Q_SIDE, L_SIDE), default=Q_SIDE)
-    zeta.add_argument("--p", type=int, default=None, help="degree of the extension side")
-    zeta.add_argument(
+    table = sub.add_parser("zeta", help="print exact partial zeta values")
+    table.add_argument("--modulus", type=int, required=True)
+    table.add_argument("--k", type=int, required=True)
+    table.add_argument("--side", choices=(Q_SIDE, L_SIDE), default=Q_SIDE)
+    table.add_argument("--p", type=int, default=None, help="degree of the extension side")
+    table.add_argument(
         "--conductor", type=int, default=None, help="conductor of the extension side"
     )
-    zeta.add_argument(
+    table.add_argument(
         "--cls", type=int, default=None, help="single class (default: whole table)"
     )
 
@@ -173,7 +175,7 @@ def _cmd_scenario(args, checks=None) -> int:
 
 
 def _cmd_sigma(args) -> int:
-    result = run_sigma_suite()
+    result = sigma.run_sigma_suite()
     _emit(result, args.json_out)
     _print_summary(result)
     return 0 if result["verdict"] else 1
@@ -192,7 +194,7 @@ def _cmd_zeta(args) -> int:
         raise ConfigInvalid(f"--cls {args.cls} is not a class of side {args.side} mod {args.modulus}")
     classes = (args.cls,) if args.cls is not None else level.classes(args.side)
     for cls in classes:
-        value = partial_zeta(level, args.side, cls % args.modulus, args.k)
+        value = zeta.partial_zeta(level, args.side, cls % args.modulus, args.k)
         print(f"zeta(1-{args.k}; {cls} mod {args.modulus}) = {value}")
     return 0
 

@@ -50,9 +50,6 @@ class GroupRing:
             and self.multiplication_table() == other.multiplication_table()
         )
 
-    def zero(self) -> "GroupRingElement":
-        return GroupRingElement(self, {})
-
     def one(self) -> "GroupRingElement":
         return self.delta(self.identity)
 
@@ -84,9 +81,6 @@ class GroupRingElement:
 
     def coefficient(self, x) -> int:
         return self.coeffs.get(x, 0)
-
-    def support(self):
-        return tuple(x for x in self.ring.elements if x in self.coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs

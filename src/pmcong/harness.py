@@ -12,14 +12,16 @@ are deterministic for a fixed configuration and code version, except for the
 from __future__ import annotations
 
 import configparser
+import importlib.util
 import math
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
-from .dirichlet import characters_of, conductor_primitive, series_coefficients
 from .exact import PValuation, int_valuation
 from .levels import (
+    _MAX_GRID_SLOTS,
     L_SIDE,
     Q_SIDE,
     FrobeniusChoice,
@@ -28,21 +30,36 @@ from .levels import (
     scenario_level,
 )
 from .numberfield import _MAX_TRACE, enumerate_ideals, tot_pos_up_to
-from .pseudomeasure import (
-    lambda_approx,
-    verify_delta_congruence,
-    verify_transfer_congruence,
-)
-from .qexpansion import NuTable, verify_qexp_congruence
-from .sigma import run_sigma_suite
 from .units import parse_int_list
-from .zeta import (
-    _MAX_GRID_SLOTS,
-    delta_numerators,
-    delta_sum_integrality,
-    partial_zeta,
-    partial_zeta_q_characters,
-)
+
+
+def _register_lazily(name: str):
+    """The submodule `pmcong.<name>`, in `sys.modules` and on the package but not run.
+
+    Its first attribute access runs it, so a process that never reads it
+    never compiles or executes it.  Unlike an import inside the functions
+    that use it, the module is findable by name from the start, and callers
+    that read `module.function` at call time see any later rebinding of that
+    attribute.  An already imported module is returned as it is.
+    """
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# the modules behind the checks; cli takes sigma and zeta from here
+dirichlet = _register_lazily("dirichlet")
+pseudomeasure = _register_lazily("pseudomeasure")
+qexpansion = _register_lazily("qexpansion")
+sigma = _register_lazily("sigma")
+zeta = _register_lazily("zeta")
 
 __all__ = [
     "REPORT_SCHEMA",
@@ -318,7 +335,7 @@ def _check_crosscheck(config: ScenarioConfig, level) -> dict:
     dual = True
     for k in config.k_values:
         for x in level.classes(Q_SIDE):
-            if partial_zeta(level, Q_SIDE, x, k) != partial_zeta_q_characters(
+            if zeta.partial_zeta(level, Q_SIDE, x, k) != zeta.partial_zeta_q_characters(
                 level, x, k
             ):
                 dual = False
@@ -328,16 +345,16 @@ def _check_crosscheck(config: ScenarioConfig, level) -> dict:
     side_picks = [(side, pick) for g in picks for side, pick in ((Q_SIDE, g), (L_SIDE, g.transfer()))]
     k_indep = True
     for side, pick in side_picks:
-        base = lambda_approx(level, side, pick, config.k_values[0])
+        base = pseudomeasure.lambda_approx(level, side, pick, config.k_values[0])
         for k in config.k_values[1:]:
-            if lambda_approx(level, side, pick, k).coeffs != base.coeffs:
+            if pseudomeasure.lambda_approx(level, side, pick, k).coeffs != base.coeffs:
                 k_indep = False
     details["lambda_k_independent"] = {"verdict": k_indep}
 
     worst = PValuation.infinite()
     for side, pick in side_picks:
         for k in config.k_values:
-            nums, den = delta_numerators(level, side, pick, k)
+            nums, den = zeta.delta_numerators(level, side, pick, k)
             finite = [int_valuation(c, config.p) for c in nums.values() if c]
             if finite:
                 worst = min(worst, PValuation.of(min(finite) - int_valuation(den, config.p)))
@@ -347,7 +364,7 @@ def _check_crosscheck(config: ScenarioConfig, level) -> dict:
     g = picks[0]
     for x in level.classes(Q_SIDE):
         eps_by_k = dict.fromkeys(config.k_values, LocallyConstantFn.delta_fn(level, Q_SIDE, x))
-        if not delta_sum_integrality(level, Q_SIDE, g, eps_by_k) >= 0:
+        if not zeta.delta_sum_integrality(level, Q_SIDE, g, eps_by_k) >= 0:
             twist = False
     details["twisted_sum_integral"] = {"verdict": twist}
 
@@ -356,9 +373,9 @@ def _check_crosscheck(config: ScenarioConfig, level) -> dict:
     counts = {}
     for ideal in ideals:
         counts[ideal.norm()] = counts.get(ideal.norm(), 0) + 1
-    chars = characters_of(field.conductor, trivial_on=field.cosets[0])
-    prims = [conductor_primitive(chi) for chi in chars]
-    series = series_coefficients(prims, config.ideal_bound, ())
+    chars = dirichlet.characters_of(field.conductor, trivial_on=field.cosets[0])
+    prims = [dirichlet.conductor_primitive(chi) for chi in chars]
+    series = dirichlet.series_coefficients(prims, config.ideal_bound, ())
     euler_ok = all(
         counts.get(n, 0) == series[n] for n in range(1, config.ideal_bound + 1)
     )
@@ -379,7 +396,7 @@ def _check_transfer(config: ScenarioConfig, level) -> dict:
     for n in config.frobenius:
         g = FrobeniusChoice(level, n)
         for k in config.k_values:
-            report = verify_transfer_congruence(level, g, k)
+            report = pseudomeasure.verify_transfer_congruence(level, g, k)
             runs.append(report)
     return {"verdict": all(r["verdict"] for r in runs), "runs": runs}
 
@@ -392,7 +409,7 @@ def _check_delta(config: ScenarioConfig, level) -> dict:
         g = FrobeniusChoice(level, n)
         for k in config.k_values:
             for i, eps in enumerate(functions):
-                v = verify_delta_congruence(level, g, eps, k)
+                v = pseudomeasure.verify_delta_congruence(level, g, eps, k)
                 ok = v >= 1
                 verdict = verdict and ok
                 runs.append(
@@ -404,11 +421,11 @@ def _check_delta(config: ScenarioConfig, level) -> dict:
 def _check_qexp(config: ScenarioConfig, level, cache_dir) -> dict:
     runs = []
     verdict = True
-    table = NuTable(level, config.qexp_trace_bound, cache_dir=cache_dir)
+    table = qexpansion.NuTable(level, config.qexp_trace_bound, cache_dir=cache_dir)
     functions = _qexp_functions(config, level)
     for k in [k for k in config.k_values if k >= 2 and k % 2 == 0]:
         for i, eps in enumerate(functions):
-            report = verify_qexp_congruence(
+            report = qexpansion.verify_qexp_congruence(
                 level, eps, k, config.qexp_bound, table=table
             )
             verdict = verdict and report["verdict"]
@@ -456,7 +473,7 @@ def run_scenario(
         elif name == "qexp":
             result = _check_qexp(config, level, cache_dir)
         elif name == "sigma":
-            result = run_sigma_suite()
+            result = sigma.run_sigma_suite()
         timings[name] = round(time.monotonic() - start, 3)
         report_checks[name] = jsonable(result)
     verdict = all(c["verdict"] for c in report_checks.values())

@@ -40,6 +40,11 @@ __all__ = [
 Q_SIDE = "Q"
 L_SIDE = "L"
 
+# Largest grid |G|·n, classes times slots per class, that a scenario may hand
+# to the packed character transform of `zeta`; ScenarioConfig.validate
+# rejects larger levels.
+_MAX_GRID_SLOTS = 2**24
+
 
 class LevelData:
     """One finite level: modulus, both class groups, and the field data.

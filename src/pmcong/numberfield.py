@@ -652,13 +652,16 @@ def enumerate_ideals(spec: AbelianFieldSpec, bound: int, s_primes=()) -> tuple[I
 def _tot_pos_from_records(
     spec: AbelianFieldSpec, t: int, records: list[str]
 ) -> tuple[AlgebraicInt, ...] | None:
-    """The cached ν of trace t, or None unless every record is one, in ascending order."""
+    """The cached ν of trace t, or None unless every record is one, in ascending
+    order, and the set is closed under σ (`AlgebraicInt.sigma`)."""
     try:
         nus = tuple(spec.element(int(v) for v in record.split(",")) for record in records)
     except ValueError:  # not an integer, or not p coordinates
         return None
     ascending = all(a.coords < b.coords for a, b in zip(nus, nus[1:]))
-    if ascending and all(nu.trace() == t and nu.is_totally_positive() for nu in nus):
+    coords = {nu.coords for nu in nus}
+    closed = all(nu.sigma().coords in coords for nu in nus)
+    if ascending and closed and all(nu.trace() == t and nu.is_totally_positive() for nu in nus):
         return nus
     return None
 
@@ -675,7 +678,8 @@ def enumerate_tot_pos_trace(
     by the trace.  Candidates are prefiltered in floating point with a margin
     below the 1/t^(p−1) floor on embeddings of totally positive integers, then
     decided exactly.  A cached scan is decided exactly as well: every record
-    must be a totally positive ν of trace t, in ascending order.
+    must be a totally positive ν of trace t, in ascending order, and the
+    records must be closed under σ.
     """
     if t <= 0:
         return ()

@@ -195,9 +195,6 @@ class FiniteGroup:
     def __len__(self):
         return len(self.elements)
 
-    def __contains__(self, x):
-        return x in self.position
-
     def mul(self, x, y):
         position = self.position
         return self.elements[self.table[position[x]][position[y]]]

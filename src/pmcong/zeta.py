@@ -190,11 +190,6 @@ def _dft(pos: list[int], neg: list[int], step: int, order: int, width: int):
     return out_pos, out_neg
 
 
-# Largest grid |G|·n, cells times slots per cell, that a scenario may hand to
-# the packed transform; ScenarioConfig.validate rejects larger levels.
-_MAX_GRID_SLOTS = 2**24
-
-
 def _exponent_sums(order: int, terms: list[tuple[DirichletCharacter, int, CyclotomicNumber]], classes):
     """(den, the pairs (x, s_x)), with Σ_t s_x[t]·ζ_n^t = den·Σ w·χ(x)⁻¹·V over the terms (χ, w, V).
 

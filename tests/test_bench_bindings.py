@@ -7,11 +7,15 @@ itself runs.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+TRACER = REPO_ROOT / "bench" / "tracer.py"
 
 
 def _tracer_targets():
@@ -36,3 +40,34 @@ def test_tracer_target_resolves(target):
         assert attr in vars(getattr(module, owner_name)), target
     else:
         assert callable(getattr(module, attr)), target
+
+
+def test_tracer_finds_each_target_module_after_importing_the_cli():
+    """The tracer imports only `pmcong.cli`, then looks each target's module up
+    in `sys.modules`, in table order.
+
+    A module that the package imports only inside a function would be missing
+    there and fail every traced benchmark run.  Resolving a target reads an
+    attribute of its module, which runs a lazily registered module and so
+    imports that module's own dependencies, as the tracer's lookups do.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = (
+        "import sys, pmcong.cli\n"
+        "missing = []\n"
+        "for target in sys.argv[1:]:\n"
+        "    module_name, _, qualname = target.partition(':')\n"
+        "    if module_name not in sys.modules:\n"
+        "        missing.append(target)\n"
+        "        continue\n"
+        "    getattr(sys.modules[module_name], qualname.partition('.')[0])\n"
+        "print(missing)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *_tracer_targets()], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

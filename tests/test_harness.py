@@ -174,16 +174,41 @@ def test_config_defaults_and_unknown_keywords():
         ScenarioConfig(p=3, conductor=7, a=2)
 
 
-def test_cli_import_leaves_dataclasses_and_inspect_out():
-    """Start-up: `import pmcong.cli` in a fresh interpreter loads neither module."""
+def _fresh_python(code: str, *args: str) -> list[str]:
+    """The stdout lines of `code` run in a new interpreter with the package on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO_ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    code = "import sys, pmcong.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.splitlines()
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    """Start-up: `import pmcong.cli` in a fresh interpreter loads neither module."""
+    code = "import sys, pmcong.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    assert _fresh_python(code) == ["[]"]
+
+
+def test_config_and_cache_warm_leave_the_check_modules_unrun(tmp_path):
+    """Accepting the desk scenario and warming its cache import neither the
+    cyclotomic arithmetic of the zeta routes nor the group rings of the
+    σ-suite; a run of the routes checks imports no group ring."""
+    code = (
+        "import sys\n"
+        "from pmcong.harness import ScenarioConfig, cache_warm, run_scenario\n"
+        "def imported():\n"
+        "    print(sorted({'pmcong.cyclotomic', 'pmcong.groupring'} & set(sys.modules)))\n"
+        "config = ScenarioConfig.from_ini(sys.argv[1])\n"
+        "imported()\n"
+        "cache_warm(config, sys.argv[2])\n"
+        "imported()\n"
+        "assert run_scenario(config, checks=('crosscheck', 'transfer', 'delta'))['verdict']\n"
+        "imported()\n"
+    )
+    lines = _fresh_python(code, str(REPO_ROOT / "configs" / "default.ini"), str(tmp_path))
+    assert lines == ["[]", "[]", "['pmcong.cyclotomic']"]
 
 
 def test_readme_scenario_example_reads_as_the_default(tmp_path):
@@ -670,15 +695,17 @@ def test_cli_failure_exit_code(monkeypatch, capsys):
 
 @pytest.fixture
 def no_checks(monkeypatch):
-    """Make run_scenario and cache_warm fail the test if the CLI reaches them."""
+    """Make run_scenario, cache_warm and the σ-suite fail the test if the CLI reaches them."""
     import pmcong.cli as cli_module
+    import pmcong.sigma as sigma_module
 
     def never(*args, **kwargs):
         raise AssertionError("no check may run on a bad output path")
 
     monkeypatch.setattr(cli_module, "run_scenario", never)
     monkeypatch.setattr(cli_module, "cache_warm", never)
-    monkeypatch.setattr(cli_module, "run_sigma_suite", never)
+    # the CLI reads sigma.run_sigma_suite at call time
+    monkeypatch.setattr(sigma_module, "run_sigma_suite", never)
 
 
 def _assert_configuration_error(capsys, argv, named):
@@ -693,14 +720,15 @@ def _assert_configuration_error(capsys, argv, named):
 def no_scenario_checks(monkeypatch):
     """Make every check of `run_scenario` fail the test if it starts."""
     import pmcong.harness as harness_module
+    import pmcong.sigma as sigma_module
 
     def never(*args, **kwargs):
         raise AssertionError("no check may run on a bad check selection")
 
-    for name in (
-        "_check_crosscheck", "_check_transfer", "_check_delta", "_check_qexp", "run_sigma_suite"
-    ):
+    for name in ("_check_crosscheck", "_check_transfer", "_check_delta", "_check_qexp"):
         monkeypatch.setattr(harness_module, name, never)
+    # run_scenario reads sigma.run_sigma_suite at call time
+    monkeypatch.setattr(sigma_module, "run_sigma_suite", never)
 
 
 def test_cli_verify_transfer_at_depth_1_exits_2(tmp_path, capsys, no_scenario_checks):

@@ -461,12 +461,14 @@ def test_cache_truncated_at_a_record_boundary_is_recomputed(tmp_path):
         lambda records: records + ["1,2"],  # two coordinates in a cubic field
         lambda records: ["-3,-3,-3"] + records,  # totally positive, but trace 9
         lambda records: records[1:] + records[:1],  # every ν, out of order
+        lambda records: records[1:],  # without (-3,-2,-1): its σ-orbit is cut
     ],
-    ids=["not-totally-positive", "coordinate-count", "wrong-trace", "out-of-order"],
+    ids=["not-totally-positive", "coordinate-count", "wrong-trace", "out-of-order", "orbit-cut"],
 )
 def test_bad_scan_record_with_valid_crc_heals_the_file(tmp_path, tamper):
     key = {"p": 3, "fL": 7, "t": 6}
     first = enumerate_tot_pos_trace(F7, 6, cache_dir=tmp_path)
+    assert len(first) == 4
     (path,) = tmp_path.glob("*.txt")
     fresh = path.read_bytes()
     bad = tamper(load_records(tmp_path, "totpos", key))
