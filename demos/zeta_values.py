@@ -5,7 +5,6 @@ Run with:  python3 demos/zeta_values.py
 
 from fractions import Fraction
 
-from pmcong.cyclotomic import cyclo_reduce_rational
 from pmcong.dirichlet import characters_of, l_value_neg
 from pmcong.levels import L_SIDE, Q_SIDE, zeta_level
 from pmcong.zeta import partial_zeta, partial_zeta_q_characters
@@ -39,7 +38,7 @@ def main() -> None:
     for chi in characters_of(7, trivial_on=(1, 6)):
         factor = l_value_neg(chi, 2, (7,))
         product = factor if product is None else product * factor
-    print(f"  product of the three L-values = {cyclo_reduce_rational(product)}")
+    print(f"  product of the three L-values = {product.rational_part()}")
 
 
 if __name__ == "__main__":

@@ -188,8 +188,11 @@ def _cmd_zeta(args) -> int:
         level = zeta_level(args.modulus, p=args.p, conductor=args.conductor)
     except (ValueError, ArithmeticError) as exc:
         raise ConfigInvalid(str(exc)) from None
-    if args.side == L_SIDE and level.field is None:
-        raise ConfigInvalid("the extension side needs --p and --conductor")
+    if args.side == L_SIDE:
+        if level.field is None:
+            raise ConfigInvalid("the extension side needs --p and --conductor")
+        if grid_error := level.grid_cap_error():
+            raise ConfigInvalid(grid_error)
     if args.cls is not None and not level.has_class(args.side, args.cls % args.modulus):
         raise ConfigInvalid(f"--cls {args.cls} is not a class of side {args.side} mod {args.modulus}")
     classes = (args.cls,) if args.cls is not None else level.classes(args.side)

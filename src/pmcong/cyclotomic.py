@@ -32,7 +32,6 @@ __all__ = [
     "CyclotomicNumber",
     "NotRational",
     "cyclotomic_polynomial",
-    "cyclo_reduce_rational",
     "pack_slots",
     "signed_slots",
 ]
@@ -285,8 +284,3 @@ class CyclotomicNumber:
 
     def __repr__(self) -> str:
         return f"CyclotomicNumber(order={self.order}, nums={self.nums}, den={self.den})"
-
-
-def cyclo_reduce_rational(z: CyclotomicNumber) -> Fraction:
-    """Assert z is rational and return it as a Fraction (NotRational otherwise)."""
-    return z.rational_part()

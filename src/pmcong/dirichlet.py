@@ -214,14 +214,12 @@ def l_value_neg(chi: DirichletCharacter, k: int, s_primes: frozenset[int] | tupl
     if k < 1:
         raise ValueError("k must be >= 1")
     prim = conductor_primitive(chi)
-    n = prim.ambient_order
     val = generalized_bernoulli(prim, k).scale(Fraction(-1, k))
     for q in sorted(set(s_primes)):
         t = prim.exponent_at(q)
         if t is None:
             continue  # q divides the conductor: no Euler factor present
-        factor = CyclotomicNumber.one(n) - CyclotomicNumber.root(n, t).scale(q ** (k - 1))
-        val = val * factor
+        val = val - val.mul_root(t).scale(q ** (k - 1))
     return val
 
 

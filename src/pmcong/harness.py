@@ -21,7 +21,6 @@ from pathlib import Path
 
 from .exact import PValuation, int_valuation
 from .levels import (
-    _MAX_GRID_SLOTS,
     L_SIDE,
     Q_SIDE,
     FrobeniusChoice,
@@ -240,12 +239,9 @@ class ScenarioConfig:
         if unknown:
             raise ConfigInvalid(f"unknown checks: {sorted(unknown)}")
         # every check but sigma reads zeta tables from the packed transform
-        cells, slots = len(level.group.elements), level.group.exponent
-        if set(self.checks) != {"sigma"} and cells * slots > _MAX_GRID_SLOTS:
-            raise ConfigInvalid(
-                f"the character transform needs |G| · n = {cells} · {slots} = "
-                f"{cells * slots} slots, above the cap {_MAX_GRID_SLOTS}"
-            )
+        grid_error = level.grid_cap_error()
+        if set(self.checks) != {"sigma"} and grid_error:
+            raise ConfigInvalid(grid_error)
         if self.eps_basis not in ("even_orbit_indicators", "table"):
             raise ConfigInvalid(
                 "eps_basis must be 'even_orbit_indicators' or 'table'"

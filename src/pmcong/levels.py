@@ -40,9 +40,8 @@ __all__ = [
 Q_SIDE = "Q"
 L_SIDE = "L"
 
-# Largest grid |G|·n, classes times slots per class, that a scenario may hand
-# to the packed character transform of `zeta`; ScenarioConfig.validate
-# rejects larger levels.
+# Largest grid |G|·n, classes times slots per class, that may be handed to
+# the packed character transform of `zeta` (see `LevelData.grid_cap_error`).
 _MAX_GRID_SLOTS = 2**24
 
 
@@ -89,6 +88,16 @@ class LevelData:
 
     def has_class(self, side: str, cls: int) -> bool:
         return cls in (self._q_set if side == Q_SIDE else self._h_set)
+
+    def grid_cap_error(self) -> str | None:
+        """Why the packed character transform of `zeta` cannot run here, or None."""
+        cells, slots = len(self.group.elements), self.group.exponent
+        if cells * slots <= _MAX_GRID_SLOTS:
+            return None
+        return (
+            f"the character transform needs |G| · n = {cells} · {slots} = "
+            f"{cells * slots} slots, above the cap {_MAX_GRID_SLOTS}"
+        )
 
     def neg_class(self, cls: int) -> int:
         return (-cls) % self.modulus

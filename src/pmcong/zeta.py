@@ -23,7 +23,8 @@ NotRational propagating out of here signals broken character bookkeeping.
 
 Both character sums are one Fourier transform on G = ∏_i C_(o_i)
 (`_exponent_sums`).  Values live in Z[x]/(x^n − 1), n the exponent of G, as
-two packed non-negative integers (positive and negative parts), so a root
+one packed non-negative integer per cell, every slot raised by one bias that
+rotations fix and that is subtracted once per class, so a root
 multiplication is a rotation of bits.  The mixed-radix Cooley–Tukey
 transforms, one per coordinate, cost |G|·Σ_i Σ(prime factors of o_i)
 rotations per table; each class is then reduced modulo Φ_n once and asserted
@@ -49,7 +50,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
-from .cyclotomic import CyclotomicNumber, cyclo_reduce_rational, pack_slots, signed_slots
+from .cyclotomic import CyclotomicNumber, pack_slots, signed_slots
 from .dirichlet import DirichletCharacter, characters_of, l_value_neg
 from .exact import PValuation, bernoulli_poly, int_valuation
 from .levels import L_SIDE, Q_SIDE, FrobeniusChoice, LevelData, LocallyConstantFn
@@ -150,14 +151,7 @@ def _q_table(level: LevelData, k: int) -> dict[int, Fraction]:
     return table
 
 
-def _pack(nums: tuple[int, ...], scale: int, width: int) -> tuple[int, int]:
-    """The positive and the negative parts of scale·nums as two packed integers."""
-    pos = pack_slots([scale * c if c > 0 else 0 for c in nums], width)
-    neg = pack_slots([-scale * c if c < 0 else 0 for c in nums], width)
-    return pos, neg
-
-
-def _dft(pos: list[int], neg: list[int], step: int, order: int, width: int):
+def _dft(line: list[int], step: int, order: int, width: int) -> list[int]:
     """X(l) = Σ_e a(e)·ζ_n^(−e·l·step) for one packed line a, n = order.
 
     Mixed-radix Cooley–Tukey: with r the least prime factor of the length
@@ -166,28 +160,22 @@ def _dft(pos: list[int], neg: list[int], step: int, order: int, width: int):
     line j at the root ζ_n^(r·step).  That is N·(r − 1) rotations per stage.
     A rotation by t slots is multiplication by ζ_n^t in Z[x]/(x^n − 1).
     """
-    size = len(pos)
+    size = len(line)
     if size == 1:
-        return pos, neg
+        return line
     r = min(factorize(size))
     m = size // r
-    parts = [_dft(pos[j::r], neg[j::r], step * r, order, width) for j in range(r)]
-    out_pos = parts[0][0] * r
-    out_neg = parts[0][1] * r
+    parts = [_dft(line[j::r], step * r, order, width) for j in range(r)]
+    out = parts[0] * r
     span = order * width
     full = (1 << span) - 1
     for j in range(1, r):
-        sub_pos, sub_neg = parts[j]
+        sub = parts[j]
         for l in range(size):
             shift = -j * l * step % order * width
-            back = span - shift
-            a = sub_pos[l % m]
-            if a:
-                out_pos[l] += ((a << shift) & full) | (a >> back)
-            b = sub_neg[l % m]
-            if b:
-                out_neg[l] += ((b << shift) & full) | (b >> back)
-    return out_pos, out_neg
+            a = sub[l % m]
+            out[l] += ((a << shift) & full) | (a >> (span - shift))
+    return out
 
 
 def _exponent_sums(order: int, terms: list[tuple[DirichletCharacter, int, CyclotomicNumber]], classes):
@@ -198,12 +186,15 @@ def _exponent_sums(order: int, terms: list[tuple[DirichletCharacter, int, Cyclot
     grid ∏_i C_(o_i) of (Z/f)^×; every other tuple is zero.  One transform
     per coordinate i (row–column) replaces the tuples e by the sums
     Σ_e a(e)·ζ_n^(−Σ_i e_i·(n/o_i)·l_i), and class x reads position
-    l = dlog(x), as the signed slots of the difference of its two packed integers.
+    l = dlog(x).
 
-    The slot width is bit_length(|G|·max|numerator|) + 1 bits.  A slot of
-    either packed integer sums at most |G| magnitudes, so it never carries
-    into the next; the spare bit bounds each slot of the difference by
-    2^(width−1) in absolute value, so the signed slots read back exactly.
+    Each cell is one packed non-negative integer whose every slot carries the
+    bias top = max|numerator|, so it starts in [0, 2·top].  Rotations fix the
+    all-top vector, so after the transform each slot carries exactly |G|·top
+    above its sum, and a class reads the signed slots of its cell minus that
+    offset.  With width bit_length(|G|·top) + 1, a biased slot (at most
+    2·|G|·top) stays below 2^width and never carries into the next, and an
+    unbiased one (|G|·top < 2^(width−1) in absolute value) reads back exactly.
     """
     group = terms[0][0].group
     den = lcm(*(v.den for _, _, v in terms))
@@ -215,22 +206,23 @@ def _exponent_sums(order: int, terms: list[tuple[DirichletCharacter, int, Cyclot
     for o in group.orders:
         stride //= o
         strides.append(stride)
-    pos = [0] * size
-    neg = [0] * size
+    bias = pack_slots([top] * order, width)
+    cells = [bias] * size
     for chi, w, v in terms:
         cell = sum(map(mul, chi.exponents, strides))
-        pos[cell], neg[cell] = _pack(v.nums, w * (den // v.den), width)
+        cells[cell] = bias + w * (den // v.den) * pack_slots(v.nums, width)
     for o, stride in zip(group.orders, strides):
         block = o * stride
         for start in range(0, size, block):
             for first in range(start, start + stride):
                 line = slice(first, first + block, stride)
-                pos[line], neg[line] = _dft(pos[line], neg[line], order // o, order, width)
+                cells[line] = _dft(cells[line], order // o, order, width)
+    offset = size * bias
 
     def read():
         for x in classes:
             cell = sum(map(mul, group.dlog(x), strides))
-            yield x, signed_slots(pos[cell] - neg[cell], order, width)
+            yield x, signed_slots(cells[cell] - offset, order, width)
 
     return den, read()
 
@@ -249,7 +241,7 @@ def _orthogonality_table(
     """
     den, sums = _exponent_sums(order, terms, classes)
     return {
-        x: cyclo_reduce_rational(CyclotomicNumber.from_exponent_sums(order, s, den * size))
+        x: CyclotomicNumber.from_exponent_sums(order, s, den * size).rational_part()
         for x, s in sums
     }
 

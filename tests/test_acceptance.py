@@ -9,7 +9,6 @@ under test.
 
 from fractions import Fraction
 
-from pmcong.cyclotomic import cyclo_reduce_rational
 from pmcong.dirichlet import characters_of, conductor_primitive, l_value_neg, series_coefficients
 from pmcong.levels import (
     L_SIDE,
@@ -138,8 +137,8 @@ def test_07_extension_zeta_oracle():
         a, b = l_value_neg(chi, 2, ()), l_value_neg(chi, 2, (7,))
         full = a if full is None else full * a
         depleted = b if depleted is None else depleted * b
-    full = cyclo_reduce_rational(full)
-    depleted = cyclo_reduce_rational(depleted)
+    full = full.rational_part()
+    depleted = depleted.rational_part()
     ok = ok and full == Fraction(-1, 21)
     ok = ok and depleted == Fraction(2, 7)
     ok = ok and total == depleted

@@ -14,7 +14,6 @@ import pytest
 from pmcong.cyclotomic import (
     CyclotomicNumber,
     NotRational,
-    cyclo_reduce_rational,
     cyclotomic_polynomial,
 )
 from pmcong.units import divisors
@@ -164,15 +163,15 @@ def test_galois_sum_of_primitive_roots_is_moebius():
         for j in range(1, n + 1):
             if gcd(j, n) == 1:
                 total = total + CyclotomicNumber.root(n, j)
-        assert cyclo_reduce_rational(total) == mu
+        assert total.rational_part() == mu
 
 
 def test_rational_detection():
     z = CyclotomicNumber.root(3, 1)
     with pytest.raises(NotRational):
-        cyclo_reduce_rational(z)
-    assert cyclo_reduce_rational(z + z * z) == -1
-    assert cyclo_reduce_rational(CyclotomicNumber.from_rational(3, Fraction(7, 3))) == Fraction(7, 3)
+        z.rational_part()
+    assert (z + z * z).rational_part() == -1
+    assert CyclotomicNumber.from_rational(3, Fraction(7, 3)).rational_part() == Fraction(7, 3)
     half = CyclotomicNumber.from_rational(1, Fraction(1, 2))
     assert half.is_rational()
     assert half.rational_part() == Fraction(1, 2)

@@ -11,7 +11,7 @@ from math import gcd
 
 import pytest
 
-from pmcong.cyclotomic import CyclotomicNumber, cyclo_reduce_rational
+from pmcong.cyclotomic import CyclotomicNumber
 from pmcong.dirichlet import (
     characters_of,
     conductor_primitive,
@@ -50,7 +50,7 @@ def test_orthogonality_rows():
                 if gcd(x, n) == 1:
                     total = total + chi.value(x)
             expected = euler_phi(n) if chi.order() == 1 else 0
-            assert cyclo_reduce_rational(total) == expected
+            assert total.rational_part() == expected
 
 
 def test_orthogonality_columns():
@@ -64,7 +64,7 @@ def test_orthogonality_columns():
             total = CyclotomicNumber.zero(order)
             for chi in chars:
                 total = total + chi.value(x)
-            assert cyclo_reduce_rational(total) == (len(chars) if x == 1 else 0)
+            assert total.rational_part() == (len(chars) if x == 1 else 0)
 
 
 def test_characters_trivial_on_subgroup():
@@ -116,7 +116,7 @@ def test_generalized_bernoulli_against_direct_sum():
 
 
 def rational_l(chi, k, s=()):
-    return cyclo_reduce_rational(l_value_neg(chi, k, s))
+    return l_value_neg(chi, k, s).rational_part()
 
 
 def test_zeta_values():
@@ -212,7 +212,7 @@ def _brute_force_series(prims, bound, s_primes):
             exponents = [prim.exponent_at(part) for prim, part in zip(prims, parts)]
             if None not in exponents:
                 total = total + CyclotomicNumber.root(n, sum(exponents))
-        out.append(cyclo_reduce_rational(total))
+        out.append(total.rational_part())
     return out
 
 

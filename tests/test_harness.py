@@ -906,6 +906,21 @@ def test_cli_zeta_extension_side(capsys):
     assert "extension side" in capsys.readouterr().err
 
 
+def test_cli_zeta_extension_side_beyond_the_transform_grid_cap_exits_2(capsys, monkeypatch):
+    """Desk a=8 (26 244 · 4 374 slots) is rejected before the transform starts;
+    the base side reads the Hurwitz route, which runs no transform."""
+    import pmcong.zeta as zeta_module
+
+    def never(*args, **kwargs):
+        raise AssertionError("the extension table must not start above the grid cap")
+
+    monkeypatch.setattr(zeta_module, "_l_table", never)
+    deep = ["zeta", "--modulus", "45927", "--k", "2", "--p", "3", "--conductor", "7"]
+    _assert_configuration_error(capsys, [*deep, "--side", "L"], "above the cap")
+    assert main([*deep, "--side", "Q", "--cls", "1"]) == 0
+    assert capsys.readouterr().out.startswith("zeta(1-2; 1 mod 45927) = ")
+
+
 def test_cli_sigma(capsys):
     assert main(["sigma"]) == 0
     assert "overall: PASS" in capsys.readouterr().out

@@ -15,7 +15,6 @@ from pmcong import zeta
 from pmcong.cyclotomic import (
     CyclotomicNumber,
     NotRational,
-    cyclo_reduce_rational,
     cyclotomic_polynomial,
 )
 from pmcong.dirichlet import characters_of, conductor_primitive, l_value_neg
@@ -167,7 +166,7 @@ def test_extension_side_sums_to_depleted_dedekind_value():
     for chi in characters_of(7, trivial_on=(1, 6)):
         factor = l_value_neg(chi, 2, (7,))
         product = factor if product is None else product * factor
-    assert sum(values) == cyclo_reduce_rational(product) == Fraction(2, 7)
+    assert sum(values) == product.rational_part() == Fraction(2, 7)
 
 
 def test_dedekind_value_without_depletion():
@@ -175,7 +174,7 @@ def test_dedekind_value_without_depletion():
     for chi in characters_of(7, trivial_on=(1, 6)):
         factor = l_value_neg(chi, 2)
         product = factor if product is None else product * factor
-    assert cyclo_reduce_rational(product) == Fraction(-1, 21)
+    assert product.rational_part() == Fraction(-1, 21)
 
 
 def test_extension_side_at_the_scenario_level():
@@ -185,7 +184,7 @@ def test_extension_side_at_the_scenario_level():
     for chi in characters_of(63, trivial_on=LV63.h_classes):
         factor = l_value_neg(chi, 2, (3, 7))
         product = factor if product is None else product * factor
-    assert total == cyclo_reduce_rational(product)
+    assert total == product.rational_part()
 
 
 def test_zeta_of_is_linear_in_eps():
@@ -380,13 +379,16 @@ def _assert_transform_matches(order, terms, classes):
     assert got == expected
 
 
-# 504 = 8·9·7: (Z/8)^× gives two factors C_2, so the grid has four axes
+# 504 = 8·9·7: (Z/8)^× gives two factors C_2, so the grid has four axes;
+# 275 (orders 20, 10) and 253 (n = 110) bring the radices 5 and 11
 TRANSFORM_LEVELS = [
     zeta_level(7, p=3, conductor=7),
     LV63,
     LV189,
     scenario_level(3, 7, (3, 7), 4),
     zeta_level(504, p=3, conductor=7),
+    zeta_level(275, p=5, conductor=11),
+    zeta_level(253, p=11, conductor=23),
 ]
 
 
