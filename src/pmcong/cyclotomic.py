@@ -171,10 +171,6 @@ class CyclotomicNumber:
         return CyclotomicNumber(order, nums, q.denominator)
 
     @staticmethod
-    def one(order: int) -> "CyclotomicNumber":
-        return CyclotomicNumber.from_rational(order, 1)
-
-    @staticmethod
     def root(order: int, exponent: int) -> "CyclotomicNumber":
         """zeta_n^exponent as an element of Q(zeta_n)."""
         sums = [0] * order

@@ -25,6 +25,7 @@ Hurwitz route in `zeta` keeps its own evaluation.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
@@ -104,8 +105,6 @@ def characters_of(modulus: int, trivial_on: tuple[int, ...] = ()) -> tuple[Diric
     """
     group = unit_group(modulus)
     out = []
-    import itertools
-
     for exps in itertools.product(*(range(o) for o in group.orders)):
         chi = DirichletCharacter(group, exps)
         if all(chi.exponent_at(x) == 0 for x in trivial_on):

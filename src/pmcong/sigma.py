@@ -5,8 +5,8 @@ is a multiplication table, tabulated over element positions and validated
 once when the group is built, and all work runs on lists of those positions.
 The transfer map is computed literally from coset representatives by lookups
 in that table, for a whole list of positions in one batch: each position is
-moved back into H once, g·x_i is read from the table's columns (transposed
-on first use), and one table product per (g, x_i) accumulates ver(g).
+moved back into H once, g·x_i is read from the row of g, and one table
+product per (g, x_i) accumulates ver(g).
 Trace ideals work on coefficient vectors: the Σ-generator permutes the basis
 indices, and membership is integer linear algebra with a certificate that is
 re-expanded by the vector trace before it is believed.  This is the symbolic
@@ -94,8 +94,8 @@ class BadConjugationData(ValueError):
 # ---------------------------------------------------------------------------
 # explicit finite groups
 
-#: Largest group order that is tabulated; a Cayley table holds |G|² positions
-#: (about 32 MB of list slots at this order).
+#: Largest group order that is tabulated; a group holds one Cayley table of
+#: |G|² positions (about 32 MB of list slots at this order).
 MAX_TABULATED_ORDER = 2048
 
 
@@ -161,7 +161,6 @@ class FiniteGroup:
         self.identity = identity
         self.identity_position = e
         self.inverse_position = inverse
-        self._columns = None
 
     def _check_associative(self):
         """Light's test: (x·g)·y = x·(g·y) for all x, y and each generator g.
@@ -183,14 +182,6 @@ class FiniteGroup:
                     raise ValueError(
                         f"the law is not associative: ({x!r}·{g!r})·{y!r} ≠ {x!r}·({g!r}·{y!r})"
                     )
-
-    @property
-    def columns(self) -> list[tuple[int, ...]]:
-        """``columns[j][i] = table[i][j]``: the right products by
-        ``elements[j]``, transposed from the table on first use."""
-        if self._columns is None:
-            self._columns = list(zip(*self.table))
-        return self._columns
 
     def __len__(self):
         return len(self.elements)
@@ -587,9 +578,9 @@ def _transfer_positions(setup: GaloisSetup, positions, reps=None) -> list[int]:
     """ver at every table position in `positions`, from one transversal.
 
     Every t in G is first moved back to x_j⁻¹·t, where x_j represents the
-    coset of t.  Then g·x_i is read from the column of x_i, and ver(g) is
-    the product of the moved-back g·x_i in transversal order: one table
-    product per (g, x_i) after the first.
+    coset of t.  Then g·x_i is read from the row of g, and ver(g) is the
+    product of the moved-back g·x_i in transversal order: one table product
+    per (g, x_i) after the first.
     """
     if not setup.h_is_abelian:
         raise NotAbelianKernel("transfer needs an abelian kernel")
@@ -608,13 +599,11 @@ def _transfer_positions(setup: GaloisSetup, positions, reps=None) -> list[int]:
             inverses[coset_of[x]] = group.inverse_position[x]
     inverse_rows = [table[x] for x in inverses]
     back = [inverse_rows[j][t] for t, j in enumerate(coset_of)]
-    columns = group.columns
+    rows = [table[g] for g in positions]
     x, *rest = reps
-    column = columns[x]
-    out = [back[column[g]] for g in positions]
+    out = [back[row[x]] for row in rows]
     for x in rest:
-        column = columns[x]
-        out = [table[a][back[column[g]]] for a, g in zip(out, positions)]
+        out = [table[a][back[row[x]]] for a, row in zip(out, rows)]
     return out
 
 

@@ -58,20 +58,20 @@ def test_cyclotomic_degrees_and_samples():
 def test_root_of_unity_order():
     for n in (1, 2, 3, 4, 6, 7, 9, 12):
         z = CyclotomicNumber.root(n, 1)
-        power = CyclotomicNumber.one(n)
+        power = CyclotomicNumber.from_rational(n, 1)
         for k in range(1, n):
             power = power * z
             assert power == CyclotomicNumber.root(n, k)
             if k >= 1 and n > 1:
-                assert power != CyclotomicNumber.one(n)
-        assert power * z == CyclotomicNumber.one(n)
+                assert power != CyclotomicNumber.from_rational(n, 1)
+        assert power * z == CyclotomicNumber.from_rational(n, 1)
 
 
 def test_minimal_polynomial_kills_primitive_root():
     for n in (3, 4, 6, 7, 9, 12, 21):
         z = CyclotomicNumber.root(n, 1)
         total = CyclotomicNumber.zero(n)
-        power = CyclotomicNumber.one(n)
+        power = CyclotomicNumber.from_rational(n, 1)
         for c in cyclotomic_polynomial(n):
             total = total + power.scale(c)
             power = power * z
@@ -81,11 +81,11 @@ def test_minimal_polynomial_kills_primitive_root():
 def sample_pool(n):
     return [
         CyclotomicNumber.zero(n),
-        CyclotomicNumber.one(n),
+        CyclotomicNumber.from_rational(n, 1),
         CyclotomicNumber.root(n, 1),
         CyclotomicNumber.root(n, 1).scale(Fraction(-2, 3))
         + CyclotomicNumber.from_rational(n, Fraction(1, 5)),
-        CyclotomicNumber.root(n, max(n - 1, 1)) - CyclotomicNumber.one(n),
+        CyclotomicNumber.root(n, max(n - 1, 1)) - CyclotomicNumber.from_rational(n, 1),
     ]
 
 
@@ -116,7 +116,7 @@ def test_ring_axioms_on_sample_pool():
                     assert a * (b + c) == a * b + a * c
         for a in pool:
             assert a + CyclotomicNumber.zero(n) == a
-            assert a * CyclotomicNumber.one(n) == a
+            assert a * CyclotomicNumber.from_rational(n, 1) == a
             assert (a - a).is_zero()
 
 
@@ -124,7 +124,7 @@ def test_mul_root_agrees_with_multiplication():
     for n in (6, 7, 9, 12):
         z = CyclotomicNumber.root(n, 1)
         samples = [
-            CyclotomicNumber.one(n),
+            CyclotomicNumber.from_rational(n, 1),
             z + z * z,
             CyclotomicNumber.from_rational(n, Fraction(3, 4)) - z,
         ]
@@ -179,7 +179,7 @@ def test_rational_detection():
 
 def test_cross_order_operations_rejected():
     with pytest.raises(ValueError):
-        CyclotomicNumber.one(3) + CyclotomicNumber.one(4)
+        CyclotomicNumber.from_rational(3, 1) + CyclotomicNumber.from_rational(4, 1)
 
 
 def units_mod(n):
@@ -192,7 +192,8 @@ def test_conjugate_is_a_ring_homomorphism_on_sample_pool():
         for a in units_mod(n):
             inverse = pow(a, -1, n) if n > 1 else 0
             assert CyclotomicNumber.root(n, 1).conjugate(a) == CyclotomicNumber.root(n, a)
-            assert CyclotomicNumber.one(n).conjugate(a) == CyclotomicNumber.one(n)
+            one = CyclotomicNumber.from_rational(n, 1)
+            assert one.conjugate(a) == one
             for x in pool:
                 assert x.conjugate(1) == x
                 assert x.conjugate(a + n) == x.conjugate(a)

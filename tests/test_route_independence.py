@@ -1,0 +1,90 @@
+"""Route independence: the two sides of a dual route share no package code.
+
+Every claim is reached by two independent routes, so a helper shared by both
+sides would let one fault pass both of them.  Each side runs alone, after every
+package `lru_cache` is cleared, with `sys.setprofile` recording the `pmcong`
+functions it enters; the functions both sides enter must lie in an allowlist
+that gives the reason for each entry.
+"""
+
+import importlib
+import os
+import pkgutil
+import sys
+
+import pmcong
+from pmcong import zeta
+from pmcong.levels import scenario_level
+
+PACKAGE_DIR = pmcong.__path__[0] + os.sep
+
+
+def _package_modules():
+    return [
+        importlib.import_module(f"pmcong.{info.name}")
+        for info in pkgutil.iter_modules(pmcong.__path__)
+    ]
+
+
+def _clear_package_caches():
+    for module in _package_modules():
+        for value in vars(module).values():
+            owners = [value] if not isinstance(value, type) else list(vars(value).values())
+            for obj in owners:
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+
+def _entered(fn, *args) -> set[str]:
+    """The `pmcong` functions that fn(*args) enters, as ``module.qualname``,
+    with every package cache cleared first."""
+    _clear_package_caches()
+    seen = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(PACKAGE_DIR):
+            seen.add(code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return {f"{_module_of(code)}.{code.co_qualname}" for code in seen}
+
+
+def _module_of(code) -> str:
+    return code.co_filename[len(PACKAGE_DIR) : -len(".py")].replace(os.sep, ".")
+
+
+#: Functions both the Hurwitz route and a character route may enter.
+HURWITZ_CHARACTER_SHARED = {
+    # B_k's coefficients are the statement's input, not a derived value: the
+    # Hurwitz route evaluates B_k(a/f) and the character route sums B_k(a/f)
+    # against χ(a), so both must read the same polynomial.
+    "exact.bernoulli_poly": "the polynomial B_k is the common input",
+    "exact.bernoulli_poly.<locals>.<genexpr>": "the coefficient loop of bernoulli_poly",
+    "exact.bernoulli_number": "the coefficients of B_k are Bernoulli numbers",
+    # LevelData is the question both routes answer: which classes, and the
+    # lru_cache key of the level.
+    "levels.LevelData.classes": "the classes both tables are indexed by",
+    "levels.LevelData.key": "hashing the level for the route's lru_cache",
+    "levels.LevelData.__hash__": "hashing the level for the route's lru_cache",
+}
+
+
+def test_hurwitz_and_character_routes_share_only_the_allowlist():
+    """At desk a=3, k=4: the Hurwitz table against each character side."""
+    level = scenario_level(3, 7, (3, 7), 3)
+    hurwitz = _entered(zeta._q_table, level, 4)
+    assert "zeta._q_table" in hurwitz
+    for side in (zeta._q_table_characters, zeta._l_table):
+        characters = _entered(side, level, 4)
+        assert f"zeta.{side.__name__}" in characters
+        shared = hurwitz & characters
+        assert shared <= HURWITZ_CHARACTER_SHARED.keys(), (
+            f"{side.__name__} shares {sorted(shared - HURWITZ_CHARACTER_SHARED.keys())} "
+            "with the Hurwitz route"
+        )

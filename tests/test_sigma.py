@@ -271,20 +271,6 @@ def test_power_matches_repeated_multiplication():
                     assert group.mul(got, powers[-n]) == group.identity
 
 
-def test_columns_are_the_transposed_table():
-    """columns[j][i] = table[i][j] = position of elements[i]·elements[j]."""
-    groups = [parse_setup(text).group for text in CATALOG.values()]
-    groups += [_s3_group(), _units63_group(), abelian_group((2, 6)), abelian_group((1,))]
-    for group in groups:
-        n = len(group)
-        assert group.columns == [tuple(row[j] for row in group.table) for j in range(n)]
-        for j, y in enumerate(group.elements):
-            assert [group.elements[i] for i in group.columns[j]] == [
-                group.mul(x, y) for x in group.elements
-            ]
-        assert group.columns is group.columns  # built once
-
-
 def test_setup_rejects_bad_data():
     group = abelian_group((6,))
     h = ((0,), (3,))
