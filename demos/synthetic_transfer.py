@@ -10,14 +10,14 @@ from pmcong.sigma import (
     CATALOG,
     TraceIdeal,
     coset_transfer,
-    parse_setup,
+    semidirect_setup,
     verify_conjugation_identity,
 )
 
 
 def main() -> None:
     # F21 = Z/7 ⋊ C3: the smallest setup with a genuinely moving action.
-    setup = parse_setup(CATALOG["f21"])
+    setup = semidirect_setup(**CATALOG["f21"])
     print(f"{setup!r}; orbit sizes {[len(o) for o in setup.orbits()]}")
     sample = list(setup.group.elements)[:5]
     print("ver on a few elements:", {g: coset_transfer(setup, g) for g in sample})
@@ -34,7 +34,7 @@ def main() -> None:
 
     # The conjugation-element identity on the two catalog setups with fibers.
     for name in ("a4", "two_fiber_48"):
-        report = verify_conjugation_identity(parse_setup(CATALOG[name]))
+        report = verify_conjugation_identity(semidirect_setup(**CATALOG[name]))
         print(f"\n{name}: fibers={report['fibers']}, labels={report['labels']}")
         print(f"  difference zero: {report['difference_is_zero']}")
         print(f"  difference: {report['difference']}")

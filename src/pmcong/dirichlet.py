@@ -130,12 +130,6 @@ class PrimitiveData:
         """Exponent of chi*(a), or None when gcd(a, conductor) > 1 (value 0)."""
         return self._table.get(a % self.conductor)
 
-    def value(self, a: int) -> CyclotomicNumber:
-        t = self.exponent_at(a)
-        if t is None:
-            return CyclotomicNumber.zero(self.ambient_order)
-        return CyclotomicNumber.root(self.ambient_order, t)
-
 
 @lru_cache(maxsize=None)
 def _reduction_table(modulus: int):

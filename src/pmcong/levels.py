@@ -52,13 +52,12 @@ class LevelData:
     degree (0 without a field).
     """
 
-    def __init__(self, field: AbelianFieldSpec | None, modulus: int, a: int, scenario: bool):
+    def __init__(self, field: AbelianFieldSpec | None, modulus: int, a: int):
         self.field = field
         self.modulus = modulus
         self.s_primes = frozenset(factorize(modulus))
         self.p = 0 if field is None else field.p
         self.a = a
-        self.scenario = scenario
         self.group = unit_group(modulus)
         if field is not None:
             h = tuple(
@@ -72,6 +71,11 @@ class LevelData:
         self.transfer_fibers: dict[int, list[int]] = {}  # y ↦ the x with ver(x) = y
         for x in self.group.elements:
             self.transfer_fibers.setdefault(self.transfer_class(x), []).append(x)
+
+    @property
+    def scenario(self) -> bool:
+        """True for a `scenario_level` (a ≥ 1), false for a bare `zeta_level` (a = 0)."""
+        return self.a > 0
 
     # -- class bookkeeping -----------------------------------------------------
     def classes(self, side: str) -> tuple[int, ...]:
@@ -121,7 +125,6 @@ class LevelData:
             None if self.field is None else self.field.conductor,
             self.modulus,
             self.a,
-            self.scenario,
         )
 
     def __eq__(self, other: object) -> bool:
@@ -155,7 +158,7 @@ def scenario_level(p: int, conductor: int, s_primes: tuple[int, ...], a: int) ->
     modulus = p**a
     for q in sorted(s - {p}):
         modulus *= q
-    return LevelData(field, modulus, a, scenario=True)
+    return LevelData(field, modulus, a)
 
 
 @lru_cache(maxsize=None)
@@ -172,7 +175,7 @@ def zeta_level(modulus: int, p: int | None = None, conductor: int | None = None)
             raise ValueError("the field conductor must divide the modulus")
     elif p is not None:
         raise ValueError("the degree p is read only with a conductor")
-    return LevelData(field, modulus, a=0, scenario=False)
+    return LevelData(field, modulus, a=0)
 
 
 class LocallyConstantFn:

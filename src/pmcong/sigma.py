@@ -14,27 +14,12 @@ counterpart of the numeric pipeline — it exercises nontrivial Σ-actions
 (semidirect products, non-split abelian towers) that unit-group levels over Q
 can never produce, where the Σ-action on the subgroup is always trivial.
 
-Synthetic setups can be written in a small text format, one directive per
-line, with ``#`` starting a comment:
-
-    orders: 7              cyclic factor orders of the abelian kernel H
-    p: 3                   index of H in the synthetic group (a prime)
-    modulus_exponent: 2    ambient coefficient ring (Z/p^m)[H]
-    action: 2              Σ-generator action on H as an r x r integer
-                           matrix, row-major, rows separated by ';'
-                           (omitted: identity action, direct product)
-    fiber: (1 0) (0 1) (1 1)
-                           one archimedean fiber of involutions, each an
-                           H-element given by its r coordinates; the
-                           Σ-generator must send slot j to slot j+1 mod
-                           the fiber length, which is 1 or p; repeatable
-
-The group built from such a text is H ⋊ C_p with the given action; its
-elements are pairs (h, t).  A table holds |G|² entries, so orders above
-`MAX_TABULATED_ORDER` (|G| = ∏d_i · p for a text) are rejected before
-anything is built.  Setups over subgroups of plain abelian groups
-(where the extension need not split, e.g. C_9 over C_3) are constructed
-directly with `GaloisSetup`.
+Synthetic setups H ⋊ C_p are built by `semidirect_setup`, and `CATALOG` holds
+its keyword arguments for seven setups with nontrivial Σ-actions.  A table
+holds |G|² entries, so orders above `MAX_TABULATED_ORDER` (|G| = ∏d_i · p for
+a semidirect setup) are rejected before anything is built.  Setups over
+subgroups of plain abelian groups (where the extension need not split, e.g.
+C_9 over C_3) are constructed directly with `GaloisSetup`.
 
 A kernel is validated from generators chosen greedily from its elements: it
 is a subgroup iff it equals their span, abelian iff they commute pairwise,
@@ -53,10 +38,9 @@ import itertools
 import math
 import operator
 import random
-import re
 
 from .groupring import GroupRing, GroupRingElement
-from .units import factorize, is_prime, parse_int_list
+from .units import factorize, is_prime
 
 __all__ = [
     "BadConjugationData",
@@ -71,7 +55,6 @@ __all__ = [
     "abelian_isomorphism_types",
     "coset_transfer",
     "index_p_functionals",
-    "parse_setup",
     "run_sigma_suite",
     "semidirect_setup",
     "smith_normal_form",
@@ -192,21 +175,6 @@ class FiniteGroup:
 
     def inverse(self, x):
         return self.elements[self.inverse_position[self.position[x]]]
-
-    def power(self, x, n: int):
-        """x^n for any integer n, by square-and-multiply on the table; a
-        negative power is the power of the inverse."""
-        i = self.position[x]
-        if n < 0:
-            i, n = self.inverse_position[i], -n
-        table = self.table
-        out = self.identity_position
-        while n:
-            if n & 1:
-                out = table[out][i]
-            i = table[i][i]
-            n >>= 1
-        return self.elements[out]
 
     def conjugate(self, g, x):
         """g·x·g⁻¹."""
@@ -469,9 +437,8 @@ class GaloisSetup:
             self._orbits = tuple(orbits)
         return self._orbits
 
-    def h_ring(self, modulus: int | None = None) -> GroupRing:
-        if modulus is None:
-            modulus = self.p**self.modulus_exponent
+    def h_ring(self) -> GroupRing:
+        modulus = self.p**self.modulus_exponent
         return GroupRing(self.h_elements, self.group.mul, self.group.identity, modulus)
 
     def __repr__(self):
@@ -489,6 +456,12 @@ def semidirect_setup(
     orders, p: int, action=None, modulus_exponent: int = 1, fibers=()
 ) -> GaloisSetup:
     """H ⋊ C_p for H = ∏Z/d_i and a matrix action of the C_p-generator.
+
+    The elements are pairs (h, t).  `action` is an r × r integer matrix
+    (omitted: the identity, a direct product), and the coefficient ring is
+    (Z/p^m)[H] with m = `modulus_exponent`.  Each fiber lists involutions of
+    H by their r coordinates; the generator must send entry j to entry
+    j + 1 mod the fiber length, which is 1 or p.
 
     The action is validated exhaustively — additivity on all pairs,
     bijectivity, and order dividing p — before any group is built, so a bad
@@ -698,15 +671,12 @@ class TraceIdeal:
     appear only at the methods that take or return one.
     """
 
-    def __init__(self, setup: GaloisSetup, modulus_exponent: int | None = None):
+    def __init__(self, setup: GaloisSetup):
         if not setup.h_is_abelian:
             raise NotAbelianKernel("trace ideals live over an abelian kernel")
         self.setup = setup
-        m = setup.modulus_exponent if modulus_exponent is None else modulus_exponent
-        if m < 1:
-            raise ValueError("modulus exponent must be ≥ 1")
-        self.modulus = setup.p**m
-        self.ring = setup.h_ring(self.modulus)
+        self.ring = setup.h_ring()
+        self.modulus = self.ring.modulus
         self._basis = self.ring.elements
         index = {h: i for i, h in enumerate(self._basis)}
         # pulls[k][j] is the index i with σ^k(basis[i]) = basis[j], so the
@@ -738,13 +708,6 @@ class TraceIdeal:
 
     def _is_fixed_vector(self, vector) -> bool:
         return list(map(vector.__getitem__, self._pulls[1])) == list(vector)
-
-    def trace(self, elt: GroupRingElement) -> GroupRingElement:
-        """Σ-trace: sum of the p conjugates."""
-        return self._element(self._trace_vector(self._vector(elt)))
-
-    def is_fixed(self, elt: GroupRingElement) -> bool:
-        return self._is_fixed_vector(self._vector(elt))
 
     def _ensure_solver(self):
         if self._solver is not None:
@@ -834,78 +797,34 @@ def verify_conjugation_identity(setup: GaloisSetup) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# text format
+# the catalog
 
 
-_FIBER_TUPLE = re.compile(r"\(([^()]*)\)")
-
-
-def parse_setup(text: str) -> GaloisSetup:
-    """Build a synthetic setup from the documented text format."""
-    orders = None
-    p = None
-    modulus_exponent = 1
-    action = None
-    fibers = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":" not in line:
-            raise ValueError(f"line {lineno}: expected 'key: value'")
-        key, _, value = line.partition(":")
-        key = key.strip().lower()
-        value = value.strip()
-        if key == "orders":
-            orders = parse_int_list(value)
-        elif key == "p":
-            p = int(value)
-        elif key == "modulus_exponent":
-            modulus_exponent = int(value)
-        elif key == "action":
-            action = [parse_int_list(row) for row in value.split(";")]
-        elif key == "fiber":
-            cells = _FIBER_TUPLE.findall(value)
-            if not cells:
-                raise ValueError(f"line {lineno}: fiber needs parenthesized tuples")
-            fibers.append([parse_int_list(c) for c in cells])
-        else:
-            raise ValueError(f"line {lineno}: unknown directive {key!r}")
-    if orders is None or p is None:
-        raise ValueError("setup text must define 'orders' and 'p'")
-    for fiber in fibers:
-        for c in fiber:
-            if len(c) != len(orders):
-                raise BadConjugationData(
-                    f"fiber entry {c} has wrong arity for orders {tuple(orders)}"
-                )
-    return semidirect_setup(
-        orders, p, action=action, modulus_exponent=modulus_exponent, fibers=fibers
-    )
-
-
-#: Synthetic setups with genuinely nontrivial Σ-actions, in the text format.
+#: Synthetic setups with genuinely nontrivial Σ-actions, as keyword arguments
+#: of `semidirect_setup`.
 CATALOG = {
-    "f21": "orders: 7\np: 3\nmodulus_exponent: 2\naction: 2\n",
-    "f39": "orders: 13\np: 3\nmodulus_exponent: 2\naction: 3\n",
-    "f93": "orders: 31\np: 3\nmodulus_exponent: 2\naction: 5\n",
-    "c11_c5": "orders: 11\np: 5\nmodulus_exponent: 2\naction: 3\n",
-    "heisenberg3": "orders: 3 3\np: 3\nmodulus_exponent: 2\naction: 1 1 ; 0 1\n",
-    "a4": (
-        "# alternating group on 4 letters as V4 x| C3\n"
-        "orders: 2 2\n"
-        "p: 3\n"
-        "modulus_exponent: 2\n"
-        "action: 0 1 ; 1 1\n"
-        "fiber: (1 0) (0 1) (1 1)\n"
+    "f21": dict(orders=(7,), p=3, modulus_exponent=2, action=((2,),)),
+    "f39": dict(orders=(13,), p=3, modulus_exponent=2, action=((3,),)),
+    "f93": dict(orders=(31,), p=3, modulus_exponent=2, action=((5,),)),
+    "c11_c5": dict(orders=(11,), p=5, modulus_exponent=2, action=((3,),)),
+    "heisenberg3": dict(orders=(3, 3), p=3, modulus_exponent=2, action=((1, 1), (0, 1))),
+    # the alternating group on 4 letters as V4 ⋊ C3
+    "a4": dict(
+        orders=(2, 2),
+        p=3,
+        modulus_exponent=2,
+        action=((0, 1), (1, 1)),
+        fibers=(((1, 0), (0, 1), (1, 1)),),
     ),
-    "two_fiber_48": (
-        "orders: 2 2 2 2\n"
-        "p: 3\n"
-        "modulus_exponent: 2\n"
-        "action: 0 1 0 0 ; 1 1 0 0 ; 0 0 0 1 ; 0 0 1 1\n"
-        "fiber: (1 0 0 0) (0 1 0 0) (1 1 0 0)\n"
-        "fiber: (0 0 1 0) (0 0 0 1) (0 0 1 1)\n"
+    "two_fiber_48": dict(
+        orders=(2, 2, 2, 2),
+        p=3,
+        modulus_exponent=2,
+        action=((0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1)),
+        fibers=(
+            ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)),
+            ((0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 1, 1)),
+        ),
     ),
 }
 
@@ -972,7 +891,7 @@ def _check_abelian_sweep(max_order: int) -> dict:
 
 
 def _check_f21_brute_force(rng: random.Random) -> dict:
-    setup = parse_setup(CATALOG["f21"])
+    setup = semidirect_setup(**CATALOG["f21"])
     group = setup.group
     mul = group.mul
     everything = range(len(group))
@@ -1020,7 +939,7 @@ def _check_membership_trivial_action() -> dict:
 
 def _check_membership_order3_action() -> dict:
     # (Z/9)[C_7] with the order-3 action x -> 2x; fixed ring has 9^3 elements
-    setup = parse_setup(CATALOG["f21"])
+    setup = semidirect_setup(**CATALOG["f21"])
     ideal = TraceIdeal(setup)
     n = len(setup.h_elements)
     index = {h: i for i, h in enumerate(setup.h_elements)}
@@ -1070,8 +989,8 @@ def _check_membership_order3_action() -> dict:
 def _check_catalog(rng: random.Random) -> dict:
     ok = True
     details = {}
-    for name, text in sorted(CATALOG.items()):
-        setup = parse_setup(text)
+    for name, kwargs in sorted(CATALOG.items()):
+        setup = semidirect_setup(**kwargs)
         group = setup.group
         everything = range(len(group))
         ver = _transfer_positions(setup, everything)
@@ -1093,8 +1012,8 @@ def run_sigma_suite() -> dict:
         "membership_exhaustive_order3_action": _check_membership_order3_action(),
         "catalog_homomorphism_and_transversals": _check_catalog(rng),
     }
-    single = verify_conjugation_identity(parse_setup(CATALOG["a4"]))
-    double = verify_conjugation_identity(parse_setup(CATALOG["two_fiber_48"]))
+    single = verify_conjugation_identity(semidirect_setup(**CATALOG["a4"]))
+    double = verify_conjugation_identity(semidirect_setup(**CATALOG["two_fiber_48"]))
     checks["conjugation_identity_single_fiber"] = {
         "verdict": single["verdict"],
         "labels": single["labels"],

@@ -30,7 +30,6 @@ from pmcong.sigma import (
     abelian_isomorphism_types,
     coset_transfer,
     index_p_functionals,
-    parse_setup,
     run_sigma_suite,
     semidirect_setup,
     smith_normal_form,
@@ -220,7 +219,7 @@ def test_oversized_groups_are_rejected_before_anything_is_built(monkeypatch):
         abelian_group((big,))
     monkeypatch.setattr(sigma, "abelian_group", no_kernel)
     with pytest.raises(ValueError, match=f"group order 12288 {limit}"):
-        parse_setup("orders: 64 64\np: 3\n")
+        semidirect_setup((64, 64), 3)
     with pytest.raises(ValueError, match=f"group order 2050 {limit}"):
         semidirect_setup((1025,), 2)
     # the suite's largest group, order 100, stays far inside the limit
@@ -251,24 +250,12 @@ def _s3_group():
     return FiniteGroup(els, mul, (0, 1, 2))
 
 
-def test_power_matches_repeated_multiplication():
-    """x^n for n in −|G|…2|G| on every catalog group and on S3: repeated
-    products for n ≥ 0, and x^n·x^(−n) = 1 with x^n = x^(n mod |G|) for n < 0."""
-    groups = [parse_setup(text).group for text in CATALOG.values()] + [_s3_group()]
-    for group in groups:
-        order = len(group)
-        for x in group.elements:
-            powers = [group.identity]
-            for _ in range(2 * order):
-                powers.append(group.mul(powers[-1], x))
-            assert powers[order] == group.identity
-            for n in range(-order, 2 * order + 1):
-                got = group.power(x, n)
-                if n >= 0:
-                    assert got == powers[n]
-                else:
-                    assert got == powers[n % order]
-                    assert group.mul(got, powers[-n]) == group.identity
+def _power(group, x, n):
+    """x^n for n ≥ 0 by repeated multiplication."""
+    out = group.identity
+    for _ in range(n):
+        out = group.mul(out, x)
+    return out
 
 
 def test_setup_rejects_bad_data():
@@ -325,7 +312,7 @@ def test_kernel_validation_matches_brute_force():
         abelian_group((2, 2, 2)),
         abelian_group((9,)),
         _s3_group(),
-        parse_setup(CATALOG["a4"]).group,
+        semidirect_setup(**CATALOG["a4"]).group,
     ]
     for group in groups:
         mul, one = group.mul, group.identity
@@ -345,7 +332,7 @@ def test_kernel_validation_matches_brute_force():
                 for rep in group.elements:
                     if rep in h_set:
                         continue
-                    reps = [group.power(rep, i) for i in range(p)]
+                    reps = [_power(group, rep, i) for i in range(p)]
                     if len({mul(r, x) for r in reps for x in h}) != len(group):
                         with pytest.raises(ValueError, match="tile"):
                             GaloisSetup(group, h, p, sigma_rep=rep)
@@ -371,24 +358,12 @@ def test_semidirect_validates_action():
     assert setup.h_is_abelian
 
 
-def _catalog_fields(text):
-    fields = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            key, _, value = line.partition(":")
-            fields[key.strip()] = value
-    orders = tuple(int(d) for d in fields["orders"].split())
-    action = [[int(c) for c in row.split()] for row in fields["action"].split(";")]
-    return orders, action
-
-
 def test_semidirect_law_matches_matrix_action_on_the_catalog():
     """The tabulated powers of the action reproduce (h1 + A^s·h2, s + t) and
     its inverse, with A^s taken as a matrix power, on every pair."""
-    for name, text in CATALOG.items():
-        orders, action = _catalog_fields(text)
-        setup = parse_setup(text)
+    for name, kwargs in CATALOG.items():
+        orders, action = kwargs["orders"], kwargs["action"]
+        setup = semidirect_setup(**kwargs)
         group, p = setup.group, setup.p
         base = list(itertools.product(*(range(d) for d in orders)))
 
@@ -486,7 +461,7 @@ def test_transfer_rejects_broken_transversal():
 def test_transfer_rejects_foreign_elements():
     """A non-element in custom representatives, or as the argument, is bad
     input named as such, not a KeyError from a lookup table."""
-    setup = parse_setup(CATALOG["f21"])
+    setup = semidirect_setup(**CATALOG["f21"])
     identity = setup.group.identity
     foreign = ((9,), 0)
     assert foreign not in setup.group.elements
@@ -499,7 +474,7 @@ def test_transfer_rejects_foreign_elements():
 def test_transfer_agrees_on_permuted_custom_transversal():
     """Default transversal (precomputed inverses) against a custom one passed
     in permuted order (inverses taken per call)."""
-    f21 = parse_setup(CATALOG["f21"])
+    f21 = semidirect_setup(**CATALOG["f21"])
     units = _units63_setup()
     abelian = GaloisSetup(abelian_group((3, 9)), [(0, b) for b in range(9)], 3)
     s3 = _s3_group()
@@ -565,13 +540,13 @@ def _assert_batched_transfer_matches_reference(setup, reps=None):
 
 
 def test_batched_transfer_matches_a_reference_on_the_catalog():
-    for text in CATALOG.values():
-        _assert_batched_transfer_matches_reference(parse_setup(text))
+    for kwargs in CATALOG.values():
+        _assert_batched_transfer_matches_reference(semidirect_setup(**kwargs))
 
 
 def test_batched_transfer_matches_a_reference_on_random_transversals():
     rng = random.Random(2024)
-    f21 = parse_setup(CATALOG["f21"])
+    f21 = semidirect_setup(**CATALOG["f21"])
     for _ in range(8):
         _assert_batched_transfer_matches_reference(f21, _random_transversal(f21, rng))
     s3 = _s3_group()
@@ -606,7 +581,7 @@ def test_batched_transfer_matches_a_reference_on_sweep_kernels():
         _assert_batched_transfer_matches_reference(setup)
         _assert_batched_transfer_matches_reference(setup, _random_transversal(setup, rng))
         assert [group.elements[i] for i in sigma._pth_powers(group.table, p)] == [
-            group.power(g, p) for g in group.elements
+            _power(group, g, p) for g in group.elements
         ]
 
 
@@ -614,9 +589,28 @@ def test_batched_transfer_matches_a_reference_on_sweep_kernels():
 # trace ideals against the closed-form description
 
 
-def _closed_form_member(setup, ideal, elt):
+def _conjugate(setup, elt, k):
+    """σ^k(elt), by pushing the group-ring element along the Σ-action k times."""
+    for _ in range(k):
+        elt = elt.map_group(setup.sigma_action)
+    return elt
+
+
+def _trace(setup, elt):
+    """The Σ-trace as the sum of the p conjugates."""
+    out = elt.ring.from_coeffs({})
+    for k in range(setup.p):
+        out = out + _conjugate(setup, elt, k)
+    return out
+
+
+def _is_fixed(setup, elt):
+    return _conjugate(setup, elt, 1) == elt
+
+
+def _closed_form_member(setup, elt):
     # Σ-fixed, and divisible by p at every Σ-fixed kernel element
-    if not ideal.is_fixed(elt):
+    if not _is_fixed(setup, elt):
         return False
     for orbit in setup.orbits():
         if len(orbit) == 1 and elt.coefficient(orbit[0]) % setup.p:
@@ -637,11 +631,11 @@ def _all_elements(ring):
 def test_trace_ideal_membership_exhaustive_order3_action():
     """(Z/3)[Z/7] with the order-3 action: membership == the closed form."""
     setup = semidirect_setup((7,), 3, action=[[2]])
-    ideal = TraceIdeal(setup, modulus_exponent=1)
+    ideal = TraceIdeal(setup)
     members = 0
     for elt in _all_elements(ideal.ring):
-        expected = _closed_form_member(setup, ideal, elt)
-        if not ideal.is_fixed(elt):
+        expected = _closed_form_member(setup, elt)
+        if not _is_fixed(setup, elt):
             with pytest.raises(NotFixed):
                 ideal.membership(elt)
             continue
@@ -649,7 +643,7 @@ def test_trace_ideal_membership_exhaustive_order3_action():
         assert verdict == expected
         if verdict:
             members += 1
-            assert ideal.trace(cert) == elt
+            assert _trace(setup, cert) == elt
         else:
             assert cert is None
     # fixed elements: free value on each of the two free orbits, p-divisible
@@ -666,13 +660,13 @@ def test_trace_ideal_membership_exhaustive_deeper_modulus():
     assert sizes == [1, 1, 2]
     members = 0
     for elt in _all_elements(ideal.ring):
-        if not ideal.is_fixed(elt):
+        if not _is_fixed(setup, elt):
             continue
         verdict, cert = ideal.membership(elt)
-        assert verdict == _closed_form_member(setup, ideal, elt)
+        assert verdict == _closed_form_member(setup, elt)
         if verdict:
             members += 1
-            assert ideal.trace(cert) == elt
+            assert _trace(setup, cert) == elt
     assert members == 4 * 2 * 2
 
 
@@ -694,10 +688,10 @@ def test_trace_of_anything_is_a_member():
     for _ in range(25):
         coeffs = {h: rng.randrange(9) for h in ideal.ring.elements}
         elt = ideal.ring.from_coeffs({h: c for h, c in coeffs.items() if c})
-        traced = ideal.trace(elt)
+        traced = _trace(setup, elt)
         verdict, cert = ideal.membership(traced)
         assert verdict
-        assert ideal.trace(cert) == traced
+        assert _trace(setup, cert) == traced
 
 
 @pytest.mark.parametrize("name", ["f21", "c11_c5", "heisenberg3", "a4", "two_fiber_48"])
@@ -705,16 +699,10 @@ def test_vector_trace_and_fixedness_match_map_group(name):
     """The permutation-of-indices trace and fixedness test against pushing
     group-ring elements along σ^k with `map_group`, on random elements and on
     random Σ-fixed ones."""
-    setup = parse_setup(CATALOG[name])
+    setup = semidirect_setup(**CATALOG[name])
     ideal = TraceIdeal(setup)
     ring = ideal.ring
     rng = random.Random(name)
-
-    def conjugate(elt, k):
-        for _ in range(k):
-            elt = elt.map_group(setup.sigma_action)
-        return elt
-
     samples = [
         ring.from_coeffs({h: rng.randrange(ring.modulus) for h in rng.sample(ring.elements, 4)})
         for _ in range(12)
@@ -726,13 +714,11 @@ def test_vector_trace_and_fixedness_match_map_group(name):
         )
     fixed = 0
     for elt in samples:
-        expected = ring.from_coeffs({})
-        for k in range(setup.p):
-            expected = expected + conjugate(elt, k)
-        assert ideal.trace(elt) == expected
-        assert ideal.is_fixed(expected)
-        is_fixed = conjugate(elt, 1) == elt
-        assert ideal.is_fixed(elt) == is_fixed
+        expected = ideal._vector(_trace(setup, elt))
+        assert ideal._trace_vector(ideal._vector(elt)) == expected
+        assert ideal._is_fixed_vector(expected)
+        is_fixed = _is_fixed(setup, elt)
+        assert ideal._is_fixed_vector(ideal._vector(elt)) == is_fixed
         fixed += is_fixed
     assert fixed >= 6
 
@@ -740,7 +726,7 @@ def test_vector_trace_and_fixedness_match_map_group(name):
 def test_membership_rejects_a_certificate_that_fails_re_expansion(monkeypatch):
     setup = semidirect_setup((7,), 3, action=[[2]], modulus_exponent=2)
     ideal = TraceIdeal(setup)
-    member = ideal.trace(ideal.ring.delta(setup.h_elements[1]))
+    member = _trace(setup, ideal.ring.delta(setup.h_elements[1]))
     trace = TraceIdeal._trace_vector
 
     def off_by_one(self, vector):
@@ -756,7 +742,7 @@ def test_membership_rejects_a_certificate_that_fails_re_expansion(monkeypatch):
 def test_trace_ideal_rejects_foreign_ring():
     setup = semidirect_setup((7,), 3, action=[[2]])
     ideal = TraceIdeal(setup)
-    other = setup.h_ring(modulus=27)
+    other = semidirect_setup((7,), 3, action=[[2]], modulus_exponent=3).h_ring()
     with pytest.raises(ValueError, match="different ring"):
         ideal.membership(other.one())
 
@@ -766,43 +752,26 @@ def test_trace_ideal_rejects_foreign_ring():
 
 
 def test_catalog_entries_parse_and_verify():
-    for name, text in CATALOG.items():
-        setup = parse_setup(text)
+    for name, kwargs in CATALOG.items():
+        setup = semidirect_setup(**kwargs)
         report = verify_conjugation_identity(setup)
         assert report["verdict"], name
         assert report["modulus"] == setup.p**setup.modulus_exponent
         if report["fibers"] == 0:
             assert report["difference_is_zero"]
         else:
-            cert = report["certificate"]
-            ideal = TraceIdeal(setup)
-            assert ideal.trace(cert) == report["difference"]
+            assert _trace(setup, report["certificate"]) == report["difference"]
 
 
 def test_conjugation_identity_has_content_with_fibers():
-    report = verify_conjugation_identity(parse_setup(CATALOG["a4"]))
+    report = verify_conjugation_identity(semidirect_setup(**CATALOG["a4"]))
     assert report["fibers"] == 1
     assert report["labels"] == 3
     assert not report["difference_is_zero"]
-    report = verify_conjugation_identity(parse_setup(CATALOG["two_fiber_48"]))
+    report = verify_conjugation_identity(semidirect_setup(**CATALOG["two_fiber_48"]))
     assert report["fibers"] == 2
     assert report["labels"] == 6
     assert report["verdict"]
-
-
-def test_parse_setup_grammar():
-    setup = parse_setup("# comment\n\norders: 7\np: 3\naction: 2\n")
-    assert len(setup.group) == 21
-    with pytest.raises(ValueError, match="must define"):
-        parse_setup("orders: 7\n")
-    with pytest.raises(ValueError, match="unknown directive"):
-        parse_setup("orders: 7\np: 3\ncolour: red\n")
-    with pytest.raises(ValueError, match="expected"):
-        parse_setup("orders 7\np: 3\n")
-    with pytest.raises(ValueError, match="parenthesized"):
-        parse_setup("orders: 2 2\np: 3\naction: 0 1 ; 1 1\nfiber: 1 0\n")
-    with pytest.raises(BadConjugationData, match="arity"):
-        parse_setup("orders: 2 2\np: 3\naction: 0 1 ; 1 1\nfiber: (1)\n")
 
 
 @pytest.fixture(scope="module")
@@ -930,15 +899,11 @@ def test_abelian_sweep_can_fail(monkeypatch):
     assert check["failures"][0] == ((4,), 2, (1,), (1,))
 
 
-def test_parse_setup_action_and_fiber_lines():
-    text = "orders: 2, 2\np: 3\nmodulus_exponent: 2\naction: 0,1 ; 1 1\nfiber: (1 0) (0,1) ( 1 1 )\n"
-    parsed = parse_setup(text)
-    built = semidirect_setup(
-        (2, 2), 3, action=[[0, 1], [1, 1]], modulus_exponent=2, fibers=[[(1, 0), (0, 1), (1, 1)]]
-    )
-    assert parsed.fibers == built.fibers == ((((1, 0), 0), ((0, 1), 0), ((1, 1), 0)),)
-    assert parsed.group.elements == built.group.elements
-    assert all(parsed.sigma_action(h) == built.sigma_action(h) for h in built.h_elements)
-    heisenberg = parse_setup(CATALOG["heisenberg3"])
+def test_catalog_fibers_and_heisenberg_action():
+    """Fiber entries become kernel elements (h, 0), and the Heisenberg entry's
+    generator fixes (1, 0) and shears (0, 1) to (1, 1)."""
+    a4 = semidirect_setup(**CATALOG["a4"])
+    assert a4.fibers == ((((1, 0), 0), ((0, 1), 0), ((1, 1), 0)),)
+    heisenberg = semidirect_setup(**CATALOG["heisenberg3"])
     assert heisenberg.sigma_action(((1, 0), 0)) == ((1, 0), 0)
     assert heisenberg.sigma_action(((0, 1), 0)) == ((1, 1), 0)
