@@ -1,11 +1,10 @@
 """Line-oriented on-disk cache with per-line checksums.
 
-Cache files are an optimization only.  The one kind stored is ``totpos``:
-the totally positive elements of one trace, from the lattice scan of
-numberfield.enumerate_tot_pos_trace, which also checks every record exactly
-(total positivity, the trace, ascending order) before using a file.  On any
-mismatch the consumer recomputes and rewrites the file, and recomputation
-must reproduce it byte for byte.  Format:
+The one kind stored is ``totpos``: the totally positive elements of one
+trace, from the lattice scan of numberfield.enumerate_tot_pos_trace.  A file
+never decides an answer: the scan always runs, its records are compared with
+the file's, and a file that is missing or differs in any way is rewritten,
+byte for byte as a fresh one.  Format:
 
     pmcong-cache/2 <kind> <canonical key>
     <record>|<crc32 of record, 8 hex digits>

@@ -50,7 +50,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--cache-dir",
         type=Path,
         default=None,
-        help="directory for the checked lattice-scan cache (default: none, caching off)",
+        help="directory of lattice-scan files; every scan still runs, and a file that "
+        "differs from it is rewritten (default: none)",
     )
     parser.add_argument(
         "--json-out",

@@ -27,7 +27,6 @@ __all__ = [
     "PValuation",
     "bernoulli_number",
     "bernoulli_poly",
-    "bernoulli_poly_at",
     "int_valuation",
     "p_valuation",
     "poly_eval",
@@ -156,11 +155,6 @@ def bernoulli_poly(k: int) -> tuple[Fraction, ...]:
     if k < 0:
         raise ValueError("Bernoulli index must be nonnegative")
     return tuple(comb(k, m) * bernoulli_number(k - m) for m in range(k + 1))
-
-
-def bernoulli_poly_at(k: int, x: Rational | int) -> Fraction:
-    """B_k evaluated at a rational point, exactly."""
-    return poly_eval(bernoulli_poly(k), Fraction(x))
 
 
 def poly_eval(coeffs, x: Rational | int) -> Rational | int:

@@ -3,9 +3,9 @@
 The carrier is generic — group elements are whatever hashable values the
 caller supplies, with multiplication given as a callable.  The σ-suite builds
 (Z/p^m)[H] over the kernel of a synthetic setup (coordinate tuples), where it
-multiplies out the conjugation-element identity and moves elements along the
-Σ-action for trace ideals.  The unit-group levels need no ring: their
-pseudomeasures are residue tables (see `pseudomeasure`).
+multiplies out the conjugation-element identity and states trace-ideal
+membership.  The unit-group levels need no ring: their pseudomeasures are
+residue tables (see `pseudomeasure`).
 """
 
 from __future__ import annotations
@@ -109,14 +109,6 @@ class GroupRingElement:
             for y, d in other.coeffs.items():
                 z = mul(x, y)
                 out[z] = out.get(z, 0) + c * d
-        return GroupRingElement(self.ring, out)
-
-    def map_group(self, fn) -> "GroupRingElement":
-        """Pushforward along an endomorphism of the group (coefficients accumulate)."""
-        out: dict = {}
-        for x, c in self.coeffs.items():
-            y = fn(x)
-            out[y] = out.get(y, 0) + c
         return GroupRingElement(self.ring, out)
 
     def _check(self, other: "GroupRingElement") -> None:

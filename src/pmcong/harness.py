@@ -483,7 +483,7 @@ def run_scenario(
 
 
 def cache_warm(config: ScenarioConfig, cache_dir: Path) -> dict:
-    """Populate the lattice-scan cache that the q-expansion check of a run reads."""
+    """Write, or heal, the lattice-scan files the q-expansion check of a run compares with."""
     cache_dir = Path(cache_dir)
     files_before = {p.name for p in cache_dir.glob("*")} if cache_dir.exists() else set()
     tot_pos_up_to(config.level().field, config.qexp_trace_bound, cache_dir=cache_dir)

@@ -610,8 +610,8 @@ def factor_principal(spec: AbelianFieldSpec, nu: AlgebraicInt) -> IdealFactored:
 
 
 # ---------------------------------------------------------------------------
-# enumerations (the lattice scans are cached on disk when a cache directory is
-# configured; the ideal enumeration costs no more than reading it back would)
+# enumerations (the lattice scan always runs; with a cache directory its file
+# is compared with the scan and rewritten when it differs, never trusted)
 
 
 def enumerate_ideals(spec: AbelianFieldSpec, bound: int, s_primes=()) -> tuple[IdealFactored, ...]:
@@ -649,23 +649,6 @@ def enumerate_ideals(spec: AbelianFieldSpec, bound: int, s_primes=()) -> tuple[I
     return tuple(results)
 
 
-def _tot_pos_from_records(
-    spec: AbelianFieldSpec, t: int, records: list[str]
-) -> tuple[AlgebraicInt, ...] | None:
-    """The cached ν of trace t, or None unless every record is one, in ascending
-    order, and the set is closed under σ (`AlgebraicInt.sigma`)."""
-    try:
-        nus = tuple(spec.element(int(v) for v in record.split(",")) for record in records)
-    except ValueError:  # not an integer, or not p coordinates
-        return None
-    ascending = all(a.coords < b.coords for a, b in zip(nus, nus[1:]))
-    coords = {nu.coords for nu in nus}
-    closed = all(nu.sigma().coords in coords for nu in nus)
-    if ascending and closed and all(nu.trace() == t and nu.is_totally_positive() for nu in nus):
-        return nus
-    return None
-
-
 def enumerate_tot_pos_trace(
     spec: AbelianFieldSpec, t: int, cache_dir: Path | None = None
 ) -> tuple[AlgebraicInt, ...]:
@@ -677,21 +660,14 @@ def enumerate_tot_pos_trace(
     sharp integer ranges for the coordinates, of which the last is determined
     by the trace.  Candidates are prefiltered in floating point with a margin
     below the 1/t^(p−1) floor on embeddings of totally positive integers, then
-    decided exactly.  A cached scan is decided exactly as well: every record
-    must be a totally positive ν of trace t, in ascending order, and the
-    records must be closed under σ.
+    decided exactly.  The scan always runs, with or without cache_dir: the
+    trace's cache file is only compared with the scan's records and rewritten
+    when it differs, so no file can change the answer.
     """
     if t <= 0:
         return ()
     if t > _MAX_TRACE:
         raise ValueError(f"trace {t} exceeds the supported prefilter range {_MAX_TRACE}")
-    key = {"p": spec.p, "fL": spec.conductor, "t": t}
-    cached = load_records(cache_dir, "totpos", key)
-    if cached is not None:
-        nus = _tot_pos_from_records(spec, t, cached)
-        if nus is not None:
-            return nus  # otherwise the file is stale: rescan and rewrite it
-
     p = spec.p
     r_min = spec.root_brackets[0][0]
     r_max = spec.root_brackets[-1][1]
@@ -740,9 +716,10 @@ def enumerate_tot_pos_trace(
 
     scan(0, [])
     found.sort(key=lambda nu: nu.coords)
-    store_records(
-        cache_dir, "totpos", key, [",".join(map(str, nu.coords)) for nu in found]
-    )
+    key = {"p": p, "fL": spec.conductor, "t": t}
+    records = [",".join(map(str, nu.coords)) for nu in found]
+    if load_records(cache_dir, "totpos", key) != records:
+        store_records(cache_dir, "totpos", key, records)  # missing, stale or wrong: heal it
     return tuple(found)
 
 

@@ -19,7 +19,7 @@ from pmcong.dirichlet import (
     l_value_neg,
     series_coefficients,
 )
-from pmcong.exact import bernoulli_poly_at
+from pmcong.exact import bernoulli_poly, poly_eval
 
 
 def euler_phi(n):
@@ -106,10 +106,10 @@ def test_generalized_bernoulli_against_direct_sum():
                 for a in range(1, f + 1):
                     if f > 1 and gcd(a, f) != 1:
                         continue
-                    weight = bernoulli_poly_at(k, Fraction(a % f if f > 1 else 1, f))
+                    weight = poly_eval(bernoulli_poly(k), Fraction(a % f if f > 1 else 1, f))
                     # recomputed here from scratch; f=1 uses B_k(1)
                     if f == 1:
-                        weight = bernoulli_poly_at(k, Fraction(1))
+                        weight = poly_eval(bernoulli_poly(k), Fraction(1))
                     value = CyclotomicNumber.root(prim.ambient_order, prim.exponent_at(a))
                     acc = acc + value.scale(weight)
                 acc = acc.scale(Fraction(f ** (k - 1)))

@@ -9,7 +9,6 @@ from pmcong.exact import (
     PValuation,
     bernoulli_number,
     bernoulli_poly,
-    bernoulli_poly_at,
     p_valuation,
     poly_eval,
     poly_eval_mod,
@@ -45,16 +44,18 @@ def test_bernoulli_poly_forward_difference():
     # B_k(x+1) - B_k(x) = k x^(k-1), the identity the zeta tables lean on
     xs = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(-3, 7), Fraction(22, 5)]
     for k in range(1, 12):
+        b_k = bernoulli_poly(k)
         for x in xs:
-            lhs = bernoulli_poly_at(k, x + 1) - bernoulli_poly_at(k, x)
+            lhs = poly_eval(b_k, x + 1) - poly_eval(b_k, x)
             assert lhs == k * x ** (k - 1)
 
 
 def test_bernoulli_poly_reflection():
     xs = [Fraction(n, 7) for n in range(-10, 11)]
     for k in range(0, 10):
+        b_k = bernoulli_poly(k)
         for x in xs:
-            assert bernoulli_poly_at(k, 1 - x) == (-1) ** k * bernoulli_poly_at(k, x)
+            assert poly_eval(b_k, 1 - x) == (-1) ** k * poly_eval(b_k, x)
 
 
 def test_bernoulli_poly_coefficients_evaluate():
@@ -63,14 +64,15 @@ def test_bernoulli_poly_coefficients_evaluate():
         assert len(coeffs) == k + 1
         for x in (Fraction(2, 3), Fraction(-5), Fraction(7, 4)):
             direct = sum(c * x**i for i, c in enumerate(coeffs))
-            assert direct == bernoulli_poly_at(k, x)
+            assert direct == poly_eval(coeffs, x)
 
 
 def test_bernoulli_poly_at_zero_and_one():
     for k in range(0, 20):
-        assert bernoulli_poly_at(k, Fraction(0)) == bernoulli_number(k)
+        b_k = bernoulli_poly(k)
+        assert poly_eval(b_k, Fraction(0)) == bernoulli_number(k)
         expected = bernoulli_number(k) + (1 if k == 1 else 0)
-        assert bernoulli_poly_at(k, Fraction(1)) == expected
+        assert poly_eval(b_k, Fraction(1)) == expected
 
 
 def test_p_valuation_exhaustive_small():

@@ -1,15 +1,15 @@
 """Fault injection: a fault on one side of a dual route must turn its verdict false.
 
 Each row patches one side of one dual route for that test only, runs the
-check at the desk scenario (a=2), and names the report field the fault must
-turn false; the same field reads true without the fault.  The verb that runs
-the check must then exit 1.  The zeta tables are `lru_cache`d, so they are
+check at the desk scenario (a=2) or the configuration-free σ-suite, and names
+the report field the fault must turn false; the same field reads true without
+the fault.  The verb that runs the check must then exit 1.  The zeta tables are `lru_cache`d, so they are
 cleared before a fault goes in and after it comes out again.
 """
 
 import pytest
 
-from pmcong import harness, qexpansion, zeta
+from pmcong import harness, qexpansion, sigma, zeta
 from pmcong.cli import main
 from pmcong.harness import ScenarioConfig, run_scenario
 
@@ -45,6 +45,22 @@ def _unit_ideal_dropped_from_pool(monkeypatch):
     monkeypatch.setattr(qexpansion, "enumerate_ideals", faulty)
 
 
+def _f21_members_refused(monkeypatch):
+    """Smith-form membership in the f21 ring, (Z/9)[C_7] under x -> 2x, that
+    refuses every nonzero member.  A scaled invariant factor would not do: its
+    certificate fails re-expansion and raises, an engine fault and not a false
+    verdict."""
+    solve = sigma.TraceIdeal._solve
+
+    def faulty(self, vector):
+        verdict, cert = solve(self, vector)
+        if verdict and any(vector) and len(self.setup.group) == 21:
+            return False, None
+        return verdict, cert
+
+    monkeypatch.setattr(sigma.TraceIdeal, "_solve", faulty)
+
+
 def _dual_route(report):
     return report["details"]["partial_zeta_dual_route"]["verdict"]
 
@@ -57,11 +73,16 @@ def _routes_agree(report):
     return all(run["routes_agree"] for run in report["runs"])
 
 
+def _order3_membership(report):
+    return report["checks"]["membership_exhaustive_order3_action"]["verdict"]
+
+
 #: (check, fault, the field that must turn false, the verb that must exit 1)
 ROWS = [
     pytest.param("crosscheck", _q_table_off_by_one, _dual_route, ["crosscheck"], id="q-table"),
     pytest.param("crosscheck", _one_ideal_dropped, _ideal_counts, ["crosscheck"], id="ideal-count"),
     pytest.param("qexp", _unit_ideal_dropped_from_pool, _routes_agree, ["verify", "qexp"], id="qexp-pool"),
+    pytest.param("sigma", _f21_members_refused, _order3_membership, ["sigma"], id="smith-closure"),
 ]
 
 

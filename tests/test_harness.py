@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import pmcong.qexpansion as qexpansion
+from pmcong.cache import load_records, store_records
 from pmcong.cli import _build_parser, main
 from pmcong.exact import PValuation
 from pmcong.harness import (
@@ -633,6 +634,29 @@ def test_a_str_cache_directory_works_like_a_path(tmp_path):
     fresh = str(tmp_path / "fresh")
     assert enumerate_tot_pos_trace(field, 5, cache_dir=fresh) == enumerate_tot_pos_trace(field, 5)
     assert [p.name for p in Path(fresh).iterdir()] == ["totpos-fL7-p3-t5.txt"]
+
+
+def test_a_cache_file_without_a_sigma_orbit_changes_no_report(tmp_path):
+    """The trace-9 file cut to -3,-3,-3, with valid checksums and trailer, is
+    σ-closed and holds only totally positive ν of trace 9; the qexp report must
+    still be the one a run without a cache gives, and the file must be healed."""
+    config = ScenarioConfig.default()
+    cache = tmp_path / "cache"
+    cache_warm(config, cache)
+    path = cache / "totpos-fL7-p3-t9.txt"
+    fresh = path.read_bytes()
+    key = {"p": 3, "fL": 7, "t": 9}
+    orbit = {"-4,-3,-2", "-3,-2,-4", "-2,-4,-3"}  # the σ-orbit of (-4,-3,-2)
+    records = load_records(cache, "totpos", key)
+    assert orbit < set(records)
+    store_records(cache, "totpos", key, [r for r in records if r not in orbit])
+    reports = []
+    for cache_dir in (None, cache):
+        report = run_scenario(config, cache_dir=cache_dir, checks=("qexp",))
+        report.pop("timings")
+        reports.append(json.dumps(report, sort_keys=True))
+    assert reports[0] == reports[1]
+    assert path.read_bytes() == fresh, "the healed file must match a fresh one"
 
 
 def test_no_assert_statements_in_the_package():

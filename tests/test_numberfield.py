@@ -452,8 +452,10 @@ def test_cache_truncated_at_a_record_boundary_is_recomputed(tmp_path):
     assert path.read_bytes() == fresh
 
 
-# trace 6 holds (-3,-2,-1), (-2,-2,-2), (-2,-1,-3), (-1,-3,-2); each edit
-# breaks exactly one record check and keeps the rest in ascending order
+# trace 6 holds (-3,-2,-1), (-2,-2,-2), (-2,-1,-3), (-1,-3,-2): the σ-orbit of
+# (-3,-2,-1) and the σ-fixed (-2,-2,-2).  Each edit keeps every checksum valid;
+# the last two leave a file that is σ-closed, ascending, and holds only totally
+# positive ν of trace 6, so only the scan can tell that ν are missing.
 @pytest.mark.parametrize(
     "tamper",
     [
@@ -462,8 +464,18 @@ def test_cache_truncated_at_a_record_boundary_is_recomputed(tmp_path):
         lambda records: ["-3,-3,-3"] + records,  # totally positive, but trace 9
         lambda records: records[1:] + records[:1],  # every ν, out of order
         lambda records: records[1:],  # without (-3,-2,-1): its σ-orbit is cut
+        lambda records: ["-2,-2,-2"],  # without the whole σ-orbit of (-3,-2,-1)
+        lambda records: [r for r in records if r != "-2,-2,-2"],  # without the fixed ν
     ],
-    ids=["not-totally-positive", "coordinate-count", "wrong-trace", "out-of-order", "orbit-cut"],
+    ids=[
+        "not-totally-positive",
+        "coordinate-count",
+        "wrong-trace",
+        "out-of-order",
+        "orbit-cut",
+        "orbit-removed",
+        "fixed-removed",
+    ],
 )
 def test_bad_scan_record_with_valid_crc_heals_the_file(tmp_path, tamper):
     key = {"p": 3, "fL": 7, "t": 6}

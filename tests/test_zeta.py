@@ -437,12 +437,13 @@ def test_transform_slots_hold_the_largest_possible_sum(level):
 @pytest.mark.parametrize("modulus", [7, 63, 189, 91])
 def test_integer_hurwitz_table_matches_the_fraction_formula(modulus):
     """−f^(k−1)·B_k(a/f)/k evaluated in Fractions, class by class."""
-    from pmcong.exact import bernoulli_poly_at
+    from pmcong.exact import bernoulli_poly, poly_eval
 
     level = zeta_level(modulus)
     for k in range(1, 13):
+        b_k = bernoulli_poly(k)
         expected = {
-            x: -(Fraction(modulus) ** (k - 1)) * bernoulli_poly_at(k, Fraction(x or modulus, modulus)) / k
+            x: -(Fraction(modulus) ** (k - 1)) * poly_eval(b_k, Fraction(x or modulus, modulus)) / k
             for x in level.classes(Q_SIDE)
         }
         assert zeta._q_table(level, k) == expected, k
