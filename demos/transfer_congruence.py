@@ -20,9 +20,9 @@ def main() -> None:
         g = FrobeniusChoice(level, 2)
         lam = lambda_approx(level, Q_SIDE, g, 2)
         print(f"depth a={a}: modulus {level.modulus}, "
-              f"lambda lives in Z/{lam.modulus}[{len(lam.coeffs)} classes]")
+              f"lambda lives in Z/{level.p**a}[{len(lam)} classes]")
         print(f"  first coefficients: "
-              + ", ".join(f"c({x})={lam.coefficient(x)}" for x in (1, 2, 4, 5)))
+              + ", ".join(f"c({x})={lam[x]}" for x in (1, 2, 4, 5)))
 
         report = verify_transfer_congruence(level, g, 2)
         histogram = Counter(report["difference"].values())

@@ -339,14 +339,6 @@ def _check_crosscheck(config: ScenarioConfig, level) -> dict:
 
     picks = [FrobeniusChoice(level, n) for n in config.frobenius]
     side_picks = [(side, pick) for g in picks for side, pick in ((Q_SIDE, g), (L_SIDE, g.transfer()))]
-    k_indep = True
-    for side, pick in side_picks:
-        base = pseudomeasure.lambda_approx(level, side, pick, config.k_values[0])
-        for k in config.k_values[1:]:
-            if pseudomeasure.lambda_approx(level, side, pick, k).coeffs != base.coeffs:
-                k_indep = False
-    details["lambda_k_independent"] = {"verdict": k_indep}
-
     worst = PValuation.infinite()
     for side, pick in side_picks:
         for k in config.k_values:
@@ -354,6 +346,14 @@ def _check_crosscheck(config: ScenarioConfig, level) -> dict:
             finite = [int_valuation(c, config.p) for c in nums.values() if c]
             if finite:
                 worst = min(worst, PValuation.of(min(finite) - int_valuation(den, config.p)))
+    # λ is a residue of Δ, so it exists only when every Δ is p-integral
+    k_indep = worst >= 0 and all(
+        pseudomeasure.lambda_approx(level, side, pick, k)
+        == pseudomeasure.lambda_approx(level, side, pick, config.k_values[0])
+        for side, pick in side_picks
+        for k in config.k_values[1:]
+    )
+    details["lambda_k_independent"] = {"verdict": k_indep}
     details["delta_p_integral"] = {"verdict": worst >= 0, "min_valuation": worst}
 
     twist = True

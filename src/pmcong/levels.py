@@ -247,7 +247,10 @@ def even_orbit_indicators(level: LevelData, side: str) -> tuple[LocallyConstantF
 
 
 class FrobeniusChoice:
-    """A Frobenius pick: the symbol of a positive integer n, with norm value n."""
+    """A Frobenius pick: the symbol of a positive integer n, with norm value n.
+
+    Picks compare by (level, n), not by class, since n^k enters Δ.
+    """
 
     __slots__ = ("level", "n", "cls")
 
@@ -261,6 +264,12 @@ class FrobeniusChoice:
     def transfer(self) -> "FrobeniusChoice":
         """The image pick under ver: class cls^p with norm n^p."""
         return FrobeniusChoice(self.level, self.n**self.level.p)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, FrobeniusChoice) and (self.level, self.n) == (other.level, other.n)
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.n))
 
     def __repr__(self) -> str:
         return f"FrobeniusChoice(n={self.n}, cls={self.cls})"

@@ -14,13 +14,15 @@ transfer congruence compares, class by class on H:
 against the trace ideal of the Σ-action.  At the abelian levels built here Σ
 acts trivially on H, so the trace ideal is p·(Z/p^(a−1))[H] and the verdict
 is coefficient divisibility by p, witnessed by an explicit quotient
-certificate.  Nothing here multiplies group-ring elements, so λ stays a plain
-table; the group rings with nontrivial Σ-actions live in `sigma`.
+certificate.  Nothing here multiplies group-ring elements, so λ is a plain
+class ↦ residue dict, cached per (level, side, pick, k) like the Δ table it
+reads; the group rings with nontrivial Σ-actions live in `sigma`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import PValuation, int_valuation, p_valuation
 from .levels import L_SIDE, Q_SIDE, FrobeniusChoice, LevelData, LocallyConstantFn
@@ -29,7 +31,6 @@ from .zeta import delta_numerators, delta_of, norm_residue
 __all__ = [
     "FlagViolation",
     "LevelTooShallow",
-    "PseudomeasureApprox",
     "lambda_approx",
     "verify_delta_congruence",
     "verify_transfer_congruence",
@@ -44,31 +45,12 @@ class FlagViolation(ValueError):
     """A function is missing a required flag (even / p-integral)."""
 
 
-class PseudomeasureApprox:
-    """λ_g at one level/side: `coeffs` maps each class to its residue mod p^a."""
+@lru_cache(maxsize=None)
+def lambda_approx(level: LevelData, side: str, g: FrobeniusChoice, k: int) -> dict[int, int]:
+    """λ_g at one level/side: each class ↦ its residue mod p^a.
 
-    __slots__ = ("level", "side", "g", "k", "modulus", "coeffs")
-
-    def __init__(self, level, side, g, k, modulus, coeffs: dict[int, int]):
-        self.level = level
-        self.side = side
-        self.g = g
-        self.k = k
-        self.modulus = modulus
-        self.coeffs = coeffs
-
-    def coefficient(self, cls: int) -> int:
-        return self.coeffs.get(cls, 0)
-
-    def __repr__(self) -> str:
-        return (
-            f"PseudomeasureApprox(side={self.side}, n={self.g.n}, k={self.k}, "
-            f"mod {self.modulus})"
-        )
-
-
-def lambda_approx(level: LevelData, side: str, g: FrobeniusChoice, k: int) -> PseudomeasureApprox:
-    """The finite-level pseudomeasure approximation for the pick g."""
+    A Δ that is not p-integral has no residue and raises `ArithmeticError`.
+    """
     if not level.scenario:
         raise ValueError("pseudomeasure approximations need a scenario level")
     if k < 1:
@@ -88,7 +70,7 @@ def lambda_approx(level: LevelData, side: str, g: FrobeniusChoice, k: int) -> Ps
         n_tilde = norm_residue(level, x)
         inv_nk = pow(pow(n_tilde, -1, modulus), k, modulus)
         coeffs[x] = c // pe * inv_den % modulus * inv_nk % modulus
-    return PseudomeasureApprox(level, side, g, k, modulus, coeffs)
+    return coeffs
 
 
 def verify_transfer_congruence(level: LevelData, g: FrobeniusChoice, k: int = 2) -> dict:
@@ -105,8 +87,8 @@ def verify_transfer_congruence(level: LevelData, g: FrobeniusChoice, k: int = 2)
     if a < 2:
         raise LevelTooShallow("the comparison ring (Z/p^(a−1))[H] needs a ≥ 2")
     h = g.transfer()
-    lam_q = lambda_approx(level, Q_SIDE, g, k).coeffs
-    lam_l = lambda_approx(level, L_SIDE, h, k).coeffs
+    lam_q = lambda_approx(level, Q_SIDE, g, k)
+    lam_l = lambda_approx(level, L_SIDE, h, k)
     target_mod = p ** (a - 1)
     fibers = level.transfer_fibers
     difference = {

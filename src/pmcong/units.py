@@ -4,8 +4,8 @@ Moduli here are small (a few hundred), so discrete logs are materialized as a
 full table at construction time.  Generators follow the classical pattern: a
 primitive root for each odd prime-power factor, and <-1, 5> for powers of two.
 
-Also hosts the small integer utilities (primality, factorization, and the
-integer-list text syntax) the rest of the package shares.
+Also hosts the small integer utilities (primality, factorization, Euler's φ
+and the integer-list text syntax) the rest of the package shares.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ __all__ = [
     "is_prime",
     "factorize",
     "divisors",
+    "euler_phi",
     "parse_int_list",
     "UnitGroup",
     "unit_group",
@@ -69,7 +70,8 @@ def parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.replace(",", " ").split())
 
 
-def _euler_phi(n: int) -> int:
+def euler_phi(n: int) -> int:
+    """|(Z/n)^×| for n ≥ 1, from the factorization."""
     phi = 1
     for p, e in factorize(n).items():
         phi *= (p - 1) * p ** (e - 1)
@@ -133,7 +135,7 @@ class UnitGroup:
             dlog.setdefault(r, exps)
         self._dlog = dlog
         self.elements = tuple(sorted(dlog))
-        if len(self.elements) != (_euler_phi(modulus) if modulus > 1 else 1):
+        if len(self.elements) != euler_phi(modulus):
             raise ArithmeticError(f"generators do not span (Z/{modulus})^x")
 
     @staticmethod

@@ -36,10 +36,11 @@ labelled in one walk per modulus (`_galois_orbits`), the fibres over H
 restrict each character to generators of H (`_l_fibers`), and the primitive
 cores read one discrete-log table per modulus (`conductor_primitive`).
 
-Everything built on the tables (`zeta_of`, Δ, λ, the twisted sums) reads one
-integer view per (level, side, k): the table's numerators over the lcm of
-its denominators.  A returned rational costs one Fraction; nothing is summed
-in Fractions.
+Everything built on the tables reads one integer view per (level, side, k):
+the table's numerators over the lcm of its denominators.  Δ, λ and the
+twisted sums read one Δ table per (level, side, pick, k) built from it
+(`delta_numerators`).  A returned rational costs one Fraction; nothing is
+summed in Fractions.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .cyclotomic import CyclotomicNumber, pack_slots, signed_slots
 from .dirichlet import DirichletCharacter, characters_of, l_value_neg
 from .exact import PValuation, bernoulli_poly, int_valuation
 from .levels import L_SIDE, Q_SIDE, FrobeniusChoice, LevelData, LocallyConstantFn
-from .units import factorize, unit_group
+from .units import euler_phi, factorize, unit_group
 
 __all__ = [
     "HypothesisViolated",
@@ -89,9 +90,7 @@ def _galois_orbits(modulus: int) -> dict[tuple[int, ...], tuple[tuple[int, ...],
     for rep in itertools.product(*(range(o) for o in group.orders)):
         if rep in labels:
             continue
-        size = order = DirichletCharacter(group, rep).order()
-        for q in factorize(order):
-            size = size // q * (q - 1)
+        size = euler_phi(DirichletCharacter(group, rep).order())
         for a in range(1, n + 1):
             if gcd(a, n) == 1:
                 member = tuple(a * e % o for e, o in zip(rep, group.orders))
@@ -342,24 +341,16 @@ def _integer_view(level: LevelData, side: str, k: int) -> tuple[dict[int, int], 
 def _delta_numerator(
     level: LevelData, side: str, g: FrobeniusChoice | None, eps: LocallyConstantFn, k: int
 ) -> tuple[int, int]:
-    """(N, D) with N / D = ζ(1−k, ε) − n^k·ζ(1−k, ε_g); ζ(1−k, ε) alone when g is None.
+    """(N, D) with N / D = Σ_x ε(x)·Δ_g(1−k, δ^(x)) = Δ_g(1−k, ε); ζ(1−k, ε) when g is None.
 
-    Σ_x ε(g·x)·ζ(δ^(x)) = Σ_y ε(y)·ζ(δ^(g⁻¹y)), so both sums run over the
-    support of ε.  D is the table's denominator times the lcm of ε's.
+    The sum runs over the support of ε.  D is the table's denominator times
+    the lcm of ε's.
     """
-    if g is not None and side == L_SIDE and not level.in_h(g.cls):
-        raise ValueError("extension-side Δ needs a pick inside the subgroup")
     if eps.level != level or eps.side != side:
         raise ValueError("function does not live on the requested level/side")
-    nums, den = _integer_view(level, side, k)
-    f = level.modulus
-    # without a pick the shifted term has weight n^k = 0
-    g_inv, nk = (1, 0) if g is None else (pow(g.cls, -1, f) if f > 1 else 0, g.n**k)
+    nums, den = _integer_view(level, side, k) if g is None else delta_numerators(level, side, g, k)
     scale = lcm(*(v.denominator for v in eps.support.values()))
-    total = sum(
-        v.numerator * (scale // v.denominator) * (nums[x] - nk * nums[g_inv * x % f])
-        for x, v in eps.support.items()
-    )
+    total = sum(v.numerator * (scale // v.denominator) * nums[x] for x, v in eps.support.items())
     return total, den * scale
 
 
@@ -382,6 +373,7 @@ def delta_of(
     return Fraction(*_delta_numerator(level, side, g, eps, k))
 
 
+@lru_cache(maxsize=None)
 def delta_numerators(
     level: LevelData, side: str, g: FrobeniusChoice, k: int
 ) -> tuple[dict[int, int], int]:
@@ -389,8 +381,10 @@ def delta_numerators(
 
     Shifting the indicator moves its support: (δ^(x))_g = δ^(g⁻¹x), so each
     entry needs just two partial zeta values, read as integers over the
-    table's one denominator.
+    table's one denominator.  This is the one place Δ is computed.
     """
+    if side == L_SIDE and not level.in_h(g.cls):
+        raise ValueError(f"extension-side Δ needs a pick inside the subgroup H, not class {g.cls}")
     nums, den = _integer_view(level, side, k)
     f = level.modulus
     g_inv = pow(g.cls, -1, f) if f > 1 else 0

@@ -3,9 +3,13 @@
 Each row patches one side of one dual route for that test only, runs the
 check at the desk scenario (a=2) or the configuration-free σ-suite, and names
 the report field the fault must turn false; the same field reads true without
-the fault.  The verb that runs the check must then exit 1.  The zeta tables are `lru_cache`d, so they are
-cleared before a fault goes in and after it comes out again.
+the fault.  The verb that runs the check must then exit 1.  The zeta tables, Δ
+and λ are `lru_cache`d, so every package cache is cleared (`fresh_caches`)
+before a fault goes in and after it comes out again.
 """
+
+import json
+from fractions import Fraction
 
 import pytest
 
@@ -25,6 +29,19 @@ def _q_table_off_by_one(monkeypatch):
         return out
 
     monkeypatch.setattr(zeta, "_q_table", faulty)
+
+
+def _extension_zeta_not_p_integral(monkeypatch):
+    """The extension-side table with 1/p^(a+1) added to its first class, so
+    Δ_h at that class is not p-integral for any pick h outside the class 1."""
+    table = zeta._l_table
+
+    def faulty(level, k):
+        out = dict(table(level, k))
+        out[min(out)] += Fraction(1, level.p ** (level.a + 1))
+        return out
+
+    monkeypatch.setattr(zeta, "_l_table", faulty)
 
 
 def _one_ideal_dropped(monkeypatch):
@@ -65,6 +82,10 @@ def _dual_route(report):
     return report["details"]["partial_zeta_dual_route"]["verdict"]
 
 
+def _delta_integral(report):
+    return report["details"]["delta_p_integral"]["verdict"]
+
+
 def _ideal_counts(report):
     return report["details"]["ideal_counts_match_euler_product"]["verdict"]
 
@@ -80,24 +101,21 @@ def _order3_membership(report):
 #: (check, fault, the field that must turn false, the verb that must exit 1)
 ROWS = [
     pytest.param("crosscheck", _q_table_off_by_one, _dual_route, ["crosscheck"], id="q-table"),
+    pytest.param(
+        "crosscheck", _extension_zeta_not_p_integral, _delta_integral, ["crosscheck"], id="extension-delta"
+    ),
     pytest.param("crosscheck", _one_ideal_dropped, _ideal_counts, ["crosscheck"], id="ideal-count"),
     pytest.param("qexp", _unit_ideal_dropped_from_pool, _routes_agree, ["verify", "qexp"], id="qexp-pool"),
     pytest.param("sigma", _f21_members_refused, _order3_membership, ["sigma"], id="smith-closure"),
 ]
 
 
-def _clear_zeta_caches():
-    for value in vars(zeta).values():
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
-
-
 @pytest.fixture
-def faults(monkeypatch):
-    _clear_zeta_caches()
+def faults(monkeypatch, fresh_caches):
+    """The monkeypatch a fault goes in through; it is undone before
+    `fresh_caches` empties the caches the fault fed."""
     yield monkeypatch
     monkeypatch.undo()
-    _clear_zeta_caches()
 
 
 def _check_report(check):
@@ -105,12 +123,28 @@ def _check_report(check):
 
 
 @pytest.mark.parametrize("check, fault, field, argv", ROWS)
-def test_fault_turns_the_route_false(faults, capsys, check, fault, field, argv):
+def test_fault_turns_the_route_false(faults, fresh_caches, capsys, check, fault, field, argv):
     clean = _check_report(check)
     assert clean["verdict"] and field(clean)
     fault(faults)
+    fresh_caches()  # the clean run cached values the fault changes
     report = _check_report(check)
     assert not field(report)
     assert not report["verdict"]
     assert main(argv) == 1
+    assert "overall: FAIL" in capsys.readouterr().out
+
+
+def test_a_delta_that_is_not_p_integral_is_reported(faults, tmp_path, capsys):
+    """λ is a residue of Δ, so without p-integrality it has no value: the
+    crosscheck reports both verdicts false and writes its report instead of
+    raising."""
+    _extension_zeta_not_p_integral(faults)
+    out = tmp_path / "report.json"
+    assert main(["crosscheck", "--json-out", str(out)]) == 1
+    details = json.loads(out.read_text())["checks"]["crosscheck"]["details"]
+    assert details["delta_p_integral"]["verdict"] is False
+    assert details["delta_p_integral"]["min_valuation"] < 0
+    assert details["lambda_k_independent"]["verdict"] is False
+    assert details["partial_zeta_dual_route"]["verdict"] is True
     assert "overall: FAIL" in capsys.readouterr().out

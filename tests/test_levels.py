@@ -273,7 +273,7 @@ def test_integer_view_matches_fraction_reference(case, k, k2, n):
     g = FrobeniusChoice(level, n)
     pick = g if side == Q_SIDE else g.transfer()
     assert delta_table(level, side, pick, k) == _reference_delta_table(level, side, pick, k)
-    got = _outcome(lambda: lambda_approx(level, side, pick, k).coeffs)
+    got = _outcome(lambda_approx, level, side, pick, k)
     assert got == _outcome(_reference_lambda, level, side, pick, k)
     a, a27, b, b27 = (
         LocallyConstantFn.from_table(level, side, {x: c * v for x, v in d.items()})

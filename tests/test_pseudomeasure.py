@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import pytest
 
+from pmcong import pseudomeasure, zeta
+from pmcong.harness import ScenarioConfig, run_scenario
 from pmcong.levels import (
     L_SIDE,
     Q_SIDE,
@@ -69,9 +71,7 @@ def test_lambda_anchor_by_hand_derivation():
 
 
 def test_lambda_frozen_table():
-    pm = lambda_approx(LV63, Q_SIDE, FrobeniusChoice(LV63, 2), 2)
-    got = {x: pm.coefficient(x) for x in LV63.classes(Q_SIDE)}
-    assert got == LAMBDA_63_G2
+    assert lambda_approx(LV63, Q_SIDE, FrobeniusChoice(LV63, 2), 2) == LAMBDA_63_G2
 
 
 def test_lambda_k_independence():
@@ -82,7 +82,7 @@ def test_lambda_k_independence():
             for side, pick in ((Q_SIDE, g), (L_SIDE, h)):
                 base = lambda_approx(lv, side, pick, ks[0])
                 for k in ks[1:]:
-                    assert lambda_approx(lv, side, pick, k).coeffs == base.coeffs, (
+                    assert lambda_approx(lv, side, pick, k) == base, (
                         lv.modulus,
                         side,
                         n,
@@ -100,6 +100,37 @@ def test_lambda_rejects_bad_inputs():
         lambda_approx(LV63, Q_SIDE, FrobeniusChoice(LV63, 2), 0)
 
 
+def _delta_of_an_indicator(level, side, g, k):
+    return zeta.delta_of(level, side, g, LocallyConstantFn.delta_fn(level, side, 1), k)
+
+
+@pytest.mark.parametrize(
+    "build", [lambda_approx, zeta.delta_numerators, zeta.delta_table, _delta_of_an_indicator]
+)
+def test_extension_side_pick_outside_h_is_rejected(build):
+    """Δ and λ on H need h·y ∈ H; class 2 lies outside H at modulus 63."""
+    g = FrobeniusChoice(LV63, 2)
+    assert not LV63.in_h(g.cls)
+    with pytest.raises(ValueError, match="subgroup"):
+        build(LV63, L_SIDE, g, 2)
+
+
+def test_crosscheck_and_transfer_build_each_delta_and_lambda_once(fresh_caches):
+    """The desk scenario's 2 picks × 2 sides × 2 weights give 8 Δ tables and
+    8 λ tables, read by the crosscheck and again by the transfer check."""
+    run_scenario(ScenarioConfig.default(), checks=("crosscheck", "transfer"))
+    assert zeta.delta_numerators.cache_info().misses == 8
+    assert pseudomeasure.lambda_approx.cache_info().misses == 8
+
+
+def test_picks_compare_by_norm_not_class():
+    """n^k enters Δ, so picks of one class with different norms differ."""
+    g, g65 = FrobeniusChoice(LV63, 2), FrobeniusChoice(LV63, 65)
+    assert g.cls == g65.cls and g != g65
+    assert g == FrobeniusChoice(LV63, 2) and hash(g) == hash(FrobeniusChoice(LV63, 2))
+    assert zeta.delta_table(LV63, Q_SIDE, g, 2) != zeta.delta_table(LV63, Q_SIDE, g65, 2)
+
+
 @pytest.mark.parametrize("a", [2, 3, 4])
 @pytest.mark.parametrize("n", [2, 5])
 def test_transfer_difference_matches_brute_force_pushforward(a, n):
@@ -111,10 +142,8 @@ def test_transfer_difference_matches_brute_force_pushforward(a, n):
     f, target = level.modulus, 3 ** (a - 1)
     pushed = dict.fromkeys(level.h_classes, 0)
     for x in level.classes(Q_SIDE):
-        pushed[pow(x, 3, f)] += lam_q.coefficient(x)
-    expected = {
-        y: (lam_l.coefficient(y) - pushed[y]) % target for y in level.h_classes
-    }
+        pushed[pow(x, 3, f)] += lam_q[x]
+    expected = {y: (lam_l[y] - pushed[y]) % target for y in level.h_classes}
     report = verify_transfer_congruence(level, g, 2)
     assert report["difference"] == expected
 
@@ -137,9 +166,9 @@ def test_projection_tower_collapses_lambda():
             coarse_pick = coarse_pick if side == Q_SIDE else coarse_pick.transfer()
             coarse = lambda_approx(LV63, side, coarse_pick, 2)
             projected = dict.fromkeys(LV63.classes(side), 0)
-            for x, c in fine.coeffs.items():
+            for x, c in fine.items():
                 projected[x % 63] = (projected[x % 63] + c) % 9
-            assert projected == coarse.coeffs
+            assert projected == coarse
 
 
 def test_transfer_congruence_at_63_is_exact_equality():

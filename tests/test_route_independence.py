@@ -7,9 +7,7 @@ functions it enters; the functions both sides enter must lie in an allowlist
 that gives the reason for each entry.
 """
 
-import importlib
 import os
-import pkgutil
 import sys
 
 import pmcong
@@ -19,26 +17,10 @@ from pmcong.levels import scenario_level
 PACKAGE_DIR = pmcong.__path__[0] + os.sep
 
 
-def _package_modules():
-    return [
-        importlib.import_module(f"pmcong.{info.name}")
-        for info in pkgutil.iter_modules(pmcong.__path__)
-    ]
-
-
-def _clear_package_caches():
-    for module in _package_modules():
-        for value in vars(module).values():
-            owners = [value] if not isinstance(value, type) else list(vars(value).values())
-            for obj in owners:
-                if hasattr(obj, "cache_clear"):
-                    obj.cache_clear()
-
-
-def _entered(fn, *args) -> set[str]:
+def _entered(clear_caches, fn, *args) -> set[str]:
     """The `pmcong` functions that fn(*args) enters, as ``module.qualname``,
     with every package cache cleared first."""
-    _clear_package_caches()
+    clear_caches()
     seen = set()
 
     def profile(frame, event, arg):
@@ -75,13 +57,13 @@ HURWITZ_CHARACTER_SHARED = {
 }
 
 
-def test_hurwitz_and_character_routes_share_only_the_allowlist():
+def test_hurwitz_and_character_routes_share_only_the_allowlist(fresh_caches):
     """At desk a=3, k=4: the Hurwitz table against each character side."""
     level = scenario_level(3, 7, (3, 7), 3)
-    hurwitz = _entered(zeta._q_table, level, 4)
+    hurwitz = _entered(fresh_caches, zeta._q_table, level, 4)
     assert "zeta._q_table" in hurwitz
     for side in (zeta._q_table_characters, zeta._l_table):
-        characters = _entered(side, level, 4)
+        characters = _entered(fresh_caches, side, level, 4)
         assert f"zeta.{side.__name__}" in characters
         shared = hurwitz & characters
         assert shared <= HURWITZ_CHARACTER_SHARED.keys(), (

@@ -86,17 +86,7 @@ def test_dual_route_exhaustive_567():
             ), (x, k)
 
 
-@pytest.fixture
-def fresh_zeta_caches():
-    caches = (zeta._l_value, zeta._q_table_characters, zeta._l_fibers, zeta._l_table)
-    for cache in caches:
-        cache.cache_clear()
-    yield
-    for cache in caches:
-        cache.cache_clear()
-
-
-def test_character_route_rejects_a_nonrational_sum(monkeypatch, fresh_zeta_caches):
+def test_character_route_rejects_a_nonrational_sum(monkeypatch, fresh_caches):
     """An L-value off by ζ_n leaves an irrational orthogonality sum."""
     l_value = zeta._l_value
     target = characters_of(63)[5].exponents
@@ -112,7 +102,7 @@ def test_character_route_rejects_a_nonrational_sum(monkeypatch, fresh_zeta_cache
         partial_zeta_q_characters(LV63, 1, 2)
 
 
-def test_extension_table_checks_fiber_sizes(monkeypatch, fresh_zeta_caches):
+def test_extension_table_checks_fiber_sizes(monkeypatch, fresh_caches):
     """A character family with one member missing cannot be split into
     fibers of equal size over H; the check holds under ``python -O``."""
     full = zeta.characters_of
@@ -121,7 +111,7 @@ def test_extension_table_checks_fiber_sizes(monkeypatch, fresh_zeta_caches):
         partial_zeta(LV63, L_SIDE, 1, 2)
 
 
-def test_extension_fibers_are_split_once_per_level(fresh_zeta_caches):
+def test_extension_fibers_are_split_once_per_level(fresh_caches):
     """The grouping of the characters over H does not depend on k."""
     for k in (1, 2, 4):
         partial_zeta(LV63, L_SIDE, 1, k)
