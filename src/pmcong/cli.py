@@ -157,7 +157,7 @@ def _probe_writable(directory: Path, named: str, create: bool = False) -> None:
 
 def _emit(report: dict, json_out: Path | None) -> None:
     if json_out is not None:
-        json_out.write_text(json.dumps(jsonable(report), indent=2, sort_keys=True))
+        json_out.write_text(json.dumps(jsonable(report), indent=2, sort_keys=True, allow_nan=False))
 
 
 def _print_summary(report: dict) -> None:

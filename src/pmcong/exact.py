@@ -12,19 +12,21 @@ Conventions
 * Bernoulli numbers use the B_1 = -1/2 convention, so the forward difference
   B_k(x+1) - B_k(x) = k*x^(k-1) holds on the nose.
 * ``bernoulli_poly(k)`` returns ascending coefficients of B_k(x).
+* A p-adic valuation is a plain ``int``, and v_p(0) is ``math.inf``.  That
+  float orders above every int and compares equal only to itself, so ``min``,
+  ``>=`` and ``==`` need no special case; reports write it as ``"+inf"``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, inf
 
 from .units import is_prime
 
 __all__ = [
     "Rational",
-    "PValuation",
     "bernoulli_number",
     "bernoulli_poly",
     "int_valuation",
@@ -34,81 +36,6 @@ __all__ = [
 ]
 
 Rational = Fraction
-
-
-class PValuation:
-    """A p-adic valuation: an integer for nonzero inputs, infinite for zero.
-
-    Immutable and hashable; an infinite valuation always carries value 0.
-    Supports comparison against plain integers and other valuations, and
-    addition (valuations are additive under multiplication).
-    """
-
-    __slots__ = ("finite", "value")
-
-    def __init__(self, finite: bool, value: int = 0):
-        object.__setattr__(self, "finite", finite)
-        object.__setattr__(self, "value", value if finite else 0)
-
-    def __setattr__(self, *_):
-        raise AttributeError("PValuation is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not PValuation:
-            return NotImplemented
-        return self.finite == other.finite and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash((self.finite, self.value))
-
-    @staticmethod
-    def of(value: int) -> "PValuation":
-        return PValuation(True, value)
-
-    @staticmethod
-    def infinite() -> "PValuation":
-        return PValuation(False)
-
-    def _as_pair(self) -> tuple[int, int]:
-        # (1, _) sorts above every finite (0, v)
-        return (0, self.value) if self.finite else (1, 0)
-
-    @staticmethod
-    def _coerce(other: "PValuation | int") -> "PValuation":
-        if isinstance(other, PValuation):
-            return other
-        if isinstance(other, int):
-            return PValuation.of(other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __lt__(self, other: "PValuation | int") -> bool:
-        o = self._coerce(other)
-        return self._as_pair() < o._as_pair()
-
-    def __le__(self, other: "PValuation | int") -> bool:
-        o = self._coerce(other)
-        return self._as_pair() <= o._as_pair()
-
-    def __gt__(self, other: "PValuation | int") -> bool:
-        o = self._coerce(other)
-        return self._as_pair() > o._as_pair()
-
-    def __ge__(self, other: "PValuation | int") -> bool:
-        o = self._coerce(other)
-        return self._as_pair() >= o._as_pair()
-
-    def __add__(self, other: "PValuation | int") -> "PValuation":
-        o = self._coerce(other)
-        if not (self.finite and o.finite):
-            return PValuation.infinite()
-        return PValuation.of(self.value + o.value)
-
-    __radd__ = __add__
-
-    def __repr__(self) -> str:
-        return f"PValuation({self.value})" if self.finite else "PValuation(+inf)"
 
 
 def int_valuation(n: int, p: int) -> int:
@@ -121,8 +48,8 @@ def int_valuation(n: int, p: int) -> int:
     return v
 
 
-def p_valuation(x: Rational | int, p: int) -> PValuation:
-    """v_p(x) for a rational x; v_p(0) is infinite.
+def p_valuation(x: Rational | int, p: int) -> int | float:
+    """v_p(x) for a rational x: an int, and ``math.inf`` for x = 0.
 
     Examples: v_3(9/2) = 2, v_3(2/9) = -2, v_5(10) = 1.
     """
@@ -130,8 +57,8 @@ def p_valuation(x: Rational | int, p: int) -> PValuation:
         raise ValueError(f"p_valuation requires a prime, got {p}")
     q = Fraction(x)
     if q == 0:
-        return PValuation.infinite()
-    return PValuation.of(int_valuation(q.numerator, p) - int_valuation(q.denominator, p))
+        return inf
+    return int_valuation(q.numerator, p) - int_valuation(q.denominator, p)
 
 
 @lru_cache(maxsize=None)

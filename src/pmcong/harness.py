@@ -19,7 +19,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .exact import PValuation, int_valuation
+from .exact import int_valuation
 from .levels import (
     L_SIDE,
     Q_SIDE,
@@ -287,13 +287,14 @@ class ScenarioConfig:
 def jsonable(value):
     """Recursively convert exact values into JSON-representable ones.
 
-    Floats (the `timings`) pass through as numbers; any other type outside
-    the handled set is a `TypeError`, not a `repr` in the report.
+    This is the one place that writes v_p(0) = ``math.inf`` as ``"+inf"``.
+    Other floats (the `timings`) pass through as numbers; any other type
+    outside the handled set is a `TypeError`, not a `repr` in the report.
     """
     if isinstance(value, Fraction):
         return str(value) if value.denominator != 1 else str(value.numerator)
-    if isinstance(value, PValuation):
-        return "+inf" if not value.finite else value.value
+    if value == math.inf:
+        return "+inf"
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -339,13 +340,13 @@ def _check_crosscheck(config: ScenarioConfig, level) -> dict:
 
     picks = [FrobeniusChoice(level, n) for n in config.frobenius]
     side_picks = [(side, pick) for g in picks for side, pick in ((Q_SIDE, g), (L_SIDE, g.transfer()))]
-    worst = PValuation.infinite()
+    worst = math.inf
     for side, pick in side_picks:
         for k in config.k_values:
             nums, den = zeta.delta_numerators(level, side, pick, k)
             finite = [int_valuation(c, config.p) for c in nums.values() if c]
             if finite:
-                worst = min(worst, PValuation.of(min(finite) - int_valuation(den, config.p)))
+                worst = min(worst, min(finite) - int_valuation(den, config.p))
     # λ is a residue of Δ, so it exists only when every Δ is p-integral
     k_indep = worst >= 0 and all(
         pseudomeasure.lambda_approx(level, side, pick, k)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import PValuation, int_valuation, p_valuation
+from .exact import int_valuation, p_valuation
 from .levels import L_SIDE, Q_SIDE, FrobeniusChoice, LevelData, LocallyConstantFn
 from .zeta import delta_numerators, delta_of, norm_residue
 
@@ -118,8 +118,8 @@ def verify_transfer_congruence(level: LevelData, g: FrobeniusChoice, k: int = 2)
 
 def verify_delta_congruence(
     level: LevelData, g: FrobeniusChoice, eps_l: LocallyConstantFn, k: int
-) -> PValuation:
-    """Valuation of Δ_h(1−k, ε_L) − Δ_g(1−pk, ε_L∘ver); the claim is ≥ 1.
+) -> int | float:
+    """Valuation of Δ_h(1−k, ε_L) − Δ_g(1−pk, ε_L∘ver), ``math.inf`` if 0; the claim is ≥ 1.
 
     ε_L must be even and p-integral (Σ-invariance is automatic at levels where
     the subgroup sits inside an abelian class group, and is therefore not a

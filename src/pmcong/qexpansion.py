@@ -4,9 +4,10 @@ Nothing here is an analytic function — a "q-expansion" is a finite table of
 exact rational coefficients indexed by positive integers (base side) or by
 totally positive algebraic integers of bounded trace (extension side).
 `eisenstein_q` and `eisenstein_l` assemble Eisenstein series from divisor
-data.  The extension side holds only the ν whose trace lies in pZ up to the
-bound: those are the only ν the congruence below reads.  The congruence
-concerns the difference
+data and return each as a plain pair (constant, coefficients): a dict keyed
+by μ on the base, and by ν.coords on the extension.  The extension side
+holds only the ν whose trace lies in pZ up to the bound: those are the only
+ν the congruence below reads.  The congruence concerns the difference
 
     E  =  thin_p(restrict(G_{k,ε_L}))  −  G_{pk, ε_L∘ver},
 
@@ -18,11 +19,12 @@ time,
 
 with c_L the coefficients of G_{k,ε_L}, c_Q those of G_{pk,ε_L∘ver}, and
 constant term c_L(0) − c_Q(0).  The claim is that every E(μ) is divisible
-by p.  The verification reports the per-coefficient valuations together
-with the orbit bookkeeping that explains them: Σ acts on the pairs (𝔟, ν)
-behind each coefficient; moved orbits contribute p·(one term), and the fixed
-pairs are exactly the pairs (d·o_L, μ) extended from the base, where the two
-sides agree up to the Fermat defect d^{p(k−1)} − d^{pk−1} ≡ 0 mod p.
+by p.  The verification reports the per-coefficient valuations (ints, and
+``math.inf`` for a vanishing E(μ)) with the orbit bookkeeping that explains
+them: Σ acts on the pairs (𝔟, ν) behind each coefficient; moved orbits
+contribute p·(one term), and the fixed pairs are exactly the pairs (d·o_L, μ)
+extended from the base, where the two sides agree up to the Fermat defect
+d^{p(k−1)} − d^{pk−1} ≡ 0 mod p.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from .exact import PValuation, p_valuation
+from .exact import p_valuation
 from .levels import L_SIDE, Q_SIDE, LevelData, LocallyConstantFn
 from .numberfield import (
     AlgebraicInt,
@@ -49,8 +51,6 @@ from .zeta import scaled_zeta_of
 __all__ = [
     "NotEven",
     "NuTable",
-    "QExpansionL",
-    "QExpansionQ",
     "eisenstein_l",
     "eisenstein_q",
     "verify_qexp_congruence",
@@ -61,60 +61,13 @@ class NotEven(ValueError):
     """Eisenstein assembly requires an even function."""
 
 
-class QExpansionQ:
-    """c(0) + Σ_{1 ≤ μ ≤ B} c(μ)q^μ with exact rational coefficients."""
-
-    __slots__ = ("weight", "bound", "constant", "_coeffs")
-
-    def __init__(self, weight, bound, constant, coeffs):
-        self.weight = weight
-        self.bound = int(bound)
-        self.constant = Fraction(constant)
-        table = tuple(Fraction(c) for c in coeffs)
-        if len(table) != self.bound:
-            raise ValueError("need exactly one coefficient per index 1..bound")
-        self._coeffs = table
-
-    def coefficient(self, mu: int) -> Fraction:
-        if not 1 <= mu <= self.bound:
-            raise IndexError(f"index {mu} outside 1..{self.bound}")
-        return self._coeffs[mu - 1]
-
-    def __repr__(self) -> str:
-        return f"QExpansionQ(weight={self.weight}, bound={self.bound}, c0={self.constant})"
-
-
-class QExpansionL:
-    """Extension-side expansion: coefficients on totally positive ν, tr(ν) ∈ pZ, ≤ B′."""
-
-    __slots__ = ("weight", "trace_bound", "constant", "_coeffs")
-
-    def __init__(self, weight, trace_bound, constant, coeffs):
-        self.weight = weight
-        self.trace_bound = int(trace_bound)
-        self.constant = Fraction(constant)
-        self._coeffs = {
-            tuple(key): val if isinstance(val, Fraction) else Fraction(val)
-            for key, val in dict(coeffs).items()
-        }
-
-    def coefficient(self, nu: AlgebraicInt) -> Fraction:
-        return self._coeffs[nu.coords]
-
-    def items(self):
-        return self._coeffs.items()
-
-    def __repr__(self) -> str:
-        return (
-            f"QExpansionL(weight={self.weight}, trace_bound={self.trace_bound}, "
-            f"terms={len(self._coeffs)})"
-        )
-
-
 def eisenstein_q(
     level: LevelData, eps: LocallyConstantFn, k: int, bound: int
-) -> QExpansionQ:
-    """G_{k,ε} on the base: constant 2⁻¹ζ(1−k, ε), c(μ) = Σ_{d|μ, (d, f) = 1} ε(d)d^(k−1)."""
+) -> tuple[Fraction, dict[int, Fraction]]:
+    """G_{k,ε} on the base as (constant, {μ: c(μ)}) for 1 ≤ μ ≤ bound.
+
+    The constant is 2⁻¹ζ(1−k, ε) and c(μ) = Σ_{d|μ, (d, f) = 1} ε(d)d^(k−1).
+    """
     if eps.level != level or eps.side != Q_SIDE:
         raise ValueError("eisenstein_q needs a base-side function on this level")
     if not eps.even:
@@ -125,15 +78,15 @@ def eisenstein_q(
         raise ValueError("bound must be ≥ 1")
     f = level.modulus
     constant = scaled_zeta_of(level, Q_SIDE, eps, k)
-    coeffs = []
+    coeffs = {}
     for mu in range(1, bound + 1):
         total = Fraction(0)
         for d in divisors(mu):
             if math.gcd(d, f) != 1:
                 continue
             total += eps.support.get(d % f, 0) * d ** (k - 1)
-        coeffs.append(total)
-    return QExpansionQ(k, bound, constant, coeffs)
+        coeffs[mu] = total
+    return constant, coeffs
 
 
 class _MuOrbits(NamedTuple):
@@ -293,11 +246,12 @@ def eisenstein_l(
     k: int,
     trace_bound: int,
     table: NuTable | None = None,
-) -> QExpansionL:
-    """G_{k,ε_L} on the extension: c(ν) = Σ_{𝔟 ⊇ (ν), 𝔟 coprime to S} ε_L(𝔟)N𝔟^(k−1).
+) -> tuple[Fraction, dict[tuple[int, ...], Fraction]]:
+    """G_{k,ε_L} on the extension as (constant, {ν.coords: c(ν)}).
 
-    The coefficients are those at the ν of trace p, 2p, … up to trace_bound,
-    the only ones the q-expansion congruence reads.  ε_L is evaluated at the
+    Here c(ν) = Σ_{𝔟 ⊇ (ν), 𝔟 coprime to S} ε_L(𝔟)N𝔟^(k−1), at the ν of
+    trace p, 2p, … up to trace_bound, the only ones the q-expansion
+    congruence reads.  ε_L is evaluated at the
     class-field symbol of 𝔟, the norm reduced to the level's modulus; that
     symbol always lands in the extension-side subgroup.  The divisor terms
     come from `table`, which is built here when not given.
@@ -321,7 +275,7 @@ def eisenstein_l(
         if t <= trace_bound:
             for nu in nus:
                 coeffs[nu.coords] = Fraction(_weigh(table.divisors[nu.coords], numerators, k), den)
-    return QExpansionL(k, trace_bound, constant, coeffs)
+    return constant, coeffs
 
 
 def verify_qexp_congruence(
@@ -351,21 +305,21 @@ def verify_qexp_congruence(
     if table is None:
         table = NuTable(level, p * bound)
     eps_q = eps_l.compose_transfer()
-    upstairs = eisenstein_l(level, eps_l, k, p * bound, table=table)
-    downstairs = eisenstein_q(level, eps_q, p * k, bound)
+    upstairs_constant, upstairs = eisenstein_l(level, eps_l, k, p * bound, table=table)
+    downstairs_constant, downstairs = eisenstein_q(level, eps_q, p * k, bound)
     eps_support = eps_l.support
     numerators, den = _numerators(eps_support)
     eps_q_support = eps_q.support
     f = level.modulus
 
-    valuations: dict[int, PValuation] = {}
+    valuations = {}
     bookkeeping = {}
     routes_agree = True
     for mu in range(1, bound + 1):
         # E(μ): G_{k,ε_L} summed over tr ν = p·μ minus the μ-th coefficient of G_{pk}
         nus = table.by_trace[p * mu]
-        upstairs_sum = _fraction_sum([upstairs.coefficient(nu) for nu in nus])
-        coefficient = upstairs_sum - downstairs.coefficient(mu)
+        upstairs_sum = _fraction_sum([upstairs[nu.coords] for nu in nus])
+        coefficient = upstairs_sum - downstairs[mu]
         valuations[mu] = p_valuation(coefficient, p)
         orbits = table.orbits[mu]
         base_terms = {
@@ -408,7 +362,7 @@ def verify_qexp_congruence(
         "k": k,
         "weight_out": p * k,
         "bound": bound,
-        "constant_term": upstairs.constant - downstairs.constant,
+        "constant_term": upstairs_constant - downstairs_constant,
         "valuations": valuations,
         "routes_agree": routes_agree,
         "bookkeeping": bookkeeping,

@@ -48,12 +48,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import mul
 
 from .cyclotomic import CyclotomicNumber, pack_slots, signed_slots
 from .dirichlet import DirichletCharacter, characters_of, l_value_neg
-from .exact import PValuation, bernoulli_poly, int_valuation
+from .exact import bernoulli_poly, int_valuation
 from .levels import L_SIDE, Q_SIDE, FrobeniusChoice, LevelData, LocallyConstantFn
 from .units import euler_phi, factorize, unit_group
 
@@ -412,8 +412,8 @@ def delta_sum_integrality(
     side: str,
     g: FrobeniusChoice,
     eps_by_k: dict[int, LocallyConstantFn],
-) -> PValuation:
-    """Valuation of Σ_k Δ_g(1−k, ε_k) under the twisted-sum hypothesis.
+) -> int | float:
+    """Valuation of Σ_k Δ_g(1−k, ε_k) under the twisted-sum hypothesis (``inf`` for 0).
 
     Hypothesis checked per class x: v_p(Σ_k ε_k(x)·ñ(x)^(k−1)) ≥ 0, with ñ(x)
     the norm residue mod p^a, on the union of the supports (elsewhere it is 0).
@@ -451,5 +451,5 @@ def delta_sum_integrality(
     den = lcm(*(d for _, d in parts))
     total = sum(num * (den // d) for num, d in parts)
     if not total:
-        return PValuation.infinite()
-    return PValuation.of(int_valuation(total, p) - int_valuation(den, p))
+        return inf
+    return int_valuation(total, p) - int_valuation(den, p)

@@ -1,12 +1,12 @@
 """Scalar layer: Bernoulli data against an independent tableau, valuations."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pmcong.exact import (
-    PValuation,
     bernoulli_number,
     bernoulli_poly,
     p_valuation,
@@ -82,7 +82,7 @@ def test_p_valuation_exhaustive_small():
                 value = Fraction(num, den)
                 got = p_valuation(value, p)
                 if num == 0:
-                    assert not got.finite
+                    assert got == math.inf
                     continue
                 v = 0
                 while (value.numerator % p) == 0:
@@ -91,7 +91,7 @@ def test_p_valuation_exhaustive_small():
                 while (value.denominator % p) == 0:
                     value = value * p
                     v -= 1
-                assert got == PValuation.of(v)
+                assert type(got) is int and got == v
 
 
 def test_p_valuation_rejects_non_primes():
@@ -101,32 +101,16 @@ def test_p_valuation_rejects_non_primes():
 
 
 def test_valuation_ordering_and_infinity():
-    inf = PValuation.infinite()
+    inf = p_valuation(0, 3)
+    assert inf == math.inf
+    assert p_valuation(1, 3) == 0 != inf
     assert inf > 10**9
     assert not (inf < inf)
     assert inf >= inf
-    assert PValuation.of(-2) < 0 < PValuation.of(1)
-    assert PValuation.of(3) >= 3
+    assert p_valuation(Fraction(1, 9), 3) < 0 < p_valuation(3, 3)
+    assert p_valuation(54, 3) >= 3
     assert inf + 5 == inf
-    assert PValuation.of(2) + PValuation.of(-7) == PValuation.of(-5)
-
-
-def test_valuation_equality_hash_and_immutability():
-    assert PValuation.of(3) == PValuation(True, 3) != PValuation.of(4)
-    assert PValuation.of(0) != PValuation.infinite()
-    # an infinite valuation forgets any value it was given
-    assert PValuation(False, 7) == PValuation.infinite()
-    assert PValuation(False, 7).value == 0
-    assert len({PValuation.of(1), PValuation(True, 1), PValuation(False, 2), PValuation.infinite()}) == 2
-    assert hash(PValuation(False, 9)) == hash(PValuation.infinite())
-    # equality is between valuations; comparisons with integers use the order
-    assert PValuation.of(1) != 1
-    v = PValuation.of(2)
-    with pytest.raises(AttributeError):
-        v.value = 5
-    with pytest.raises(AttributeError):
-        del v.finite
-    assert v == PValuation.of(2)
+    assert min(inf, p_valuation(Fraction(7, 3), 3)) == -1
 
 
 @given(

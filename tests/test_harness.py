@@ -4,6 +4,7 @@ import ast
 import configparser
 import inspect
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -17,7 +18,6 @@ import pytest
 import pmcong.qexpansion as qexpansion
 from pmcong.cache import load_records, store_records
 from pmcong.cli import _build_parser, main
-from pmcong.exact import PValuation
 from pmcong.harness import (
     REPORT_SCHEMA,
     ConfigInvalid,
@@ -297,8 +297,8 @@ def test_jsonable_conversions():
         "plain": Fraction(5),
         "ratio": Fraction(3, 4),
         "negative": Fraction(-7),
-        "depth": PValuation.of(2),
-        "infinite": PValuation.infinite(),
+        "depth": 2,
+        "infinite": math.inf,
         3: (Fraction(1, 2), None, True),
     }
     converted = jsonable(value)
@@ -377,6 +377,36 @@ def test_cli_run_and_verify(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "check delta: PASS" in printed
     assert "check transfer" not in printed
+
+
+def test_emit_rejects_non_finite_floats(tmp_path):
+    # jsonable writes v_p(0) as "+inf"; any other non-finite float is a bug,
+    # and Infinity or NaN in the file would not be JSON
+    from pmcong.cli import _emit
+
+    out = tmp_path / "r.json"
+    for bad in (float("nan"), -math.inf):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            _emit({"x": bad}, out)
+        assert not out.exists()
+    _emit({"x": math.inf}, out)
+    assert json.loads(out.read_text()) == {"x": "+inf"}
+
+
+def test_desk_report_is_strict_json(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["run", "--cache-dir", str(tmp_path / "cache"), "--json-out", str(out)]) == 0
+    capsys.readouterr()
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    report = json.loads(out.read_text(), parse_constant=reject)
+    valuations = [
+        v for run in report["checks"]["qexp"]["runs"] for v in run["valuations"].values()
+    ]
+    assert valuations.count("+inf") == 14
+    assert all(v == "+inf" or type(v) is int for v in valuations)
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):

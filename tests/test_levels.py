@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmcong.exact import PValuation, p_valuation
+from pmcong.exact import p_valuation
 from pmcong.levels import (
     L_SIDE,
     Q_SIDE,
@@ -240,7 +241,7 @@ def _reference_delta_sum(level, side, g, eps_by_k):
 
     p, a, f = level.p, level.a, level.modulus
     for k, eps in eps_by_k.items():
-        if min((p_valuation(v, p) for v in eps.support.values()), default=PValuation.infinite()) < -a:
+        if min((p_valuation(v, p) for v in eps.support.values()), default=math.inf) < -a:
             raise HypothesisViolated(
                 f"ε_{k} has a denominator beyond p^{a}; the finite level cannot "
                 "certify the twisted-sum hypothesis"

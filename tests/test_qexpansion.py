@@ -1,12 +1,12 @@
 """Formal q-expansions: Eisenstein tables and the per-coefficient congruence."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 import pmcong.numberfield as numberfield
 import pmcong.qexpansion as qexpansion
-from pmcong.exact import PValuation
 from pmcong.levels import L_SIDE, Q_SIDE, LocallyConstantFn, scenario_level, zeta_level
 from pmcong.numberfield import AlgebraicInt
 from pmcong.pseudomeasure import FlagViolation
@@ -31,32 +31,32 @@ def test_classical_weight_four_series():
     """At level one the table must be the textbook series 1/240 + Σσ₃(μ)qᵘ."""
     level = zeta_level(1)
     eps = LocallyConstantFn.constant_fn(level, Q_SIDE, 1)
-    expansion = eisenstein_q(level, eps, 4, 50)
-    assert expansion.constant == Fraction(1, 240)
-    for mu in range(1, 51):
-        assert expansion.coefficient(mu) == _sigma_power(mu, 3)
+    constant, coefficients = eisenstein_q(level, eps, 4, 50)
+    assert constant == Fraction(1, 240)
+    assert coefficients == {mu: _sigma_power(mu, 3) for mu in range(1, 51)}
 
 
 def test_classical_weight_two_and_six_spot_values():
     level = zeta_level(1)
     eps = LocallyConstantFn.constant_fn(level, Q_SIDE, 1)
-    e2 = eisenstein_q(level, eps, 2, 10)
-    assert e2.constant == Fraction(-1, 24)
-    assert [e2.coefficient(mu) for mu in (1, 2, 3, 4, 6)] == [1, 3, 4, 7, 12]
-    e6 = eisenstein_q(level, eps, 6, 6)
-    assert e6.constant == Fraction(-1, 504)
-    assert e6.coefficient(6) == _sigma_power(6, 5)
+    e2_constant, e2 = eisenstein_q(level, eps, 2, 10)
+    assert e2_constant == Fraction(-1, 24)
+    assert [e2[mu] for mu in (1, 2, 3, 4, 6)] == [1, 3, 4, 7, 12]
+    e6_constant, e6 = eisenstein_q(level, eps, 6, 6)
+    assert e6_constant == Fraction(-1, 504)
+    assert e6[6] == _sigma_power(6, 5)
 
 
 def test_depleted_series_skips_s_divisors():
     # with S = {3, 7} the divisor sums only see divisors prime to 21
     eps = LocallyConstantFn.constant_fn(LV, Q_SIDE, 1)
-    expansion = eisenstein_q(LV, eps, 2, 42)
+    _, expansion = eisenstein_q(LV, eps, 2, 42)
+    assert list(expansion) == list(range(1, 43))
     for mu in range(1, 43):
         expected = sum(d for d in range(1, mu + 1) if mu % d == 0 and d % 3 and d % 7)
-        assert expansion.coefficient(mu) == expected
-    assert expansion.coefficient(21) == 1
-    assert expansion.coefficient(42) == 3
+        assert expansion[mu] == expected
+    assert expansion[21] == 1
+    assert expansion[42] == 3
 
 
 def test_eisenstein_q_validates_inputs():
@@ -93,19 +93,19 @@ def test_extension_coefficient_at_one_is_epsilon_of_one():
     table[1] = Fraction(5)
     table[62] = Fraction(5)  # keep it even
     eps = LocallyConstantFn.from_table(LV, L_SIDE, table)
-    expansion = eisenstein_l(LV, eps, 2, 3)
+    _, expansion = eisenstein_l(LV, eps, 2, 3)
     one = LV.field.from_rational(1)
-    assert expansion.coefficient(one) == 5
+    assert expansion[one.coords] == 5
 
 
 def test_extension_coefficients_are_conjugation_invariant():
-    expansion = eisenstein_l(LV, ONE_L, 2, 12)
+    _, expansion = eisenstein_l(LV, ONE_L, 2, 12)
     field = LV.field
     count = 0
     for coords, value in expansion.items():
         nu = field.element(coords)
         assert nu.trace() % 3 == 0  # E(μ) reads only the ν of trace 3μ
-        assert expansion.coefficient(nu.sigma()) == value
+        assert expansion[nu.sigma().coords] == value
         count += 1
     assert count > 10
 
@@ -118,18 +118,17 @@ def test_difference_expansion_anchor():
     """Frozen exact table for the constant-one weight-2 difference at depth 4,
     assembled from the two Eisenstein series by summing along the trace."""
     table = NuTable(LV, 3 * 4)
-    upstairs = eisenstein_l(LV, ONE_L, 2, 3 * 4, table=table)
-    downstairs = eisenstein_q(LV, ONE_L.compose_transfer(), 6, 4)
-    assert downstairs.weight == 6
-    constant = upstairs.constant - downstairs.constant
+    upstairs_constant, upstairs = eisenstein_l(LV, ONE_L, 2, 3 * 4, table=table)
+    downstairs_constant, downstairs = eisenstein_q(LV, ONE_L.compose_transfer(), 6, 4)
+    constant = upstairs_constant - downstairs_constant
     assert constant == Fraction(169441, 21)
     manual = scaled_zeta_of(LV, L_SIDE, ONE_L, 2) - scaled_zeta_of(
         LV, Q_SIDE, ONE_L.compose_transfer(), 6
     )
     assert constant == manual
     coefficients = tuple(
-        sum((upstairs.coefficient(nu) for nu in table.by_trace[3 * mu]), Fraction(0))
-        - downstairs.coefficient(mu)
+        sum((upstairs[nu.coords] for nu in table.by_trace[3 * mu]), Fraction(0))
+        - downstairs[mu]
         for mu in range(1, 5)
     )
     assert coefficients == (
@@ -161,10 +160,10 @@ def test_congruence_report_anchor():
         LV, Q_SIDE, ONE_L.compose_transfer(), 6
     )
     assert report["valuations"] == {
-        1: PValuation.infinite(),
-        2: PValuation.of(1),
-        3: PValuation.of(1),
-        4: PValuation.of(1),
+        1: math.inf,
+        2: 1,
+        3: 1,
+        4: 1,
     }
     for mu, book in report["bookkeeping"].items():
         assert book["identity_holds"]
@@ -263,8 +262,7 @@ def test_integer_weighing_matches_a_fraction_reference():
     assert {v.denominator for v in eps.support.values()} == {2, 4, 5}
     nu_table = NuTable(LV, 3 * 6)
     for k in (2, 4):
-        expansion = eisenstein_l(LV, eps, k, 3 * 6, table=nu_table)
-        coefficients = dict(expansion.items())
+        _, coefficients = eisenstein_l(LV, eps, k, 3 * 6, table=nu_table)
         assert len(coefficients) == sum(map(len, nu_table.by_trace.values()))
         assert any(c.denominator > 1 for c in coefficients.values())
         for coords, value in coefficients.items():
@@ -306,6 +304,6 @@ def test_divisor_route_reads_the_table_divisors():
 def test_fermat_defect_check_raises_without_assert(monkeypatch):
     """The per-pair Fermat check is a verdict-path check: it must raise an
     ArithmeticError (so it also runs under ``python -O``), not an assert."""
-    monkeypatch.setattr(qexpansion, "p_valuation", lambda value, p: PValuation.of(0))
+    monkeypatch.setattr(qexpansion, "p_valuation", lambda value, p: 0)
     with pytest.raises(ArithmeticError, match="Fermat defect"):
         verify_qexp_congruence(LV, ONE_L, 2, 3)
