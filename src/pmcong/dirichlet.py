@@ -78,9 +78,6 @@ class DirichletCharacter:
         n = self.ambient_order
         return tuple(e * (n // o) for e, o in zip(self.exponents, self.group.orders))
 
-    def value(self, a: int) -> CyclotomicNumber:
-        return CyclotomicNumber.root(self.ambient_order, self.exponent_at(a))
-
     def order(self) -> int:
         return lcm(*(o // gcd(e, o) for e, o in zip(self.exponents, self.group.orders)))
 

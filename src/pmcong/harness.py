@@ -321,7 +321,7 @@ def _qexp_functions(config: ScenarioConfig, level) -> list[LocallyConstantFn]:
     nontrivial = [
         eps
         for eps in even_orbit_indicators(level, L_SIDE)
-        if len(eps.support) < len(level.h_classes)
+        if len(eps.nums) < len(level.h_classes)
     ]
     return out + nontrivial[:2]
 

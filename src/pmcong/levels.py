@@ -14,16 +14,17 @@ Either way S is the prime support of f and p is the degree of L (0 without
 a field).  Every class is a unit mod f, so congruence-class membership mod f
 already encodes coprimality to S.
 
-Functions on a level are stored by their support (class ↦ nonzero value), so
-indicators cost O(support).  Evenness (invariance under the class of −1) and
-p-integrality are decided over the support.
+A function on a level is integer numerators over one positive denominator in
+lowest terms, the numerators stored by their support (class ↦ nonzero int),
+so indicators cost O(support).  Evenness (invariance under the class of −1)
+compares numerators, and p-integrality reads the denominator alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .numberfield import AbelianFieldSpec, field_spec
 from .units import factorize, is_prime, unit_group
@@ -179,22 +180,28 @@ def zeta_level(modulus: int, p: int | None = None, conductor: int | None = None)
 
 
 class LocallyConstantFn:
-    """A function on one side's classes: `support` maps each class where it is
-    nonzero to its Fraction value.  The constructor trusts the support; user
-    tables enter through `from_table`, which checks they cover the side exactly.
+    """ε(x) = nums[x] / den on one side's classes, `nums` holding the classes
+    where ε is nonzero.  The constructor divides out gcd(den, *nums), as
+    `CyclotomicNumber` does, and trusts the classes; user tables enter through
+    `from_table`, which checks they cover the side exactly.
     """
 
-    __slots__ = ("level", "side", "support", "even", "p_integral")
+    __slots__ = ("level", "side", "nums", "den", "even", "p_integral")
 
-    def __init__(self, level: LevelData, side: str, support: dict[int, Fraction]):
+    def __init__(self, level: LevelData, side: str, nums: dict[int, int], den: int = 1):
         if side not in (Q_SIDE, L_SIDE):
             raise ValueError("side must be 'Q' or 'L'")
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {x: c // g for x, c in nums.items()}
+            den //= g
         self.level = level
         self.side = side
-        self.support = support
-        self.even = all(support.get(level.neg_class(x)) == v for x, v in support.items())
+        self.nums = nums
+        self.den = den
+        self.even = all(nums.get(level.neg_class(x)) == c for x, c in nums.items())
         p = level.p
-        self.p_integral = p == 0 or all(v.denominator % p != 0 for v in support.values())
+        self.p_integral = p == 0 or den % p != 0
 
     # -- constructors -----------------------------------------------------------
     @staticmethod
@@ -202,7 +209,7 @@ class LocallyConstantFn:
         base = cls % level.modulus
         if not level.has_class(side, base):
             raise ValueError(f"{cls} is not a class of side {side}")
-        return LocallyConstantFn(level, side, {base: Fraction(1)})
+        return LocallyConstantFn(level, side, {base: 1})
 
     @staticmethod
     def constant_fn(level: LevelData, side: str, value) -> "LocallyConstantFn":
@@ -213,26 +220,28 @@ class LocallyConstantFn:
         values = {int(k): Fraction(v) for k, v in table.items()}
         if set(values) != set(level.classes(side)):
             raise ValueError("value table must cover the side's classes exactly")
-        return LocallyConstantFn(level, side, {x: v for x, v in values.items() if v})
+        den = lcm(*(v.denominator for v in values.values()))
+        nums = {x: v.numerator * (den // v.denominator) for x, v in values.items() if v}
+        return LocallyConstantFn(level, side, nums, den)
 
     # -- evaluation and pullback ---------------------------------------------------
     def __call__(self, cls: int) -> Fraction:
         x = cls % self.level.modulus
         if not self.level.has_class(self.side, x):
             raise ValueError(f"{cls} is not a class of side {self.side}")
-        return self.support.get(x, Fraction(0))
+        return Fraction(self.nums.get(x, 0), self.den)
 
     def compose_transfer(self) -> "LocallyConstantFn":
-        """ε_L∘ver on the full group: x ↦ ε_L(x^p)."""
+        """ε_L∘ver on the full group: x ↦ ε_L(x^p); its denominator divides ε_L's."""
         if self.side != L_SIDE:
             raise ValueError("only extension-side functions compose with the transfer")
         fibers = self.level.transfer_fibers
-        table = {x: v for y, v in self.support.items() for x in fibers.get(y, ())}
-        return LocallyConstantFn(self.level, Q_SIDE, table)
+        nums = {x: c for y, c in self.nums.items() for x in fibers.get(y, ())}
+        return LocallyConstantFn(self.level, Q_SIDE, nums, self.den)
 
     def __repr__(self) -> str:
         return (
-            f"LocallyConstantFn(side={self.side}, support={len(self.support)}, "
+            f"LocallyConstantFn(side={self.side}, support={len(self.nums)}, "
             f"even={self.even}, p_integral={self.p_integral})"
         )
 
@@ -241,8 +250,7 @@ def even_orbit_indicators(level: LevelData, side: str) -> tuple[LocallyConstantF
     """Indicator functions of the {x, −x} orbits, in ascending representative order."""
     reps = sorted({min(x, level.neg_class(x)) for x in level.classes(side)})
     return tuple(
-        LocallyConstantFn(level, side, dict.fromkeys({x, level.neg_class(x)}, Fraction(1)))
-        for x in reps
+        LocallyConstantFn(level, side, dict.fromkeys({x, level.neg_class(x)}, 1)) for x in reps
     )
 
 

@@ -7,7 +7,9 @@ totally positive algebraic integers of bounded trace (extension side).
 data and return each as a plain pair (constant, coefficients): a dict keyed
 by μ on the base, and by ν.coords on the extension.  The extension side
 holds only the ν whose trace lies in pZ up to the bound: those are the only
-ν the congruence below reads.  The congruence concerns the difference
+ν the congruence below reads.  Each coefficient is an integer sum over ε's
+numerators (`LocallyConstantFn`), made one Fraction over ε's denominator.
+The congruence concerns the difference
 
     E  =  thin_p(restrict(G_{k,ε_L}))  −  G_{pk, ε_L∘ver},
 
@@ -80,12 +82,10 @@ def eisenstein_q(
     constant = scaled_zeta_of(level, Q_SIDE, eps, k)
     coeffs = {}
     for mu in range(1, bound + 1):
-        total = Fraction(0)
-        for d in divisors(mu):
-            if math.gcd(d, f) != 1:
-                continue
-            total += eps.support.get(d % f, 0) * d ** (k - 1)
-        coeffs[mu] = total
+        total = sum(
+            eps.nums.get(d % f, 0) * d ** (k - 1) for d in divisors(mu) if math.gcd(d, f) == 1
+        )
+        coeffs[mu] = Fraction(total, eps.den)
     return constant, coeffs
 
 
@@ -219,19 +219,10 @@ def _mu_orbits(level: LevelData, mu: int, nus, divisor_ideals, factored) -> _MuO
     )
 
 
-def _numerators(support) -> tuple[dict[int, int], int]:
-    """ε as integer numerators over D, the lcm of its denominators: (class ↦ D·ε(class), D)."""
-    den = math.lcm(*(v.denominator for v in support.values()))
-    return {cls: v.numerator * (den // v.denominator) for cls, v in support.items()}, den
-
-
-def _weigh(terms, numerators, k: int) -> int:
-    """Σ D·ε(class)·norm^(k−1) over the (norm, class) terms whose class is in the support.
-
-    `numerators` is ε over its common denominator D (see `_numerators`), so
-    the sum is an integer; callers build one Fraction over D from it.
-    """
-    return sum(numerators[cls] * norm ** (k - 1) for norm, cls in terms if cls in numerators)
+def _weigh(terms, nums, k: int) -> int:
+    """Σ nums[class]·norm^(k−1) over the (norm, class) terms whose class is in `nums`:
+    ε's numerators weighed, to be made one Fraction over ε's denominator."""
+    return sum(nums[cls] * norm ** (k - 1) for norm, cls in terms if cls in nums)
 
 
 def _fraction_sum(values: list[Fraction]) -> Fraction:
@@ -269,12 +260,12 @@ def eisenstein_l(
     elif not table.covers(level, trace_bound):
         raise ValueError("the ν-table does not cover this level and trace bound")
     constant = scaled_zeta_of(level, L_SIDE, eps_l, k)
-    numerators, den = _numerators(eps_l.support)
     coeffs = {}
     for t, nus in table.by_trace.items():
         if t <= trace_bound:
             for nu in nus:
-                coeffs[nu.coords] = Fraction(_weigh(table.divisors[nu.coords], numerators, k), den)
+                total = _weigh(table.divisors[nu.coords], eps_l.nums, k)
+                coeffs[nu.coords] = Fraction(total, eps_l.den)
     return constant, coeffs
 
 
@@ -291,8 +282,8 @@ def verify_qexp_congruence(
     divisor lists) and G_{pk,ε_L∘ver} (built by `eisenstein_q` from the base
     divisors), and forms E(μ) = Σ_{tr ν = p·μ} c_L(ν) − c_Q(μ) for each
     1 ≤ μ ≤ bound.  Route two recomputes each E(μ) by direct pair
-    enumeration over independently enumerated ideals; `routes_agree` says
-    whether the two match.  The pairs are then decomposed into Σ-orbits,
+    enumeration over independently enumerated ideals, minus its own
+    base-divisor terms for c_Q(μ); `routes_agree` says whether the two match.  The pairs are then decomposed into Σ-orbits,
     the fixed pairs are checked to be exactly the base-extended ones
     (d·o_L, μ) for d | μ prime to S, and E(μ) is confirmed to equal (moved
     orbit sums) + (Fermat defects), both visibly divisible by p.  The
@@ -307,9 +298,10 @@ def verify_qexp_congruence(
     eps_q = eps_l.compose_transfer()
     upstairs_constant, upstairs = eisenstein_l(level, eps_l, k, p * bound, table=table)
     downstairs_constant, downstairs = eisenstein_q(level, eps_q, p * k, bound)
-    eps_support = eps_l.support
-    numerators, den = _numerators(eps_support)
-    eps_q_support = eps_q.support
+    # ε_L∘ver reads only the images of ver, so its denominator divides ε_L's:
+    # both are read as numerators over ε_L's one denominator
+    nums, den = eps_l.nums, eps_l.den
+    nums_q = {x: c * (den // eps_q.den) for x, c in eps_q.nums.items()}
     f = level.modulus
 
     valuations = {}
@@ -322,24 +314,24 @@ def verify_qexp_congruence(
         coefficient = upstairs_sum - downstairs[mu]
         valuations[mu] = p_valuation(coefficient, p)
         orbits = table.orbits[mu]
-        base_terms = {
-            d: eps_q_support.get(d % f, 0) * d ** (p * k - 1) for d in orbits.base_divisors
-        }
+        base_terms = {d: nums_q.get(d % f, 0) * d ** (p * k - 1) for d in orbits.base_divisors}
 
         # E(μ) again: pool terms over tr ν = p·μ minus G_{pk}'s base divisor terms
-        direct = Fraction(sum(_weigh(table.direct[nu.coords], numerators, k) for nu in nus), den)
-        if coefficient != direct - sum(base_terms.values()):
+        direct = sum(_weigh(table.direct[nu.coords], nums, k) for nu in nus)
+        if coefficient != Fraction(direct - sum(base_terms.values()), den):
             routes_agree = False
 
-        moved_sum = Fraction(p * _weigh(orbits.moved, numerators, k), den)
-        fermat = Fraction(0)
+        moved_sum = Fraction(p * _weigh(orbits.moved, nums, k), den)
+        defects = 0
         for d, norm, cls in orbits.fixed:
             if d is None:
                 continue
-            defect = eps_support.get(cls, 0) * norm ** (k - 1) - base_terms[d]
+            # ε_L is p-integral, so defect/den and defect have one p-valuation
+            defect = nums.get(cls, 0) * norm ** (k - 1) - base_terms[d]
             if not p_valuation(defect, p) >= 1:
                 raise ArithmeticError("Fermat defect not divisible by p")
-            fermat += defect
+            defects += defect
+        fermat = Fraction(defects, den)
 
         bookkeeping[mu] = {
             "pairs": orbits.pairs,

@@ -7,7 +7,7 @@ Base side (classes x of (Z/f)^×): the partial zeta value is the Hurwitz sum
 
 valid because S is the prime support of f, so the congruence class already
 encodes coprimality to S.  `_q_table` evaluates it in integers (one
-homogeneous Horner pass and one Fraction per class).  A second, independent
+homogeneous Horner pass per class, over one denominator).  A second, independent
 route assembles the same value from character orthogonality and L-values;
 the two must agree exactly.
 
@@ -36,9 +36,9 @@ labelled in one walk per modulus (`_galois_orbits`), the fibres over H
 restrict each character to generators of H (`_l_fibers`), and the primitive
 cores read one discrete-log table per modulus (`conductor_primitive`).
 
-Everything built on the tables reads one integer view per (level, side, k):
-the table's numerators over the lcm of its denominators.  Δ, λ and the
-twisted sums read one Δ table per (level, side, pick, k) built from it
+Every table is integer numerators over one positive denominator, (class ↦
+numerator, den), the form `CyclotomicNumber` uses.  Δ, λ and the twisted
+sums read one Δ table per (level, side, pick, k) built from it
 (`delta_numerators`).  A returned rational costs one Fraction; nothing is
 summed in Fractions.
 """
@@ -67,7 +67,6 @@ __all__ = [
     "partial_zeta",
     "partial_zeta_q_characters",
     "scaled_zeta_of",
-    "zeta_of",
 ]
 
 
@@ -125,13 +124,14 @@ def _l_value(modulus: int, exponents: tuple[int, ...], k: int):
 
 
 @lru_cache(maxsize=None)
-def _q_table(level: LevelData, k: int) -> dict[int, Fraction]:
-    """The Hurwitz route: x ↦ −f^(k−1)·B_k(a/f)/k, a ∈ [1, f] the representative of x.
+def _q_table(level: LevelData, k: int) -> tuple[dict[int, int], int]:
+    """The Hurwitz route: (nums, den) with nums[x] / den = −f^(k−1)·B_k(a/f)/k,
+    a ∈ [1, f] the representative of x.
 
     With D the lcm of the denominators of the coefficients b_j of B_k and
     N_j = D·b_j, f^(k−1)·B_k(a/f) = Σ_j N_j·a^j·f^(k−j) / (D·f); the sum is
-    one homogeneous integer Horner pass per class, and each class makes one
-    Fraction.  Nothing here is shared with the character route.
+    one homogeneous integer Horner pass per class, negated over den = D·f·k.
+    Nothing here is shared with the character route.
     """
     f = level.modulus
     coeffs = bernoulli_poly(k)
@@ -139,15 +139,14 @@ def _q_table(level: LevelData, k: int) -> dict[int, Fraction]:
     nums = [c.numerator * (d // c.denominator) for c in coeffs]
     # Horner from the top: acc ← acc·a + N_j·f^(k−j) for j = k−1, …, 0
     steps = [(nums[j], f ** (k - j)) for j in reversed(range(k))]
-    den = -d * f * k
     table = {}
     for cls in level.classes(Q_SIDE):
         a = cls if cls >= 1 else f
         acc = nums[k]
         for n_j, f_power in steps:
             acc = acc * a + n_j * f_power
-        table[cls] = Fraction(acc, den)
-    return table
+        table[cls] = -acc
+    return table, d * f * k
 
 
 def _dft(line: list[int], step: int, order: int, width: int) -> list[int]:
@@ -231,22 +230,21 @@ def _orthogonality_table(
     terms: list[tuple[DirichletCharacter, int, CyclotomicNumber]],
     classes: tuple[int, ...],
     size: int,
-) -> dict[int, Fraction]:
-    """x ↦ (Σ w·χ(x)⁻¹·V) / size over the terms (χ, w, V), asserted rational.
+) -> tuple[dict[int, int], int]:
+    """(nums, den·size) with nums[x] / (den·size) = (Σ w·χ(x)⁻¹·V) / size over
+    the terms (χ, w, V), den the lcm of the V's denominators.
 
     The exponent sums of every class come from one packed transform
-    (`_exponent_sums`); each class is reduced modulo Φ_n once and must be
-    rational (NotRational otherwise).
+    (`_exponent_sums`); each class is reduced modulo Φ_n once and must be a
+    rational integer (NotRational otherwise).
     """
     den, sums = _exponent_sums(order, terms, classes)
-    return {
-        x: CyclotomicNumber.from_exponent_sums(order, s, den * size).rational_part()
-        for x, s in sums
-    }
+    nums = {x: int(CyclotomicNumber.from_exponent_sums(order, s).rational_part()) for x, s in sums}
+    return nums, den * size
 
 
 @lru_cache(maxsize=None)
-def _q_table_characters(level: LevelData, k: int) -> dict[int, Fraction]:
+def _q_table_characters(level: LevelData, k: int) -> tuple[dict[int, int], int]:
     """Independent route: character orthogonality on the full class group."""
     f = level.modulus
     chars = characters_of(f)
@@ -298,7 +296,7 @@ def _l_fibers(level: LevelData) -> tuple[tuple[DirichletCharacter, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _l_table(level: LevelData, k: int) -> dict[int, Fraction]:
+def _l_table(level: LevelData, k: int) -> tuple[dict[int, int], int]:
     if level.field is None:
         raise ValueError("extension-side values need a level with field data")
     f = level.modulus
@@ -317,25 +315,14 @@ def partial_zeta(level: LevelData, side: str, cls: int, k: int) -> Fraction:
     """ζ_S(1−k, δ^(cls)) on the requested side."""
     if k < 1:
         raise ValueError("k must be ≥ 1")
-    if side == Q_SIDE:
-        return _q_table(level, k)[cls % level.modulus]
-    return _l_table(level, k)[cls % level.modulus]
+    nums, den = (_q_table if side == Q_SIDE else _l_table)(level, k)
+    return Fraction(nums[cls % level.modulus], den)
 
 
 def partial_zeta_q_characters(level: LevelData, cls: int, k: int) -> Fraction:
     """Dual-route base-side value (cross-check against the Hurwitz route)."""
-    return _q_table_characters(level, k)[cls % level.modulus]
-
-
-@lru_cache(maxsize=None)
-def _integer_view(level: LevelData, side: str, k: int) -> tuple[dict[int, int], int]:
-    """(nums, den) with ζ_S(1−k, δ^(x)) = nums[x] / den for every class x of the side.
-
-    den is the lcm of the table's denominators.
-    """
-    table = _q_table(level, k) if side == Q_SIDE else _l_table(level, k)
-    den = lcm(*(v.denominator for v in table.values()))
-    return {x: v.numerator * (den // v.denominator) for x, v in table.items()}, den
+    nums, den = _q_table_characters(level, k)
+    return Fraction(nums[cls % level.modulus], den)
 
 
 def _delta_numerator(
@@ -344,23 +331,19 @@ def _delta_numerator(
     """(N, D) with N / D = Σ_x ε(x)·Δ_g(1−k, δ^(x)) = Δ_g(1−k, ε); ζ(1−k, ε) when g is None.
 
     The sum runs over the support of ε.  D is the table's denominator times
-    the lcm of ε's.
+    ε's.
     """
     if eps.level != level or eps.side != side:
         raise ValueError("function does not live on the requested level/side")
-    nums, den = _integer_view(level, side, k) if g is None else delta_numerators(level, side, g, k)
-    scale = lcm(*(v.denominator for v in eps.support.values()))
-    total = sum(v.numerator * (scale // v.denominator) * nums[x] for x, v in eps.support.items())
-    return total, den * scale
-
-
-def zeta_of(level: LevelData, side: str, eps: LocallyConstantFn, k: int) -> Fraction:
-    """Linear extension of partial_zeta to a locally constant function."""
-    return Fraction(*_delta_numerator(level, side, None, eps, k))
+    if g is None:
+        nums, den = (_q_table if side == Q_SIDE else _l_table)(level, k)
+    else:
+        nums, den = delta_numerators(level, side, g, k)
+    return sum(c * nums[x] for x, c in eps.nums.items()), den * eps.den
 
 
 def scaled_zeta_of(level: LevelData, side: str, eps: LocallyConstantFn, k: int) -> Fraction:
-    """Archimedean normalization 2^{−r}: r = 1 on the base, p on the extension."""
+    """ζ(1−k, ε) = Σ_x ε(x)·ζ(1−k, δ^(x)), scaled by 2^{−r}: r = 1 on the base, p on L."""
     r = 1 if side == Q_SIDE else level.p
     num, den = _delta_numerator(level, side, None, eps, k)
     return Fraction(num, den * 2**r)
@@ -385,7 +368,7 @@ def delta_numerators(
     """
     if side == L_SIDE and not level.in_h(g.cls):
         raise ValueError(f"extension-side Δ needs a pick inside the subgroup H, not class {g.cls}")
-    nums, den = _integer_view(level, side, k)
+    nums, den = (_q_table if side == Q_SIDE else _l_table)(level, k)
     f = level.modulus
     g_inv = pow(g.cls, -1, f) if f > 1 else 0
     nk = g.n**k
@@ -424,27 +407,25 @@ def delta_sum_integrality(
     """
     if not level.scenario:
         raise ValueError("the twisted-sum check needs a scenario level")
-    p = level.p
-    a = level.a
-    too_deep = p ** (a + 1)
+    p, a = level.p, level.a
     for k, eps in eps_by_k.items():
         if k < 1:
             raise ValueError("k must be ≥ 1")
-        if any(v.denominator % too_deep == 0 for v in eps.support.values()):
+        if eps.den % p ** (a + 1) == 0:
             raise HypothesisViolated(
                 f"ε_{k} has a denominator beyond p^{a}; the finite level cannot "
                 "certify the twisted-sum hypothesis"
             )
-    # the twisted sums as integers over the lcm of every ε_k's denominators
-    scale = lcm(*(v.denominator for eps in eps_by_k.values() for v in eps.support.values()))
+    # the twisted sums as integers over the lcm of every ε_k's denominator
+    scale = lcm(*(eps.den for eps in eps_by_k.values()))
     scale_valuation = int_valuation(scale, p)
-    for x in sorted(set().union(*(eps.support for eps in eps_by_k.values()))):
+    for x in sorted(set().union(*(eps.nums for eps in eps_by_k.values()))):
         n_tilde = norm_residue(level, x)
-        twisted = 0
-        for k, eps in eps_by_k.items():
-            v = eps.support.get(x)
-            if v is not None:
-                twisted += v.numerator * (scale // v.denominator) * n_tilde ** (k - 1)
+        twisted = sum(
+            eps.nums[x] * (scale // eps.den) * n_tilde ** (k - 1)
+            for k, eps in eps_by_k.items()
+            if x in eps.nums
+        )
         if twisted and int_valuation(twisted, p) < scale_valuation:
             raise HypothesisViolated(f"twisted sum at class {x} is not p-integral")
     parts = [_delta_numerator(level, side, g, eps, k) for k, eps in eps_by_k.items()]

@@ -102,7 +102,7 @@ def test_05_qexp_coefficients_divisible():
     functions += [
         eps
         for eps in even_orbit_indicators(LV63, L_SIDE)
-        if len(eps.support) < len(LV63.h_classes)
+        if len(eps.nums) < len(LV63.h_classes)
     ][:2]
     ok = len(functions) == 3
     for eps in functions:

@@ -9,7 +9,6 @@ before a fault goes in and after it comes out again.
 """
 
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -23,10 +22,10 @@ def _q_table_off_by_one(monkeypatch):
     table = zeta._q_table
 
     def faulty(level, k):
-        out = dict(table(level, k))
-        first = min(out)
-        out[first] += 1
-        return out
+        nums, den = table(level, k)
+        out = dict(nums)
+        out[min(out)] += den
+        return out, den
 
     monkeypatch.setattr(zeta, "_q_table", faulty)
 
@@ -37,9 +36,11 @@ def _extension_zeta_not_p_integral(monkeypatch):
     table = zeta._l_table
 
     def faulty(level, k):
-        out = dict(table(level, k))
-        out[min(out)] += Fraction(1, level.p ** (level.a + 1))
-        return out
+        nums, den = table(level, k)
+        scale = level.p ** (level.a + 1)
+        out = {x: c * scale for x, c in nums.items()}
+        out[min(out)] += den
+        return out, den * scale
 
     monkeypatch.setattr(zeta, "_l_table", faulty)
 
@@ -60,6 +61,18 @@ def _unit_ideal_dropped_from_pool(monkeypatch):
         return pool[1:]
 
     monkeypatch.setattr(qexpansion, "enumerate_ideals", faulty)
+
+
+def _eisenstein_q_off_by_one(monkeypatch):
+    """The base-side Eisenstein series G_{pk, ε_L∘ver} with 1 added to c(2).
+    Route two keeps its own base-divisor terms, so the routes disagree."""
+    eisenstein_q = qexpansion.eisenstein_q
+
+    def faulty(*args):
+        constant, coeffs = eisenstein_q(*args)
+        return constant, {**coeffs, 2: coeffs[2] + 1}
+
+    monkeypatch.setattr(qexpansion, "eisenstein_q", faulty)
 
 
 def _f21_members_refused(monkeypatch):
@@ -106,6 +119,7 @@ ROWS = [
     ),
     pytest.param("crosscheck", _one_ideal_dropped, _ideal_counts, ["crosscheck"], id="ideal-count"),
     pytest.param("qexp", _unit_ideal_dropped_from_pool, _routes_agree, ["verify", "qexp"], id="qexp-pool"),
+    pytest.param("qexp", _eisenstein_q_off_by_one, _routes_agree, ["verify", "qexp"], id="eisenstein-q"),
     pytest.param("sigma", _f21_members_refused, _order3_membership, ["sigma"], id="smith-closure"),
 ]
 

@@ -20,6 +20,11 @@ LV = scenario_level(3, 7, (3, 7), 2)
 LV189 = scenario_level(3, 7, (3, 7), 3)
 
 
+def _values(eps):
+    """ε's nonzero values as Fractions, class ↦ nums[class] / den."""
+    return {x: Fraction(c, eps.den) for x, c in eps.nums.items()}
+
+
 def test_scenario_level_shape():
     assert LV.modulus == 63
     assert LV.p == 3 and LV.a == 2
@@ -88,8 +93,8 @@ def test_even_orbit_indicators_partition_both_sides():
         total = {x: Fraction(0) for x in LV.classes(side)}
         for eps in indicators:
             assert eps.even
-            assert set(eps.support.values()) == {1}
-            for x, v in eps.support.items():
+            assert set(_values(eps).values()) == {1}
+            for x, v in _values(eps).items():
                 total[x] += v
         assert all(v == 1 for v in total.values())
 
@@ -168,7 +173,8 @@ def _cases(count=1, sides=(Q_SIDE, L_SIDE)):
 def test_sparse_flags_and_valuation_match_dense(case):
     level, side, (dense,) = case
     fn = LocallyConstantFn.from_table(level, side, dense)
-    assert fn.support == {x: v for x, v in dense.items() if v}
+    assert _values(fn) == {x: v for x, v in dense.items() if v}
+    assert fn.den > 0 and math.gcd(fn.den, *fn.nums.values()) == 1
     assert fn.even == all(dense[x] == dense[level.neg_class(x)] for x in dense)
     assert fn.p_integral == all(v.denominator % 3 for v in dense.values())
     assert all(fn(x) == v for x, v in dense.items())
@@ -181,7 +187,8 @@ def test_sparse_compose_transfer_matches_dense(case):
     pulled = LocallyConstantFn.from_table(level, L_SIDE, dense).compose_transfer()
     reference = {x: dense[pow(x, 3, level.modulus)] for x in level.classes(Q_SIDE)}
     assert pulled.side == Q_SIDE
-    assert pulled.support == {x: v for x, v in reference.items() if v}
+    assert _values(pulled) == {x: v for x, v in reference.items() if v}
+    assert math.gcd(pulled.den, *pulled.nums.values()) == 1
 
 
 _KS = st.sampled_from((2, 4, 6, 12))
@@ -190,12 +197,13 @@ _KS = st.sampled_from((2, 4, 6, 12))
 @settings(max_examples=20, deadline=None)
 @given(_cases(), _KS)
 def test_sparse_zeta_of_matches_dense_sum(case, k):
-    from pmcong.zeta import partial_zeta, zeta_of
+    from pmcong.zeta import partial_zeta, scaled_zeta_of
 
     level, side, (dense,) = case
     fn = LocallyConstantFn.from_table(level, side, dense)
     expected = sum(v * partial_zeta(level, side, x, k) for x, v in dense.items())
-    assert zeta_of(level, side, fn, k) == expected
+    r = 1 if side == Q_SIDE else level.p
+    assert scaled_zeta_of(level, side, fn, k) == expected / 2**r
 
 
 def _outcome(call, *args):
@@ -241,21 +249,21 @@ def _reference_delta_sum(level, side, g, eps_by_k):
 
     p, a, f = level.p, level.a, level.modulus
     for k, eps in eps_by_k.items():
-        if min((p_valuation(v, p) for v in eps.support.values()), default=math.inf) < -a:
+        if min((p_valuation(v, p) for v in _values(eps).values()), default=math.inf) < -a:
             raise HypothesisViolated(
                 f"ε_{k} has a denominator beyond p^{a}; the finite level cannot "
                 "certify the twisted-sum hypothesis"
             )
-    for x in sorted(set().union(*(eps.support for eps in eps_by_k.values()))):
+    for x in sorted(set().union(*(_values(eps) for eps in eps_by_k.values()))):
         twisted = sum(
-            (eps.support.get(x, 0) * norm_residue(level, x) ** (k - 1) for k, eps in eps_by_k.items()),
+            (_values(eps).get(x, 0) * norm_residue(level, x) ** (k - 1) for k, eps in eps_by_k.items()),
             Fraction(0),
         )
         if p_valuation(twisted, p) < 0:
             raise HypothesisViolated(f"twisted sum at class {x} is not p-integral")
     total = Fraction(0)
     for k, eps in eps_by_k.items():
-        for x, v in eps.support.items():
+        for x, v in _values(eps).items():
             total += v * partial_zeta(level, side, x, k)
             total -= g.n**k * v * partial_zeta(level, side, pow(g.cls, -1, f) * x % f, k)
     return p_valuation(total, p)

@@ -259,18 +259,19 @@ def test_integer_weighing_matches_a_fraction_reference():
         table[x] = table[63 - x] = values[i % len(values)]
     eps = LocallyConstantFn.from_table(LV, L_SIDE, table)
     assert eps.even and eps.p_integral
-    assert {v.denominator for v in eps.support.values()} == {2, 4, 5}
+    values = {x: Fraction(c, eps.den) for x, c in eps.nums.items()}
+    assert {v.denominator for v in values.values()} == {2, 4, 5}
     nu_table = NuTable(LV, 3 * 6)
     for k in (2, 4):
         _, coefficients = eisenstein_l(LV, eps, k, 3 * 6, table=nu_table)
         assert len(coefficients) == sum(map(len, nu_table.by_trace.values()))
         assert any(c.denominator > 1 for c in coefficients.values())
         for coords, value in coefficients.items():
-            assert value == _fraction_weigh(nu_table.divisors[coords], eps.support, k)
+            assert value == _fraction_weigh(nu_table.divisors[coords], values, k)
         report = verify_qexp_congruence(LV, eps, k, 6, table=nu_table)
         assert report["routes_agree"] and report["verdict"]
         for mu, book in report["bookkeeping"].items():
-            assert book["moved_sum"] == 3 * _fraction_weigh(nu_table.orbits[mu].moved, eps.support, k)
+            assert book["moved_sum"] == 3 * _fraction_weigh(nu_table.orbits[mu].moved, values, k)
 
 
 def test_direct_route_reads_the_enumerated_pool(monkeypatch):

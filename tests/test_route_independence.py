@@ -11,7 +11,7 @@ import os
 import sys
 
 import pmcong
-from pmcong import zeta
+from pmcong import dirichlet, numberfield, zeta
 from pmcong.levels import scenario_level
 
 PACKAGE_DIR = pmcong.__path__[0] + os.sep
@@ -70,3 +70,29 @@ def test_hurwitz_and_character_routes_share_only_the_allowlist(fresh_caches):
             f"{side.__name__} shares {sorted(shared - HURWITZ_CHARACTER_SHARED.keys())} "
             "with the Hurwitz route"
         )
+
+
+#: Functions both the ideal enumeration and the Euler-product series may enter.
+#: The two sides share no function today; an entry needs its reason, as above.
+IDEAL_SERIES_SHARED: dict[str, str] = {}
+
+
+def _series_side(field, bound):
+    """The Euler-product side of the ideal-count crosscheck, as the harness runs it."""
+    chars = dirichlet.characters_of(field.conductor, trivial_on=field.cosets[0])
+    prims = [dirichlet.conductor_primitive(chi) for chi in chars]
+    return dirichlet.series_coefficients(prims, bound, ())
+
+
+def test_ideal_enumeration_and_series_share_only_the_allowlist(fresh_caches):
+    """At desk a=2: the ideals of norm ≤ 300 against the coefficients of the
+    product of the L-series of the characters trivial on the norm group."""
+    field = scenario_level(3, 7, (3, 7), 2).field
+    ideals = _entered(fresh_caches, numberfield.enumerate_ideals, field, 300)
+    assert "numberfield.enumerate_ideals" in ideals
+    series = _entered(fresh_caches, _series_side, field, 300)
+    assert "dirichlet.series_coefficients" in series
+    shared = ideals & series
+    assert shared <= IDEAL_SERIES_SHARED.keys(), (
+        f"the two sides share {sorted(shared - IDEAL_SERIES_SHARED.keys())}"
+    )
