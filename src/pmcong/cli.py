@@ -34,7 +34,7 @@ from .harness import (
     sigma,
     zeta,
 )
-from .levels import L_SIDE, Q_SIDE, zeta_level
+from .levels import L_SIDE, Q_SIDE, check_zeta_arguments, grid_cap_error, zeta_level
 
 __all__ = ["main"]
 
@@ -185,15 +185,21 @@ def _cmd_sigma(args) -> int:
 def _cmd_zeta(args) -> int:
     if args.k < 1:
         raise ConfigInvalid("--k must be ≥ 1")
-    try:  # zeta_level only checks and builds what the arguments describe
+    # the arguments' own hypotheses, then the grid cap of the extension side,
+    # which reads only the modulus, and only then the field and the unit group
+    try:
+        check_zeta_arguments(args.modulus, p=args.p, conductor=args.conductor)
+    except ValueError as exc:
+        raise ConfigInvalid(str(exc)) from None
+    if args.side == L_SIDE:
+        if args.conductor is None:
+            raise ConfigInvalid("the extension side needs --p and --conductor")
+        if grid_error := grid_cap_error(args.modulus):
+            raise ConfigInvalid(grid_error)
+    try:
         level = zeta_level(args.modulus, p=args.p, conductor=args.conductor)
     except (ValueError, ArithmeticError) as exc:
         raise ConfigInvalid(str(exc)) from None
-    if args.side == L_SIDE:
-        if level.field is None:
-            raise ConfigInvalid("the extension side needs --p and --conductor")
-        if grid_error := level.grid_cap_error():
-            raise ConfigInvalid(grid_error)
     if args.cls is not None and not level.has_class(args.side, args.cls % args.modulus):
         raise ConfigInvalid(f"--cls {args.cls} is not a class of side {args.side} mod {args.modulus}")
     classes = (args.cls,) if args.cls is not None else level.classes(args.side)

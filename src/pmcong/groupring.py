@@ -36,10 +36,10 @@ class GroupRing:
     def same_ring(self, other: "GroupRing") -> bool:
         """Structural equality: same carrier, same law, same coefficient modulus.
 
-        Only the σ-suite builds rings, and each ``GaloisSetup.h_ring`` call
-        builds a new one, so object identity is too strict; comparing
-        multiplication tables keeps distinct group laws on a shared carrier
-        apart.
+        A setup builds its ring once (``GaloisSetup.h_ring``), so the σ-suite
+        meets only the identity case.  Rings built apart compare by their
+        multiplication tables, which keeps distinct group laws on a shared
+        carrier apart.
         """
         if self is other:
             return True

@@ -26,7 +26,9 @@ from .levels import (
     FrobeniusChoice,
     LocallyConstantFn,
     even_orbit_indicators,
+    grid_cap_error,
     scenario_level,
+    scenario_modulus,
 )
 from .numberfield import _MAX_TRACE, enumerate_ideals, tot_pos_up_to
 from .units import parse_int_list
@@ -202,7 +204,17 @@ class ScenarioConfig:
         return cls(**kwargs)
 
     def validate(self) -> None:
-        # p, S, the conductor, the field and a: the level owns these hypotheses
+        # p, S, the conductor, the field and a: the level owns these hypotheses.
+        # The grid cap reads only the modulus, so it is checked after the
+        # hypotheses that need no field and before the field is built.
+        try:
+            modulus = scenario_modulus(self.p, self.conductor, self.s_primes, self.a)
+        except ValueError as exc:
+            raise ConfigInvalid(str(exc)) from None
+        # every check but sigma reads zeta tables from the packed transform
+        grid_error = grid_cap_error(modulus)
+        if set(self.checks) != {"sigma"} and grid_error:
+            raise ConfigInvalid(grid_error)
         try:
             level = self.level()
         except (ValueError, ArithmeticError) as exc:
@@ -238,10 +250,6 @@ class ScenarioConfig:
         unknown = set(self.checks) - set(_KNOWN_CHECKS)
         if unknown:
             raise ConfigInvalid(f"unknown checks: {sorted(unknown)}")
-        # every check but sigma reads zeta tables from the packed transform
-        grid_error = level.grid_cap_error()
-        if set(self.checks) != {"sigma"} and grid_error:
-            raise ConfigInvalid(grid_error)
         if self.eps_basis not in ("even_orbit_indicators", "table"):
             raise ConfigInvalid(
                 "eps_basis must be 'even_orbit_indicators' or 'table'"

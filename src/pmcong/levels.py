@@ -24,17 +24,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .numberfield import AbelianFieldSpec, field_spec
-from .units import factorize, is_prime, unit_group
+from .units import euler_phi, factorize, is_prime, unit_group
 
 __all__ = [
     "FrobeniusChoice",
     "LevelData",
     "LocallyConstantFn",
+    "check_zeta_arguments",
     "even_orbit_indicators",
+    "grid_cap_error",
     "scenario_level",
+    "scenario_modulus",
     "zeta_level",
 ]
 
@@ -42,7 +45,7 @@ Q_SIDE = "Q"
 L_SIDE = "L"
 
 # Largest grid |G|·n, classes times slots per class, that may be handed to
-# the packed character transform of `zeta` (see `LevelData.grid_cap_error`).
+# the packed character transform of `zeta` (see `grid_cap_error`).
 _MAX_GRID_SLOTS = 2**24
 
 
@@ -94,16 +97,6 @@ class LevelData:
     def has_class(self, side: str, cls: int) -> bool:
         return cls in (self._q_set if side == Q_SIDE else self._h_set)
 
-    def grid_cap_error(self) -> str | None:
-        """Why the packed character transform of `zeta` cannot run here, or None."""
-        cells, slots = len(self.group.elements), self.group.exponent
-        if cells * slots <= _MAX_GRID_SLOTS:
-            return None
-        return (
-            f"the character transform needs |G| · n = {cells} · {slots} = "
-            f"{cells * slots} slots, above the cap {_MAX_GRID_SLOTS}"
-        )
-
     def neg_class(self, cls: int) -> int:
         return (-cls) % self.modulus
 
@@ -141,9 +134,30 @@ class LevelData:
         )
 
 
-@lru_cache(maxsize=None)
-def scenario_level(p: int, conductor: int, s_primes: tuple[int, ...], a: int) -> LevelData:
-    """Full-hypothesis level with modulus p^a · ∏_{q ∈ S, q ≠ p} q."""
+def grid_cap_error(modulus: int) -> str | None:
+    """Why the packed character transform of `zeta` cannot run mod `modulus`, or None.
+
+    The grid holds |G| · n slots for G = (Z/modulus)^×: φ(modulus) classes of
+    n slots each, n the exponent of G.  Both are read off the factorization,
+    so the cap is checked before any unit group or field is built.
+    """
+    slots = 1
+    for q, e in factorize(modulus).items():
+        # (Z/q^e)^× is cyclic of order φ(q^e), except that its exponent is
+        # 2^(e−2) for q = 2 and e ≥ 3
+        order = (q - 1) * q ** (e - 1)
+        slots = lcm(slots, order // 2 if q == 2 and e >= 3 else order)
+    cells = euler_phi(modulus)
+    if cells * slots <= _MAX_GRID_SLOTS:
+        return None
+    return (
+        f"the character transform needs |G| · n = {cells} · {slots} = "
+        f"{cells * slots} slots, above the cap {_MAX_GRID_SLOTS}"
+    )
+
+
+def scenario_modulus(p: int, conductor: int, s_primes: tuple[int, ...], a: int) -> int:
+    """p^a · ∏_{q ∈ S, q ≠ p} q, once the hypotheses that need no field hold."""
     s = frozenset(s_primes)
     if not is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")
@@ -155,27 +169,34 @@ def scenario_level(p: int, conductor: int, s_primes: tuple[int, ...], a: int) ->
         raise ValueError("S must consist of primes")
     if a < 1:
         raise ValueError("p-exponent a must be ≥ 1")
-    field = field_spec(p, conductor)
-    modulus = p**a
-    for q in sorted(s - {p}):
-        modulus *= q
-    return LevelData(field, modulus, a)
+    return p**a * prod(s - {p})
+
+
+@lru_cache(maxsize=None)
+def scenario_level(p: int, conductor: int, s_primes: tuple[int, ...], a: int) -> LevelData:
+    """Full-hypothesis level with modulus `scenario_modulus(p, conductor, S, a)`."""
+    modulus = scenario_modulus(p, conductor, s_primes, a)
+    return LevelData(field_spec(p, conductor), modulus, a)
+
+
+def check_zeta_arguments(modulus: int, p: int | None = None, conductor: int | None = None) -> None:
+    """Raise ValueError unless the hypotheses of `zeta_level` that need no field hold."""
+    if modulus < 1:
+        raise ValueError("modulus must be ≥ 1")
+    if conductor is None:
+        if p is not None:
+            raise ValueError("the degree p is read only with a conductor")
+    elif p is None:
+        raise ValueError("a field side needs the degree p")
+    elif modulus % conductor:
+        raise ValueError("the field conductor must divide the modulus")
 
 
 @lru_cache(maxsize=None)
 def zeta_level(modulus: int, p: int | None = None, conductor: int | None = None) -> LevelData:
     """Relaxed level for bare zeta computations (oracles and spot values)."""
-    if modulus < 1:
-        raise ValueError("modulus must be ≥ 1")
-    field = None
-    if conductor is not None:
-        if p is None:
-            raise ValueError("a field side needs the degree p")
-        field = field_spec(p, conductor)
-        if modulus % conductor:
-            raise ValueError("the field conductor must divide the modulus")
-    elif p is not None:
-        raise ValueError("the degree p is read only with a conductor")
+    check_zeta_arguments(modulus, p, conductor)
+    field = None if conductor is None else field_spec(p, conductor)
     return LevelData(field, modulus, a=0)
 
 

@@ -8,8 +8,8 @@ in that table, for a whole list of positions in one batch: each position is
 moved back into H once, g·x_i is read from the row of g, and one table
 product per (g, x_i) accumulates ver(g).
 Trace ideals work on coefficient vectors: the Σ-generator permutes the basis
-indices, and membership is integer linear algebra with a certificate that is
-re-expanded by the vector trace before it is believed.  This is the symbolic
+indices, and membership is linear algebra over Z/p^m with a certificate that
+is re-expanded by the vector trace before it is believed.  This is the symbolic
 counterpart of the numeric pipeline — it exercises nontrivial Σ-actions
 (semidirect products, non-split abelian towers) that unit-group levels over Q
 can never produce, where the Σ-action on the subgroup is always trivial.
@@ -25,10 +25,10 @@ A kernel is validated from generators chosen greedily from its elements: it
 is a subgroup iff it equals their span, abelian iff they commute pairwise,
 and normal iff the Σ-generator conjugates each of them back into it.
 
-Certificates are deterministic — fixed pivoting in the Smith normal form,
-free parameters zeroed, coefficients reduced to canonical residues — rather
-than globally minimal in any metric; re-verification by expansion is the
-soundness guarantee.
+Certificates are deterministic — the Smith normal form over Z/p^m pivots on
+the first entry of least p-valuation, free parameters are zeroed, and
+coefficients are reduced to canonical residues — rather than globally minimal
+in any metric; re-verification by expansion is the soundness guarantee.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import math
 import operator
 import random
 
+from .exact import int_valuation
 from .groupring import GroupRing, GroupRingElement
 from .units import factorize, is_prime
 
@@ -389,6 +390,7 @@ class GaloisSetup:
             raise ValueError("subgroup is not normal")
 
         self._orbits = None
+        self._ring = None
         self.fibers = tuple(tuple(f) for f in fibers)
         self._validate_fibers()
 
@@ -438,8 +440,11 @@ class GaloisSetup:
         return self._orbits
 
     def h_ring(self) -> GroupRing:
-        modulus = self.p**self.modulus_exponent
-        return GroupRing(self.h_elements, self.group.mul, self.group.identity, modulus)
+        """(Z/p^m)[H], built once per setup."""
+        if self._ring is None:
+            modulus = self.p**self.modulus_exponent
+            self._ring = GroupRing(self.h_elements, self.group.mul, self.group.identity, modulus)
+        return self._ring
 
     def __repr__(self):
         return (
@@ -584,78 +589,44 @@ def _transfer_positions(setup: GaloisSetup, positions, reps=None) -> list[int]:
 # Smith normal form and trace-ideal membership
 
 
-def smith_normal_form(matrix):
-    """(D, U, V) with U·M·V = D diagonal, d_i | d_{i+1}, U and V unimodular.
+def smith_normal_form(matrix, p: int, m: int):
+    """(D, U, V) with U·M·V ≡ D (mod p^m), U and V invertible mod p^m, and D
+    diagonal: p^(v_1), p^(v_2), … with v_1 ≤ v_2 ≤ …, then zeros.
 
-    Textbook algorithm: move a minimal-magnitude pivot to the corner, clear
-    its row and column by Euclidean steps, enforce the divisibility chain by
-    folding offending entries into the pivot's column, recurse.
+    Z/p^m is a local ring: a nonzero residue is a unit times a power of p, so
+    divisibility is an order on valuations (Cohen, §2.4).  Each step swaps the
+    first entry of least valuation v, in row-major order, to the corner and
+    scales its row by the inverse of its unit part, so the pivot is p^v.  Every
+    other entry of its column and row is a multiple of p^v, so one pass clears
+    each, and every later pivot has valuation ≥ v.
     """
-    a = [list(map(int, row)) for row in matrix]
-    n = len(a)
-    m = len(a[0]) if n else 0
-    u = _matrix_identity(n)
-    v = _matrix_identity(m)
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    for t in range(min(n, m)):
-        while True:
-            pivot = None
-            for i in range(t, n):
-                for j in range(t, m):
-                    if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
-            if pivot is None:
-                break
-            if pivot != (t, t):
-                if pivot[0] != t:
-                    swap_rows(t, pivot[0])
-                if pivot[1] != t:
-                    swap_cols(t, pivot[1])
-            dirty = False
-            for i in range(t + 1, n):
-                if a[i][t]:
-                    row_op(i, t, a[i][t] // a[t][t])
-                    dirty = dirty or bool(a[i][t])
-            for j in range(t + 1, m):
-                if a[t][j]:
-                    col_op(j, t, a[t][j] // a[t][t])
-                    dirty = dirty or bool(a[t][j])
-            if dirty:
-                continue
-            offender = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, m):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_op(t, offender, -1)  # fold the offending row in and restart
-        if t < n and t < m and a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
+    q = p**m
+    a = [[x % q for x in row] for row in matrix]
+    rows, cols = len(a), len(a[0]) if a else 0
+    u = _matrix_identity(rows)
+    v = _matrix_identity(cols)
+    for t in range(min(rows, cols)):
+        # (v, i, j) orders by valuation, then row-major; columns before t are clear
+        nonzero = [(int_valuation(x, p), i, j) for i in range(t, rows) for j, x in enumerate(a[i]) if x]
+        if not nonzero:
+            break
+        valuation, i, j = min(nonzero)
+        power = p**valuation
+        a[t], a[i] = a[i], a[t]
+        u[t], u[i] = u[i], u[t]
+        for row in itertools.chain(a, v):
+            row[t], row[j] = row[j], row[t]
+        inverse = pow(a[t][t] // power, -1, q)
+        a[t] = [x * inverse % q for x in a[t]]
+        u[t] = [x * inverse % q for x in u[t]]
+        for i in range(t + 1, rows):  # row_i -= (a[i][t] / p^v)·row_t
+            c = a[i][t] // power
+            a[i] = [(x - c * y) % q for x, y in zip(a[i], a[t])]
+            u[i] = [(x - c * y) % q for x, y in zip(u[i], u[t])]
+        for j in range(t + 1, cols):  # col_j -= (a[t][j] / p^v)·col_t
+            c = a[t][j] // power
+            for row in itertools.chain(a, v):
+                row[j] = (row[j] - c * row[t]) % q
     return a, u, v
 
 
@@ -666,9 +637,10 @@ class TraceIdeal:
     ``ring.elements``, with residues in [0, p^m).  The Σ-generator permutes
     the basis indices, so a conjugate is a reindexed vector and the trace is
     a sum of p of them.  The trace map is linear, so T is spanned by the
-    traces of the basis vectors; membership is an integer linear system solved
-    through one Smith normal form shared across queries.  Group-ring elements
-    appear only at the methods that take or return one.
+    traces of the basis vectors, the columns of the n×n generator matrix M.
+    Membership is the system M·x = b over Z/p^m, solved through one Smith
+    form of M shared across queries.  Group-ring elements appear only at the
+    methods that take or return one.
     """
 
     def __init__(self, setup: GaloisSetup):
@@ -693,7 +665,6 @@ class TraceIdeal:
             self._trace_vector([int(i == j) for i in range(len(self._basis))])
             for j in range(len(self._basis))
         ]
-        self._solver = None
 
     def _vector(self, elt: GroupRingElement) -> list[int]:
         return [elt.coefficient(h) for h in self._basis]
@@ -709,18 +680,13 @@ class TraceIdeal:
     def _is_fixed_vector(self, vector) -> bool:
         return list(map(vector.__getitem__, self._pulls[1])) == list(vector)
 
-    def _ensure_solver(self):
-        if self._solver is not None:
-            return
-        n = len(self._basis)
-        cols = self.generators
-        # n x (n + n): generator columns, then the modulus block
-        mat = [
-            [cols[j][i] for j in range(n)]
-            + [self.modulus if i == j else 0 for j in range(n)]
-            for i in range(n)
-        ]
-        self._solver = smith_normal_form(mat)
+    @functools.cached_property
+    def _solver(self):
+        """(diagonal, U, V): the Smith form of the generator matrix, 0 = p^m written p^m."""
+        d, u, v = smith_normal_form(
+            list(zip(*self.generators)), self.setup.p, self.setup.modulus_exponent
+        )
+        return [row[i] or self.modulus for i, row in enumerate(d)], u, v
 
     def membership(self, elt: GroupRingElement):
         """(verdict, certificate): certificate α has trace(α) = elt when true."""
@@ -736,23 +702,14 @@ class TraceIdeal:
         """
         if not self._is_fixed_vector(vector):
             raise NotFixed("element is not Σ-invariant")
-        self._ensure_solver()
-        d, u, v = self._solver
-        n = len(self._basis)
-        w = [sum(map(operator.mul, row, vector)) for row in u]
-        z = []
-        for i in range(n):
-            di = d[i][i]
-            if di == 0:
-                if w[i]:
-                    return False, None
-                z.append(0)
-            else:
-                if w[i] % di:
-                    return False, None
-                z.append(w[i] // di)
-        # z is zero past the first n entries, so each row of V meets only those
-        x = [sum(map(operator.mul, row, z)) % self.modulus for row in v[:n]]
+        diagonal, u, v = self._solver
+        # M·x = b ⇔ D·(V⁻¹·x) = U·b = w: solvable iff each w_i is a multiple of
+        # p^(v_i), and w_i = 0 past the rank, where the diagonal holds p^m
+        w = [sum(map(operator.mul, row, vector)) % self.modulus for row in u]
+        if any(map(operator.mod, w, diagonal)):
+            return False, None
+        z = list(map(operator.floordiv, w, diagonal))
+        x = [sum(map(operator.mul, row, z)) % self.modulus for row in v]
         if self._trace_vector(x) != list(vector):
             raise ArithmeticError("trace certificate failed re-expansion")
         return True, x
@@ -937,18 +894,15 @@ def _check_membership_trivial_action() -> dict:
     return {"verdict": ok, "elements": len(vectors), "members": members}
 
 
-def _check_membership_order3_action() -> dict:
-    # (Z/9)[C_7] with the order-3 action x -> 2x; fixed ring has 9^3 elements
-    setup = semidirect_setup(**CATALOG["f21"])
-    ideal = TraceIdeal(setup)
-    n = len(setup.h_elements)
-    index = {h: i for i, h in enumerate(setup.h_elements)}
-    orbits = [[index[h] for h in orbit] for orbit in setup.orbits()]
+def _trace_ideal_closure(ideal: TraceIdeal, fixed_count: int):
+    """(ok, closure): the sums of the generators of a (Z/9)-trace ideal,
+    walked from zero; the route the Smith form is checked against.
 
-    # traces are Σ-fixed, so the closure lies in the 9^(orbits) fixed vectors;
-    # a vector outside them, or a closure past their count, is a false verdict
-    # (a faulty trace would otherwise walk toward all 9^n vectors)
-    fixed_count = 9 ** len(orbits)
+    Traces are Σ-fixed, so the closure lies in the `fixed_count` fixed
+    vectors; a vector outside them, or a closure past their count, is a false
+    verdict (a faulty trace would otherwise walk toward all 9^n vectors).
+    """
+    n = len(ideal.generators)
     ok = True
     closure = {tuple([0] * n)}
     frontier = [tuple([0] * n)]
@@ -962,6 +916,17 @@ def _check_membership_order3_action() -> dict:
                     break
                 closure.add(nxt)
                 frontier.append(nxt)
+    return ok, closure
+
+
+def _check_membership_order3_action() -> dict:
+    # (Z/9)[C_7] with the order-3 action x -> 2x; fixed ring has 9^3 elements
+    setup = semidirect_setup(**CATALOG["f21"])
+    ideal = TraceIdeal(setup)
+    n = len(setup.h_elements)
+    index = {h: i for i, h in enumerate(setup.h_elements)}
+    orbits = [[index[h] for h in orbit] for orbit in setup.orbits()]
+    ok, closure = _trace_ideal_closure(ideal, 9 ** len(orbits))
 
     members = 0
     checked = 0

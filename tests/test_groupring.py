@@ -1,8 +1,8 @@
 """Group rings over Z/m: convolution, pushforward, and structural equality.
 
-Elements built over *distinct but identical* ring objects must interoperate —
-a setup rebuilds its ring for each trace ideal — while rings that differ in
-any structural way (modulus, carrier, group law) must stay apart.
+Elements built over *distinct but identical* ring objects must interoperate,
+while rings that differ in any structural way (modulus, carrier, group law)
+must stay apart.
 """
 
 import pytest

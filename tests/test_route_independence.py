@@ -11,7 +11,7 @@ import os
 import sys
 
 import pmcong
-from pmcong import dirichlet, numberfield, zeta
+from pmcong import dirichlet, numberfield, sigma, zeta
 from pmcong.levels import scenario_level
 
 PACKAGE_DIR = pmcong.__path__[0] + os.sep
@@ -95,4 +95,30 @@ def test_ideal_enumeration_and_series_share_only_the_allowlist(fresh_caches):
     shared = ideals & series
     assert shared <= IDEAL_SERIES_SHARED.keys(), (
         f"the two sides share {sorted(shared - IDEAL_SERIES_SHARED.keys())}"
+    )
+
+
+#: Functions both the Smith-form solver and the closure walk of the σ-suite
+#: may enter.
+SMITH_CLOSURE_SHARED = {
+    # The Σ-fixed vectors are the question both routes answer: the solver
+    # refuses a query outside them, and the walk a sum outside them.
+    "sigma.TraceIdeal._is_fixed_vector": "the fixed vectors are the domain of both routes",
+}
+
+
+def test_smith_form_and_closure_share_only_the_allowlist(fresh_caches):
+    """In the f21 ring, (Z/9)[C_7] under x -> 2x: one membership query solved
+    by the Smith form over Z/9 against the closure walk.  Both read the
+    generators, the traces of the basis vectors, which the ideal computes
+    once when it is built."""
+    setup = sigma.semidirect_setup(**sigma.CATALOG["f21"])
+    ideal = sigma.TraceIdeal(setup)
+    smith = _entered(fresh_caches, ideal._solve, ideal.generators[1])
+    assert "sigma.smith_normal_form" in smith
+    walk = _entered(fresh_caches, sigma._trace_ideal_closure, ideal, 9 ** len(setup.orbits()))
+    assert "sigma._trace_ideal_closure" in walk
+    shared = smith & walk
+    assert shared <= SMITH_CLOSURE_SHARED.keys(), (
+        f"the two routes share {sorted(shared - SMITH_CLOSURE_SHARED.keys())}"
     )

@@ -15,6 +15,7 @@ import pytest
 
 import pmcong.sigma as sigma
 from pmcong.cli import main
+from pmcong.exact import int_valuation
 from pmcong.harness import jsonable
 from pmcong.levels import L_SIDE, Q_SIDE, scenario_level
 from pmcong.sigma import (
@@ -41,7 +42,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form, checked against exact fraction Gauss elimination
+# Smith normal form over Z/p^m, checked against exact determinants and an
+# enumerated column span
 
 
 def _det(matrix):
@@ -70,50 +72,72 @@ def _mat_mul(a, b):
     ]
 
 
-def _check_snf(matrix):
-    d, u, v = smith_normal_form(matrix)
+def _column_span(matrix, q):
+    """The Z/q-span of the columns of `matrix`, enumerated."""
+    span = {(0,) * len(matrix)}
+    for column in zip(*matrix):
+        multiples = {tuple(k * x % q for x in column) for k in range(q)}
+        span = {tuple((a + b) % q for a, b in zip(s, c)) for s in span for c in multiples}
+    return span
+
+
+def _check_snf(matrix, p, m):
+    q = p**m
+    d, u, v = smith_normal_form(matrix, p, m)
     n = len(matrix)
-    m = len(matrix[0])
-    assert len(d) == n and all(len(row) == m for row in d)
+    k = len(matrix[0])
+    assert len(d) == n and all(len(row) == k for row in d)
     for i in range(n):
-        for j in range(m):
+        for j in range(k):
             if i != j:
                 assert d[i][j] == 0
-    diag = [d[i][i] for i in range(min(n, m))]
-    assert all(x >= 0 for x in diag)
-    for a, b in zip(diag, diag[1:]):
-        if a == 0:
-            assert b == 0
-        else:
-            assert b % a == 0
-    assert abs(_det(u)) == 1
-    assert abs(_det(v)) == 1
-    assert _mat_mul(_mat_mul(u, matrix), v) == d
+    # the diagonal is ascending powers p^v with v < m, then zeros
+    diag = [d[i][i] for i in range(min(n, k))]
+    rank = len([x for x in diag if x])
+    assert not any(diag[rank:])
+    valuations = [int_valuation(x, p) for x in diag[:rank]]
+    assert diag[:rank] == [p**e for e in valuations]
+    assert valuations == sorted(valuations) and all(e < m for e in valuations)
+    # U and V are residues mod p^m, invertible because their determinants are units
+    assert all(0 <= x < q for row in u + v for x in row)
+    assert _det(u).numerator % p and _det(v).numerator % p
+    assert [[x % q for x in row] for row in _mat_mul(_mat_mul(u, matrix), v)] == d
     return diag
 
 
 def test_smith_normal_form_fixed_examples():
-    assert _check_snf([[2, 4], [6, 8]]) == [2, 4]
-    assert _check_snf([[2, 0], [0, 3]]) == [1, 6]
-    assert _check_snf([[1, 0], [0, 0]]) == [1, 0]
-    assert _check_snf([[0, 0], [0, 0]]) == [0, 0]
-    assert _check_snf([[6, 4, 2]]) == [2]
-    assert _check_snf([[5]]) == [5]
+    assert _check_snf([[2, 4], [6, 8]], 2, 3) == [2, 4]
+    assert _check_snf([[2, 0], [0, 3]], 3, 2) == [1, 3]
+    assert _check_snf([[2, 0], [0, 3]], 2, 2) == [1, 2]
+    assert _check_snf([[1, 0], [0, 0]], 5, 1) == [1, 0]
+    assert _check_snf([[0, 0], [0, 0]], 3, 2) == [0, 0]
+    assert _check_snf([[6, 4, 2]], 2, 3) == [2]
+    assert _check_snf([[5]], 5, 2) == [5]
+    # a multiple of p^m is zero in Z/p^m, and a negative entry is its residue
+    assert _check_snf([[9], [-18]], 3, 2) == [0]
+    assert _check_snf([[-3, 9], [0, 27]], 3, 3) == [3, 0]
 
 
 def test_smith_normal_form_random_matrices():
-    """Random shapes: decomposition identities plus |∏dᵢ| = |det| when square."""
+    """p ∈ {2, 3, 5}, m ∈ {1, 2, 3}, shapes up to 4×4, entries of mixed
+    valuation: the decomposition, and where the span is small enough to
+    enumerate, its size ∏ p^(m − v_i)."""
     rng = random.Random(1729)
-    for _ in range(120):
-        n = rng.randint(1, 4)
-        m = rng.randint(1, 4)
-        matrix = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
-        diag = _check_snf(matrix)
-        if n == m:
-            prod = 1
-            for x in diag:
-                prod *= x
-            assert prod == abs(_det(matrix))
+    enumerated = 0
+    for p, m in itertools.product((2, 3, 5), (1, 2, 3)):
+        q = p**m
+        for _ in range(15):
+            n = rng.randint(1, 4)
+            k = rng.randint(1, 4)
+            matrix = [
+                [rng.randint(-2 * q, 2 * q) * p ** rng.randint(0, m) for _ in range(k)]
+                for _ in range(n)
+            ]
+            diag = _check_snf(matrix, p, m)
+            if q ** min(n, k) <= 6561:
+                enumerated += 1
+                assert len(_column_span(matrix, q)) == math.prod(q // x for x in diag if x)
+    assert enumerated >= 80
 
 
 # ---------------------------------------------------------------------------
@@ -754,6 +778,18 @@ def test_trace_ideal_rejects_foreign_ring():
     other = semidirect_setup((7,), 3, action=[[2]], modulus_exponent=3).h_ring()
     with pytest.raises(ValueError, match="different ring"):
         ideal.membership(other.one())
+
+
+def test_h_ring_is_built_once_per_setup():
+    """A setup's ring is one object, so its elements and its trace ideal meet
+    by identity; a ring from another setup is still refused."""
+    setup = semidirect_setup(**CATALOG["f21"])
+    ring = setup.h_ring()
+    assert setup.h_ring() is ring
+    assert TraceIdeal(setup).ring is ring
+    other = semidirect_setup(**{**CATALOG["f21"], "modulus_exponent": 1}).h_ring()
+    with pytest.raises(ValueError, match="different ring"):
+        TraceIdeal(setup).membership(other.one())
 
 
 # ---------------------------------------------------------------------------
