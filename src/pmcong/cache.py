@@ -2,9 +2,9 @@
 
 The one kind stored is ``totpos``: the totally positive elements of one
 trace, from the lattice scan of numberfield.enumerate_tot_pos_trace.  A file
-never decides an answer: the scan always runs, its records are compared with
-the file's, and a file that is missing or differs in any way is rewritten,
-byte for byte as a fresh one.  Format:
+never decides an answer: the scan always runs, and after it harness compares
+the scan's records with the file's; a file that is missing or differs in any
+way is rewritten, byte for byte as a fresh one.  Format:
 
     pmcong-cache/2 <kind> <canonical key>
     <record>|<crc32 of record, 8 hex digits>
@@ -18,7 +18,7 @@ which had no trailer) are stale too.
 Writes go through a temporary file in the same directory followed by
 os.replace, so concurrent readers never observe a partial file.  Callers
 pass the cache directory explicitly (the CLI's --cache-dir), as a ``str`` or
-any ``os.PathLike``; with None, caching is disabled.
+any ``os.PathLike``; a run without a directory never calls this module.
 """
 
 from __future__ import annotations
@@ -48,12 +48,8 @@ def _checksum(record: str) -> str:
     return format(zlib.crc32(record.encode("utf-8")) & 0xFFFFFFFF, "08x")
 
 
-def load_records(
-    directory: str | os.PathLike | None, kind: str, key: dict[str, object]
-) -> list[str] | None:
+def load_records(directory: str | os.PathLike, kind: str, key: dict[str, object]) -> list[str] | None:
     """Return the cached records, or None when absent/stale/corrupt/truncated."""
-    if directory is None:
-        return None
     path = cache_path(Path(directory), kind, key)
     try:
         text = path.read_text(encoding="utf-8")
@@ -75,11 +71,9 @@ def load_records(
 
 
 def store_records(
-    directory: str | os.PathLike | None, kind: str, key: dict[str, object], records: list[str]
-) -> Path | None:
-    """Atomically write the records; returns the path (None if caching is off)."""
-    if directory is None:
-        return None
+    directory: str | os.PathLike, kind: str, key: dict[str, object], records: list[str]
+) -> Path:
+    """Atomically write the records; returns the path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = cache_path(directory, kind, key)

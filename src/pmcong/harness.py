@@ -55,7 +55,9 @@ def _register_lazily(name: str):
     return module
 
 
-# the modules behind the checks; cli takes sigma and zeta from here
+# the modules behind the checks, and the cache a --cache-dir run compares
+# with; cli takes sigma and zeta from here
+cache = _register_lazily("cache")
 dirichlet = _register_lazily("dirichlet")
 pseudomeasure = _register_lazily("pseudomeasure")
 qexpansion = _register_lazily("qexpansion")
@@ -423,10 +425,21 @@ def _check_delta(config: ScenarioConfig, level) -> dict:
     return {"verdict": verdict, "runs": runs}
 
 
+def _heal_totpos(cache_dir, field, by_trace) -> None:
+    """Rewrite each trace's totpos file that is missing, stale or differs from the walk's ν."""
+    for t, nus in by_trace.items():
+        key = {"p": field.p, "fL": field.conductor, "t": t}
+        records = [",".join(map(str, nu.coords)) for nu in nus]
+        if cache.load_records(cache_dir, "totpos", key) != records:
+            cache.store_records(cache_dir, "totpos", key, records)
+
+
 def _check_qexp(config: ScenarioConfig, level, cache_dir) -> dict:
     runs = []
     verdict = True
-    table = qexpansion.NuTable(level, config.qexp_trace_bound, cache_dir=cache_dir)
+    table = qexpansion.NuTable(level, config.qexp_trace_bound)
+    if cache_dir is not None:
+        _heal_totpos(cache_dir, level.field, table.by_trace)
     functions = _qexp_functions(config, level)
     for k in [k for k in config.k_values if k >= 2 and k % 2 == 0]:
         for i, eps in enumerate(functions):
@@ -495,7 +508,8 @@ def cache_warm(config: ScenarioConfig, cache_dir: Path) -> dict:
     """Write, or heal, the lattice-scan files the q-expansion check of a run compares with."""
     cache_dir = Path(cache_dir)
     files_before = {p.name for p in cache_dir.glob("*")} if cache_dir.exists() else set()
-    tot_pos_up_to(config.level().field, config.qexp_trace_bound, cache_dir=cache_dir)
+    field = config.level().field
+    _heal_totpos(cache_dir, field, tot_pos_up_to(field, config.qexp_trace_bound))
     files_after = sorted(p.name for p in cache_dir.glob("*"))
     return {
         "directory": str(cache_dir),

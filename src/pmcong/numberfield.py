@@ -24,9 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 
-from .cache import load_records, store_records
 from .exact import int_valuation, poly_eval, poly_eval_mod
 from .units import factorize, is_prime, unit_group
 
@@ -64,7 +62,7 @@ class NotCoprime(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# small exact linear algebra (p × p, p ≤ 7 in practice)
+# small exact linear algebra (p × p, p the degree of the field)
 
 
 def _det_inv(rows) -> tuple[Fraction, list[list[Fraction]] | None]:
@@ -287,18 +285,8 @@ class AbelianFieldSpec:
             structure.append(tuple(row))
         self.structure = tuple(structure)
 
-        # trace form and its inverse
-        self.trace_form = tuple(
-            tuple(-sum(self.structure[i][j]) for j in range(p)) for i in range(p)
-        )
-        det, self.trace_form_inv = _det_inv(self.trace_form)
-        if abs(det) != conductor ** (p - 1):
-            raise ArithmeticError("trace form determinant must match the discriminant")
-
-        # minimal polynomial of η_0 (= characteristic polynomial, irreducible)
-        self.min_poly = self.period(0).char_poly()
-
-        # change of basis: power_matrix columns are η_0^j in period coordinates
+        # change of basis: power_matrix columns are η_0^j in period coordinates;
+        # it needs only the structure constants, so the index is checked first
         power_cols = []
         elt = self.one()
         for _ in range(p):
@@ -311,6 +299,17 @@ class AbelianFieldSpec:
                 f"[O_L : Z[η_0]] = {abs(index)}; only fields with O_L = Z[η_0] are supported"
             )
         self.period_in_power = tuple(tuple(int(v) for v in row) for row in inv)
+
+        # trace form and its inverse
+        self.trace_form = tuple(
+            tuple(-sum(self.structure[i][j]) for j in range(p)) for i in range(p)
+        )
+        det, self.trace_form_inv = _det_inv(self.trace_form)
+        if abs(det) != conductor ** (p - 1):
+            raise ArithmeticError("trace form determinant must match the discriminant")
+
+        # minimal polynomial of η_0 (= characteristic polynomial, irreducible)
+        self.min_poly = self.period(0).char_poly()
 
         # σ^{-1}(η_0) = η_{p−1} as an integer polynomial in η_0
         self.prev_period_power = self.period(p - 1).power_coords()
@@ -610,8 +609,8 @@ def factor_principal(spec: AbelianFieldSpec, nu: AlgebraicInt) -> IdealFactored:
 
 
 # ---------------------------------------------------------------------------
-# enumerations (the lattice scan always runs; with a cache directory its file
-# is compared with the scan and rewritten when it differs, never trusted)
+# enumerations (pure functions of the field and the bound: no file is read or
+# written here; harness compares a cache directory with the walk's ν)
 
 
 def enumerate_ideals(spec: AbelianFieldSpec, bound: int, s_primes=()) -> tuple[IdealFactored, ...]:
@@ -649,9 +648,7 @@ def enumerate_ideals(spec: AbelianFieldSpec, bound: int, s_primes=()) -> tuple[I
     return tuple(results)
 
 
-def enumerate_tot_pos_trace(
-    spec: AbelianFieldSpec, t: int, cache_dir: Path | None = None
-) -> tuple[AlgebraicInt, ...]:
+def enumerate_tot_pos_trace(spec: AbelianFieldSpec, t: int) -> tuple[AlgebraicInt, ...]:
     """All totally positive ν ∈ o_L with tr(ν) = t, sorted by coordinates.
 
     The search box: with w_j = tr(ν·η_j), total positivity traps every w_j in
@@ -660,9 +657,8 @@ def enumerate_tot_pos_trace(
     sharp integer ranges for the coordinates, of which the last is determined
     by the trace.  Candidates are prefiltered in floating point with a margin
     below the 1/t^(p−1) floor on embeddings of totally positive integers, then
-    decided exactly.  The scan always runs, with or without cache_dir: the
-    trace's cache file is only compared with the scan's records and rewritten
-    when it differs, so no file can change the answer.
+    decided exactly.  The walk is the only source of these ν: it reads and
+    writes no file.
     """
     if t <= 0:
         return ()
@@ -716,22 +712,13 @@ def enumerate_tot_pos_trace(
 
     scan(0, [])
     found.sort(key=lambda nu: nu.coords)
-    key = {"p": p, "fL": spec.conductor, "t": t}
-    records = [",".join(map(str, nu.coords)) for nu in found]
-    if load_records(cache_dir, "totpos", key) != records:
-        store_records(cache_dir, "totpos", key, records)  # missing, stale or wrong: heal it
     return tuple(found)
 
 
-def tot_pos_up_to(
-    spec: AbelianFieldSpec, trace_bound: int, cache_dir: Path | None = None
-) -> dict[int, tuple[AlgebraicInt, ...]]:
+def tot_pos_up_to(spec: AbelianFieldSpec, trace_bound: int) -> dict[int, tuple[AlgebraicInt, ...]]:
     """Totally positive integers grouped by trace, for the traces p, 2p, … ≤ bound.
 
     These are the only traces the q-expansion congruence reads: its
     coefficient E(μ) sums over the ν of trace p·μ.
     """
-    return {
-        t: enumerate_tot_pos_trace(spec, t, cache_dir=cache_dir)
-        for t in range(spec.p, trace_bound + 1, spec.p)
-    }
+    return {t: enumerate_tot_pos_trace(spec, t) for t in range(spec.p, trace_bound + 1, spec.p)}

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from pathlib import Path
 from typing import NamedTuple
 
 from .exact import p_valuation
@@ -109,10 +108,11 @@ class NuTable:
     independent term lists: the S-coprime divisors of (ν) generated from its
     factorization, and the ideals of the separately enumerated pool that
     divide (ν) (the direct route).  For each μ ≤ trace_bound // p it also
-    holds the Σ-orbit partition of the pairs (𝔟, ν) with tr ν = p·μ.
+    holds the Σ-orbit partition of the pairs (𝔟, ν) with tr ν = p·μ.  It
+    does no file I/O; `harness` compares a cache directory with `by_trace`.
     """
 
-    def __init__(self, level: LevelData, trace_bound: int, cache_dir: Path | None = None):
+    def __init__(self, level: LevelData, trace_bound: int):
         field = level.field
         if field is None:
             raise ValueError("this level carries no extension field")
@@ -122,7 +122,7 @@ class NuTable:
         self.trace_bound = trace_bound
         f = level.modulus
         p = level.p
-        self.by_trace = tot_pos_up_to(field, trace_bound, cache_dir=cache_dir)
+        self.by_trace = tot_pos_up_to(field, trace_bound)
 
         factored: dict[tuple[int, ...], IdealFactored] = {}
         divisor_ideals: dict[tuple[int, ...], list[IdealFactored]] = {}

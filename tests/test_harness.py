@@ -195,21 +195,25 @@ def test_cli_import_leaves_dataclasses_and_inspect_out():
 def test_config_and_cache_warm_leave_the_check_modules_unrun(tmp_path):
     """Accepting the desk scenario and warming its cache import neither the
     cyclotomic arithmetic of the zeta routes nor the group rings of the
-    σ-suite; a run of the routes checks imports no group ring."""
-    code = (
-        "import sys\n"
+    σ-suite; a run of the routes checks imports no group ring.  `pmcong.cache`
+    stays the lazy loader's module until `cache_warm` runs it: neither
+    accepting a scenario nor a run without a cache directory executes it."""
+    prelude = (
+        "import sys, types\n"
         "from pmcong.harness import ScenarioConfig, cache_warm, run_scenario\n"
         "def imported():\n"
-        "    print(sorted({'pmcong.cyclotomic', 'pmcong.groupring'} & set(sys.modules)))\n"
+        "    ran = type(sys.modules['pmcong.cache']) is types.ModuleType\n"
+        "    print(sorted({'pmcong.cyclotomic', 'pmcong.groupring'} & set(sys.modules)), ran)\n"
         "config = ScenarioConfig.from_ini(sys.argv[1])\n"
         "imported()\n"
-        "cache_warm(config, sys.argv[2])\n"
-        "imported()\n"
-        "assert run_scenario(config, checks=('crosscheck', 'transfer', 'delta'))['verdict']\n"
-        "imported()\n"
     )
-    lines = _fresh_python(code, str(REPO_ROOT / "configs" / "default.ini"), str(tmp_path))
-    assert lines == ["[]", "[]", "['pmcong.cyclotomic']"]
+    routes = "assert run_scenario(config, checks=('crosscheck', 'transfer', 'delta'))['verdict']\nimported()\n"
+    warm = "cache_warm(config, sys.argv[2])\nimported()\n"
+    args = (str(REPO_ROOT / "configs" / "default.ini"), str(tmp_path))
+    lines = _fresh_python(prelude + warm + routes, *args)
+    assert lines == ["[] False", "[] True", "['pmcong.cyclotomic'] True"]
+    lines = _fresh_python(prelude + routes, *args)
+    assert lines == ["[] False", "['pmcong.cyclotomic'] False"]
 
 
 def test_readme_scenario_example_reads_as_the_default(tmp_path):
@@ -658,12 +662,73 @@ def test_a_str_cache_directory_works_like_a_path(tmp_path):
     cache = str(tmp_path / "cache")
     assert run_scenario(config, cache_dir=cache, checks=("qexp",))["verdict"]
     assert sorted(p.name for p in Path(cache).iterdir()) == cache_warm(config, tmp_path / "warm")["files"]
-    field = config.level().field
     assert (Path(cache) / "totpos-fL7-p3-t6.txt").exists()
-    assert enumerate_tot_pos_trace(field, 6, cache_dir=cache) == enumerate_tot_pos_trace(field, 6)
+    assert cache_warm(config, cache)["new_files"] == []
     fresh = str(tmp_path / "fresh")
-    assert enumerate_tot_pos_trace(field, 5, cache_dir=fresh) == enumerate_tot_pos_trace(field, 5)
-    assert [p.name for p in Path(fresh).iterdir()] == ["totpos-fL7-p3-t5.txt"]
+    assert cache_warm(_small_config(qexp_bound=1), fresh)["new_files"] == ["totpos-fL7-p3-t3.txt"]
+    assert [p.name for p in Path(fresh).iterdir()] == ["totpos-fL7-p3-t3.txt"]
+
+
+def test_desk_cache_files_are_pinned_byte_for_byte(tmp_path):
+    """The totpos files of the desk field for t = 3 and t = 6, as every
+    version since pmcong-cache/2 writes them; a directory warmed by one
+    version reads as warm in the others."""
+    config = _small_config()
+    expected = {
+        "totpos-fL7-p3-t3.txt": "pmcong-cache/2 totpos fL=7 p=3 t=3\n-1,-1,-1|484e5265\nend 1\n",
+        "totpos-fL7-p3-t6.txt": (
+            "pmcong-cache/2 totpos fL=7 p=3 t=6\n"
+            "-3,-2,-1|cd64eca2\n"
+            "-2,-2,-2|f21ab6ac\n"
+            "-2,-1,-3|97a829d4\n"
+            "-1,-3,-2|7b4ecb54\n"
+            "end 4\n"
+        ),
+    }
+    assert cache_warm(config, tmp_path)["files"] == sorted(expected)
+    for name, text in expected.items():
+        assert (tmp_path / name).read_bytes() == text.encode("utf-8")
+    # files written from the literal text are warm: nothing is rewritten
+    warm = tmp_path / "warm"
+    warm.mkdir()
+    for name, text in expected.items():
+        (warm / name).write_bytes(text.encode("utf-8"))
+        os.utime(warm / name, ns=(0, 0))
+    assert cache_warm(config, warm)["new_files"] == []
+    assert all((warm / name).stat().st_mtime_ns == 0 for name in expected)
+
+
+def test_the_walk_and_the_nu_table_do_no_file_io():
+    """`numberfield` and `qexpansion` import nothing from `cache` or `pathlib`
+    and open no file, and the walk and the ν table take no cache directory;
+    `harness` compares a cache directory with the walk."""
+    package = REPO_ROOT / "src" / "pmcong"
+    trees = {
+        name: ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        for name in ("numberfield", "qexpansion")
+    }
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported = {node.module} if node.module else {a.name for a in node.names}
+            elif isinstance(node, ast.Import):
+                imported = {a.name for a in node.names}
+            else:
+                assert not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"), name
+                continue
+            assert not imported & {"cache", "pmcong.cache", "pathlib"}, (name, node.lineno)
+
+    def params(tree, qualname):
+        body = tree.body
+        *owner, name = qualname.split(".")
+        if owner:
+            body = next(n for n in body if isinstance(n, ast.ClassDef) and n.name == owner[0]).body
+        fn = next(n for n in body if isinstance(n, ast.FunctionDef) and n.name == name)
+        return [a.arg for a in fn.args.args + fn.args.kwonlyargs]
+
+    assert params(trees["numberfield"], "enumerate_tot_pos_trace") == ["spec", "t"]
+    assert params(trees["numberfield"], "tot_pos_up_to") == ["spec", "trace_bound"]
+    assert params(trees["qexpansion"], "NuTable.__init__") == ["self", "level", "trace_bound"]
 
 
 def test_a_cache_file_without_a_sigma_orbit_changes_no_report(tmp_path):

@@ -13,15 +13,19 @@ Independence of the oracles used here:
 """
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+import pmcong.numberfield as numberfield
 from pmcong.cache import load_records, store_records
 from pmcong.exact import poly_eval_mod
 from pmcong.dirichlet import characters_of, conductor_primitive, series_coefficients
+from pmcong.harness import ScenarioConfig, cache_warm, run_scenario
 from pmcong.numberfield import (
+    AbelianFieldSpec,
     NotCoprime,
     _det_inv,
     _newton_char_poly,
@@ -342,12 +346,9 @@ def _sound_box_radius(spec, t):
     return int(radius) + 1
 
 
-def _every_trace(spec, trace_bound, cache_dir=None):
+def _every_trace(spec, trace_bound):
     """The per-trace scan at every trace 1..bound, not only the multiples of p."""
-    return {
-        t: enumerate_tot_pos_trace(spec, t, cache_dir=cache_dir)
-        for t in range(1, trace_bound + 1)
-    }
+    return {t: enumerate_tot_pos_trace(spec, t) for t in range(1, trace_bound + 1)}
 
 
 def test_tot_pos_lists_complete_against_box_scan():
@@ -393,18 +394,31 @@ def test_enumerate_single_trace_consistent():
 
 
 # -------------------------------------------------------------------- cache --
+# The walk does no file I/O; these tests reach the totpos files through the
+# harness seam that compares them with the walk (cache_warm, or run_scenario
+# with a cache directory), and check that no file changes a report.
+
+
+def _f7_config(qexp_bound):
+    """F7's scenario with its q-expansion walk up to trace 3·qexp_bound."""
+    return ScenarioConfig(p=3, conductor=7, s_primes=(3, 7), a=2, k_values=(2,), qexp_bound=qexp_bound)
+
+
+def _qexp_report(config, cache_dir=None):
+    report = run_scenario(config, cache_dir=cache_dir, checks=("qexp",))
+    report.pop("timings")
+    return json.dumps(report, sort_keys=True)
 
 
 def test_cache_round_trip_and_corruption_recovery(tmp_path):
-    first = _every_trace(F7, 9, cache_dir=tmp_path)
+    config = _f7_config(3)
+    first = _qexp_report(config, tmp_path)
     files = sorted(tmp_path.glob("*.txt"))
     assert files, "warm run must write cache files"
     blobs = {f: f.read_bytes() for f in files}
 
-    again = _every_trace(F7, 9, cache_dir=tmp_path)
-    assert {t: [n.coords for n in v] for t, v in first.items()} == {
-        t: [n.coords for n in v] for t, v in again.items()
-    }
+    again = _qexp_report(config, tmp_path)
+    assert first == again
     for f in files:
         assert f.read_bytes() == blobs[f], "rerun must be byte-identical"
 
@@ -412,15 +426,13 @@ def test_cache_round_trip_and_corruption_recovery(tmp_path):
     corrupted = bytearray(blobs[victim])
     corrupted[len(corrupted) // 2] ^= 0xFF
     victim.write_bytes(bytes(corrupted))
-    healed = _every_trace(F7, 9, cache_dir=tmp_path)
-    assert {t: [n.coords for n in v] for t, v in first.items()} == {
-        t: [n.coords for n in v] for t, v in healed.items()
-    }
+    healed = _qexp_report(config, tmp_path)
+    assert first == healed
     assert victim.read_bytes() == blobs[victim], "corrupt file must be rewritten"
 
 
 def test_cache_headers_name_kind_and_key(tmp_path):
-    tot_pos_up_to(F7, 4, cache_dir=tmp_path)
+    cache_warm(_f7_config(1), tmp_path)
     for f in tmp_path.glob("*.txt"):
         head = f.read_text().splitlines()[0]
         assert head.startswith("pmcong-cache/2 ")
@@ -430,14 +442,16 @@ TOTPOS_12 = {"p": 3, "fL": 7, "t": 12}
 
 
 def test_cache_truncated_at_a_record_boundary_is_recomputed(tmp_path):
-    first = enumerate_tot_pos_trace(F7, 12, cache_dir=tmp_path)
-    (path,) = tmp_path.glob("*.txt")
+    config = _f7_config(4)
+    first = _qexp_report(config)
+    cache_warm(config, tmp_path)
+    path = tmp_path / "totpos-fL7-p3-t12.txt"
     fresh = path.read_bytes()
     lines = fresh.decode("utf-8").splitlines(keepends=True)
     assert len(lines) == 1 + 10 + 1  # header, 10 records, trailer
     path.write_bytes("".join(lines[:6]).encode("utf-8"))  # header and 5 records
     assert load_records(tmp_path, "totpos", TOTPOS_12) is None
-    assert enumerate_tot_pos_trace(F7, 12, cache_dir=tmp_path) == first
+    assert _qexp_report(config, tmp_path) == first
     assert path.read_bytes() == fresh, "the healed file must match a fresh one"
 
     # so is a file cut only before its final newline
@@ -448,7 +462,7 @@ def test_cache_truncated_at_a_record_boundary_is_recomputed(tmp_path):
     v1 = [lines[0].replace("pmcong-cache/2 ", "pmcong-cache/1 ")] + lines[1:-1]
     path.write_bytes("".join(v1).encode("utf-8"))
     assert load_records(tmp_path, "totpos", TOTPOS_12) is None
-    enumerate_tot_pos_trace(F7, 12, cache_dir=tmp_path)
+    cache_warm(config, tmp_path)
     assert path.read_bytes() == fresh
 
 
@@ -479,14 +493,16 @@ def test_cache_truncated_at_a_record_boundary_is_recomputed(tmp_path):
 )
 def test_bad_scan_record_with_valid_crc_heals_the_file(tmp_path, tamper):
     key = {"p": 3, "fL": 7, "t": 6}
-    first = enumerate_tot_pos_trace(F7, 6, cache_dir=tmp_path)
-    assert len(first) == 4
-    (path,) = tmp_path.glob("*.txt")
+    config = _f7_config(2)
+    first = _qexp_report(config)
+    cache_warm(config, tmp_path)
+    path = tmp_path / "totpos-fL7-p3-t6.txt"
     fresh = path.read_bytes()
+    assert len(load_records(tmp_path, "totpos", key)) == 4
     bad = tamper(load_records(tmp_path, "totpos", key))
     store_records(tmp_path, "totpos", key, bad)
     assert load_records(tmp_path, "totpos", key) == bad  # checksums still pass
-    assert enumerate_tot_pos_trace(F7, 6, cache_dir=tmp_path) == first
+    assert _qexp_report(config, tmp_path) == first
     assert path.read_bytes() == fresh, "the bad file must be rewritten"
 
 
@@ -521,6 +537,24 @@ def test_det_inv_on_random_integer_matrices():
             ]
             assert product == identity
     assert singular > 0
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_index_is_checked_before_the_trace_form_is_inverted(monkeypatch, p):
+    """[O_L : Z[η_0]] > 1 at conductor 31 for p = 3 and 5.  The power matrix
+    needs only the structure constants, so the field is refused after one
+    elimination, without inverting the trace form."""
+    calls = []
+    det_inv = numberfield._det_inv
+
+    def counting(rows):
+        calls.append(rows)
+        return det_inv(rows)
+
+    monkeypatch.setattr(numberfield, "_det_inv", counting)
+    with pytest.raises(ArithmeticError, match=r"\[O_L : Z\[η_0\]\] = "):
+        AbelianFieldSpec(p, 31)
+    assert len(calls) == 1
 
 
 def test_det_inv_swaps_and_singular_input():

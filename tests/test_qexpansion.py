@@ -7,6 +7,7 @@ import pytest
 
 import pmcong.numberfield as numberfield
 import pmcong.qexpansion as qexpansion
+from pmcong.harness import ScenarioConfig, run_scenario
 from pmcong.levels import L_SIDE, Q_SIDE, LocallyConstantFn, scenario_level, zeta_level
 from pmcong.numberfield import AlgebraicInt
 from pmcong.pseudomeasure import FlagViolation
@@ -217,11 +218,13 @@ def test_relaxed_level_reads_s_off_its_modulus():
 
 def test_table_takes_two_char_polys_per_nu(tmp_path, monkeypatch):
     """Each ν is asked for its characteristic polynomial twice: once to
-    decide total positivity (in the scan, or in the check of its cached
-    record) and once by factor_principal, which also gives the table |N(ν)|.
-    The two requests share one computation, kept on the element."""
-    trace_bound = 3 * 6
-    nus = sum(map(len, NuTable(LV, trace_bound).by_trace.values()))
+    decide total positivity in the scan and once by factor_principal, which
+    also gives the table |N(ν)|.  The two requests share one computation,
+    kept on the element; comparing a cold or a warm cache directory with the
+    scan (the qexp check of a run) asks for none."""
+    config = ScenarioConfig(p=3, conductor=7, s_primes=(3, 7), a=2, k_values=(2,), qexp_bound=6)
+    assert config.level() == LV
+    nus = sum(map(len, NuTable(LV, config.qexp_trace_bound).by_trace.values()))
     char_poly = AlgebraicInt.char_poly
     newton = numberfield._newton_char_poly
     calls = []
@@ -240,7 +243,7 @@ def test_table_takes_two_char_polys_per_nu(tmp_path, monkeypatch):
     for cache in ("cold", "warm"):
         calls.clear()
         computed.clear()
-        NuTable(LV, trace_bound, cache_dir=tmp_path)
+        run_scenario(config, cache_dir=tmp_path, checks=("qexp",))
         assert len(calls) == 2 * nus, cache
         assert len(computed) == nus, cache
 
