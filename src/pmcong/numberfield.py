@@ -8,12 +8,23 @@ integer multiplication table of the periods; norms, traces, characteristic
 polynomials, prime splitting, principal-ideal factorization, and total
 positivity are all decided exactly.
 
-The only floating point in this module is the embedding prefilter inside
-enumerate_tot_pos_trace, and it is conservative: a totally positive integer of
-trace t has every embedding ≥ 1/t^(p−1), far above the prefilter threshold and
-the accumulated rounding error, so no true solution is ever discarded.  Every
-candidate that survives the prefilter is accepted or rejected by the exact
-sign test on its characteristic polynomial.
+Floating point does two jobs here, and neither can drop a solution:
+- It places the p + 1 points of the root certificate (_period_bounds).  The
+  minimal polynomial of η_0 is evaluated exactly at them, and only sign
+  alternation certifies the rational interval that holds every conjugate;
+  floats that fail to separate the roots raise ArithmeticError.
+- It drives the embedding prefilter inside enumerate_tot_pos_trace, which is
+  conservative: a totally positive integer of trace t has every embedding
+  ≥ 1/t^(p−1), far above the prefilter threshold and the accumulated rounding
+  error, so no true solution is ever discarded.  Every candidate that
+  survives the prefilter is accepted or rejected by the exact sign test on
+  its characteristic polynomial.
+
+Linear algebra is on integers.  The power matrix (whose determinant is the
+index [o_L : Z[η_0]]) and the trace form each go through one fraction-free
+Gauss–Jordan elimination (Gauss–Bareiss, _det_adj), which returns the
+determinant and the adjugate: every division in it is exact.  A field with
+index > 1 is refused after the first of the two.
 
 Extension point: composite conductors would need a genuine maximal-order
 computation and are out of scope; constructors reject them.
@@ -50,8 +61,6 @@ __all__ = [
 # enumerate_tot_pos_trace.
 _MAX_TRACE = 2000
 
-_ROOT_BRACKET_WIDTH = Fraction(1, 2**16)
-
 
 class ZeroElement(ValueError):
     """Raised when an operation requires a nonzero field element."""
@@ -65,29 +74,34 @@ class NotCoprime(ValueError):
 # small exact linear algebra (p × p, p the degree of the field)
 
 
-def _det_inv(rows) -> tuple[Fraction, list[list[Fraction]] | None]:
-    """Determinant and inverse by one Gauss–Jordan elimination; the inverse is None if singular."""
+def _det_adj(rows) -> tuple[int, list[list[int]] | None]:
+    """Determinant and adjugate of an integer matrix; the adjugate is None if singular.
+
+    One fraction-free Gauss–Jordan elimination on [rows | I] (Gauss–Bareiss,
+    Cohen §2.2): at step k every other row r becomes
+    (d_k·r − r[k]·pivot row) / d_{k−1}, with d_k the pivot.  The division is
+    exact, because each entry is then a minor of [rows | I], so every value
+    stays an integer.  The last pivot is ±det and the right half ±adj, the
+    sign being that of the row swaps.
+    """
     n = len(rows)
-    aug = [
-        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    det = Fraction(1)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    sign = prev = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot is None:
-            return Fraction(0), None
+            return 0, None
         if pivot != col:
             aug[col], aug[pivot] = aug[pivot], aug[col]
-            det = -det
-        det *= aug[col][col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
+            sign = -sign
+        top = aug[col]
+        d = top[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return det, [row[n:] for row in aug]
+            if r != col:
+                f = aug[r][col]
+                aug[r] = [(d * a - f * b) // prev for a, b in zip(aug[r], top)]
+        prev = d
+    return sign * prev, [[sign * v for v in row[n:]] for row in aug]
 
 
 def _newton_char_poly(power_sums: list[int], degree: int) -> tuple[int, ...]:
@@ -174,11 +188,11 @@ class AlgebraicInt:
             return self._char_poly
         except AttributeError:
             pass
-        sums = []
+        sums = [self.trace()]
         power = self
-        for _ in range(self.spec.p):
-            sums.append(power.trace())
+        for _ in range(self.spec.p - 1):
             power = power * self
+            sums.append(power.trace())
         cp = _newton_char_poly(sums, self.spec.p)
         object.__setattr__(self, "_char_poly", cp)
         return cp
@@ -237,7 +251,8 @@ class AlgebraicInt:
 
 
 class AbelianFieldSpec:
-    """Precomputed exact data for L: periods, structure constants, splitting."""
+    """Precomputed exact data for L: periods, structure constants, splitting,
+    and the box of the totally positive walk per unit trace."""
 
     def __init__(self, p: int, conductor: int):
         if not is_prime(p) or p == 2:
@@ -293,18 +308,18 @@ class AbelianFieldSpec:
             power_cols.append(elt.coords)
             elt = elt * self.period(0)
         power_matrix = [[power_cols[j][i] for j in range(p)] for i in range(p)]
-        index, inv = _det_inv(power_matrix)
+        index, adj = _det_adj(power_matrix)
         if abs(index) != 1:
             raise ArithmeticError(
                 f"[O_L : Z[η_0]] = {abs(index)}; only fields with O_L = Z[η_0] are supported"
             )
-        self.period_in_power = tuple(tuple(int(v) for v in row) for row in inv)
+        # the inverse is adj / index, and index = ±1 = 1 / index
+        self.period_in_power = tuple(tuple(index * v for v in row) for row in adj)
 
-        # trace form and its inverse
         self.trace_form = tuple(
             tuple(-sum(self.structure[i][j]) for j in range(p)) for i in range(p)
         )
-        det, self.trace_form_inv = _det_inv(self.trace_form)
+        det, adj = _det_adj(self.trace_form)
         if abs(det) != conductor ** (p - 1):
             raise ArithmeticError("trace form determinant must match the discriminant")
 
@@ -314,14 +329,32 @@ class AbelianFieldSpec:
         # σ^{-1}(η_0) = η_{p−1} as an integer polynomial in η_0
         self.prev_period_power = self.period(p - 1).power_coords()
 
-        # float embedding values (prefilter only; exact work never touches these)
+        # float embedding values: they place the points of the root certificate
+        # and drive the walk's prefilter, and neither can drop a solution
         tau = 2.0 * math.pi / conductor
         self.eta_floats = tuple(
             sum(math.cos(tau * a) for a in coset) for coset in self.cosets
         )
 
-        # exact isolating brackets for the p real roots of min_poly, sorted
-        self.root_brackets = _isolate_real_roots(self.min_poly, p, Fraction((conductor - 1), p) + 1)
+        # the walk's box per unit trace.  With w_j = tr(ν·η_j), a totally
+        # positive ν of trace t has every w_j in t·[r_min, r_max] and
+        # Σ_j w_j = −t, so c_i = Σ_j (T⁻¹_ij − κ_i)·w_j − t·κ_i for any κ_i;
+        # κ_i, the median of row i of T⁻¹ = adj / det, keeps the ranges sharp.
+        # Each bound is linear in t: coordinate i lies in t·box[i].  Row i of
+        # |det|·T⁻¹ is ±adj_i, so each end is an integer combination of r_min,
+        # r_max and 1 over |det|.
+        r_min, r_max = _period_bounds(self.min_poly, self.eta_floats)
+        box = []
+        for row in adj:
+            scaled = sorted(v if det > 0 else -v for v in row)
+            kappa = scaled[p // 2]
+            up = sum(v - kappa for v in scaled if v > kappa)
+            down = sum(v - kappa for v in scaled if v < kappa)
+            box.append((
+                (up * r_min + down * r_max - kappa) / abs(det),
+                (up * r_max + down * r_min - kappa) / abs(det),
+            ))
+        self.box = tuple(box)
 
     # -- element constructors -------------------------------------------------
     def element(self, coords) -> AlgebraicInt:
@@ -354,42 +387,24 @@ def field_spec(p: int, conductor: int) -> AbelianFieldSpec:
     return AbelianFieldSpec(p, conductor)
 
 
-def _isolate_real_roots(poly: tuple[int, ...], count: int, bound: Fraction) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Disjoint rational brackets for `count` distinct real roots in (−bound, bound).
+def _period_bounds(poly: tuple[int, ...], approx) -> tuple[Fraction, Fraction]:
+    """Exact rationals r_min < r_max with every real root of `poly` between them.
 
-    The polynomial is squarefree with no rational roots (irreducible of odd
-    prime degree), so sign changes pin the roots and bisection never lands on
-    one exactly.
+    `approx` holds float approximations of the p = deg(poly) real roots.  With
+    them sorted, `poly` is evaluated exactly at p + 1 points: min − 2^-16, the
+    midpoints of neighbouring approximations, and max + 2^-16.  If its sign
+    alternates along them, each of the p gaps holds a root, and a polynomial of
+    degree p has no other; so all roots lie between the end points, which are
+    returned.  The floats only choose where to look: if they do not separate
+    the roots, the signs fail to alternate and ArithmeticError is raised.
     """
-    step = Fraction(1, 2)
-    while True:
-        points = []
-        x = -bound
-        while x <= bound:
-            points.append(x)
-            x += step
-        signs = [(poly_eval(poly, x) > 0) for x in points]
-        brackets = [
-            (points[i], points[i + 1])
-            for i in range(len(points) - 1)
-            if signs[i] != signs[i + 1]
-        ]
-        if len(brackets) == count:
-            break
-        if len(brackets) > count:
-            raise ArithmeticError("more sign changes than roots")
-        step /= 2
-    refined = []
-    for lo, hi in brackets:
-        lo_val_pos = poly_eval(poly, lo) > 0
-        while hi - lo > _ROOT_BRACKET_WIDTH:
-            mid = (lo + hi) / 2
-            if (poly_eval(poly, mid) > 0) == lo_val_pos:
-                lo = mid
-            else:
-                hi = mid
-        refined.append((lo, hi))
-    return tuple(sorted(refined))
+    xs = sorted(map(Fraction, approx))
+    margin = Fraction(1, 2**16)
+    points = [xs[0] - margin, *((a + b) / 2 for a, b in zip(xs, xs[1:])), xs[-1] + margin]
+    signs = [(v > 0) - (v < 0) for v in (poly_eval(poly, x) for x in points)]
+    if len(points) != len(poly) or any(a * b >= 0 for a, b in zip(signs, signs[1:])):
+        raise ArithmeticError("the period approximations do not separate the roots of the minimal polynomial")
+    return points[0], points[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -652,38 +667,21 @@ def enumerate_tot_pos_trace(spec: AbelianFieldSpec, t: int) -> tuple[AlgebraicIn
     """All totally positive ν ∈ o_L with tr(ν) = t, sorted by coordinates.
 
     The search box: with w_j = tr(ν·η_j), total positivity traps every w_j in
-    t·[r_min, r_max] (the extreme conjugates of the periods) and forces
+    t·[r_min, r_max] (bounds on the conjugates of the periods) and forces
     Σ_j w_j = −t exactly; pulling the box through the inverse trace form gives
-    sharp integer ranges for the coordinates, of which the last is determined
-    by the trace.  Candidates are prefiltered in floating point with a margin
-    below the 1/t^(p−1) floor on embeddings of totally positive integers, then
-    decided exactly.  The walk is the only source of these ν: it reads and
-    writes no file.
+    sharp ranges for the coordinates, of which the last is determined by the
+    trace.  Every bound is linear in t, so the box is t·`spec.box`, rounded
+    inward to integers.  Candidates are prefiltered in floating point with a
+    margin below the 1/t^(p−1) floor on embeddings of totally positive
+    integers, then decided exactly.  The walk is the only source of these ν:
+    it reads and writes no file.
     """
     if t <= 0:
         return ()
     if t > _MAX_TRACE:
         raise ValueError(f"trace {t} exceeds the supported prefilter range {_MAX_TRACE}")
     p = spec.p
-    r_min = spec.root_brackets[0][0]
-    r_max = spec.root_brackets[-1][1]
-    w_lo, w_hi = t * r_min, t * r_max
-    inv = spec.trace_form_inv
-
-    ranges = []
-    for i in range(p):
-        row = inv[i]
-        kappa = sorted(row)[p // 2]
-        lo = hi = -t * kappa
-        for j in range(p):
-            coef = row[j] - kappa
-            if coef >= 0:
-                lo += coef * w_lo
-                hi += coef * w_hi
-            else:
-                lo += coef * w_hi
-                hi += coef * w_lo
-        ranges.append((math.ceil(lo), math.floor(hi)))
+    ranges = [(math.ceil(t * a), math.floor(t * b)) for a, b in spec.box]
 
     etas = spec.eta_floats
     threshold = 0.5 / float(t) ** (p - 1)

@@ -6,7 +6,8 @@ Independence of the oracles used here:
   scratch (the library uses coefficient sign alternation instead);
 * completeness of the totally-positive enumeration is checked by scanning a
   coordinate box whose (generous) radius is derived in the test from the
-  trace-form inverse and the exact root brackets;
+  trace-form inverse and root brackets bisected exactly in the test, which
+  also rebuild the walk's per-trace ranges from them;
 * ideal counts are compared against Dirichlet-series coefficients of the
   matching character family (an Euler-product computation that never touches
   ideals).
@@ -14,6 +15,7 @@ Independence of the oracles used here:
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -21,14 +23,16 @@ import pytest
 
 import pmcong.numberfield as numberfield
 from pmcong.cache import load_records, store_records
-from pmcong.exact import poly_eval_mod
+from pmcong.exact import poly_eval, poly_eval_mod
 from pmcong.dirichlet import characters_of, conductor_primitive, series_coefficients
 from pmcong.harness import ScenarioConfig, cache_warm, run_scenario
 from pmcong.numberfield import (
     AbelianFieldSpec,
+    AlgebraicInt,
     NotCoprime,
-    _det_inv,
+    _det_adj,
     _newton_char_poly,
+    _period_bounds,
     artin_symbol,
     enumerate_ideals,
     enumerate_tot_pos_trace,
@@ -39,6 +43,7 @@ from pmcong.numberfield import (
     tot_pos_up_to,
 )
 from pmcong.units import is_prime
+from test_field_table import PASSING, WAITING
 
 
 F7 = field_spec(3, 7)
@@ -327,11 +332,58 @@ def test_char_poly_is_kept_and_the_element_stays_immutable():
             assert nu.coords == tuple(coords) and nu.char_poly() is first
 
 
+@pytest.mark.parametrize("p, conductor", [(3, 7), (5, 11)])
+def test_char_poly_takes_p_minus_1_products(monkeypatch, p, conductor):
+    # Newton's identities read the traces of ν, …, ν^p only
+    calls = []
+    mul = AlgebraicInt.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(AlgebraicInt, "__mul__", counting)
+    field_spec(p, conductor).element(range(1, p + 1)).char_poly()
+    assert len(calls) == p - 1
+
+
 def test_total_positivity_matches_sturm_exhaustively():
     for spec in (F7, F13):
         for coords in itertools.product(range(-3, 4), repeat=3):
             nu = spec.element(coords)
             assert nu.is_totally_positive() == _totally_positive_sturm(nu), coords
+
+
+def _root_brackets(spec):
+    """Exact brackets of width ≤ 2^-16 around the p roots of min_poly, ascending.
+
+    Every period lies in (−bound, bound) with bound = (f_L − 1)/p + 1.  A grid
+    on it is halved until it shows p sign changes, and each is then bisected.
+    No float is read.
+    """
+    poly, p = spec.min_poly, spec.p
+    bound = Fraction(spec.conductor - 1, p) + 1
+    step = Fraction(1, 2)
+    while True:
+        points = [-bound + k * step for k in range(int(2 * bound / step) + 1)]
+        positive = [poly_eval(poly, x) > 0 for x in points]
+        brackets = [
+            (points[k], points[k + 1]) for k in range(len(points) - 1) if positive[k] != positive[k + 1]
+        ]
+        if len(brackets) == p:
+            break
+        step /= 2
+    refined = []
+    for lo, hi in brackets:
+        lo_positive = poly_eval(poly, lo) > 0
+        while hi - lo > Fraction(1, 2**16):
+            mid = (lo + hi) / 2
+            if (poly_eval(poly, mid) > 0) == lo_positive:
+                lo = mid
+            else:
+                hi = mid
+        refined.append((lo, hi))
+    return refined
 
 
 def _sound_box_radius(spec, t):
@@ -340,8 +392,9 @@ def _sound_box_radius(spec, t):
     c = T^{-1} (tr(nu*eta_i))_i and |tr(nu*eta_i)| <= t * sum_j |eta^(j)|,
     with each |eta^(j)| bounded by its exact root bracket.
     """
-    root_bound = sum(max(abs(lo), abs(hi)) for lo, hi in spec.root_brackets)
-    row_norm = max(sum(abs(v) for v in row) for row in spec.trace_form_inv)
+    root_bound = sum(max(abs(lo), abs(hi)) for lo, hi in _root_brackets(spec))
+    det, adj = _det_adj(spec.trace_form)
+    row_norm = Fraction(max(sum(abs(v) for v in row) for row in adj), abs(det))
     radius = row_norm * root_bound * t
     return int(radius) + 1
 
@@ -364,6 +417,49 @@ def test_tot_pos_lists_complete_against_box_scan():
         for t in range(1, trace_bound + 1):
             got = {nu.coords for nu in lists.get(t, ())}
             assert got == found[t], f"trace {t}, conductor {spec.conductor}"
+
+
+@pytest.mark.parametrize("p, conductor", [param.values[:2] for param in PASSING] + WAITING)
+def test_box_scales_to_the_per_trace_ranges(p, conductor):
+    """t·spec.box gives the coordinate ranges of the per-trace formula: the
+    trace form's inverse and t times the outer ends of exact root brackets,
+    recentred on the median of each row, at t = p, 2p, …, 200p."""
+    spec = field_spec(p, conductor)
+    brackets = _root_brackets(spec)
+    r_min, r_max = brackets[0][0], brackets[-1][1]
+    det, adj = _det_adj(spec.trace_form)
+    inverse = [[Fraction(v, det) for v in row] for row in adj]
+    for t in range(p, 200 * p + 1, p):
+        w_lo, w_hi = t * r_min, t * r_max
+        expected = []
+        for row in inverse:
+            kappa = sorted(row)[p // 2]
+            lo = hi = -t * kappa
+            for v in row:
+                coef = v - kappa
+                lo += coef * (w_lo if coef >= 0 else w_hi)
+                hi += coef * (w_hi if coef >= 0 else w_lo)
+            expected.append((math.ceil(lo), math.floor(hi)))
+        assert [(math.ceil(t * a), math.floor(t * b)) for a, b in spec.box] == expected, t
+
+
+def test_period_bounds_enclose_every_root():
+    for spec in (F7, F13, field_spec(5, 11), field_spec(11, 23)):
+        r_min, r_max = _period_bounds(spec.min_poly, spec.eta_floats)
+        chain = _sturm_chain(spec.min_poly)
+        assert _sign_changes(chain, r_min) - _sign_changes(chain, r_max) == spec.p
+
+
+def test_period_bounds_raise_when_the_floats_do_not_separate_the_roots():
+    low, mid, high = sorted(F7.eta_floats)
+    for approx in (
+        (low, mid, mid + 0.1),  # two in the gap between the upper roots
+        (low + 5, mid + 5, high + 5),  # all above the roots
+        (high, low, high - 0.1),  # the least period swapped for the greatest
+        (low, mid),  # fewer than the degree
+    ):
+        with pytest.raises(ArithmeticError, match="do not separate"):
+            _period_bounds(F7.min_poly, approx)
 
 
 def test_tot_pos_lists_are_sigma_stable_and_sorted_by_trace():
@@ -518,24 +614,23 @@ def _cofactor_det(rows):
     )
 
 
-def test_det_inv_on_random_integer_matrices():
+def test_det_adj_on_random_integer_matrices():
     rng = random.Random(20)
     singular = 0
     for n in range(1, 6):
-        identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
         for _ in range(60):
             rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-            det, inv = _det_inv(rows)
+            det, adj = _det_adj(rows)
             assert det == _cofactor_det(rows)
             if det == 0:
                 singular += 1
-                assert inv is None
+                assert adj is None
                 continue
             product = [
-                [sum(rows[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
+                [sum(rows[i][k] * adj[k][j] for k in range(n)) for j in range(n)]
                 for i in range(n)
             ]
-            assert product == identity
+            assert product == [[det * (i == j) for j in range(n)] for i in range(n)]
     assert singular > 0
 
 
@@ -543,22 +638,22 @@ def test_det_inv_on_random_integer_matrices():
 def test_index_is_checked_before_the_trace_form_is_inverted(monkeypatch, p):
     """[O_L : Z[η_0]] > 1 at conductor 31 for p = 3 and 5.  The power matrix
     needs only the structure constants, so the field is refused after one
-    elimination, without inverting the trace form."""
+    elimination, without eliminating the trace form."""
     calls = []
-    det_inv = numberfield._det_inv
+    det_adj = numberfield._det_adj
 
     def counting(rows):
         calls.append(rows)
-        return det_inv(rows)
+        return det_adj(rows)
 
-    monkeypatch.setattr(numberfield, "_det_inv", counting)
+    monkeypatch.setattr(numberfield, "_det_adj", counting)
     with pytest.raises(ArithmeticError, match=r"\[O_L : Z\[η_0\]\] = "):
         AbelianFieldSpec(p, 31)
     assert len(calls) == 1
 
 
-def test_det_inv_swaps_and_singular_input():
-    assert _det_inv([[0, 1], [1, 0]]) == (-1, [[0, 1], [1, 0]])
-    assert _det_inv([[0, 0], [0, 0]]) == (0, None)
-    assert _det_inv([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == (0, None)
-    assert _det_inv([[2]]) == (2, [[Fraction(1, 2)]])
+def test_det_adj_swaps_and_singular_input():
+    assert _det_adj([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
+    assert _det_adj([[0, 0], [0, 0]]) == (0, None)
+    assert _det_adj([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == (0, None)
+    assert _det_adj([[2]]) == (2, [[1]])
