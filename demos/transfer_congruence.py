@@ -10,21 +10,20 @@ Run with:  python3 demos/transfer_congruence.py
 
 from collections import Counter
 
-from pmcong.levels import Q_SIDE, FrobeniusChoice, scenario_level
+from pmcong.levels import Q_SIDE, scenario_level
 from pmcong.pseudomeasure import lambda_approx, verify_transfer_congruence
 
 
 def main() -> None:
     for a in (2, 3):
         level = scenario_level(3, 7, (3, 7), a)
-        g = FrobeniusChoice(level, 2)
-        lam = lambda_approx(level, Q_SIDE, g, 2)
+        lam = lambda_approx(level, Q_SIDE, 2, 2)
         print(f"depth a={a}: modulus {level.modulus}, "
               f"lambda lives in Z/{level.p**a}[{len(lam)} classes]")
         print(f"  first coefficients: "
               + ", ".join(f"c({x})={lam[x]}" for x in (1, 2, 4, 5)))
 
-        report = verify_transfer_congruence(level, g, 2)
+        report = verify_transfer_congruence(level, 2, 2)
         histogram = Counter(report["difference"].values())
         print(f"  comparison ring Z/{report['comparison_modulus']}"
               f"[{len(report['difference'])} subgroup classes]")

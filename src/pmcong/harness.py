@@ -23,7 +23,6 @@ from .exact import int_valuation
 from .levels import (
     L_SIDE,
     Q_SIDE,
-    FrobeniusChoice,
     LocallyConstantFn,
     even_orbit_indicators,
     grid_cap_error,
@@ -348,8 +347,7 @@ def _check_crosscheck(config: ScenarioConfig, level) -> dict:
                 dual = False
     details["partial_zeta_dual_route"] = {"verdict": dual, "k_values": list(config.k_values)}
 
-    picks = [FrobeniusChoice(level, n) for n in config.frobenius]
-    side_picks = [(side, pick) for g in picks for side, pick in ((Q_SIDE, g), (L_SIDE, g.transfer()))]
+    side_picks = [pair for n in config.frobenius for pair in ((Q_SIDE, n), (L_SIDE, n**config.p))]
     worst = math.inf
     for side, pick in side_picks:
         for k in config.k_values:
@@ -368,10 +366,10 @@ def _check_crosscheck(config: ScenarioConfig, level) -> dict:
     details["delta_p_integral"] = {"verdict": worst >= 0, "min_valuation": worst}
 
     twist = True
-    g = picks[0]
+    n = config.frobenius[0]
     for x in level.classes(Q_SIDE):
         eps_by_k = dict.fromkeys(config.k_values, LocallyConstantFn.delta_fn(level, Q_SIDE, x))
-        if not zeta.delta_sum_integrality(level, Q_SIDE, g, eps_by_k) >= 0:
+        if not zeta.delta_sum_integrality(level, Q_SIDE, n, eps_by_k) >= 0:
             twist = False
     details["twisted_sum_integral"] = {"verdict": twist}
 
@@ -401,9 +399,8 @@ def _check_crosscheck(config: ScenarioConfig, level) -> dict:
 def _check_transfer(config: ScenarioConfig, level) -> dict:
     runs = []
     for n in config.frobenius:
-        g = FrobeniusChoice(level, n)
         for k in config.k_values:
-            report = pseudomeasure.verify_transfer_congruence(level, g, k)
+            report = pseudomeasure.verify_transfer_congruence(level, n, k)
             runs.append(report)
     return {"verdict": all(r["verdict"] for r in runs), "runs": runs}
 
@@ -413,10 +410,9 @@ def _check_delta(config: ScenarioConfig, level) -> dict:
     verdict = True
     functions = _eps_functions(config, level)
     for n in config.frobenius:
-        g = FrobeniusChoice(level, n)
         for k in config.k_values:
             for i, eps in enumerate(functions):
-                v = pseudomeasure.verify_delta_congruence(level, g, eps, k)
+                v = pseudomeasure.verify_delta_congruence(level, n, eps, k)
                 ok = v >= 1
                 verdict = verdict and ok
                 runs.append(

@@ -1,4 +1,4 @@
-"""Finite abelian levels, locally constant functions on them, and Frobenius picks.
+"""Finite abelian levels and locally constant functions on them.
 
 A level models one layer of the admissible tower: the base-side class group
 G = (Z/f)^× together with the index-p subgroup H cut out by the degree-p
@@ -30,7 +30,6 @@ from .numberfield import AbelianFieldSpec, field_spec
 from .units import euler_phi, factorize, is_prime, unit_group
 
 __all__ = [
-    "FrobeniusChoice",
     "LevelData",
     "LocallyConstantFn",
     "check_zeta_arguments",
@@ -273,32 +272,3 @@ def even_orbit_indicators(level: LevelData, side: str) -> tuple[LocallyConstantF
     return tuple(
         LocallyConstantFn(level, side, dict.fromkeys({x, level.neg_class(x)}, 1)) for x in reps
     )
-
-
-class FrobeniusChoice:
-    """A Frobenius pick: the symbol of a positive integer n, with norm value n.
-
-    Picks compare by (level, n), not by class, since n^k enters Δ.
-    """
-
-    __slots__ = ("level", "n", "cls")
-
-    def __init__(self, level: LevelData, n: int):
-        if n < 1:
-            raise ValueError("the norm value must be a positive integer")
-        self.level = level
-        self.n = n
-        self.cls = level.class_of(n)
-
-    def transfer(self) -> "FrobeniusChoice":
-        """The image pick under ver: class cls^p with norm n^p."""
-        return FrobeniusChoice(self.level, self.n**self.level.p)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FrobeniusChoice) and (self.level, self.n) == (other.level, other.n)
-
-    def __hash__(self) -> int:
-        return hash((self.level, self.n))
-
-    def __repr__(self) -> str:
-        return f"FrobeniusChoice(n={self.n}, cls={self.cls})"

@@ -1,7 +1,8 @@
 """Finite-level pseudomeasure approximations and the transfer congruence.
 
-The approximation attached to a Frobenius pick g at a level with modulus
-exponent a is the residue table
+A Frobenius pick g is passed as its integer norm n (its class is n mod f,
+and ver(g) is the pick n^p).  The approximation attached to g at a level
+with modulus exponent a is the residue table
 
     λ_g(x) = Δ_g(1−k, δ^(x)) · ñ(x)^(−k)  mod p^a,   x a class of the side,
 
@@ -15,7 +16,7 @@ against the trace ideal of the Σ-action.  At the abelian levels built here Σ
 acts trivially on H, so the trace ideal is p·(Z/p^(a−1))[H] and the verdict
 is coefficient divisibility by p, witnessed by an explicit quotient
 certificate.  Nothing here multiplies group-ring elements, so λ is a plain
-class ↦ residue dict, cached per (level, side, pick, k) like the Δ table it
+class ↦ residue dict, cached per (level, side, n, k) like the Δ table it
 reads; the group rings with nontrivial Σ-actions live in `sigma`.
 """
 
@@ -25,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import int_valuation, p_valuation
-from .levels import L_SIDE, Q_SIDE, FrobeniusChoice, LevelData, LocallyConstantFn
+from .levels import L_SIDE, Q_SIDE, LevelData, LocallyConstantFn
 from .zeta import delta_numerators, delta_of, norm_residue
 
 __all__ = [
@@ -46,8 +47,8 @@ class FlagViolation(ValueError):
 
 
 @lru_cache(maxsize=None)
-def lambda_approx(level: LevelData, side: str, g: FrobeniusChoice, k: int) -> dict[int, int]:
-    """λ_g at one level/side: each class ↦ its residue mod p^a.
+def lambda_approx(level: LevelData, side: str, n: int, k: int) -> dict[int, int]:
+    """λ_g at one level/side, g the pick of norm n: each class ↦ its residue mod p^a.
 
     A Δ that is not p-integral has no residue and raises `ArithmeticError`.
     """
@@ -57,7 +58,7 @@ def lambda_approx(level: LevelData, side: str, g: FrobeniusChoice, k: int) -> di
         raise ValueError("k must be ≥ 1")
     p, a = level.p, level.a
     modulus = p**a
-    nums, den = delta_numerators(level, side, g, k)
+    nums, den = delta_numerators(level, side, n, k)
     # c / den = (c / p^e) / (den / p^e) with p^e ∥ den: p-integral iff p^e | c
     pe = p ** int_valuation(den, p)
     inv_den = pow(den // pe, -1, modulus)
@@ -73,8 +74,9 @@ def lambda_approx(level: LevelData, side: str, g: FrobeniusChoice, k: int) -> di
     return coeffs
 
 
-def verify_transfer_congruence(level: LevelData, g: FrobeniusChoice, k: int = 2) -> dict:
-    """End-to-end check: ver_*(λ_g) ≡ λ_{ver(g)} modulo the trace ideal.
+def verify_transfer_congruence(level: LevelData, n: int, k: int = 2) -> dict:
+    """End-to-end check: ver_*(λ_g) ≡ λ_{ver(g)} modulo the trace ideal, g the
+    pick of norm n and ver(g) the pick of norm n^p.
 
     The difference s(y) = λ_h(y) − Σ_{ver(x) = y} λ_g(x) mod p^(a−1) is taken
     class by class on H, the inner sum running over the fibres of ver that
@@ -86,9 +88,8 @@ def verify_transfer_congruence(level: LevelData, g: FrobeniusChoice, k: int = 2)
     p, a = level.p, level.a
     if a < 2:
         raise LevelTooShallow("the comparison ring (Z/p^(a−1))[H] needs a ≥ 2")
-    h = g.transfer()
-    lam_q = lambda_approx(level, Q_SIDE, g, k)
-    lam_l = lambda_approx(level, L_SIDE, h, k)
+    lam_q = lambda_approx(level, Q_SIDE, n, k)
+    lam_l = lambda_approx(level, L_SIDE, n**p, k)
     target_mod = p ** (a - 1)
     fibers = level.transfer_fibers
     difference = {
@@ -107,8 +108,8 @@ def verify_transfer_congruence(level: LevelData, g: FrobeniusChoice, k: int = 2)
     return {
         "verdict": verdict,
         "k": k,
-        "n": g.n,
-        "h_class": h.cls,
+        "n": n,
+        "h_class": pow(n, p, level.modulus),
         "comparison_modulus": target_mod,
         "difference": difference,
         "certificate": certificate,
@@ -117,9 +118,11 @@ def verify_transfer_congruence(level: LevelData, g: FrobeniusChoice, k: int = 2)
 
 
 def verify_delta_congruence(
-    level: LevelData, g: FrobeniusChoice, eps_l: LocallyConstantFn, k: int
+    level: LevelData, n: int, eps_l: LocallyConstantFn, k: int
 ) -> int | float:
     """Valuation of Δ_h(1−k, ε_L) − Δ_g(1−pk, ε_L∘ver), ``math.inf`` if 0; the claim is ≥ 1.
+
+    g is the pick of norm n and h = ver(g) the pick of norm n^p.
 
     ε_L must be even and p-integral (Σ-invariance is automatic at levels where
     the subgroup sits inside an abelian class group, and is therefore not a
@@ -132,7 +135,6 @@ def verify_delta_congruence(
     if not eps_l.p_integral:
         raise FlagViolation("ε_L must be p-integral")
     p = level.p
-    h = g.transfer()
-    lhs = delta_of(level, L_SIDE, h, eps_l, k)
-    rhs = delta_of(level, Q_SIDE, g, eps_l.compose_transfer(), p * k)
+    lhs = delta_of(level, L_SIDE, n**p, eps_l, k)
+    rhs = delta_of(level, Q_SIDE, n, eps_l.compose_transfer(), p * k)
     return p_valuation(lhs - rhs, p)

@@ -31,16 +31,17 @@ rotations per table; each class is then reduced modulo Φ_n once and asserted
 rational.  The Hurwitz route (`_q_table`) shares none of this code and no
 helper with `dirichlet`: both routes read only `exact.bernoulli_poly`.
 
-No character sweeps all of (Z/f)^× on its own: the Galois orbits are
-labelled in one walk per modulus (`_galois_orbits`), the fibres over H
-restrict each character to generators of H (`_l_fibers`), and the primitive
-cores read one discrete-log table per modulus (`conductor_primitive`).
+No character sweeps all of (Z/f)^× on its own: the L-values of one
+(modulus, k) come from one walk over the Galois orbits (`_l_values`), the
+fibres over H are χ times the characters of G/H (`_l_fibers`), and the
+primitive cores read one discrete-log table per modulus
+(`conductor_primitive`).
 
 Every table is integer numerators over one positive denominator, (class ↦
 numerator, den), the form `CyclotomicNumber` uses.  Δ, λ and the twisted
-sums read one Δ table per (level, side, pick, k) built from it
-(`delta_numerators`).  A returned rational costs one Fraction; nothing is
-summed in Fractions.
+sums read one Δ table per (level, side, n, k) built from it, n the integer
+that is the Frobenius pick (`delta_numerators`).  A returned rational costs
+one Fraction; nothing is summed in Fractions.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from operator import mul
 from .cyclotomic import CyclotomicNumber, pack_slots, signed_slots
 from .dirichlet import DirichletCharacter, characters_of, l_value_neg
 from .exact import bernoulli_poly, int_valuation
-from .levels import L_SIDE, Q_SIDE, FrobeniusChoice, LevelData, LocallyConstantFn
+from .levels import L_SIDE, Q_SIDE, LevelData, LocallyConstantFn
 from .units import euler_phi, factorize, unit_group
 
 __all__ = [
@@ -75,35 +76,10 @@ class HypothesisViolated(ValueError):
 
 
 @lru_cache(maxsize=None)
-def _galois_orbits(modulus: int) -> dict[tuple[int, ...], tuple[tuple[int, ...], int]]:
-    """χ ↦ (ρ, a) with χ = ρ^a, a prime to n, ρ the least exponent tuple in χ's
-    Galois orbit {χ^b : b ∈ (Z/n)^×}, for every character mod the modulus.
-
-    In lexicographic order the first tuple not yet labelled is the least of its
-    orbit; its powers ρ^a label the whole orbit, which has φ(ord ρ) members, so
-    the walk over a stops as soon as they are all labelled.
-    """
-    group = unit_group(modulus)
-    n = group.exponent
-    labels: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-    for rep in itertools.product(*(range(o) for o in group.orders)):
-        if rep in labels:
-            continue
-        size = euler_phi(DirichletCharacter(group, rep).order())
-        for a in range(1, n + 1):
-            if gcd(a, n) == 1:
-                member = tuple(a * e % o for e, o in zip(rep, group.orders))
-                if member not in labels:
-                    labels[member] = (rep, a)
-                    size -= 1
-                    if not size:
-                        break
-    return labels
-
-
-@lru_cache(maxsize=None)
-def _l_value(modulus: int, exponents: tuple[int, ...], k: int):
-    """L_S(1−k, χ) in Q(ζ_n), n the exponent of (Z/modulus)^×, one l_value_neg per Galois orbit.
+def _l_values(modulus: int, k: int) -> dict[tuple[int, ...], CyclotomicNumber]:
+    """χ ↦ L_S(1−k, χ) in Q(ζ_n) for every character χ mod the modulus, keyed
+    by exponent tuple, n the exponent of (Z/modulus)^×: one `l_value_neg` per
+    Galois orbit.
 
     S is the prime support of the modulus: classes are coprime to it, so the
     character decomposition of a one-class sum needs the Euler factor of
@@ -113,14 +89,30 @@ def _l_value(modulus: int, exponents: tuple[int, ...], k: int):
     Conjugate characters have conjugate L-values: for χ = ρ^a with a prime to
     n, L_S(1−k, χ) = σ_a(L_S(1−k, ρ)), σ_a: ζ_n ↦ ζ_n^a, since the Bernoulli
     sum and every Euler factor are rational combinations of character values
-    and the conductor is the same (Washington, §4.1).  So `l_value_neg` runs
-    on the orbit representative ρ only, and the rest are its conjugates.
+    and the conductor is the same (Washington, §4.1).  In lexicographic order
+    the first tuple without a value is the least of its orbit, ρ; σ_a of its
+    L-value fills the orbit's φ(ord ρ) members ρ^a, so the walk over a stops
+    as soon as they are all filled.
     """
-    rep, a = _galois_orbits(modulus)[exponents]
-    if rep != exponents:
-        return _l_value(modulus, rep, k).conjugate(a)
+    group = unit_group(modulus)
+    n = group.exponent
     s_primes = tuple(factorize(modulus))
-    return l_value_neg(DirichletCharacter(unit_group(modulus), exponents), k, s_primes)
+    values: dict[tuple[int, ...], CyclotomicNumber] = {}
+    for rep in itertools.product(*(range(o) for o in group.orders)):
+        if rep in values:
+            continue
+        rho = DirichletCharacter(group, rep)
+        value = l_value_neg(rho, k, s_primes)
+        size = euler_phi(rho.order())
+        for a in range(1, n + 1):
+            if gcd(a, n) == 1:
+                member = tuple(a * e % o for e, o in zip(rep, group.orders))
+                if member not in values:
+                    values[member] = value.conjugate(a)
+                    size -= 1
+                    if not size:
+                        break
+    return values
 
 
 @lru_cache(maxsize=None)
@@ -248,51 +240,39 @@ def _q_table_characters(level: LevelData, k: int) -> tuple[dict[int, int], int]:
     """Independent route: character orthogonality on the full class group."""
     f = level.modulus
     chars = characters_of(f)
-    terms = [(chi, 1, _l_value(f, chi.exponents, k)) for chi in chars]
+    values = _l_values(f, k)
+    terms = [(chi, 1, values[chi.exponents]) for chi in chars]
     return _orthogonality_table(chars[0].ambient_order, terms, level.classes(Q_SIDE), len(chars))
-
-
-def _subgroup_generators(modulus: int, classes: tuple[int, ...]) -> list[int]:
-    """Generators of the subgroup `classes` of (Z/modulus)^×: each is the first
-    class outside the span of the ones before it."""
-    span = {1 % modulus}
-    generators = []
-    for y in classes:
-        if y in span:
-            continue
-        generators.append(y)
-        grown, power = set(span), y
-        while power not in span:
-            grown.update(power * s % modulus for s in span)
-            power = power * y % modulus
-        span = grown
-    return generators
 
 
 @lru_cache(maxsize=None)
 def _l_fibers(level: LevelData) -> tuple[tuple[DirichletCharacter, ...], ...]:
     """The characters mod the level's modulus grouped by their restriction to H.
 
-    A restriction is fixed by its values on generators of H, so each character
-    is read there only.  The grouping does not depend on k, so it is made once
-    per level.
+    χ and χ' restrict alike to H exactly when χ'/χ is trivial on H, so the
+    fibre of χ is χ·ψ over the [G : H] characters ψ of G/H
+    (`characters_of(f, trivial_on=H)`, the trivial one first).  The grouping
+    does not depend on k, so it is made once per level.
     """
     f = level.modulus
     chars = characters_of(f)
-    order = chars[0].ambient_order
-    h = level.h_classes
-    gen_logs = [chars[0].group.dlog(y) for y in _subgroup_generators(f, h)]
-    fibers: dict[tuple[int, ...], list[DirichletCharacter]] = {}
+    quotient = characters_of(f, trivial_on=level.h_classes)
+    group = chars[0].group
+    remaining = {chi.exponents: chi for chi in chars}
+    fibers = []
     for chi in chars:
-        weights = chi.weights()
-        restriction = tuple(sum(map(mul, weights, logs)) % order for logs in gen_logs)
-        fibers.setdefault(restriction, []).append(chi)
-    expected = max(len(chars) // len(h), 1)
-    if any(len(members) != expected for members in fibers.values()):
+        if chi.exponents in remaining:
+            products = (
+                tuple((e + d) % o for e, d, o in zip(chi.exponents, psi.exponents, group.orders))
+                for psi in quotient
+            )
+            fibers.append(tuple(remaining.pop(key, None) for key in products))
+    expected = max(len(chars) // len(level.h_classes), 1)
+    if len(quotient) != expected or remaining or any(None in members for members in fibers):
         raise ArithmeticError(
             f"characters mod {f} do not fall into fibers of {expected} over the subgroup"
         )
-    return tuple(tuple(members) for members in fibers.values())
+    return tuple(fibers)
 
 
 @lru_cache(maxsize=None)
@@ -301,11 +281,12 @@ def _l_table(level: LevelData, k: int) -> tuple[dict[int, int], int]:
         raise ValueError("extension-side values need a level with field data")
     f = level.modulus
     chars = characters_of(f)
+    values = _l_values(f, k)
     terms = []
     for members in _l_fibers(level):
-        prod = _l_value(f, members[0].exponents, k)
+        prod = values[members[0].exponents]
         for psi in members[1:]:
-            prod = prod * _l_value(f, psi.exponents, k)
+            prod = prod * values[psi.exponents]
         # every member shares ψ(y) for y ∈ H; weight once per member
         terms.append((members[0], len(members), prod))
     return _orthogonality_table(chars[0].ambient_order, terms, level.h_classes, len(chars))
@@ -326,19 +307,20 @@ def partial_zeta_q_characters(level: LevelData, cls: int, k: int) -> Fraction:
 
 
 def _delta_numerator(
-    level: LevelData, side: str, g: FrobeniusChoice | None, eps: LocallyConstantFn, k: int
+    level: LevelData, side: str, n: int | None, eps: LocallyConstantFn, k: int
 ) -> tuple[int, int]:
-    """(N, D) with N / D = Σ_x ε(x)·Δ_g(1−k, δ^(x)) = Δ_g(1−k, ε); ζ(1−k, ε) when g is None.
+    """(N, D) with N / D = Σ_x ε(x)·Δ_g(1−k, δ^(x)) = Δ_g(1−k, ε) for the pick g
+    of norm n; ζ(1−k, ε) when n is None.
 
     The sum runs over the support of ε.  D is the table's denominator times
     ε's.
     """
     if eps.level != level or eps.side != side:
         raise ValueError("function does not live on the requested level/side")
-    if g is None:
+    if n is None:
         nums, den = (_q_table if side == Q_SIDE else _l_table)(level, k)
     else:
-        nums, den = delta_numerators(level, side, g, k)
+        nums, den = delta_numerators(level, side, n, k)
     return sum(c * nums[x] for x, c in eps.nums.items()), den * eps.den
 
 
@@ -349,37 +331,41 @@ def scaled_zeta_of(level: LevelData, side: str, eps: LocallyConstantFn, k: int) 
     return Fraction(num, den * 2**r)
 
 
-def delta_of(
-    level: LevelData, side: str, g: FrobeniusChoice, eps: LocallyConstantFn, k: int
-) -> Fraction:
-    """Δ_g(1−k, ε) = ζ(1−k, ε) − n^k · ζ(1−k, ε_g), with ε_g(x) = ε(g·x)."""
-    return Fraction(*_delta_numerator(level, side, g, eps, k))
+def delta_of(level: LevelData, side: str, n: int, eps: LocallyConstantFn, k: int) -> Fraction:
+    """Δ_g(1−k, ε) = ζ(1−k, ε) − n^k · ζ(1−k, ε_g), with ε_g(x) = ε(g·x), for
+    the pick g of norm n."""
+    return Fraction(*_delta_numerator(level, side, n, eps, k))
 
 
 @lru_cache(maxsize=None)
-def delta_numerators(
-    level: LevelData, side: str, g: FrobeniusChoice, k: int
-) -> tuple[dict[int, int], int]:
+def delta_numerators(level: LevelData, side: str, n: int, k: int) -> tuple[dict[int, int], int]:
     """(nums, den) with Δ_g(1−k, δ^(x)) = nums[x] / den for every class x of the side.
+
+    The Frobenius pick g is the symbol of the positive integer n: it enters
+    only through its norm n and its class g = n mod f, which must be a unit,
+    and lie in H on the extension side (ValueError otherwise).  Two picks of
+    one class with different norms give different tables, since n^k enters.
+    This is the one place a pick is read and the one place Δ is computed.
 
     Shifting the indicator moves its support: (δ^(x))_g = δ^(g⁻¹x), so each
     entry needs just two partial zeta values, read as integers over the
-    table's one denominator.  This is the one place Δ is computed.
+    table's one denominator.
     """
-    if side == L_SIDE and not level.in_h(g.cls):
-        raise ValueError(f"extension-side Δ needs a pick inside the subgroup H, not class {g.cls}")
+    if n < 1:
+        raise ValueError("the norm value must be a positive integer")
+    g = level.class_of(n)
+    if side == L_SIDE and not level.in_h(g):
+        raise ValueError(f"extension-side Δ needs a pick inside the subgroup H, not class {g}")
     nums, den = (_q_table if side == Q_SIDE else _l_table)(level, k)
     f = level.modulus
-    g_inv = pow(g.cls, -1, f) if f > 1 else 0
-    nk = g.n**k
+    g_inv = pow(g, -1, f) if f > 1 else 0
+    nk = n**k
     return {x: nums[x] - nk * nums[g_inv * x % f] for x in level.classes(side)}, den
 
 
-def delta_table(
-    level: LevelData, side: str, g: FrobeniusChoice, k: int
-) -> dict[int, Fraction]:
+def delta_table(level: LevelData, side: str, n: int, k: int) -> dict[int, Fraction]:
     """Δ_g(1−k, δ^(x)) for every class x of the side (see `delta_numerators`)."""
-    nums, den = delta_numerators(level, side, g, k)
+    nums, den = delta_numerators(level, side, n, k)
     return {x: Fraction(c, den) for x, c in nums.items()}
 
 
@@ -393,10 +379,11 @@ def norm_residue(level: LevelData, cls: int) -> int:
 def delta_sum_integrality(
     level: LevelData,
     side: str,
-    g: FrobeniusChoice,
+    n: int,
     eps_by_k: dict[int, LocallyConstantFn],
 ) -> int | float:
-    """Valuation of Σ_k Δ_g(1−k, ε_k) under the twisted-sum hypothesis (``inf`` for 0).
+    """Valuation of Σ_k Δ_g(1−k, ε_k) under the twisted-sum hypothesis (``inf`` for 0),
+    g the pick of norm n.
 
     Hypothesis checked per class x: v_p(Σ_k ε_k(x)·ñ(x)^(k−1)) ≥ 0, with ñ(x)
     the norm residue mod p^a, on the union of the supports (elsewhere it is 0).
@@ -428,7 +415,7 @@ def delta_sum_integrality(
         )
         if twisted and int_valuation(twisted, p) < scale_valuation:
             raise HypothesisViolated(f"twisted sum at class {x} is not p-integral")
-    parts = [_delta_numerator(level, side, g, eps, k) for k, eps in eps_by_k.items()]
+    parts = [_delta_numerator(level, side, n, eps, k) for k, eps in eps_by_k.items()]
     den = lcm(*(d for _, d in parts))
     total = sum(num * (den // d) for num, d in parts)
     if not total:

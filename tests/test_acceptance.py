@@ -13,7 +13,6 @@ from pmcong.dirichlet import characters_of, conductor_primitive, l_value_neg, se
 from pmcong.levels import (
     L_SIDE,
     Q_SIDE,
-    FrobeniusChoice,
     LocallyConstantFn,
     even_orbit_indicators,
     scenario_level,
@@ -45,12 +44,12 @@ def _criterion(number: int, label: str, ok: bool) -> None:
 
 def test_01_transfer_congruence_deep_and_shallow():
     """The pulled-back base pseudomeasure matches the extension one mod 3."""
-    deep = verify_transfer_congruence(LV189, FrobeniusChoice(LV189, 2), 2)
+    deep = verify_transfer_congruence(LV189, 2, 2)
     ok = deep["verdict"]
     ok = ok and len(deep["difference"]) == 36
     ok = ok and all(v % 3 == 0 for v in deep["difference"].values())
     ok = ok and deep["certificate"] is not None
-    shallow = verify_transfer_congruence(LV63, FrobeniusChoice(LV63, 2), 2)
+    shallow = verify_transfer_congruence(LV63, 2, 2)
     ok = ok and shallow["verdict"]
     # at depth two the comparison ring is Z/3, where divisibility by 3 is
     # coefficientwise equality on the nose
@@ -60,9 +59,7 @@ def test_01_transfer_congruence_deep_and_shallow():
 
 def test_02_pseudomeasure_weight_independence():
     ok = True
-    for side, n in ((Q_SIDE, 2), (L_SIDE, 2)):
-        g = FrobeniusChoice(LV63, n)
-        pick = g if side == Q_SIDE else g.transfer()
+    for side, pick in ((Q_SIDE, 2), (L_SIDE, 2**3)):
         reference = lambda_approx(LV63, side, pick, 2)
         ok = ok and all(0 <= c < 9 for c in reference.values())
         ok = ok and lambda_approx(LV63, side, pick, 4) == reference
@@ -71,8 +68,7 @@ def test_02_pseudomeasure_weight_independence():
 
 def test_03_delta_values_are_integral():
     ok = True
-    for n in (2, 5):
-        g = FrobeniusChoice(LV63, n)
+    for g in (2, 5):
         for k in (2, 4):
             table = delta_table(LV63, Q_SIDE, g, k)
             ok = ok and len(table) == 36
@@ -90,8 +86,7 @@ def test_03_delta_values_are_integral():
 def test_04_difference_of_sides_is_divisible():
     indicators = list(even_orbit_indicators(LV63, L_SIDE))
     ok = len(indicators) == 6
-    for n in (2, 5):
-        g = FrobeniusChoice(LV63, n)
+    for g in (2, 5):
         for eps in indicators:
             ok = ok and verify_delta_congruence(LV63, g, eps, 2) >= 1
     _criterion(4, "side difference divisible by 3 for every even indicator", ok)

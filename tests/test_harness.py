@@ -550,7 +550,7 @@ def test_cli_run_passes_for_a_quintic_field(tmp_path, capsys):
 @pytest.mark.slow
 def test_cli_run_passes_for_a_quintic_field_at_qexp_bound_8(tmp_path, capsys):
     """At `qexp_bound` 8 the ideal pool reaches norm 8⁵ = 32 768, so every
-    prime up to it is split (~3 s)."""
+    prime up to it is split (~1.5 s)."""
     _run_quintic(tmp_path, capsys, 8)
 
 

@@ -8,7 +8,6 @@ from pmcong.exact import p_valuation
 from pmcong.levels import (
     L_SIDE,
     Q_SIDE,
-    FrobeniusChoice,
     LocallyConstantFn,
     even_orbit_indicators,
     scenario_level,
@@ -100,17 +99,16 @@ def test_even_orbit_indicators_partition_both_sides():
 
 
 def test_frobenius_choice_validation_and_transfer():
-    g = FrobeniusChoice(LV, 2)
-    assert g.cls == 2 and g.n == 2
-    h = g.transfer()
-    assert h.cls == 8 and h.n == 8
-    assert LV.in_h(h.cls)
-    big = FrobeniusChoice(LV, 65)
-    assert big.cls == 2 and big.n == 65
-    with pytest.raises(ValueError):
-        FrobeniusChoice(LV, 21)  # shares a factor with the modulus
-    with pytest.raises(ValueError):
-        FrobeniusChoice(LV, 0)
+    """A pick is its integer n, read by `delta_numerators`: n must be positive
+    and a unit mod f, and its transfer n^p is the class cls^p, which lies in H."""
+    from pmcong.zeta import delta_numerators
+
+    for n in (0, 21):  # 21 shares a factor with the modulus
+        with pytest.raises(ValueError):
+            delta_numerators(LV, Q_SIDE, n, 2)
+    assert pow(2, LV.p, LV.modulus) == LV.transfer_class(2) == 8
+    assert LV.in_h(8)
+    assert set(delta_numerators(LV, L_SIDE, 2**LV.p, 2)[0]) == set(LV.h_classes)
 
 
 def test_zeta_level_plain_q():
@@ -218,9 +216,9 @@ def _reference_delta_table(level, side, g, k):
     from pmcong.zeta import partial_zeta
 
     f = level.modulus
-    g_inv = pow(g.cls, -1, f)
+    g_inv = pow(g, -1, f)
     return {
-        x: partial_zeta(level, side, x, k) - g.n**k * partial_zeta(level, side, g_inv * x % f, k)
+        x: partial_zeta(level, side, x, k) - g**k * partial_zeta(level, side, g_inv * x % f, k)
         for x in level.classes(side)
     }
 
@@ -265,7 +263,7 @@ def _reference_delta_sum(level, side, g, eps_by_k):
     for k, eps in eps_by_k.items():
         for x, v in _values(eps).items():
             total += v * partial_zeta(level, side, x, k)
-            total -= g.n**k * v * partial_zeta(level, side, pow(g.cls, -1, f) * x % f, k)
+            total -= g**k * v * partial_zeta(level, side, pow(g, -1, f) * x % f, k)
     return p_valuation(total, p)
 
 
@@ -279,8 +277,7 @@ def test_integer_view_matches_fraction_reference(case, k, k2, n):
     from pmcong.zeta import delta_sum_integrality, delta_table
 
     level, side, (da, db) = case
-    g = FrobeniusChoice(level, n)
-    pick = g if side == Q_SIDE else g.transfer()
+    pick = n if side == Q_SIDE else n**level.p
     assert delta_table(level, side, pick, k) == _reference_delta_table(level, side, pick, k)
     got = _outcome(lambda_approx, level, side, pick, k)
     assert got == _outcome(_reference_lambda, level, side, pick, k)

@@ -15,7 +15,6 @@ from pmcong.harness import ScenarioConfig, run_scenario
 from pmcong.levels import (
     L_SIDE,
     Q_SIDE,
-    FrobeniusChoice,
     LocallyConstantFn,
     even_orbit_indicators,
     scenario_level,
@@ -71,15 +70,13 @@ def test_lambda_anchor_by_hand_derivation():
 
 
 def test_lambda_frozen_table():
-    assert lambda_approx(LV63, Q_SIDE, FrobeniusChoice(LV63, 2), 2) == LAMBDA_63_G2
+    assert lambda_approx(LV63, Q_SIDE, 2, 2) == LAMBDA_63_G2
 
 
 def test_lambda_k_independence():
     for lv, ks in ((LV63, (1, 2, 3, 4)), (LV189, (2, 3))):
         for n in (2, 5):
-            g = FrobeniusChoice(lv, n)
-            h = g.transfer()
-            for side, pick in ((Q_SIDE, g), (L_SIDE, h)):
+            for side, pick in ((Q_SIDE, n), (L_SIDE, n**3)):
                 base = lambda_approx(lv, side, pick, ks[0])
                 for k in ks[1:]:
                     assert lambda_approx(lv, side, pick, k) == base, (
@@ -95,9 +92,9 @@ def test_lambda_rejects_bad_inputs():
 
     bare = zeta_level(63)
     with pytest.raises(ValueError):
-        lambda_approx(bare, Q_SIDE, FrobeniusChoice(bare, 2), 2)
+        lambda_approx(bare, Q_SIDE, 2, 2)
     with pytest.raises(ValueError):
-        lambda_approx(LV63, Q_SIDE, FrobeniusChoice(LV63, 2), 0)
+        lambda_approx(LV63, Q_SIDE, 2, 0)
 
 
 def _delta_of_an_indicator(level, side, g, k):
@@ -109,10 +106,35 @@ def _delta_of_an_indicator(level, side, g, k):
 )
 def test_extension_side_pick_outside_h_is_rejected(build):
     """Δ and λ on H need h·y ∈ H; class 2 lies outside H at modulus 63."""
-    g = FrobeniusChoice(LV63, 2)
-    assert not LV63.in_h(g.cls)
+    assert not LV63.in_h(2 % 63)
     with pytest.raises(ValueError, match="subgroup"):
-        build(LV63, L_SIDE, g, 2)
+        build(LV63, L_SIDE, 2, 2)
+
+
+def _transfer_report(level, side, n, k):
+    return verify_transfer_congruence(level, n, k)
+
+
+def _delta_congruence(level, side, n, k):
+    return verify_delta_congruence(level, n, LocallyConstantFn.constant_fn(level, L_SIDE, 1), k)
+
+
+SIDED_PICK_READERS = [lambda_approx, zeta.delta_numerators, zeta.delta_table, _delta_of_an_indicator]
+BAD_PICKS = [(Q_SIDE, 0), (Q_SIDE, 21), (L_SIDE, 0), (L_SIDE, 21), (L_SIDE, 2)]
+
+
+@pytest.mark.parametrize(
+    "read, side, n",
+    [(read, side, n) for read in SIDED_PICK_READERS for side, n in BAD_PICKS]
+    + [(read, Q_SIDE, n) for read in (_transfer_report, _delta_congruence) for n in (0, 21)],
+    ids=lambda v: getattr(v, "__name__", str(v)),
+)
+def test_every_reader_of_a_pick_refuses_a_bad_pick(read, side, n):
+    """A pick is a plain int, validated where Δ reads it: n ≥ 1, a unit mod
+    f (21 shares the factors 3 and 7 with 63), and inside H on the extension
+    side (2 mod 63 is not)."""
+    with pytest.raises(ValueError, match="positive integer|not a unit|subgroup"):
+        read(LV63, side, n, 2)
 
 
 def test_crosscheck_and_transfer_build_each_delta_and_lambda_once(fresh_caches):
@@ -123,12 +145,14 @@ def test_crosscheck_and_transfer_build_each_delta_and_lambda_once(fresh_caches):
     assert pseudomeasure.lambda_approx.cache_info().misses == 8
 
 
-def test_picks_compare_by_norm_not_class():
-    """n^k enters Δ, so picks of one class with different norms differ."""
-    g, g65 = FrobeniusChoice(LV63, 2), FrobeniusChoice(LV63, 65)
-    assert g.cls == g65.cls and g != g65
-    assert g == FrobeniusChoice(LV63, 2) and hash(g) == hash(FrobeniusChoice(LV63, 2))
-    assert zeta.delta_table(LV63, Q_SIDE, g, 2) != zeta.delta_table(LV63, Q_SIDE, g65, 2)
+def test_picks_compare_by_norm_not_class(fresh_caches):
+    """n^k enters Δ, so picks of one class with different norms differ and
+    are two cache entries."""
+    assert 2 % 63 == 65 % 63
+    assert zeta.delta_table(LV63, Q_SIDE, 2, 2) != zeta.delta_table(LV63, Q_SIDE, 65, 2)
+    assert zeta.delta_table(LV63, Q_SIDE, 2, 2) == zeta.delta_table(LV63, Q_SIDE, 2, 2)
+    info = zeta.delta_numerators.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
 
 
 @pytest.mark.parametrize("a", [2, 3, 4])
@@ -136,22 +160,21 @@ def test_picks_compare_by_norm_not_class():
 def test_transfer_difference_matches_brute_force_pushforward(a, n):
     # ver_* by its definition: the class x of the full group lands on x^p mod f
     level = scenario_level(3, 7, (3, 7), a)
-    g = FrobeniusChoice(level, n)
-    lam_q = lambda_approx(level, Q_SIDE, g, 2)
-    lam_l = lambda_approx(level, L_SIDE, g.transfer(), 2)
+    lam_q = lambda_approx(level, Q_SIDE, n, 2)
+    lam_l = lambda_approx(level, L_SIDE, n**3, 2)
     f, target = level.modulus, 3 ** (a - 1)
     pushed = dict.fromkeys(level.h_classes, 0)
     for x in level.classes(Q_SIDE):
         pushed[pow(x, 3, f)] += lam_q[x]
     expected = {y: (lam_l[y] - pushed[y]) % target for y in level.h_classes}
-    report = verify_transfer_congruence(level, g, 2)
+    report = verify_transfer_congruence(level, n, 2)
     assert report["difference"] == expected
 
 
 def test_transfer_needs_depth():
     shallow = scenario_level(3, 7, (3, 7), 1)
     with pytest.raises(LevelTooShallow):
-        verify_transfer_congruence(shallow, FrobeniusChoice(shallow, 2))
+        verify_transfer_congruence(shallow, 2)
 
 
 def test_projection_tower_collapses_lambda():
@@ -159,12 +182,9 @@ def test_projection_tower_collapses_lambda():
     # table mod 9 — the distribution property survives the full assembly
     for n in (2, 5):
         for side in (Q_SIDE, L_SIDE):
-            g = FrobeniusChoice(LV189, n)
-            pick = g if side == Q_SIDE else g.transfer()
+            pick = n if side == Q_SIDE else n**3
             fine = lambda_approx(LV189, side, pick, 2)
-            coarse_pick = FrobeniusChoice(LV63, n)
-            coarse_pick = coarse_pick if side == Q_SIDE else coarse_pick.transfer()
-            coarse = lambda_approx(LV63, side, coarse_pick, 2)
+            coarse = lambda_approx(LV63, side, pick, 2)
             projected = dict.fromkeys(LV63.classes(side), 0)
             for x, c in fine.items():
                 projected[x % 63] = (projected[x % 63] + c) % 9
@@ -176,7 +196,7 @@ def test_transfer_congruence_at_63_is_exact_equality():
     # the congruence is forced to be an equality and the verdict must come
     # with an all-zero difference
     for n in (2, 5):
-        report = verify_transfer_congruence(LV63, FrobeniusChoice(LV63, n), 2)
+        report = verify_transfer_congruence(LV63, n, 2)
         assert report["verdict"] is True
         assert report["comparison_modulus"] == 3
         assert set(report["difference"].values()) == {0}
@@ -184,7 +204,7 @@ def test_transfer_congruence_at_63_is_exact_equality():
 
 
 def test_transfer_congruence_at_189_nontrivial():
-    report = verify_transfer_congruence(LV189, FrobeniusChoice(LV189, 2), 2)
+    report = verify_transfer_congruence(LV189, 2, 2)
     assert report["verdict"] is True
     assert report["comparison_modulus"] == 9
     assert report["h_class"] == 8
@@ -196,22 +216,21 @@ def test_transfer_congruence_at_189_nontrivial():
 
 
 def test_transfer_report_is_k_stable():
-    a = verify_transfer_congruence(LV189, FrobeniusChoice(LV189, 2), 2)
-    b = verify_transfer_congruence(LV189, FrobeniusChoice(LV189, 2), 4)
+    a = verify_transfer_congruence(LV189, 2, 2)
+    b = verify_transfer_congruence(LV189, 2, 4)
     assert a["difference"] == b["difference"]
 
 
 def test_delta_congruence_on_every_even_indicator():
     for lv in (LV63,):
-        for n in (2, 5):
-            g = FrobeniusChoice(lv, n)
+        for g in (2, 5):
             for eps in even_orbit_indicators(lv, L_SIDE):
                 for k in (1, 2, 3):
                     assert verify_delta_congruence(lv, g, eps, k) >= 1, (n, k)
 
 
 def test_delta_congruence_flag_checks():
-    g = FrobeniusChoice(LV63, 2)
+    g = 2
     odd = LocallyConstantFn.delta_fn(LV63, L_SIDE, 8)
     with pytest.raises(FlagViolation):
         verify_delta_congruence(LV63, g, odd, 2)

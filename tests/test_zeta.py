@@ -23,7 +23,6 @@ from pmcong.units import divisors, unit_group
 from pmcong.levels import (
     L_SIDE,
     Q_SIDE,
-    FrobeniusChoice,
     LocallyConstantFn,
     scenario_level,
     zeta_level,
@@ -86,28 +85,42 @@ def test_dual_route_exhaustive_567():
 
 
 def test_character_route_rejects_a_nonrational_sum(monkeypatch, fresh_caches):
-    """An L-value off by ζ_n leaves an irrational orthogonality sum."""
-    l_value = zeta._l_value
+    """One character's L-value off by ζ_n leaves an irrational orthogonality
+    sum.  (Shifting an orbit representative's value would shift its whole
+    orbit Galois-equivariantly, and the sum would stay rational.)"""
+    l_values = zeta._l_values
     target = characters_of(63)[5].exponents
 
-    def perturbed(modulus, exponents, k):
-        value = l_value(modulus, exponents, k)
-        if exponents == target:
-            value = value + CyclotomicNumber.root(value.order, 1)
-        return value
+    def perturbed(modulus, k):
+        values = dict(l_values(modulus, k))
+        values[target] = values[target] + CyclotomicNumber.root(values[target].order, 1)
+        return values
 
-    monkeypatch.setattr(zeta, "_l_value", perturbed)
+    monkeypatch.setattr(zeta, "_l_values", perturbed)
     with pytest.raises(NotRational):
         partial_zeta_q_characters(LV63, 1, 2)
 
 
 def test_extension_table_checks_fiber_sizes(monkeypatch, fresh_caches):
     """A character family with one member missing cannot be split into
-    fibers of equal size over H; the check holds under ``python -O``."""
+    fibers of equal size over H; the check holds under ``python -O``.
+
+    Dropping the last character leaves [G : H] = 3 characters of G/H for 35
+    characters, not 35 // 12 = 2; dropping a nontrivial character of G/H
+    leaves 2 of them, but a fibre χ·ψ then names the missing character."""
     full = zeta.characters_of
-    monkeypatch.setattr(zeta, "characters_of", lambda modulus: full(modulus)[:-1])
-    with pytest.raises(ArithmeticError, match="fibers"):
-        partial_zeta(LV63, L_SIDE, 1, 2)
+    quotient = full(63, trivial_on=LV63.h_classes)
+    for missing in (full(63)[-1], quotient[-1]):
+        assert missing != quotient[0]
+        fresh_caches()
+        monkeypatch.setattr(
+            zeta,
+            "characters_of",
+            lambda modulus, trivial_on=(): tuple(c for c in full(modulus, trivial_on) if c != missing),
+        )
+        with pytest.raises(ArithmeticError, match="fibers"):
+            partial_zeta(LV63, L_SIDE, 1, 2)
+    assert full(63)[-1] not in quotient
 
 
 def test_extension_fibers_are_split_once_per_level(fresh_caches):
@@ -126,15 +139,32 @@ def test_extension_fibers_are_split_once_per_level(fresh_caches):
 @pytest.mark.parametrize("modulus, orbits", [(63, 20), (189, 32)])
 def test_orbit_l_values_match_the_direct_route(modulus, orbits):
     """σ_a of the orbit representative's L-value is the L-value of ρ^a."""
-    group = unit_group(modulus)
-    representatives = set()
-    for chi in characters_of(modulus):
-        rep, a = zeta._galois_orbits(modulus)[chi.exponents]
-        assert tuple(a * e % o for e, o in zip(rep, group.orders)) == chi.exponents
-        representatives.add(rep)
-        for k in (1, 2, 4):
-            assert zeta._l_value(modulus, chi.exponents, k) == l_value_neg(chi, k, (3, 7))
+    chars = characters_of(modulus)
+    assert len({_orbit_sweep(modulus, chi.exponents) for chi in chars}) == orbits
+    for k in (1, 2, 4):
+        values = zeta._l_values(modulus, k)
+        assert set(values) == {chi.exponents for chi in chars}
+        for chi in chars:
+            assert values[chi.exponents] == l_value_neg(chi, k, (3, 7))
+
+
+@pytest.mark.parametrize("level, orbits", [(LV63, 20), (LV189, 32)], ids=["63", "189"])
+def test_l_value_neg_runs_once_per_galois_orbit_and_weight(monkeypatch, fresh_caches, level, orbits):
+    """Both character routes read one L-value table per (modulus, k), and it
+    calls `l_value_neg` on the least character of each Galois orbit only."""
+    calls = []
+
+    def counted(chi, k, s_primes=()):
+        calls.append((chi.exponents, k))
+        return l_value_neg(chi, k, s_primes)
+
+    monkeypatch.setattr(zeta, "l_value_neg", counted)
+    for k in (2, 4):
+        partial_zeta_q_characters(level, 1, k)
+        partial_zeta(level, L_SIDE, 1, k)
+    representatives = {_orbit_sweep(level.modulus, chi.exponents) for chi in characters_of(level.modulus)}
     assert len(representatives) == orbits
+    assert sorted(calls) == sorted((rep, k) for rep in representatives for k in (2, 4))
 
 
 def test_distribution_compatibility_189_to_63():
@@ -202,7 +232,7 @@ def test_scaled_zeta_normalization():
 
 
 def test_delta_at_trivial_pick_vanishes():
-    one = FrobeniusChoice(LV63, 1)
+    one = 1
     for k in (1, 2, 3):
         for x in LV63.classes(Q_SIDE):
             eps = LocallyConstantFn.delta_fn(LV63, Q_SIDE, x)
@@ -210,9 +240,7 @@ def test_delta_at_trivial_pick_vanishes():
 
 
 def test_delta_table_matches_delta_of():
-    g = FrobeniusChoice(LV63, 2)
-    for side in (Q_SIDE, L_SIDE):
-        pick = g if side == Q_SIDE else g.transfer()
+    for side, pick in ((Q_SIDE, 2), (L_SIDE, 2**3)):
         table = delta_table(LV63, side, pick, 2)
         assert set(table) == set(LV63.classes(side))
         for x in LV63.classes(side):
@@ -224,17 +252,15 @@ def test_delta_values_are_p_integral_everywhere():
     # partial zetas have denominators; the smoothing kills them at p = 3
     for lv in (LV63, LV189):
         for n in (2, 5):
-            g = FrobeniusChoice(lv, n)
             for k in (1, 2, 4):
-                for value in delta_table(lv, Q_SIDE, g, k).values():
+                for value in delta_table(lv, Q_SIDE, n, k).values():
                     assert p_valuation(value, 3) >= 0
-                h = g.transfer()
-                for value in delta_table(lv, L_SIDE, h, k).values():
+                for value in delta_table(lv, L_SIDE, n**3, k).values():
                     assert p_valuation(value, 3) >= 0
 
 
 def test_extension_delta_needs_subgroup_pick():
-    outside = FrobeniusChoice(LV63, 2)  # 2 mod 7 is not a norm class
+    outside = 2  # 2 mod 7 is not a norm class
     eps = LocallyConstantFn.constant_fn(LV63, L_SIDE, 1)
     with pytest.raises(ValueError):
         delta_of(LV63, L_SIDE, outside, eps, 2)
@@ -249,7 +275,7 @@ def test_norm_residue_range_and_value():
 
 
 def test_twisted_sum_integrality_on_indicators():
-    g = FrobeniusChoice(LV63, 2)
+    g = 2
     for x in LV63.classes(Q_SIDE):
         eps_by_k = {
             k: LocallyConstantFn.delta_fn(LV63, Q_SIDE, x) for k in (2, 4)
@@ -258,7 +284,7 @@ def test_twisted_sum_integrality_on_indicators():
 
 
 def test_twisted_sum_detects_violations():
-    g = FrobeniusChoice(LV63, 2)
+    g = 2
     shallow = LocallyConstantFn.constant_fn(LV63, Q_SIDE, Fraction(1, 3))
     with pytest.raises(HypothesisViolated):
         delta_sum_integrality(LV63, Q_SIDE, g, {1: shallow})
@@ -269,7 +295,7 @@ def test_twisted_sum_detects_violations():
 
 def test_twisted_sum_rejects_a_level_without_p():
     level = zeta_level(63)
-    g = FrobeniusChoice(level, 2)
+    g = 2
     eps = LocallyConstantFn.delta_fn(level, Q_SIDE, 1)
     with pytest.raises(ValueError, match="scenario level"):
         delta_sum_integrality(level, Q_SIDE, g, {2: eps})
@@ -278,7 +304,7 @@ def test_twisted_sum_rejects_a_level_without_p():
 def test_twisted_pair_can_cancel_to_integral():
     # eps_2 = -n_tilde(x)^2 * eps_4 pointwise makes the twisted sum vanish while
     # each summand alone fails; the combined Delta-sum must then be integral
-    g = FrobeniusChoice(LV63, 2)
+    g = 2
     third = Fraction(1, 3)
     eps_4 = LocallyConstantFn.constant_fn(LV63, Q_SIDE, third)
     eps_2_values = {
@@ -292,7 +318,7 @@ def test_twisted_pair_can_cancel_to_integral():
 def test_twisted_sum_names_the_failing_class_inside_the_support():
     # at class 10 the k = 2 and k = 4 terms cancel; class 20 lies in the
     # support of ε_4 only, so the check must walk the union of the supports
-    g = FrobeniusChoice(LV63, 2)
+    g = 2
     third = Fraction(1, 3)
     n10 = norm_residue(LV63, 10)
     eps_2 = LocallyConstantFn.from_table(
@@ -473,36 +499,19 @@ def _primitive_sweep(chi):
     return d, {x % d: t for x, t in exponent.items()}
 
 
-def _closure(modulus, generators):
-    """The subgroup generated by `generators`, by multiplying until nothing new appears."""
-    span = {1 % modulus}
-    while True:
-        grown = span | {s * g % modulus for s in span for g in generators}
-        if grown == span:
-            return span
-        span = grown
-
-
 TABLE_LEVELS = [LV63, LV189, scenario_level(3, 7, (3, 7), 4), zeta_level(504, p=3, conductor=7)]
 
 
 @pytest.mark.parametrize("level", TABLE_LEVELS, ids=lambda lv: str(lv.modulus))
 def test_orbit_fiber_and_primitive_tables_match_the_sweeps(level):
     modulus = level.modulus
-    group = unit_group(modulus)
-    orbits = zeta._galois_orbits(modulus)
+    s_primes = tuple(sorted(level.s_primes))
+    values = zeta._l_values(modulus, 2)
     chars = characters_of(modulus)
-    assert len(orbits) == len(chars)
+    assert len(values) == len(chars)
     for chi in chars:
-        rep, a = orbits[chi.exponents]
-        assert rep == _orbit_sweep(modulus, chi.exponents)
-        assert gcd(a, group.exponent) == 1
-        assert tuple(a * e % o for e, o in zip(rep, group.orders)) == chi.exponents
+        assert values[chi.exponents] == l_value_neg(chi, 2, s_primes)
         prim = conductor_primitive(chi)
         assert (prim.conductor, prim._table) == _primitive_sweep(chi)
-    generators = zeta._subgroup_generators(modulus, level.h_classes)
-    assert _closure(modulus, generators) == set(level.h_classes)
-    # each generator lies outside the span of the ones before it
-    assert all(y not in _closure(modulus, generators[:i]) for i, y in enumerate(generators))
     fibers = zeta._l_fibers(level)
     assert sorted(sorted(chi.exponents for chi in members) for members in fibers) == _fiber_sweep(level)
